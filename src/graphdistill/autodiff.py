@@ -301,6 +301,21 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return _make(a.values[idx], "gather_rows", (a,), back)
 
 
+def propagate(a: Tensor, op) -> Tensor:
+    """``op @ a`` for a symmetric sparse (or dense) n x n operator ``op``.
+
+    Symmetry makes the backward pass the same product, ``op @ g``; the
+    caller guarantees it, because checking it would cost as much as the
+    product.
+    """
+    if a.values.ndim != 2 or op.shape != (a.values.shape[0],) * 2:
+        raise ShapeError(f"propagate: operator {op.shape} for input {a.values.shape}")
+
+    def back(g):
+        _accum(a, op @ g)
+    return _make(op @ a.values, "propagate", (a,), back)
+
+
 def frobenius_sq(a: Tensor) -> Tensor:
     def back(g):
         _accum(a, 2.0 * g * a.values)

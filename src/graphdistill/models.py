@@ -2,22 +2,26 @@
 
 Training-time forwards run on the autodiff Tensor type; each model also has
 a plain-numpy inference twin (``*_infer``) used for evaluation, teacher
-caching and the dynamic benchmark. The twins follow the exact same
-computation order, which the tests pin down.
+caching and the dynamic benchmark. Teacher message passing is one product
+with a symmetric CSR operator of the batch (``GraphBatch.adjacency`` for
+GIN, ``GraphBatch.gcn_operator`` for GCN), built on first use, so a forward
+and its twin multiply by the same matrix; the tests pin their agreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Graph
 from .errors import ConfigError
-from .structure import StructCache
+from .structure import StructCache, csr_operator
 
 SUM = "sum"
 ATTENTION = "attention"
@@ -68,13 +72,16 @@ class ForwardOutputs:
 
 @dataclass
 class GraphBatch:
-    """Disjoint union of graphs with segment indices for pooling."""
+    """Disjoint union of graphs with segment indices for pooling.
+
+    The propagation operators are built on first use and kept, so paths
+    that never propagate (the students) never build them.
+    """
 
     num_nodes: int
     num_graphs: int
     indptr: np.ndarray
     indices: np.ndarray
-    edge_owner: np.ndarray  # target node of each directed adjacency slot
     features: np.ndarray
     graph_of_node: np.ndarray
     labels: np.ndarray
@@ -83,6 +90,19 @@ class GraphBatch:
     cluster_of_node: Optional[np.ndarray] = None
     cluster_offsets: Optional[np.ndarray] = None
     num_clusters: int = 0
+
+    @cached_property
+    def adjacency(self) -> sp.csr_array:
+        """Symmetric 0/1 adjacency A of the whole batch (GIN)."""
+        return csr_operator(self)
+
+    @cached_property
+    def gcn_operator(self) -> sp.csr_array:
+        """D^-1/2 (A + I) D^-1/2 with D the degrees plus one (GCN)."""
+        deg_hat = self.degrees + 1.0
+        inv_sqrt = 1.0 / np.sqrt(deg_hat)
+        src = np.repeat(np.arange(self.num_nodes), self.degrees)
+        return csr_operator(self, inv_sqrt[src] * inv_sqrt[self.indices], 1.0 / deg_hat)
 
 
 def make_batch(graphs: list[Graph], feature_rows: list[np.ndarray] | None = None,
@@ -100,13 +120,11 @@ def make_batch(graphs: list[Graph], feature_rows: list[np.ndarray] | None = None
     rows = feature_rows if feature_rows is not None else [g.features for g in graphs]
     features = np.concatenate(rows, axis=0) if rows else np.zeros((0, 0))
     graph_of_node = np.repeat(np.arange(len(graphs)), sizes)
-    edge_owner = np.repeat(np.arange(int(node_offsets[-1])), degrees)
     batch = GraphBatch(
         num_nodes=int(node_offsets[-1]),
         num_graphs=len(graphs),
         indptr=indptr,
         indices=indices,
-        edge_owner=edge_owner,
         features=features,
         graph_of_node=graph_of_node,
         labels=np.array([g.label for g in graphs], dtype=np.int64),
@@ -232,7 +250,7 @@ def gin_forward(graph_or_batch, X=None, config: GinConfig = None, params=None,
     batch = _as_batch(graph_or_batch)
     h = X if isinstance(X, Tensor) else ad.constant(batch.features if X is None else X)
     for layer in range(config.num_layers):
-        msg = ad.segment_sum(ad.gather_rows(h, batch.indices), batch.edge_owner, batch.num_nodes)
+        msg = ad.propagate(h, batch.adjacency)
         own = h if config.eps == 0.0 else ad.mul(h, 1.0 + config.eps)
         pre = ad.add(own, msg)
         a = ad.relu(ad.add(ad.matmul(pre, params[f"layer{layer}.w1"]), params[f"layer{layer}.b1"]))
@@ -242,26 +260,13 @@ def gin_forward(graph_or_batch, X=None, config: GinConfig = None, params=None,
     return _finish(batch, h, config, params)
 
 
-def _gcn_coefficients(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray]:
-    deg_hat = batch.degrees.astype(np.float64) + 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg_hat)
-    edge_c = inv_sqrt[batch.edge_owner] * inv_sqrt[batch.indices]
-    return edge_c[:, None], (1.0 / deg_hat)[:, None]
-
-
 def gcn_forward(graph_or_batch, X=None, config: GcnConfig = None, params=None,
                 train_rng: np.random.Generator | None = None) -> ForwardOutputs:
     """Symmetric-normalized propagation with self-loops, one linear map per layer."""
     batch = _as_batch(graph_or_batch)
     h = X if isinstance(X, Tensor) else ad.constant(batch.features if X is None else X)
-    edge_c, self_c = _gcn_coefficients(batch)
     for layer in range(config.num_layers):
-        width = h.shape[1]
-        scaled = ad.mul(ad.gather_rows(h, batch.indices),
-                        ad.constant(np.repeat(edge_c, width, axis=1)))
-        prop = ad.segment_sum(scaled, batch.edge_owner, batch.num_nodes)
-        own = ad.mul(h, ad.constant(np.repeat(self_c, width, axis=1)))
-        agg = ad.add(prop, own)
+        agg = ad.propagate(h, batch.gcn_operator)
         h = ad.relu(ad.add(ad.matmul(agg, params[f"layer{layer}.w"]), params[f"layer{layer}.b"]))
         if layer < config.num_layers - 1:
             h = _dropout(h, config.dropout, train_rng)
@@ -328,7 +333,7 @@ def gin_infer(batch: GraphBatch, config: GinConfig, params: dict[str, np.ndarray
               X: np.ndarray | None = None) -> ForwardOutputs:
     h = batch.features if X is None else X
     for layer in range(config.num_layers):
-        msg = ad.scatter_rows(batch.num_nodes, batch.edge_owner, h[batch.indices])
+        msg = batch.adjacency @ h
         pre = (1.0 + config.eps) * h + msg if config.eps != 0.0 else h + msg
         a = np.maximum(pre @ params[f"layer{layer}.w1"] + params[f"layer{layer}.b1"], 0.0)
         h = np.maximum(a @ params[f"layer{layer}.w2"] + params[f"layer{layer}.b2"], 0.0)
@@ -338,10 +343,8 @@ def gin_infer(batch: GraphBatch, config: GinConfig, params: dict[str, np.ndarray
 def gcn_infer(batch: GraphBatch, config: GcnConfig, params: dict[str, np.ndarray],
               X: np.ndarray | None = None) -> ForwardOutputs:
     h = batch.features if X is None else X
-    edge_c, self_c = _gcn_coefficients(batch)
     for layer in range(config.num_layers):
-        prop = ad.scatter_rows(batch.num_nodes, batch.edge_owner, h[batch.indices] * edge_c)
-        agg = prop + h * self_c
+        agg = batch.gcn_operator @ h
         h = np.maximum(agg @ params[f"layer{layer}.w"] + params[f"layer{layer}.b"], 0.0)
     return _np_finish(batch, h, config, params)
 

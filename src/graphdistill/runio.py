@@ -48,12 +48,19 @@ def write_manifest(run_dir, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_manifest(run_dir) -> dict:
-    path = Path(run_dir) / "manifest.json"
+def _read_json(path):
+    path = Path(path)
     if not path.is_file():
         raise ArtifactMissingError(path)
     with path.open() as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def read_manifest(run_dir) -> dict:
+    return _read_json(Path(run_dir) / "manifest.json")
 
 
 def write_metrics_csv(path, rows: list[tuple]) -> None:
@@ -137,11 +144,7 @@ def save_teacher_checkpoint(run_dir, ckpt: TeacherCheckpoint) -> None:
 
 def load_teacher_checkpoint(run_dir, fold_index: int) -> TeacherCheckpoint:
     stem = Path(run_dir) / f"teacher_fold{fold_index}"
-    meta_path = stem.with_suffix(".json")
-    if not meta_path.is_file():
-        raise ArtifactMissingError(meta_path)
-    with meta_path.open() as fh:
-        meta = json.load(fh)
+    meta = _read_json(stem.with_suffix(".json"))
     params = load_checkpoint(stem.with_suffix(".ckpt"))
     return TeacherCheckpoint(
         fold_index=meta["fold_index"],
@@ -165,11 +168,7 @@ def save_student_checkpoint(run_dir, config: StudentConfig, params: dict,
 
 def load_student_checkpoint(run_dir, fold_index: int, seed: int):
     stem = Path(run_dir) / f"student_fold{fold_index}_seed{seed}"
-    meta_path = stem.with_suffix(".json")
-    if not meta_path.is_file():
-        raise ArtifactMissingError(meta_path)
-    with meta_path.open() as fh:
-        meta = json.load(fh)
+    meta = _read_json(stem.with_suffix(".json"))
     return config_from_dict(meta["config"]), load_checkpoint(stem.with_suffix(".ckpt"))
 
 

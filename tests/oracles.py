@@ -68,6 +68,32 @@ def dense_adjacency(graph):
     return a
 
 
+def dense_batch_adjacency(graphs):
+    """Block-diagonal 0/1 adjacency of a list of graphs, in batch order."""
+    n = sum(g.num_nodes for g in graphs)
+    a = np.zeros((n, n))
+    off = 0
+    for g in graphs:
+        a[off:off + g.num_nodes, off:off + g.num_nodes] = dense_adjacency(g)
+        off += g.num_nodes
+    return a
+
+
+def dense_gcn_operator(a):
+    """D^-1/2 (A + I) D^-1/2 with D the row sums of A + I."""
+    a_hat = a + np.eye(a.shape[0])
+    d = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return d[:, None] * a_hat * d[None, :]
+
+
+def dense_normalized_laplacian(graph):
+    """I - D^-1/2 A D^-1/2; isolated nodes keep a unit diagonal."""
+    a = dense_adjacency(graph)
+    deg = a.sum(axis=1)
+    d = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
+    return np.eye(graph.num_nodes) - d[:, None] * a * d[None, :]
+
+
 def dense_modularity(graph, assignment):
     """Q = tr(S^T B S) / 2m with B = A - k k^T / 2m."""
     a = dense_adjacency(graph)

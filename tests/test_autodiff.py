@@ -1,10 +1,18 @@
+import struct
+
 import numpy as np
 import pytest
 
 from graphdistill import autodiff as ad
 from graphdistill.autodiff import Adam, Tensor
-from graphdistill.checkpoint import load_checkpoint, save_checkpoint
-from graphdistill.errors import ContractError, FormatError, NumericError, ShapeError
+from graphdistill.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from graphdistill.errors import (
+    ArtifactMissingError,
+    ContractError,
+    FormatError,
+    NumericError,
+    ShapeError,
+)
 
 from oracles import assert_grads_close, autodiff_grads, finite_difference_grads
 
@@ -239,6 +247,47 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(FormatError, match="magic"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _saved(tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3)})
+        return path, path.read_bytes()
+
+    def test_missing_file_is_artifact_missing(self, tmp_path):
+        with pytest.raises(ArtifactMissingError):
+            load_checkpoint(tmp_path / "absent.ckpt")
+
+    def test_cut_inside_header_length_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:10])
+        with pytest.raises(FormatError, match="header length"):
+            load_checkpoint(path)
+
+    def test_cut_inside_header_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:20])
+        with pytest.raises(FormatError, match="header"):
+            load_checkpoint(path)
+
+    def test_malformed_header_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        header = b'{"version": 1, "params": [{"name": "w"}]}'
+        path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+        with pytest.raises(FormatError, match="malformed header"):
+            load_checkpoint(path)
+
+    def test_cut_inside_data_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:-4])
+        with pytest.raises(FormatError, match="truncated data for b"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(path)
 
 

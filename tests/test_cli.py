@@ -101,6 +101,16 @@ class TestCliContracts:
                      "--out-dir", str(tmp_path / "runs")])
         assert code == 3
 
+    def test_missing_teacher_checkpoint_exits_3(self, tiny_data, tmp_path):
+        out = tmp_path / "runs"
+        base = ["--data-dir", str(tiny_data), "--out-dir", str(out)]
+        assert main(["train-teacher", "--dataset", "TINY", "--layers", "1",
+                     "--hidden", "4", "--folds", "2", "--epochs", "2", "--lr-patience", "1",
+                     *base]) == 0
+        teacher_run = run_dirs(out)[0]
+        (teacher_run / "teacher_fold0.ckpt").unlink()
+        assert main(["evaluate", "--teacher-run", str(teacher_run), *base]) == 3
+
     def test_config_file_defaults_and_cli_override(self, tiny_data, tmp_path):
         out = tmp_path / "runs"
         cfg = tmp_path / "cfg.json"

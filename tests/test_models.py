@@ -3,7 +3,7 @@ import pytest
 
 from graphdistill import autodiff as ad
 from graphdistill.data import Graph
-from graphdistill.errors import ConfigError
+from graphdistill.errors import ConfigError, ShapeError
 from graphdistill.models import (
     GcnConfig,
     GinConfig,
@@ -29,6 +29,8 @@ from conftest import build_graph
 from oracles import (
     assert_grads_close,
     autodiff_grads,
+    dense_batch_adjacency,
+    dense_gcn_operator,
     finite_difference_grads,
     random_er_graph,
 )
@@ -297,3 +299,105 @@ class TestModelGradients:
 
         assert_grads_close(autodiff_grads(loss, params),
                            finite_difference_grads(loss, params), rel_tol=1e-4)
+
+
+def propagation_batches():
+    """Multi-graph batches with isolated nodes, plus one batch with no edges."""
+    rng = np.random.default_rng(20)
+    er = [random_er_graph(rng, int(rng.integers(2, 16)), p=0.2, feature_dim=3)
+          for _ in range(5)]
+    lone = build_graph(4, [(0, 1)], rng.normal(size=(4, 3)))  # nodes 2, 3 isolated
+    single = build_graph(1, [], rng.normal(size=(1, 3)))
+    edgeless = [build_graph(n, [], rng.normal(size=(n, 3))) for n in (3, 1, 2)]
+    return [er + [lone, single], [single, lone, er[0]], edgeless]
+
+
+def dense_readout(H, graphs, params_np, mode):
+    member = np.zeros((len(graphs), H.shape[0]))
+    off = 0
+    for i, g in enumerate(graphs):
+        member[i, off:off + g.num_nodes] = 1.0
+        off += g.num_nodes
+    if mode == "attention":
+        gate = 1.0 / (1.0 + np.exp(-(H @ params_np["pool.w"] + params_np["pool.b"])))
+        H = gate * H
+    return member @ H
+
+
+def dense_gin_logits(graphs, cfg, p):
+    a = dense_batch_adjacency(graphs)
+    h = np.concatenate([g.features for g in graphs])
+    for layer in range(cfg.num_layers):
+        pre = (1.0 + cfg.eps) * h + a @ h
+        z = np.maximum(pre @ p[f"layer{layer}.w1"] + p[f"layer{layer}.b1"], 0.0)
+        h = np.maximum(z @ p[f"layer{layer}.w2"] + p[f"layer{layer}.b2"], 0.0)
+    return h, dense_readout(h, graphs, p, cfg.readout) @ p["head.w"] + p["head.b"]
+
+
+def dense_gcn_logits(graphs, cfg, p):
+    op = dense_gcn_operator(dense_batch_adjacency(graphs))
+    h = np.concatenate([g.features for g in graphs])
+    for layer in range(cfg.num_layers):
+        h = np.maximum((op @ h) @ p[f"layer{layer}.w"] + p[f"layer{layer}.b"], 0.0)
+    return h, dense_readout(h, graphs, p, cfg.readout) @ p["head.w"] + p["head.b"]
+
+
+class TestPropagationOracle:
+    @pytest.mark.parametrize("graphs", propagation_batches())
+    def test_operators_match_dense(self, graphs):
+        batch = make_batch(graphs)
+        a = dense_batch_adjacency(graphs)
+        np.testing.assert_array_equal(batch.adjacency.toarray(), a)
+        np.testing.assert_allclose(batch.gcn_operator.toarray(), dense_gcn_operator(a),
+                                   rtol=0, atol=1e-15)
+        assert batch.adjacency is batch.adjacency  # built once per batch
+
+    @pytest.mark.parametrize("graphs", propagation_batches())
+    @pytest.mark.parametrize("eps,readout_mode", [(0.0, "sum"), (0.3, "attention")])
+    def test_gin_matches_dense(self, graphs, eps, readout_mode):
+        rng = np.random.default_rng(21)
+        cfg = GinConfig(num_layers=3, hidden=6, eps=eps, readout=readout_mode)
+        params = init_gin_params(rng, 3, cfg, 2)
+        p = params_to_arrays(params)
+        h_ref, logits_ref = dense_gin_logits(graphs, cfg, p)
+        batch = make_batch(graphs)
+        for out in (gin_forward(batch, None, cfg, params), gin_infer(batch, cfg, p)):
+            h = getattr(out.node_embeddings, "values", out.node_embeddings)
+            logits = getattr(out.logits, "values", out.logits)
+            np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(logits, logits_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("graphs", propagation_batches())
+    @pytest.mark.parametrize("readout_mode", ["sum", "attention"])
+    def test_gcn_matches_dense(self, graphs, readout_mode):
+        rng = np.random.default_rng(22)
+        cfg = GcnConfig(num_layers=3, hidden=6, readout=readout_mode)
+        params = init_gcn_params(rng, 3, cfg, 2)
+        p = params_to_arrays(params)
+        h_ref, logits_ref = dense_gcn_logits(graphs, cfg, p)
+        batch = make_batch(graphs)
+        for out in (gcn_forward(batch, None, cfg, params), gcn_infer(batch, cfg, p)):
+            h = getattr(out.node_embeddings, "values", out.node_embeddings)
+            logits = getattr(out.logits, "values", out.logits)
+            np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(logits, logits_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["adjacency", "gcn_operator"])
+    def test_propagate_gradcheck(self, kind):
+        rng = np.random.default_rng(23)
+        batch = make_batch(propagation_batches()[0])
+        op = getattr(batch, kind)
+        h = ad.parameter(rng.normal(size=(batch.num_nodes, 3)))
+        w = ad.constant(rng.normal(size=(3, 2)))
+
+        def loss():
+            return ad.frobenius_sq(ad.matmul(ad.propagate(ad.relu(h), op), w))
+
+        params = {"h": h}
+        assert_grads_close(autodiff_grads(loss, params),
+                           finite_difference_grads(loss, params), rel_tol=1e-4)
+
+    def test_propagate_rejects_wrong_size(self):
+        batch = make_batch(propagation_batches()[0])
+        with pytest.raises(ShapeError):
+            ad.propagate(ad.constant(np.ones((batch.num_nodes + 1, 2))), batch.adjacency)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from graphdistill.data import Graph
 from graphdistill.errors import ContractError, FormatError
 from graphdistill.structure import (
+    DENSE_LAPE_MAX_NODES,
     build_struct_caches,
     default_num_walks,
     ga_mlp_aggregate,
@@ -10,14 +12,19 @@ from graphdistill.structure import (
     load_struct_caches,
     louvain_cluster,
     modularity,
-    normalized_laplacian,
     sample_walks,
     save_struct_caches,
+    sparse_laplacian,
 )
-from graphdistill.synth import two_class_structural
+from graphdistill.synth import preferential_attachment_edges, two_class_structural
 
 from conftest import build_graph
-from oracles import best_partition_bruteforce, dense_ga_aggregate, random_er_graph
+from oracles import (
+    best_partition_bruteforce,
+    dense_ga_aggregate,
+    dense_normalized_laplacian,
+    random_er_graph,
+)
 
 # Zachary's karate club, 34 nodes / 78 edges.
 KARATE_EDGES = [
@@ -116,7 +123,7 @@ class TestLaplacianPE:
         pe = laplacian_pe(path3, 1)
         expected = np.array([1.0 / np.sqrt(2), 0.0, -1.0 / np.sqrt(2)])
         np.testing.assert_allclose(pe[:, 0], expected, atol=1e-10)
-        lap = normalized_laplacian(path3)
+        lap = dense_normalized_laplacian(path3)
         np.testing.assert_allclose(lap @ pe[:, 0], 1.0 * pe[:, 0], atol=1e-10)
 
     def test_k2_padding(self, k2):
@@ -142,7 +149,7 @@ class TestLaplacianPE:
             g = random_er_graph(rng, int(rng.integers(5, 40)), p=0.2)
             k = min(6, g.num_nodes - 1)
             pe = laplacian_pe(g, k)
-            lap = normalized_laplacian(g)
+            lap = dense_normalized_laplacian(g)
             lams = []
             for c in range(k):
                 u = pe[:, c]
@@ -152,6 +159,13 @@ class TestLaplacianPE:
                 assert -1e-9 <= lam <= 2.0 + 1e-9
                 lams.append(lam)
             assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
+
+    def test_sparse_laplacian_matches_dense_oracle(self):
+        rng = np.random.default_rng(12)
+        for trial in range(6):
+            g = random_er_graph(rng, int(rng.integers(2, 30)), p=0.15)  # some isolated
+            np.testing.assert_array_equal(sparse_laplacian(g).toarray(),
+                                          dense_normalized_laplacian(g))
 
     def test_sign_convention_deterministic(self, path3):
         pe = laplacian_pe(path3, 2)
@@ -168,6 +182,78 @@ class TestLaplacianPE:
     def test_k_pe_must_be_positive(self, k2):
         with pytest.raises(ContractError):
             laplacian_pe(k2, 0)
+
+
+def sparse_components(sizes, seed):
+    """Disjoint union of connected preferential-attachment graphs."""
+    rng = np.random.default_rng(seed)
+    edges, off = [], 0
+    for n in sizes:
+        edges += [(u + off, v + off)
+                  for u, v in preferential_attachment_edges(n, rng, extra_edges=n // 5)]
+        off += n
+    return Graph.from_edges(off, edges, np.ones((off, 1)), 0)
+
+
+def lape_invariant_errors(graph, pe):
+    """Orthonormality and eigen-residual errors, and the Rayleigh quotients."""
+    lap = dense_normalized_laplacian(graph)
+    lv = lap @ pe
+    lam = (pe * lv).sum(axis=0)
+    gram = np.abs(pe.T @ pe - np.eye(pe.shape[1])).max()
+    residual = np.linalg.norm(lv - pe * lam, axis=0).max()
+    return gram, residual, lam
+
+
+class TestSparseLaplacianPE:
+    """Graphs above DENSE_LAPE_MAX_NODES take the shift-invert path.
+
+    A degenerate eigenspace has no unique basis, so columns are checked as
+    eigenvectors and as subspaces, never entry by entry.
+    """
+
+    K = 8
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        g = sparse_components([320], seed=30)
+        assert g.num_nodes > DENSE_LAPE_MAX_NODES
+        return g
+
+    def test_invariants(self, big):
+        pe = laplacian_pe(big, self.K)
+        gram, residual, lam = lape_invariant_errors(big, pe)
+        assert gram < 1e-8
+        assert residual < 1e-8
+        assert -1e-9 <= lam.min() and lam.max() <= 2.0 + 1e-9
+        assert np.all(np.diff(lam) >= -1e-9)
+
+    def test_projector_matches_dense_across_eigengap(self, big):
+        vals, vecs = np.linalg.eigh(dense_normalized_laplacian(big))
+        # Widest gap after one of the first K non-trivial eigenvalues.
+        gaps = vals[2:self.K + 2] - vals[1:self.K + 1]
+        k = int(np.argmax(gaps)) + 1
+        assert gaps[k - 1] > 1e-4
+        pe = laplacian_pe(big, self.K)[:, :k]
+        dense = vecs[:, 1:1 + k]
+        np.testing.assert_allclose(pe @ pe.T, dense @ dense.T, rtol=0, atol=1e-10)
+
+    def test_repeats_byte_identical(self, big):
+        assert laplacian_pe(big, self.K).tobytes() == laplacian_pe(big, self.K).tobytes()
+
+    @pytest.mark.parametrize("sizes", [[12, 9, 15], [130, 110, 90]])
+    def test_disconnected_drops_one_zero_eigenvalue(self, sizes):
+        # c components give c zero eigenvalues and only the lowest is dropped,
+        # on the dense path (small graph) and the sparse one (large graph).
+        g = sparse_components(sizes, seed=31)
+        c = len(sizes)
+        pe = laplacian_pe(g, self.K)
+        gram, residual, lam = lape_invariant_errors(g, pe)
+        assert gram < 1e-8 and residual < 1e-8
+        np.testing.assert_allclose(lam[:c - 1], 0.0, atol=1e-10)
+        assert lam[c - 1] > 1e-4
+        exact = np.linalg.eigvalsh(dense_normalized_laplacian(g))[1:1 + self.K]
+        np.testing.assert_allclose(lam, exact, rtol=0, atol=1e-10)
 
 
 class TestWalks:

@@ -3,7 +3,8 @@
 Batch commands: preprocess, train-teacher, distill, evaluate, ablate, grid,
 dynamic-bench, report. Flags override config-file values, which override
 defaults; all randomness funnels through --seed. Exit codes: 0 success,
-2 usage error, 3 missing input artifact.
+1 invalid input (``GraphDistillError``), 2 usage error, 3 missing input
+artifact.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .dynamic import (
     perturb_and_score,
     time_inference,
 )
-from .errors import ArtifactMissingError, GraphDistillError
+from .errors import ArtifactMissingError, FormatError, GraphDistillError
 from .losses import DistillWeights
-from .models import GcnConfig, GinConfig, StudentConfig, init_student_params
+from .models import GcnConfig, GinConfig, StudentConfig, init_linear_params, params_to_arrays
 from .runio import (
     collect_metrics,
     config_from_dict,
@@ -338,14 +339,19 @@ def _write_dynamic_outputs(run_dir, agg, latency) -> None:
         for k in range(agg.student_error.size):
             fh.write(f"{k},{agg.student_error[k]!r},{agg.student_entropy[k]!r},"
                      f"{agg.teacher_error[k]!r},{agg.teacher_entropy[k]!r}\n")
+    summary = _write_latency_csv(run_dir, latency)
+    with (run_dir / "latency.json").open("w") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_latency_csv(run_dir, latency) -> dict:
     summary = latency.summary()
     with (run_dir / "latency.csv").open("w") as fh:
         fh.write("engine,mean_ms,median_ms,steps\n")
         for engine, stats in summary.items():
             fh.write(f"{engine},{stats['mean_ms']!r},{stats['median_ms']!r},{stats['steps']}\n")
-    with (run_dir / "latency.json").open("w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    return summary
 
 
 def _dynamic_synthetic(args) -> int:
@@ -355,12 +361,10 @@ def _dynamic_synthetic(args) -> int:
     caches = build_struct_caches(dataset, args.seed)
     rng = np.random.default_rng(args.seed)
     t_cfg = GinConfig(num_layers=5, hidden=64)
-    t_params = {k: p.values for k, p in
-                models.init_gin_params(rng, dataset.feature_dim, t_cfg, 2).items()}
+    t_params = params_to_arrays(models.init_gin_params(rng, dataset.feature_dim, t_cfg, 2))
     s_cfg = StudentConfig(kind="ga-mlp", num_layers=3, hidden=64)
     in_dim = models.student_input(dataset.graphs[0], caches[0], s_cfg).shape[1]
-    s_params = {k: p.values for k, p in
-                init_student_params(rng, in_dim, s_cfg, 2).items()}
+    s_params = params_to_arrays(init_linear_params(rng, in_dim, s_cfg, 2))
     teacher = TeacherModel(t_cfg, t_params)
     student = StudentModel(s_cfg, s_params)
     traces = [
@@ -368,12 +372,8 @@ def _dynamic_synthetic(args) -> int:
         for i, g in enumerate(dataset.graphs)
     ]
     latency = time_inference(dataset.graphs, caches, student, teacher, traces)
-    summary = latency.summary()
     run_dir = new_run_dir(args.out_dir, dataset.name, "dynamic-bench", args.seed)
-    with (run_dir / "latency.csv").open("w") as fh:
-        fh.write("engine,mean_ms,median_ms,steps\n")
-        for engine, stats in summary.items():
-            fh.write(f"{engine},{stats['mean_ms']!r},{stats['median_ms']!r},{stats['steps']}\n")
+    summary = _write_latency_csv(run_dir, latency)
     write_manifest(run_dir, {"command": "dynamic-bench", "config": _echo_config(args)})
     for engine, stats in summary.items():
         print(f"{engine:<22} mean {stats['mean_ms']:8.3f} ms  median {stats['median_ms']:8.3f} ms")
@@ -429,14 +429,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(prog="graphdistill",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
-    _orig_add_parser = sub.add_parser
-
-    def add_parser(name, **kwargs):
-        registry[name] = _orig_add_parser(name, **kwargs)
-        return registry[name]
-
-    sub.add_parser = add_parser
 
     p = sub.add_parser("preprocess", help="compute and persist per-graph structure")
     _add_common(p)
@@ -508,7 +500,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_common(p)
     p.add_argument("--runs", nargs="+", required=True)
     p.set_defaults(func=cmd_report)
-    return parser, registry
+    return parser, sub.choices
 
 
 def _apply_config_file(subparser, args, parser, argv) -> argparse.Namespace:
@@ -518,8 +510,13 @@ def _apply_config_file(subparser, args, parser, argv) -> argparse.Namespace:
     path = Path(args.config)
     if not path.is_file():
         raise ArtifactMissingError(path)
-    with path.open() as fh:
-        overrides = json.load(fh)
+    try:
+        with path.open() as fh:
+            overrides = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: config is not valid JSON: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise FormatError(f"{path}: config must be a JSON object, got {type(overrides).__name__}")
     known = {a.dest for a in subparser._actions}
     defaults = {k.replace("-", "_"): v for k, v in overrides.items()}
     unknown = set(defaults) - known

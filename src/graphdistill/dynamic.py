@@ -11,6 +11,7 @@ neighbor degrees).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -230,11 +231,13 @@ def _induced_subgraph(state: IncrementalState) -> tuple[Graph, np.ndarray]:
     alive = np.flatnonzero(state.present)
     remap = -np.ones(state.graph.num_nodes, dtype=np.int64)
     remap[alive] = np.arange(alive.size)
-    edges = [
-        (int(remap[u]), int(remap[v]))
-        for u in alive for v in state.adj[u] if u < v
-    ]
-    sub = Graph.from_edges(alive.size, edges, state.graph.features[alive], state.graph.label)
+    # Neighbour sets hold only present nodes, and the id map is monotone, so
+    # sorted original ids remap to the sorted CSR rows of the subgraph.
+    rows = [sorted(state.adj[u]) for u in alive.tolist()]
+    indptr = np.zeros(alive.size + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=indptr[-1])
+    sub = Graph(alive.size, indptr, remap[flat], state.graph.features[alive], state.graph.label)
     return sub, alive
 
 

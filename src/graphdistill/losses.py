@@ -1,6 +1,9 @@
 """Distillation objective: ground truth, soft logits, and the three
-structural terms (whole-graph, inter-cluster, path consistency), plus the
-Gram-matrix MMD used as an independent test oracle.
+structural terms (whole-graph, inter-cluster, path consistency).
+
+Every term takes a disjoint-union batch and is averaged per graph, so
+removing a term never changes the value of the others; a one-graph batch
+gives the per-graph value.
 
 Teacher-side quantities enter every loss as plain numpy arrays, so no
 gradient ever flows into the teacher.
@@ -48,44 +51,6 @@ def _log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def loss_ground_truth(logits: Tensor, label: int) -> Tensor:
-    """Cross-entropy of the true class: -log_softmax(logits)[label]."""
-    k = logits.shape[-1]
-    if not 0 <= label < k:
-        raise ConfigError(f"label {label} out of range for {k} classes")
-    onehot = np.zeros(logits.shape)
-    onehot[..., label] = 1.0
-    picked = ad.tensor_sum(ad.mul(ad.log_softmax(logits, dim=-1), ad.constant(onehot)))
-    return ad.mul(picked, -1.0)
-
-
-def loss_soft_logits(student_logits: Tensor, teacher_logits: np.ndarray,
-                     temperature: float = 1.0) -> Tensor:
-    """KL(teacher softmax || student softmax); scaled by T^2 when T != 1."""
-    t = np.asarray(teacher_logits, dtype=np.float64)
-    if student_logits.shape != t.shape:
-        raise IntegrityError(
-            f"logit shapes differ: student {student_logits.shape}, teacher {t.shape}"
-        )
-    logp_t = _log_softmax_np(t / temperature)
-    p_t = np.exp(logp_t)
-    logq = ad.log_softmax(ad.mul(student_logits, 1.0 / temperature), dim=-1)
-    cross = ad.mul(ad.tensor_sum(ad.mul(logq, ad.constant(p_t))), -1.0)
-    kl = ad.add(cross, float((p_t * logp_t).sum()))
-    return kl if temperature == 1.0 else ad.mul(kl, temperature * temperature)
-
-
-def loss_whole_graph(h_teacher: np.ndarray, h_student: Tensor) -> Tensor:
-    """Squared L2 distance between unit-normalized graph embeddings."""
-    target = _unit_rows(np.asarray(h_teacher, dtype=np.float64))
-    if h_student.shape != target.shape:
-        raise IntegrityError(
-            f"embedding shapes differ: student {h_student.shape}, teacher {target.shape}"
-        )
-    normed = ad.l2_normalize(h_student, dim=-1, eps=NORM_EPS)
-    return ad.frobenius_sq(ad.sub(normed, ad.constant(target)))
-
-
 def kernel_matrix(cluster_reps: Tensor) -> Tensor:
     """Pairwise cosine similarities between cluster representations."""
     normed = ad.l2_normalize(cluster_reps, dim=-1, eps=NORM_EPS)
@@ -95,70 +60,6 @@ def kernel_matrix(cluster_reps: Tensor) -> Tensor:
 def kernel_matrix_np(cluster_reps: np.ndarray) -> np.ndarray:
     normed = _unit_rows(np.asarray(cluster_reps, dtype=np.float64))
     return normed @ normed.T
-
-
-def loss_inter_cluster(kernel_student: Tensor, kernel_teacher: np.ndarray) -> Tensor:
-    """Squared Frobenius distance between student and teacher cluster kernels."""
-    kt = np.asarray(kernel_teacher, dtype=np.float64)
-    if kernel_student.shape != kt.shape:
-        raise IntegrityError(
-            f"kernel shapes differ: student {kernel_student.shape}, teacher {kt.shape}; "
-            "both sides must use the same cluster assignment"
-        )
-    return ad.frobenius_sq(ad.sub(kernel_student, ad.constant(kt)))
-
-
-def _walk_positions(walk: np.ndarray, include_start: bool) -> np.ndarray:
-    return walk if include_start else walk[1:]
-
-
-def path_softmax(H: Tensor, walk: np.ndarray, anchor: int,
-                 include_start: bool = True) -> Tensor:
-    """Softmax over exp(h_u . h_anchor) for every occurrence u along the walk."""
-    if walk.size == 0:
-        raise ConfigError("empty walk")
-    if int(walk[0]) != int(anchor):
-        raise ConfigError("anchor must be the walk's start node")
-    nodes = _walk_positions(walk, include_start)
-    rows = ad.gather_rows(H, nodes)
-    anchor_row = ad.gather_rows(H, np.array([anchor]))
-    scores = ad.matmul(rows, ad.transpose(anchor_row))
-    return ad.softmax(scores, dim=0)
-
-
-def path_softmax_np(H: np.ndarray, walk: np.ndarray, anchor: int,
-                    include_start: bool = True) -> np.ndarray:
-    nodes = _walk_positions(walk, include_start)
-    scores = H[nodes] @ H[anchor]
-    shifted = scores - scores.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def loss_path_consistency(H_teacher: np.ndarray, H_student: Tensor, walks,
-                          include_start: bool = True) -> Tensor:
-    """Mean KL between teacher and student walk-similarity distributions.
-
-    Walks shorter than 2 occurrences carry a single-point distribution on
-    both sides and contribute exactly 0; an empty collection returns 0.
-    """
-    total = ad.constant(np.asarray(0.0))
-    count = 0
-    for walk in walks:
-        count += 1
-        nodes = _walk_positions(np.asarray(walk, dtype=np.int64), include_start)
-        if nodes.size < 2:
-            continue
-        p_t = path_softmax_np(H_teacher, np.asarray(walk), int(walk[0]), include_start)
-        logp_t = np.log(p_t)
-        rows = ad.gather_rows(H_student, nodes)
-        anchor_row = ad.gather_rows(H_student, np.asarray([int(walk[0])]))
-        logq = ad.log_softmax(ad.matmul(rows, ad.transpose(anchor_row)), dim=0)
-        cross = ad.mul(ad.tensor_sum(ad.mul(logq, ad.constant(p_t[:, None]))), -1.0)
-        total = ad.add(ad.add(cross, float((p_t * logp_t).sum())), total)
-    if count == 0:
-        return total
-    return ad.mul(total, 1.0 / count)
 
 
 def total_loss(parts: dict[str, Tensor], weights: DistillWeights) -> Tensor:
@@ -174,26 +75,8 @@ def total_loss(parts: dict[str, Tensor], weights: DistillWeights) -> Tensor:
     return out
 
 
-def mmd_poly_sq(h_a: np.ndarray, h_b: np.ndarray) -> float:
-    """Squared MMD with the degree-2 homogeneous polynomial kernel.
-
-    Reduces to the squared Frobenius distance of the two Gram matrices;
-    numpy-only, used as an independent oracle for the inter-cluster loss.
-    """
-    a = np.atleast_2d(np.asarray(h_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(h_b, dtype=np.float64))
-    if a.shape[0] != b.shape[0]:
-        raise IntegrityError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    ga = a @ a.T
-    gb = b @ b.T
-    return float(((ga - gb) ** 2).sum())
-
-
-# ---------------------------------------------------------------------------
-# Batched forms over disjoint-union batches: every term is averaged per
-# graph, so removing a term never changes the value of the others.
-
 def batch_ground_truth(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Cross-entropy of the true class, -log_softmax(logits)[label]."""
     onehot = np.zeros(logits.shape)
     onehot[np.arange(labels.size), labels] = 1.0
     picked = ad.tensor_sum(ad.mul(ad.log_softmax(logits, dim=1), ad.constant(onehot)))
@@ -202,6 +85,7 @@ def batch_ground_truth(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def batch_soft_logits(student_logits: Tensor, teacher_logits: np.ndarray,
                       temperature: float = 1.0) -> Tensor:
+    """KL(teacher softmax || student softmax); scaled by T^2 when T != 1."""
     logp_t = _log_softmax_np(np.asarray(teacher_logits) / temperature, axis=1)
     p_t = np.exp(logp_t)
     n = p_t.shape[0]
@@ -212,6 +96,7 @@ def batch_soft_logits(student_logits: Tensor, teacher_logits: np.ndarray,
 
 
 def batch_whole_graph(h_student: Tensor, h_teacher: np.ndarray) -> Tensor:
+    """Squared L2 distance between unit-normalized graph embeddings."""
     target = _unit_rows(np.asarray(h_teacher, dtype=np.float64))
     normed = ad.l2_normalize(h_student, dim=-1, eps=NORM_EPS)
     sq = ad.frobenius_sq(ad.sub(normed, ad.constant(target)))
@@ -232,6 +117,8 @@ def block_kernel_target(teacher_clusters: np.ndarray,
 
 def batch_inter_cluster(student_clusters: Tensor, teacher_clusters: np.ndarray,
                         cluster_offsets: np.ndarray, num_graphs: int) -> Tensor:
+    """Squared Frobenius distance between each graph's student and teacher
+    cluster kernels; clusters of different graphs are never compared."""
     if student_clusters.shape != teacher_clusters.shape:
         raise IntegrityError(
             f"cluster embedding shapes differ: student {student_clusters.shape}, "

@@ -1,11 +1,14 @@
 """Teacher GNNs (GIN, GCN), student models (MLP, 1-hop GA-MLP) and readouts.
 
-Training-time forwards run on the autodiff Tensor type; each model also has
-a plain-numpy inference twin (``*_infer``) used for evaluation, teacher
-caching and the dynamic benchmark. Teacher message passing is one product
-with a symmetric CSR operator of the batch (``GraphBatch.adjacency`` for
-GIN, ``GraphBatch.gcn_operator`` for GCN), built on first use, so a forward
-and its twin multiply by the same matrix; the tests pin their agreement.
+Each model has one forward, on the autodiff Tensor type, taking a
+``GraphBatch``. Evaluation, teacher caching and the dynamic benchmark run
+that same forward on constant parameters through ``INFER`` and
+``student_infer``, which take and return plain numpy arrays; constants
+record no tape. ``student_embed_rows`` is the one numpy-only path: the
+per-row work unit of incremental inference. Teacher message passing is one
+product with a symmetric CSR operator of the batch
+(``GraphBatch.adjacency`` for GIN, ``GraphBatch.gcn_operator`` for GCN),
+built on first use.
 """
 
 from __future__ import annotations
@@ -142,13 +145,6 @@ def make_batch(graphs: list[Graph], feature_rows: list[np.ndarray] | None = None
     return batch
 
 
-def single_batch(graph: Graph, features: np.ndarray | None = None,
-                 cluster_of: np.ndarray | None = None) -> GraphBatch:
-    rows = None if features is None else [features]
-    clusters = None if cluster_of is None else [cluster_of]
-    return make_batch([graph], rows, clusters)
-
-
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -178,22 +174,9 @@ def init_gin_params(rng: np.random.Generator, in_dim: int, config: GinConfig,
     return params
 
 
-def init_gcn_params(rng: np.random.Generator, in_dim: int, config: GcnConfig,
-                    num_classes: int) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
-    dim = in_dim
-    for layer in range(config.num_layers):
-        params[f"layer{layer}.w"] = ad.parameter(_glorot(rng, dim, config.hidden))
-        params[f"layer{layer}.b"] = ad.parameter(np.zeros(config.hidden))
-        dim = config.hidden
-    params["head.w"] = ad.parameter(_glorot(rng, config.hidden, num_classes))
-    params["head.b"] = ad.parameter(np.zeros(num_classes))
-    _init_pool(params, rng, config.hidden, config.readout)
-    return params
-
-
-def init_student_params(rng: np.random.Generator, in_dim: int, config: StudentConfig,
-                        num_classes: int) -> dict[str, Tensor]:
+def init_linear_params(rng: np.random.Generator, in_dim: int, config: GcnConfig | StudentConfig,
+                       num_classes: int) -> dict[str, Tensor]:
+    """GCN and student parameters: one linear map per layer, then the head."""
     params: dict[str, Tensor] = {}
     dim = in_dim
     for layer in range(config.num_layers):
@@ -229,12 +212,6 @@ def _dropout(h: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     return ad.mul(h, ad.constant(mask))
 
 
-def _as_batch(graph_or_batch, features=None, cluster_of=None) -> GraphBatch:
-    if isinstance(graph_or_batch, GraphBatch):
-        return graph_or_batch
-    return single_batch(graph_or_batch, features, cluster_of)
-
-
 def _finish(batch: GraphBatch, H: Tensor, config, params) -> ForwardOutputs:
     pooled = readout(H, batch.graph_of_node, batch.num_graphs, config.readout, params)
     clusters = None
@@ -244,11 +221,10 @@ def _finish(batch: GraphBatch, H: Tensor, config, params) -> ForwardOutputs:
     return ForwardOutputs(H, pooled, clusters, logits)
 
 
-def gin_forward(graph_or_batch, X=None, config: GinConfig = None, params=None,
+def gin_forward(batch: GraphBatch, config: GinConfig, params: dict[str, Tensor],
                 train_rng: np.random.Generator | None = None) -> ForwardOutputs:
     """Sum-aggregation message passing with a 2-layer MLP update per layer."""
-    batch = _as_batch(graph_or_batch)
-    h = X if isinstance(X, Tensor) else ad.constant(batch.features if X is None else X)
+    h = ad.constant(batch.features)
     for layer in range(config.num_layers):
         msg = ad.propagate(h, batch.adjacency)
         own = h if config.eps == 0.0 else ad.mul(h, 1.0 + config.eps)
@@ -260,11 +236,10 @@ def gin_forward(graph_or_batch, X=None, config: GinConfig = None, params=None,
     return _finish(batch, h, config, params)
 
 
-def gcn_forward(graph_or_batch, X=None, config: GcnConfig = None, params=None,
+def gcn_forward(batch: GraphBatch, config: GcnConfig, params: dict[str, Tensor],
                 train_rng: np.random.Generator | None = None) -> ForwardOutputs:
     """Symmetric-normalized propagation with self-loops, one linear map per layer."""
-    batch = _as_batch(graph_or_batch)
-    h = X if isinstance(X, Tensor) else ad.constant(batch.features if X is None else X)
+    h = ad.constant(batch.features)
     for layer in range(config.num_layers):
         agg = ad.propagate(h, batch.gcn_operator)
         h = ad.relu(ad.add(ad.matmul(agg, params[f"layer{layer}.w"]), params[f"layer{layer}.b"]))
@@ -288,65 +263,18 @@ def student_input(graph: Graph, cache: StructCache | None, config: StudentConfig
     return np.concatenate(parts, axis=1)
 
 
-def student_forward(graph_or_batch, X=None, config: StudentConfig = None, params=None,
-                    train_rng: np.random.Generator | None = None,
-                    cache: StructCache | None = None) -> ForwardOutputs:
+def student_forward(batch: GraphBatch, config: StudentConfig, params: dict[str, Tensor],
+                    train_rng: np.random.Generator | None = None) -> ForwardOutputs:
     """Node-wise MLP over precomputed inputs; structure enters only via inputs."""
-    if isinstance(graph_or_batch, Graph) and X is None:
-        X = student_input(graph_or_batch, cache, config)
-        cluster_of = cache.clusters.cluster_of if cache is not None else None
-        batch = single_batch(graph_or_batch, X, cluster_of)
-        h = ad.constant(batch.features)
-    else:
-        batch = _as_batch(graph_or_batch)
-        h = X if isinstance(X, Tensor) else ad.constant(batch.features if X is None else X)
+    h = ad.constant(batch.features)
     for layer in range(config.num_layers):
         h = ad.relu(ad.add(ad.matmul(h, params[f"layer{layer}.w"]), params[f"layer{layer}.b"]))
         h = _dropout(h, config.dropout, train_rng)
     return _finish(batch, h, config, params)
 
 
-# ---------------------------------------------------------------------------
-# Plain-numpy inference twins (evaluation / caching / latency paths).
-
 def params_to_arrays(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {k: p.values.copy() for k, p in params.items()}
-
-
-def _np_readout(H: np.ndarray, ids: np.ndarray, num: int, mode: str, params) -> np.ndarray:
-    if mode == SUM:
-        return ad.scatter_rows(num, ids, H)
-    gate = 1.0 / (1.0 + np.exp(-(H @ params["pool.w"] + params["pool.b"])))
-    return ad.scatter_rows(num, ids, gate * H)
-
-
-def _np_finish(batch: GraphBatch, H: np.ndarray, config, params) -> ForwardOutputs:
-    pooled = _np_readout(H, batch.graph_of_node, batch.num_graphs, config.readout, params)
-    clusters = None
-    if batch.cluster_of_node is not None:
-        clusters = _np_readout(H, batch.cluster_of_node, batch.num_clusters, config.readout, params)
-    logits = pooled @ params["head.w"] + params["head.b"]
-    return ForwardOutputs(H, pooled, clusters, logits)
-
-
-def gin_infer(batch: GraphBatch, config: GinConfig, params: dict[str, np.ndarray],
-              X: np.ndarray | None = None) -> ForwardOutputs:
-    h = batch.features if X is None else X
-    for layer in range(config.num_layers):
-        msg = batch.adjacency @ h
-        pre = (1.0 + config.eps) * h + msg if config.eps != 0.0 else h + msg
-        a = np.maximum(pre @ params[f"layer{layer}.w1"] + params[f"layer{layer}.b1"], 0.0)
-        h = np.maximum(a @ params[f"layer{layer}.w2"] + params[f"layer{layer}.b2"], 0.0)
-    return _np_finish(batch, h, config, params)
-
-
-def gcn_infer(batch: GraphBatch, config: GcnConfig, params: dict[str, np.ndarray],
-              X: np.ndarray | None = None) -> ForwardOutputs:
-    h = batch.features if X is None else X
-    for layer in range(config.num_layers):
-        agg = batch.gcn_operator @ h
-        h = np.maximum(agg @ params[f"layer{layer}.w"] + params[f"layer{layer}.b"], 0.0)
-    return _np_finish(batch, h, config, params)
 
 
 def student_embed_rows(rows: np.ndarray, config: StudentConfig,
@@ -358,12 +286,22 @@ def student_embed_rows(rows: np.ndarray, config: StudentConfig,
     return h
 
 
-def student_infer(batch: GraphBatch, config: StudentConfig, params: dict[str, np.ndarray],
-                  X: np.ndarray | None = None) -> ForwardOutputs:
-    h = student_embed_rows(batch.features if X is None else X, config, params)
-    return _np_finish(batch, h, config, params)
+def _inference(forward):
+    """``forward`` on numpy parameters, returning ForwardOutputs of numpy arrays.
+
+    The parameters enter as constants, so the forward records no tape. The
+    adapter holds ``forward`` itself rather than reading ``FORWARD``, so
+    whatever wraps a training forward there does not see evaluation calls.
+    """
+    def infer(batch: GraphBatch, config, params: dict[str, np.ndarray]) -> ForwardOutputs:
+        out = forward(batch, config, {k: ad.constant(v) for k, v in params.items()})
+        clusters = out.cluster_embeddings
+        return ForwardOutputs(out.node_embeddings.values, out.graph_embedding.values,
+                              None if clusters is None else clusters.values, out.logits.values)
+    return infer
 
 
 FORWARD = {"gin": gin_forward, "gcn": gcn_forward}
-INFER = {"gin": gin_infer, "gcn": gcn_infer}
-INIT = {"gin": init_gin_params, "gcn": init_gcn_params}
+INFER = {"gin": _inference(gin_forward), "gcn": _inference(gcn_forward)}
+INIT = {"gin": init_gin_params, "gcn": init_linear_params}
+student_infer = _inference(student_forward)

@@ -15,6 +15,7 @@ normalized Laplacian (positional encodings) and the GCN propagation matrix
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -375,31 +376,41 @@ def load_struct_caches(path) -> tuple[list[StructCache], dict]:
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"struct cache not found: {path}")
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("format") != STRUCT_CACHE_FORMAT:
-            raise FormatError(f"{path}: unsupported cache format {meta.get('format')!r}")
-        caches = []
-        for i in range(meta["num_graphs"]):
-            cluster_of = data[f"g{i}.cluster"]
-            flat = data[f"g{i}.walks"]
-            off = data[f"g{i}.woff"]
-            walks = [flat[a:b] for a, b in zip(off[:-1], off[1:])]
-            caches.append(
-                StructCache(
-                    clusters=ClusterAssignment(
-                        cluster_of=cluster_of,
-                        num_clusters=int(cluster_of.max()) + 1 if cluster_of.size else 0,
-                        modularity=float(data[f"g{i}.modularity"]),
-                        level_modularity=list(data[f"g{i}.levels"]),
-                    ),
-                    lape=data[f"g{i}.lape"],
-                    agg_features=data[f"g{i}.agg"],
-                    walk_pool=WalkPool(
-                        walks=walks,
-                        walk_length=meta["walk_length"],
-                        seed=int(data[f"g{i}.wseed"]),
-                    ),
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not an .npz struct cache: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise FormatError(f"{path}: not an .npz struct cache")
+    try:
+        with data:
+            meta = json.loads(str(data["meta"]))
+            fmt = meta.get("format") if isinstance(meta, dict) else None
+            if fmt != STRUCT_CACHE_FORMAT:
+                raise FormatError(f"{path}: unsupported cache format {fmt!r}")
+            caches = []
+            for i in range(meta["num_graphs"]):
+                cluster_of = data[f"g{i}.cluster"]
+                flat = data[f"g{i}.walks"]
+                off = data[f"g{i}.woff"]
+                walks = [flat[a:b] for a, b in zip(off[:-1], off[1:])]
+                caches.append(
+                    StructCache(
+                        clusters=ClusterAssignment(
+                            cluster_of=cluster_of,
+                            num_clusters=int(cluster_of.max()) + 1 if cluster_of.size else 0,
+                            modularity=float(data[f"g{i}.modularity"]),
+                            level_modularity=list(data[f"g{i}.levels"]),
+                        ),
+                        lape=data[f"g{i}.lape"],
+                        agg_features=data[f"g{i}.agg"],
+                        walk_pool=WalkPool(
+                            walks=walks,
+                            walk_length=meta["walk_length"],
+                            seed=int(data[f"g{i}.wseed"]),
+                        ),
+                    )
                 )
-            )
+    except (KeyError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: not a struct cache: {exc}") from exc
     return caches, meta

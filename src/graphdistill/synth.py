@@ -101,25 +101,3 @@ def sparse_social_dataset(num_graphs: int = 20, num_nodes: int = 400, seed: int 
         graphs.append(Graph.from_edges(n, edges, np.ones((n, 1)), label))
     base = Dataset(graphs=graphs, num_classes=2, feature_dim=1, name=name)
     return degree_onehot_features(base)
-
-
-def random_connected_graph(n: int, rng: np.random.Generator,
-                           extra_edge_fraction: float = 0.5) -> Graph:
-    """Random tree plus extra edges; uniform random node types."""
-    edges = [(int(rng.integers(v)), v) for v in range(1, n)]
-    extra = int(extra_edge_fraction * n)
-    for _ in range(extra):
-        u, v = rng.choice(n, size=2, replace=False)
-        edges.append((int(u), int(v)))
-    types = rng.integers(0, 4, size=n)
-    return Graph.from_edges(n, edges, _onehot(types, 4), int(rng.integers(2)))
-
-
-def random_graph_dataset(num_graphs: int, min_nodes: int, max_nodes: int,
-                         seed: int = 0, name: str = "synthetic-random") -> Dataset:
-    rng = np.random.default_rng(seed)
-    graphs = [
-        random_connected_graph(int(rng.integers(min_nodes, max_nodes + 1)), rng)
-        for _ in range(num_graphs)
-    ]
-    return Dataset(graphs=graphs, num_classes=2, feature_dim=4, name=name)

@@ -33,7 +33,7 @@ from .models import (
     INIT,
     GraphBatch,
     StudentConfig,
-    init_student_params,
+    init_linear_params,
     make_batch,
     params_to_arrays,
     student_forward,
@@ -167,7 +167,7 @@ def _fit_teacher(dataset: Dataset, fold: FoldSplit, config, run: RunConfig,
         perm = rng_shuffle.permutation(fold.train_ids)
         for chunk in _chunks(perm, run.batch_size):
             batch = make_batch([dataset.graphs[i] for i in chunk])
-            out = FORWARD[kind](batch, None, config, params, dropout_rng)
+            out = FORWARD[kind](batch, config, params, dropout_rng)
             loss = batch_ground_truth(out.logits, batch.labels)
             if not np.isfinite(loss.values):
                 raise _Diverged(f"non-finite loss at epoch {epoch}")
@@ -325,7 +325,7 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
     rng_walks = _derived_rng(run.seed, seed, fold.fold_index, 3)
     dropout_rng = rng_dropout if scfg.dropout > 0 else None
 
-    params = init_student_params(rng_init, inputs[0].shape[1], scfg, dataset.num_classes)
+    params = init_linear_params(rng_init, inputs[0].shape[1], scfg, dataset.num_classes)
     params_view = {k: p.values for k, p in params.items()}
     opt = Adam(params, run.lr)
     sched = PlateauScheduler(opt, run.lr_decay, run.lr_patience)
@@ -369,7 +369,7 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
             else:
                 walk_rows, walk_weights = np.zeros((0, 0), dtype=np.int64), np.zeros(0)
 
-            out = student_forward(batch, None, scfg, params, dropout_rng)
+            out = student_forward(batch, scfg, params, dropout_rng)
             parts = _student_loss_parts(out, chunk, batch, tcache, walk_rows, walk_weights, run, weights)
             loss = total_loss(parts, weights)
             if not np.isfinite(loss.values):

@@ -8,6 +8,7 @@ it checks.
 import numpy as np
 
 from graphdistill import autodiff as ad
+from graphdistill.errors import IntegrityError
 
 
 def finite_difference_grads(loss_fn, params, step=1e-5):
@@ -148,6 +149,33 @@ def path_kl_oracle(h_teacher, h_student, walks, include_start=True):
         q = softmax_np(h_student[nodes] @ h_student[anchor])
         total += kl_divergence(p, q)
     return total / len(walks)
+
+
+def mmd_poly_sq(h_a, h_b):
+    """Squared MMD with the degree-2 homogeneous polynomial kernel.
+
+    Reduces to the squared Frobenius distance of the two Gram matrices; an
+    independent oracle for the inter-cluster loss on unit-normalized rows.
+    """
+    a = np.atleast_2d(np.asarray(h_a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(h_b, dtype=np.float64))
+    if a.shape[0] != b.shape[0]:
+        raise IntegrityError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
+    ga = a @ a.T
+    gb = b @ b.T
+    return float(((ga - gb) ** 2).sum())
+
+
+def random_connected_graph(n, rng, extra_edge_fraction=0.5):
+    """Random tree plus extra edges; uniform random one-hot node types."""
+    from graphdistill.data import Graph
+
+    edges = [(int(rng.integers(v)), v) for v in range(1, n)]
+    for _ in range(int(extra_edge_fraction * n)):
+        u, v = rng.choice(n, size=2, replace=False)
+        edges.append((int(u), int(v)))
+    types = rng.integers(0, 4, size=n)
+    return Graph.from_edges(n, edges, np.eye(4)[types], int(rng.integers(2)))
 
 
 def random_er_graph(rng, n, p=0.3, feature_dim=3, allow_isolated=True):

@@ -124,6 +124,32 @@ class TestCliContracts:
         assert manifest["config"]["k_pe"] == 3        # from file
         assert manifest["config"]["walk_length"] == 2  # flag wins
 
+    @pytest.mark.parametrize("text,reason", [("{not json", "not valid JSON"),
+                                             ('["k-pe", 3]', "JSON object")],
+                             ids=["invalid-json", "json-list"])
+    def test_bad_config_file_exits_1(self, tiny_data, tmp_path, caplog, text, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["preprocess", "--dataset", "TINY", "--data-dir", str(tiny_data),
+                     "--out-dir", str(tmp_path / "runs"), "--config", str(cfg)]) == 1
+        assert str(cfg) in caplog.text and reason in caplog.text
+        assert not (tmp_path / "runs").exists()
+
+    def test_corrupt_struct_cache_exits_1(self, tmp_path, caplog):
+        data = tmp_path / "data"
+        ds = two_class_structural(num_graphs=8, seed=0, min_nodes=6, max_nodes=9, name="TINY")
+        save_tudataset(data / "TINY", ds)
+        base = ["--data-dir", str(data), "--out-dir", str(tmp_path / "runs")]
+        assert main(["train-teacher", "--dataset", "TINY", "--layers", "1",
+                     "--hidden", "4", "--folds", "2", "--epochs", "2", "--lr-patience", "1",
+                     *base]) == 0
+        teacher_run = run_dirs(tmp_path / "runs")[0]
+        sidecar = data / "TINY" / "TINY.structcache.npz"
+        sidecar.write_bytes(b"not an npz archive")
+        assert main(["distill", "--teacher-run", str(teacher_run), "--epochs", "2",
+                     "--lr-patience", "1", *base]) == 1
+        assert str(sidecar) in caplog.text
+
     def test_manifest_contains_reproduction_info(self, tiny_data, tmp_path):
         out = tmp_path / "runs"
         assert main(["preprocess", "--dataset", "TINY", "--data-dir", str(tiny_data),

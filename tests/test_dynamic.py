@@ -4,6 +4,7 @@ import pytest
 from graphdistill.dynamic import (
     IncrementalState,
     PerturbationTrace,
+    _induced_subgraph,
     StudentModel,
     TeacherModel,
     full_student_logits,
@@ -20,19 +21,19 @@ from graphdistill.models import (
     GinConfig,
     StudentConfig,
     init_gin_params,
-    init_student_params,
+    init_linear_params,
     student_input,
 )
 from graphdistill.structure import build_struct_cache
-from graphdistill.synth import random_connected_graph
+from graphdistill.data import Graph
 
-from oracles import random_er_graph
+from oracles import random_connected_graph, random_er_graph
 
 
 def make_student(graph, cache, rng, kind="ga-mlp", use_lape=True, hidden=8):
     cfg = StudentConfig(kind=kind, num_layers=3, hidden=hidden, use_lape=use_lape)
     rows = student_input(graph, cache, cfg)
-    params = init_student_params(rng, rows.shape[1], cfg, 2)
+    params = init_linear_params(rng, rows.shape[1], cfg, 2)
     return StudentModel(cfg, {k: p.values for k, p in params.items()})
 
 
@@ -119,10 +120,40 @@ class TestIncrementalState:
         cache = build_struct_cache(g, 0, seed=7)
         cfg = StudentConfig(kind="ga-mlp", readout="attention", hidden=8)
         rows = student_input(g, cache, cfg)
-        params = init_student_params(rng, rows.shape[1], cfg, 2)
+        params = init_linear_params(rng, rows.shape[1], cfg, 2)
         with pytest.raises(ContractError, match="sum readout"):
             init_incremental_state(g, cache, cfg, {k: p.values for k, p in params.items()},
                                    np.array([0]))
+
+
+class TestInducedSubgraph:
+    def test_matches_from_edges_over_random_updates(self):
+        rng = np.random.default_rng(15)
+        for trial in range(5):
+            g = random_connected_graph(int(rng.integers(8, 40)), rng)
+            cache = build_struct_cache(g, 0, seed=trial)
+            student = make_student(g, cache, rng)
+            removed = rng.choice(g.num_nodes, size=g.num_nodes // 4, replace=False)
+            state = init_incremental_state(g, cache, student.config, student.params, removed)
+            for _ in range(30):
+                absent = np.flatnonzero(~state.present)
+                alive = np.flatnonzero(state.present)
+                if absent.size and (rng.random() < 0.5 or alive.size < 2):
+                    # neighbours drawn from all present nodes, not only the
+                    # original graph's, so new edges appear
+                    size = int(rng.integers(0, min(4, alive.size) + 1))
+                    nbrs = rng.choice(alive, size=size, replace=False) if size else []
+                    incremental_insert(state, int(rng.choice(absent)), nbrs)
+                else:
+                    incremental_remove(state, int(rng.choice(alive)))
+                sub, alive = _induced_subgraph(state)
+                remap = {int(u): i for i, u in enumerate(alive)}
+                edges = [(remap[u], remap[v]) for u in remap for v in state.adj[u]]
+                want = Graph.from_edges(alive.size, edges, g.features[alive], g.label)
+                for name in ("indptr", "indices", "features"):
+                    got, ref = getattr(sub, name), getattr(want, name)
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+                assert sub.num_nodes == want.num_nodes and sub.label == want.label
 
 
 class TestTraces:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,88 +7,128 @@ from graphdistill import autodiff as ad
 from graphdistill.errors import IntegrityError
 from graphdistill.losses import (
     DistillWeights,
+    batch_ground_truth,
     batch_inter_cluster,
     batch_path_consistency,
+    batch_soft_logits,
+    batch_whole_graph,
     kernel_matrix,
-    kernel_matrix_np,
-    loss_ground_truth,
-    loss_inter_cluster,
-    loss_path_consistency,
-    loss_soft_logits,
-    loss_whole_graph,
-    mmd_poly_sq,
-    path_softmax,
     total_loss,
 )
+from graphdistill.structure import WalkPool
+from graphdistill.training import _full_walk_matrix
 
 from oracles import (
     assert_grads_close,
     autodiff_grads,
     finite_difference_grads,
+    kl_divergence,
+    mmd_poly_sq,
     path_kl_oracle,
+    softmax_np,
 )
+
+
+def value(t):
+    return float(t.values)
+
+
+def unit_rows(m):
+    return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+def offsets_of(sizes):
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+
+
+def inter_cluster(student, teacher, sizes):
+    """Inter-cluster loss of a batch whose graphs own ``sizes`` clusters each."""
+    return value(batch_inter_cluster(ad.constant(student), teacher, offsets_of(sizes),
+                                     len(sizes)))
+
+
+def path_loss(h_teacher, h_student, walks, include_start=True):
+    """Path loss of one graph whose walk pool is ``walks`` (equal lengths)."""
+    walks = np.asarray(walks, dtype=np.int64)
+    weights = np.full(walks.shape[0], 1.0 / max(walks.shape[0], 1))
+    return value(batch_path_consistency(ad.constant(h_student), h_teacher, walks, weights,
+                                        include_start))
 
 
 class TestGroundTruth:
     def test_uniform_binary(self):
-        loss = loss_ground_truth(ad.constant([0.0, 0.0]), 0)
-        assert float(loss.values) == pytest.approx(np.log(2.0), abs=1e-12)
+        assert value(batch_ground_truth(ad.constant([[0.0, 0.0]]), np.array([0]))) == \
+            pytest.approx(np.log(2.0), abs=1e-12)
+        many = batch_ground_truth(ad.constant(np.zeros((3, 2))), np.array([0, 1, 0]))
+        assert value(many) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_confident_correct(self):
-        loss = loss_ground_truth(ad.constant([20.0, 0.0]), 0)
-        assert float(loss.values) == pytest.approx(0.0, abs=1e-8)
+        loss = batch_ground_truth(ad.constant([[20.0, 0.0], [0.0, 20.0]]), np.array([0, 1]))
+        assert value(loss) == pytest.approx(0.0, abs=1e-8)
 
     def test_confident_wrong_closed_form(self):
         # -log sigmoid(-20) = log(1 + e^20) = 20.000000002061153...
-        expected = float(np.log1p(np.exp(20.0)))
-        loss = loss_ground_truth(ad.constant([0.0, 20.0]), 0)
-        assert float(loss.values) == pytest.approx(expected, rel=1e-12)
+        wrong = float(np.log1p(np.exp(20.0)))
+        loss = batch_ground_truth(ad.constant([[0.0, 20.0]]), np.array([0]))
+        assert value(loss) == pytest.approx(wrong, rel=1e-12)
+        # a batch is the mean over its graphs
+        right = float(np.log1p(np.exp(-20.0)))
+        loss = batch_ground_truth(ad.constant([[0.0, 20.0], [20.0, 0.0]]), np.array([0, 0]))
+        assert value(loss) == pytest.approx((wrong + right) / 2, rel=1e-12)
 
 
 class TestSoftLogits:
     def test_identical_logits_zero(self):
-        t = np.array([1.3, -0.2, 0.5])
-        loss = loss_soft_logits(ad.constant(t.copy()), t)
-        assert float(loss.values) == pytest.approx(0.0, abs=1e-12)
+        t = np.array([[1.3, -0.2, 0.5], [0.0, 4.0, -2.0]])
+        for rows in (t[:1], t):
+            loss = batch_soft_logits(ad.constant(rows.copy()), rows)
+            assert value(loss) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_pair_zero(self):
-        loss = loss_soft_logits(ad.constant([0.0, 0.0]), np.zeros(2))
-        assert float(loss.values) == pytest.approx(0.0, abs=1e-12)
+        loss = batch_soft_logits(ad.constant([[0.0, 0.0]]), np.zeros((1, 2)))
+        assert value(loss) == pytest.approx(0.0, abs=1e-12)
 
     def test_swapped_margin_closed_form(self):
         # teacher (1,0), student (0,1): KL = tanh(1/2) = 0.46211715726...
-        loss = loss_soft_logits(ad.constant([0.0, 1.0]), np.array([1.0, 0.0]))
-        assert float(loss.values) == pytest.approx(np.tanh(0.5), rel=1e-12)
+        loss = batch_soft_logits(ad.constant([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
+        assert value(loss) == pytest.approx(np.tanh(0.5), rel=1e-12)
+        # second graph agrees with its teacher: the batch mean halves the KL
+        loss = batch_soft_logits(ad.constant([[0.0, 1.0], [1.0, 0.0]]),
+                                 np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert value(loss) == pytest.approx(np.tanh(0.5) / 2, rel=1e-12)
 
     def test_temperature_scaling(self):
-        s, t = np.array([0.3, -0.7]), np.array([1.0, 0.2])
-        base = float(loss_soft_logits(ad.constant(s), t, temperature=1.0).values)
-        hot = float(loss_soft_logits(ad.constant(s), t, temperature=4.0).values)
-        p_t = np.exp(t / 4.0) / np.exp(t / 4.0).sum()
-        q = np.exp(s / 4.0) / np.exp(s / 4.0).sum()
-        expected = 16.0 * float((p_t * (np.log(p_t) - np.log(q))).sum())
+        s, t = np.array([[0.3, -0.7]]), np.array([[1.0, 0.2]])
+        base = value(batch_soft_logits(ad.constant(s), t, temperature=1.0))
+        hot = value(batch_soft_logits(ad.constant(s), t, temperature=4.0))
+        p_t = softmax_np(t[0] / 4.0)
+        q = softmax_np(s[0] / 4.0)
+        expected = 16.0 * kl_divergence(p_t, q)
         assert hot == pytest.approx(expected, rel=1e-10)
         assert hot != pytest.approx(base, rel=1e-3)
 
 
 class TestWholeGraph:
     def test_aligned_zero(self):
-        h = np.array([0.3, 1.2, -0.4])
-        loss = loss_whole_graph(h, ad.constant(h.copy()))
-        assert float(loss.values) == pytest.approx(0.0, abs=1e-14)
+        h = np.array([[0.3, 1.2, -0.4], [2.0, -1.0, 0.5]])
+        loss = batch_whole_graph(ad.constant(h.copy()), h)
+        assert value(loss) == pytest.approx(0.0, abs=1e-14)
 
     def test_orthogonal_unit_vectors(self):
-        loss = loss_whole_graph(np.array([1.0, 0.0]), ad.constant([0.0, 1.0]))
-        assert float(loss.values) == pytest.approx(2.0, rel=1e-6)
+        loss = batch_whole_graph(ad.constant([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
+        assert value(loss) == pytest.approx(2.0, rel=1e-6)
+        loss = batch_whole_graph(ad.constant([[0.0, 1.0], [1.0, 0.0]]),
+                                 np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert value(loss) == pytest.approx(1.0, rel=1e-6)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
-        h_t = rng.normal(size=4)
-        h_s = rng.normal(size=4)
-        base = float(loss_whole_graph(h_t, ad.constant(h_s)).values)
+        h_t = rng.normal(size=(3, 4))
+        h_s = rng.normal(size=(3, 4))
+        base = value(batch_whole_graph(ad.constant(h_s), h_t))
         for c in (0.5, 3.0):
-            scaled_t = float(loss_whole_graph(c * h_t, ad.constant(h_s)).values)
-            scaled_s = float(loss_whole_graph(h_t, ad.constant(c * h_s)).values)
+            scaled_t = value(batch_whole_graph(ad.constant(h_s), c * h_t))
+            scaled_s = value(batch_whole_graph(ad.constant(c * h_s), h_t))
             assert scaled_t == pytest.approx(base, abs=1e-12)
             assert scaled_s == pytest.approx(base, abs=1e-12)
 
@@ -117,36 +159,39 @@ class TestInterCluster:
     def test_equal_kernels_zero(self):
         rng = np.random.default_rng(2)
         reps = rng.normal(size=(3, 5))
-        k_t = kernel_matrix_np(reps)
-        loss = loss_inter_cluster(kernel_matrix(ad.constant(reps)), k_t)
-        assert float(loss.values) == pytest.approx(0.0, abs=1e-20)
+        assert inter_cluster(reps, 4.0 * reps, [3]) == pytest.approx(0.0, abs=1e-20)
 
     def test_frobenius_arithmetic(self):
-        k_s = ad.constant([[1.0, 0.5], [0.5, 1.0]])
-        k_t = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss = loss_inter_cluster(k_s, k_t)
-        assert float(loss.values) == pytest.approx(0.5, abs=1e-14)
+        # student clusters at cosine 0.5, teacher clusters orthogonal:
+        # kernels differ by 0.5 in two entries, 2 * 0.5^2 = 0.5 per graph
+        student = np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)]])
+        teacher = np.eye(2)
+        assert inter_cluster(student, teacher, [2]) == pytest.approx(0.5, abs=1e-14)
+        # two such graphs: cross-graph kernel entries are masked out
+        both = inter_cluster(np.vstack([student, student]), np.vstack([teacher, teacher]), [2, 2])
+        assert both == pytest.approx(0.5, abs=1e-14)
 
     def test_single_cluster_always_zero(self):
         rng = np.random.default_rng(3)
-        s = kernel_matrix(ad.constant(rng.normal(size=(1, 4))))
-        t = kernel_matrix_np(rng.normal(size=(1, 4)))
-        assert float(loss_inter_cluster(s, t).values) == pytest.approx(0.0, abs=1e-12)
+        s, t = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        assert inter_cluster(s, t, [1, 1, 1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_shape_mismatch_is_integrity_error(self):
         with pytest.raises(IntegrityError, match="cluster"):
-            loss_inter_cluster(ad.constant(np.eye(2)), np.eye(3))
+            batch_inter_cluster(ad.constant(np.ones((2, 4))), np.ones((3, 4)),
+                                offsets_of([2]), 1)
 
     def test_matches_mmd_on_normalized_rows(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            n_c, h = int(rng.integers(1, 7)), int(rng.integers(2, 6))
-            a = rng.normal(size=(n_c, h))
-            b = rng.normal(size=(n_c, h))
-            a_n = a / np.linalg.norm(a, axis=1, keepdims=True)
-            b_n = b / np.linalg.norm(b, axis=1, keepdims=True)
-            loss = loss_inter_cluster(kernel_matrix(ad.constant(a)), kernel_matrix_np(b))
-            assert float(loss.values) == pytest.approx(mmd_poly_sq(a_n, b_n), abs=1e-10)
+            sizes = [int(k) for k in rng.integers(1, 7, size=int(rng.integers(1, 4)))]
+            h = int(rng.integers(2, 6))
+            a = rng.normal(size=(sum(sizes), h))
+            b = rng.normal(size=(sum(sizes), h))
+            offsets = offsets_of(sizes)
+            expected = sum(mmd_poly_sq(unit_rows(a[lo:hi]), unit_rows(b[lo:hi]))
+                           for lo, hi in zip(offsets[:-1], offsets[1:])) / len(sizes)
+            assert inter_cluster(a, b, sizes) == pytest.approx(expected, abs=1e-10)
 
 
 class TestMMD:
@@ -166,80 +211,92 @@ class TestMMD:
 
 
 class TestPathSoftmax:
+    """The walk-similarity distribution, seen through the path loss in closed form."""
+
     def test_equal_embeddings_uniform(self):
-        H = ad.constant(np.ones((4, 3)))
-        walk = np.array([0, 1, 2, 3])
-        p = path_softmax(H, walk, 0)
-        np.testing.assert_allclose(p.values.ravel(), np.full(4, 0.25), atol=1e-12)
+        # equal teacher embeddings: p is uniform over the 4 walk positions;
+        # student eye(4) from anchor 0: q = (e, 1, 1, 1) / (e + 3)
+        loss = path_loss(np.ones((4, 3)), np.eye(4), [[0, 1, 2, 3]])
+        assert loss == pytest.approx(np.log((np.e + 3) / 4) - 0.25, rel=1e-12)
 
     def test_orthogonal_equal_norm_uniform(self):
-        H = ad.constant(np.eye(4))
-        p = path_softmax(H, np.array([0, 1, 2, 3]), 0)
-        # h_0.h_0 = 1 differs from the rest; use anchor-excluded walk nodes.
-        q = path_softmax(H, np.array([0, 1, 2, 3]), 0, include_start=False)
-        np.testing.assert_allclose(q.values.ravel(), np.full(3, 1 / 3), atol=1e-12)
-        assert p.values[0] > p.values[1]
+        # orthogonal unit rows look alike from the anchor once it is excluded
+        walk = [[0, 1, 2, 3]]
+        assert path_loss(np.eye(4), np.ones((4, 2)), walk, include_start=False) == \
+            pytest.approx(0.0, abs=1e-12)
+        # with the anchor included, h_0.h_0 = 1 favours position 0
+        p = np.array([np.e, 1.0, 1.0, 1.0]) / (np.e + 3)
+        assert path_loss(np.eye(4), np.ones((4, 2)), walk) == \
+            pytest.approx(float((p * np.log(4 * p)).sum()), rel=1e-12)
 
     def test_alternating_walk_closed_form(self):
-        H = ad.constant([[1.0, 0.0], [0.0, 1.0]])
-        walk = np.array([0, 1, 0, 1])
-        p = path_softmax(H, walk, 0).values.ravel()
-        raw = np.array([np.e, 1.0, np.e, 1.0])
-        np.testing.assert_allclose(p, raw / raw.sum(), rtol=1e-12)
+        # p = (e, 1, e, 1) / (2e + 2) against a uniform student
+        p = np.array([np.e, 1.0, np.e, 1.0]) / (2 * np.e + 2)
+        loss = path_loss(np.eye(2), np.ones((2, 3)), [[0, 1, 0, 1]])
+        assert loss == pytest.approx(float((p * np.log(4 * p)).sum()), rel=1e-12)
 
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(6)
-        H = ad.constant(rng.normal(size=(5, 4)) * 10)
-        p = path_softmax(H, np.array([2, 0, 4, 4, 1]), 2)
-        assert float(p.values.sum()) == pytest.approx(1.0, abs=1e-12)
+    def test_large_scores_match_oracle(self):
+        rng = np.random.default_rng(11)
+        # scores reach the hundreds: a softmax without its max shift overflows
+        H_t, H_s = rng.normal(size=(5, 4)) * 5, rng.normal(size=(5, 4)) * 5
+        walks = [[2, 0, 4, 4, 1], [1, 3, 3, 0, 2]]
+        loss = path_loss(H_t, H_s, walks)
+        assert loss > 1.0
+        assert loss == pytest.approx(path_kl_oracle(H_t, H_s, walks), rel=1e-9)
 
 
 class TestPathConsistency:
     def test_equal_embeddings_zero(self):
         rng = np.random.default_rng(7)
         H = rng.normal(size=(6, 4))
-        walks = [np.array([0, 1, 2]), np.array([3, 4, 5, 3])]
-        loss = loss_path_consistency(H, ad.constant(H.copy()), walks)
-        assert float(loss.values) == pytest.approx(0.0, abs=1e-12)
+        walks = [[0, 1, 2, 1], [3, 4, 5, 3]]
+        assert path_loss(H, H.copy(), walks) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_both_sides_zero(self):
-        H_t = np.ones((4, 2))
-        H_s = np.full((4, 3), 0.5)
-        loss = loss_path_consistency(H_t, ad.constant(H_s), [np.array([0, 1, 2, 3])])
-        assert float(loss.values) == pytest.approx(0.0, abs=1e-12)
+        loss = path_loss(np.ones((4, 2)), np.full((4, 3), 0.5), [[0, 1, 2, 3]])
+        assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(8)
         H_t = rng.normal(size=(6, 4))
         H_s = rng.normal(size=(6, 4))
-        walks = [rng.integers(0, 6, size=5) for _ in range(7)]
-        loss = loss_path_consistency(H_t, ad.constant(H_s), walks)
-        assert float(loss.values) == pytest.approx(
-            path_kl_oracle(H_t, H_s, walks), abs=1e-10
-        )
+        walks = rng.integers(0, 6, size=(7, 5))
+        for include_start in (True, False):
+            assert path_loss(H_t, H_s, walks, include_start) == pytest.approx(
+                path_kl_oracle(H_t, H_s, list(walks), include_start), abs=1e-10)
 
     def test_empty_pool_zero(self):
-        loss = loss_path_consistency(np.ones((2, 2)), ad.constant(np.ones((2, 2))), [])
-        assert float(loss.values) == 0.0
+        loss = batch_path_consistency(ad.constant(np.ones((2, 2))), np.ones((2, 2)),
+                                      np.zeros((0, 5), dtype=np.int64), np.zeros(0))
+        assert value(loss) == 0.0
 
     def test_singleton_walks_contribute_zero(self):
+        # A walk that ended early on an isolated start is dropped from the
+        # matrix but still counts in the pool size the weights divide by.
         rng = np.random.default_rng(9)
         H_t, H_s = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         mixed = [np.array([2]), np.array([0, 1, 0])]
-        dense = [np.array([0, 1, 0])]
-        half = loss_path_consistency(H_t, ad.constant(H_s), mixed)
-        full = loss_path_consistency(H_t, ad.constant(H_s), dense)
-        assert float(half.values) == pytest.approx(float(full.values) / 2, rel=1e-12)
+        cache = SimpleNamespace(walk_pool=WalkPool(walks=mixed, walk_length=2, seed=0))
+        matrix, row_of = _full_walk_matrix(cache)
+        np.testing.assert_array_equal(matrix, [[0, 1, 0]])
+        np.testing.assert_array_equal(row_of, [-1, 0])
+        half = batch_path_consistency(ad.constant(H_s), H_t, matrix, np.full(1, 1 / 2))
+        full = path_loss(H_t, H_s, matrix)
+        assert value(half) == pytest.approx(full / 2, rel=1e-12)
+        assert value(half) == pytest.approx(path_kl_oracle(H_t, H_s, mixed), rel=1e-12)
 
     def test_batched_matches_per_walk(self):
+        # two graphs in one batch (nodes 0-3 with two walks, 4-7 with one):
+        # the weights 1 / (walks-in-graph * graphs) average per graph
         rng = np.random.default_rng(10)
         H_t = rng.normal(size=(8, 4))
         H_s = rng.normal(size=(8, 4))
-        walks = np.array([[0, 1, 2, 3], [4, 5, 6, 7], [1, 0, 1, 0]])
-        weights = np.full(3, 1.0 / 3.0)
+        walks = np.array([[0, 1, 2, 3], [1, 0, 1, 0], [4, 5, 6, 7]])
+        weights = np.array([0.25, 0.25, 0.5])
         batched = batch_path_consistency(ad.constant(H_s), H_t, walks, weights)
-        listed = loss_path_consistency(H_t, ad.constant(H_s), list(walks))
-        assert float(batched.values) == pytest.approx(float(listed.values), abs=1e-12)
+        per_graph = (path_kl_oracle(H_t, H_s, list(walks[:2]))
+                     + path_kl_oracle(H_t, H_s, list(walks[2:]))) / 2
+        assert value(batched) == pytest.approx(per_graph, abs=1e-12)
 
 
 class TestTotalLoss:
@@ -269,44 +326,47 @@ class TestLossProperties:
         for _ in range(100):
             k = int(rng.integers(2, 6))
             h = int(rng.integers(2, 8))
-            n_c = int(rng.integers(1, 5))
-            logits_t = rng.normal(size=k)
-            h_t = rng.normal(size=h)
-            reps_t = rng.normal(size=(n_c, h))
+            g = int(rng.integers(1, 4))
+            sizes = [int(c) for c in rng.integers(1, 5, size=g)]
+            logits_t = rng.normal(size=(g, k))
+            h_t = rng.normal(size=(g, h))
+            reps_t = rng.normal(size=(sum(sizes), h))
             h_nodes_t = rng.normal(size=(5, h))
-            walks = [rng.integers(0, 5, size=4) for _ in range(3)]
+            walks = rng.integers(0, 5, size=(3, 4))
 
-            assert float(loss_soft_logits(ad.constant(rng.normal(size=k)), logits_t).values) >= 0
-            assert float(loss_whole_graph(h_t, ad.constant(rng.normal(size=h))).values) >= 0
-            k_t = kernel_matrix_np(reps_t)
-            k_s = kernel_matrix(ad.constant(rng.normal(size=(n_c, h))))
-            assert float(loss_inter_cluster(k_s, k_t).values) >= 0
-            assert float(loss_path_consistency(
-                h_nodes_t, ad.constant(rng.normal(size=(5, h))), walks).values) >= -1e-12
+            assert value(batch_soft_logits(ad.constant(rng.normal(size=(g, k))), logits_t)) >= 0
+            assert value(batch_whole_graph(ad.constant(rng.normal(size=(g, h))), h_t)) >= 0
+            assert inter_cluster(rng.normal(size=reps_t.shape), reps_t, sizes) >= 0
+            assert path_loss(h_nodes_t, rng.normal(size=(5, h)), walks) >= -1e-12
 
             # exact zero when the student equals the teacher
-            assert float(loss_soft_logits(ad.constant(logits_t.copy()), logits_t).values) == pytest.approx(0, abs=1e-12)
-            assert float(loss_whole_graph(h_t, ad.constant(h_t.copy())).values) == pytest.approx(0, abs=1e-12)
-            assert float(loss_inter_cluster(kernel_matrix(ad.constant(reps_t.copy())), k_t).values) == pytest.approx(0, abs=1e-15)
-            assert float(loss_path_consistency(h_nodes_t, ad.constant(h_nodes_t.copy()), walks).values) == pytest.approx(0, abs=1e-12)
+            assert value(batch_soft_logits(ad.constant(logits_t.copy()), logits_t)) == \
+                pytest.approx(0, abs=1e-12)
+            assert value(batch_whole_graph(ad.constant(h_t.copy()), h_t)) == \
+                pytest.approx(0, abs=1e-12)
+            assert inter_cluster(reps_t.copy(), reps_t, sizes) == pytest.approx(0, abs=1e-15)
+            assert path_loss(h_nodes_t, h_nodes_t.copy(), walks) == pytest.approx(0, abs=1e-12)
 
 
 class TestLossGradients:
     def test_finite_difference_all_losses(self):
         rng = np.random.default_rng(12)
-        logits_t = rng.normal(size=3)
-        h_t = rng.normal(size=4)
-        reps_t = rng.normal(size=(3, 4))
+        labels = np.array([1, 0])
+        logits_t = rng.normal(size=(2, 3))
+        h_t = rng.normal(size=(2, 4))
+        reps_t = rng.normal(size=(5, 4))
+        offsets = offsets_of([3, 2])
         nodes_t = rng.normal(size=(6, 4))
-        walks = [rng.integers(0, 6, size=5) for _ in range(4)]
+        walks = rng.integers(0, 6, size=(4, 5))
+        weights = np.full(4, 0.25)
 
         cases = {
-            "gt": ((3,), lambda p: loss_ground_truth(p, 1)),
-            "sl": ((3,), lambda p: loss_soft_logits(p, logits_t)),
-            "graph": ((4,), lambda p: loss_whole_graph(h_t, p)),
-            "cluster": ((3, 4), lambda p: loss_inter_cluster(
-                kernel_matrix(p), kernel_matrix_np(reps_t))),
-            "path": ((6, 4), lambda p: loss_path_consistency(nodes_t, p, walks)),
+            "gt": ((2, 3), lambda p: batch_ground_truth(p, labels)),
+            "sl": ((2, 3), lambda p: batch_soft_logits(p, logits_t)),
+            "sl-hot": ((2, 3), lambda p: batch_soft_logits(p, logits_t, temperature=2.0)),
+            "graph": ((2, 4), lambda p: batch_whole_graph(p, h_t)),
+            "cluster": ((5, 4), lambda p: batch_inter_cluster(p, reps_t, offsets, 2)),
+            "path": ((6, 4), lambda p: batch_path_consistency(p, nodes_t, walks, weights)),
         }
         for name, (shape, fn) in cases.items():
             p = ad.parameter(rng.normal(size=shape))
@@ -320,9 +380,9 @@ class TestLossGradients:
 
     def test_teacher_side_receives_no_gradient(self):
         rng = np.random.default_rng(13)
-        teacher = ad.parameter(rng.normal(size=4))  # even if marked trainable
-        student = ad.parameter(rng.normal(size=4))
-        loss = loss_whole_graph(teacher.values, student)
+        teacher = ad.parameter(rng.normal(size=(1, 4)))  # even if marked trainable
+        student = ad.parameter(rng.normal(size=(1, 4)))
+        loss = batch_whole_graph(student, teacher.values)
         ad.backward(loss)
         assert teacher.grad is None
         assert student.grad is not None
@@ -332,12 +392,15 @@ class TestBatchedInterCluster:
     def test_matches_sum_of_per_graph_losses(self):
         rng = np.random.default_rng(14)
         sizes = [2, 3, 1]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        offsets = offsets_of(sizes)
         s = rng.normal(size=(6, 4))
         t = rng.normal(size=(6, 4))
-        batched = batch_inter_cluster(ad.constant(s), t, offsets, len(sizes))
+        batched = inter_cluster(s, t, sizes)
         manual = 0.0
         for lo, hi in zip(offsets[:-1], offsets[1:]):
-            manual += float(loss_inter_cluster(
-                kernel_matrix(ad.constant(s[lo:hi])), kernel_matrix_np(t[lo:hi])).values)
-        assert float(batched.values) == pytest.approx(manual / 3.0, abs=1e-12)
+            s_n, t_n = unit_rows(s[lo:hi]), unit_rows(t[lo:hi])
+            per_graph = float(((s_n @ s_n.T - t_n @ t_n.T) ** 2).sum())
+            manual += per_graph
+            assert inter_cluster(s[lo:hi], t[lo:hi], [hi - lo]) == pytest.approx(
+                per_graph, abs=1e-12)
+        assert batched == pytest.approx(manual / 3.0, abs=1e-12)

@@ -5,20 +5,17 @@ from graphdistill import autodiff as ad
 from graphdistill.data import Graph
 from graphdistill.errors import ConfigError, ShapeError
 from graphdistill.models import (
+    INFER,
     GcnConfig,
     GinConfig,
     StudentConfig,
     gcn_forward,
-    gcn_infer,
     gin_forward,
-    gin_infer,
-    init_gcn_params,
     init_gin_params,
-    init_student_params,
+    init_linear_params,
     make_batch,
     params_to_arrays,
     readout,
-    single_batch,
     student_forward,
     student_infer,
     student_input,
@@ -59,13 +56,13 @@ class TestGinForward:
     def test_isolated_node_identity_passthrough(self):
         g = build_graph(1, [], np.array([[2.0]]))
         cfg = GinConfig(num_layers=1, hidden=1)
-        out = gin_forward(g, None, cfg, identity_gin_params(1))
+        out = gin_forward(make_batch([g]), cfg, identity_gin_params(1))
         assert float(out.node_embeddings.values[0, 0]) == pytest.approx(2.0)
 
     def test_k2_sum_aggregation(self):
         g = build_graph(2, [(0, 1)], np.array([[1.0], [2.0]]))
         cfg = GinConfig(num_layers=1, hidden=1)
-        out = gin_forward(g, None, cfg, identity_gin_params(1))
+        out = gin_forward(make_batch([g]), cfg, identity_gin_params(1))
         # node 0 pre-update input: own 1 + neighbor 2 = 3 (identity update keeps it)
         assert float(out.node_embeddings.values[0, 0]) == pytest.approx(3.0)
         assert float(out.node_embeddings.values[1, 0]) == pytest.approx(3.0)
@@ -77,10 +74,10 @@ class TestGinForward:
             g = random_er_graph(rng, 20, p=0.2, feature_dim=4)
             cfg = GinConfig(num_layers=2, hidden=8, readout=readout_mode)
             params = init_gin_params(rng, 4, cfg, 3)
-            base = gin_forward(g, None, cfg, params).logits.values
+            base = gin_forward(make_batch([g]), cfg, params).logits.values
             perm = rng.permutation(20)
             permuted = permute_graph(g, perm)
-            again = gin_forward(permuted, None, cfg, params).logits.values
+            again = gin_forward(make_batch([permuted]), cfg, params).logits.values
             np.testing.assert_allclose(again, base, atol=1e-9)
 
     def test_node_embeddings_permute_with_nodes(self):
@@ -88,10 +85,10 @@ class TestGinForward:
         g = random_er_graph(rng, 12, p=0.3, feature_dim=3)
         cfg = GinConfig(num_layers=2, hidden=6)
         params = init_gin_params(rng, 3, cfg, 2)
-        base = gin_forward(g, None, cfg, params).node_embeddings.values
+        base = gin_forward(make_batch([g]), cfg, params).node_embeddings.values
         perm = rng.permutation(12)
         permuted = permute_graph(g, perm)
-        again = gin_forward(permuted, None, cfg, params).node_embeddings.values
+        again = gin_forward(make_batch([permuted]), cfg, params).node_embeddings.values
         np.testing.assert_allclose(again, base[perm], atol=1e-9)
 
 
@@ -101,15 +98,15 @@ class TestGcnForward:
         cfg = GcnConfig(num_layers=1, hidden=1)
         params = {"layer0.w": ad.parameter(np.eye(1)), "layer0.b": ad.parameter(np.zeros(1)),
                   "head.w": ad.parameter(np.eye(1)), "head.b": ad.parameter(np.zeros(1))}
-        out = gcn_forward(g, None, cfg, params)
+        out = gcn_forward(make_batch([g]), cfg, params)
         assert float(out.node_embeddings.values[0, 0]) == pytest.approx(1.0)
 
     def test_k2_equal_features_symmetric(self):
         g = build_graph(2, [(0, 1)], np.array([[1.0, 2.0], [1.0, 2.0]]))
         rng = np.random.default_rng(2)
         cfg = GcnConfig(num_layers=2, hidden=5)
-        params = init_gcn_params(rng, 2, cfg, 2)
-        out = gcn_forward(g, None, cfg, params)
+        params = init_linear_params(rng, 2, cfg, 2)
+        out = gcn_forward(make_batch([g]), cfg, params)
         np.testing.assert_allclose(out.node_embeddings.values[0],
                                    out.node_embeddings.values[1], atol=1e-12)
 
@@ -117,10 +114,10 @@ class TestGcnForward:
         rng = np.random.default_rng(3)
         g = random_er_graph(rng, 18, p=0.25, feature_dim=3)
         cfg = GcnConfig(num_layers=3, hidden=8)
-        params = init_gcn_params(rng, 3, cfg, 2)
-        base = gcn_forward(g, None, cfg, params).logits.values
+        params = init_linear_params(rng, 3, cfg, 2)
+        base = gcn_forward(make_batch([g]), cfg, params).logits.values
         perm = rng.permutation(18)
-        again = gcn_forward(permute_graph(g, perm), None, cfg, params).logits.values
+        again = gcn_forward(make_batch([permute_graph(g, perm)]), cfg, params).logits.values
         np.testing.assert_allclose(again, base, atol=1e-9)
 
 
@@ -134,9 +131,9 @@ class TestStudentForward:
         g1 = build_graph(6, [(0, 1), (2, 3)], feats)
         g2 = build_graph(6, [(0, 1), (2, 3), (4, 5), (0, 5)], feats)
         cfg = StudentConfig(kind="mlp", num_layers=3, hidden=8)
-        params = init_student_params(rng, 3, cfg, 2)
-        out1 = student_forward(g1, None, cfg, params)
-        out2 = student_forward(g2, None, cfg, params)
+        params = init_linear_params(rng, 3, cfg, 2)
+        out1 = student_forward(make_batch([g1]), cfg, params)
+        out2 = student_forward(make_batch([g2]), cfg, params)
         np.testing.assert_array_equal(out1.logits.values, out2.logits.values)
 
     def test_ga_mlp_input_rows_on_path3(self, path3):
@@ -151,8 +148,8 @@ class TestStudentForward:
         rng = np.random.default_rng(5)
         rows = student_input(k2, cache, cfg)
         assert rows.shape == (2, 12)  # (1 feat + 5 pe) doubled by aggregation
-        params = init_student_params(rng, rows.shape[1], cfg, 2)
-        out = student_forward(k2, None, cfg, params, cache=cache)
+        params = init_linear_params(rng, rows.shape[1], cfg, 2)
+        out = student_forward(make_batch([k2], [rows], [cache.clusters.cluster_of]), cfg, params)
         assert np.all(np.isfinite(out.logits.values))
 
     def test_missing_cache_is_config_error(self, k2):
@@ -164,20 +161,22 @@ class TestStudentForward:
         cfg = StudentConfig(kind="ga-mlp", use_lape=True, dropout=0.5)
         rng = np.random.default_rng(6)
         rows = student_input(path3, cache, cfg)
-        params = init_student_params(rng, rows.shape[1], cfg, 2)
+        params = init_linear_params(rng, rows.shape[1], cfg, 2)
+        batch = make_batch([path3], [rows])
         # no train rng given -> dropout disabled -> deterministic
-        a = student_forward(path3, None, cfg, params, cache=cache).logits.values
-        b = student_forward(path3, None, cfg, params, cache=cache).logits.values
+        a = student_forward(batch, cfg, params).logits.values
+        b = student_forward(batch, cfg, params).logits.values
         np.testing.assert_array_equal(a, b)
 
     def test_dropout_changes_training_forward(self, path3):
         cache = self._cache(path3)
         cfg = StudentConfig(kind="mlp", dropout=0.5)
         rng = np.random.default_rng(7)
-        params = init_student_params(rng, 1, cfg, 2)
+        params = init_linear_params(rng, 1, cfg, 2)
         rng1, rng2 = np.random.default_rng(1), np.random.default_rng(2)
-        a = student_forward(path3, None, cfg, params, train_rng=rng1).logits.values
-        b = student_forward(path3, None, cfg, params, train_rng=rng2).logits.values
+        batch = make_batch([path3])
+        a = student_forward(batch, cfg, params, train_rng=rng1).logits.values
+        b = student_forward(batch, cfg, params, train_rng=rng2).logits.values
         assert not np.array_equal(a, b)
 
 
@@ -210,8 +209,8 @@ class TestReadout:
         cache = build_struct_cache(g, 0, seed=0)
         cfg = GinConfig(num_layers=2, hidden=6, readout="sum")
         params = init_gin_params(rng, 3, cfg, 2)
-        batch = single_batch(g, cluster_of=cache.clusters.cluster_of)
-        out = gin_forward(batch, None, cfg, params)
+        batch = make_batch([g], cluster_ofs=[cache.clusters.cluster_of])
+        out = gin_forward(batch, cfg, params)
         np.testing.assert_allclose(
             out.cluster_embeddings.values.sum(axis=0),
             out.graph_embedding.values[0],
@@ -219,42 +218,68 @@ class TestReadout:
         )
 
 
+def assert_outputs_byte_equal(fast, slow):
+    """The inference adapter returns the forward's values, bit for bit."""
+    for field in ("node_embeddings", "graph_embedding", "cluster_embeddings", "logits"):
+        got, want = getattr(fast, field), getattr(slow, field).values
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        assert got.tobytes() == want.tobytes(), field
+
+
+def clustered_batch(graphs, seed, rows=None):
+    clusters = [build_struct_cache(g, i, seed).clusters.cluster_of
+                for i, g in enumerate(graphs)]
+    return make_batch(graphs, rows, clusters)
+
+
 class TestInferenceTwins:
     def test_gin_infer_matches_forward(self):
         rng = np.random.default_rng(10)
-        g = random_er_graph(rng, 14, p=0.3, feature_dim=3)
-        cfg = GinConfig(num_layers=3, hidden=8, readout="attention")
-        params = init_gin_params(rng, 3, cfg, 2)
-        batch = single_batch(g)
-        slow = gin_forward(batch, None, cfg, params)
-        fast = gin_infer(batch, cfg, params_to_arrays(params))
-        np.testing.assert_allclose(fast.logits, slow.logits.values, atol=1e-12)
-        np.testing.assert_allclose(fast.node_embeddings,
-                                   slow.node_embeddings.values, atol=1e-12)
+        graphs = [random_er_graph(rng, n, p=0.3, feature_dim=3) for n in (14, 1, 9)]
+        batch = clustered_batch(graphs, 10)
+        for eps, readout_mode in [(0.0, "sum"), (0.0, "attention"), (0.3, "sum"),
+                                  (0.3, "attention")]:
+            cfg = GinConfig(num_layers=3, hidden=8, eps=eps, readout=readout_mode)
+            params = init_gin_params(rng, 3, cfg, 2)
+            slow = gin_forward(batch, cfg, params)
+            fast = INFER["gin"](batch, cfg, params_to_arrays(params))
+            assert_outputs_byte_equal(fast, slow)
 
     def test_gcn_infer_matches_forward(self):
         rng = np.random.default_rng(11)
-        g = random_er_graph(rng, 14, p=0.3, feature_dim=3)
-        cfg = GcnConfig(num_layers=2, hidden=8)
-        params = init_gcn_params(rng, 3, cfg, 2)
-        batch = single_batch(g)
-        slow = gcn_forward(batch, None, cfg, params)
-        fast = gcn_infer(batch, cfg, params_to_arrays(params))
-        np.testing.assert_allclose(fast.logits, slow.logits.values, atol=1e-12)
+        graphs = [random_er_graph(rng, n, p=0.3, feature_dim=3) for n in (14, 5)]
+        batch = clustered_batch(graphs, 11)
+        for readout_mode in ("sum", "attention"):
+            cfg = GcnConfig(num_layers=2, hidden=8, readout=readout_mode)
+            params = init_linear_params(rng, 3, cfg, 2)
+            slow = gcn_forward(batch, cfg, params)
+            fast = INFER["gcn"](batch, cfg, params_to_arrays(params))
+            assert_outputs_byte_equal(fast, slow)
 
     def test_student_infer_matches_forward(self):
         rng = np.random.default_rng(12)
-        g = random_er_graph(rng, 10, p=0.3, feature_dim=3)
-        cache = build_struct_cache(g, 0, seed=1)
-        cfg = StudentConfig(kind="ga-mlp", use_lape=True, num_layers=3, hidden=8)
-        rows = student_input(g, cache, cfg)
-        params = init_student_params(rng, rows.shape[1], cfg, 2)
-        batch = make_batch([g], [rows], [cache.clusters.cluster_of])
-        slow = student_forward(batch, None, cfg, params)
-        fast = student_infer(batch, cfg, params_to_arrays(params))
-        np.testing.assert_allclose(fast.logits, slow.logits.values, atol=1e-12)
-        np.testing.assert_allclose(fast.cluster_embeddings,
-                                   slow.cluster_embeddings.values, atol=1e-12)
+        graphs = [random_er_graph(rng, n, p=0.3, feature_dim=3) for n in (10, 7)]
+        caches = [build_struct_cache(g, i, seed=1) for i, g in enumerate(graphs)]
+        clusters = [c.clusters.cluster_of for c in caches]
+        for kind in ("mlp", "ga-mlp"):
+            for readout_mode in ("sum", "attention"):
+                cfg = StudentConfig(kind=kind, use_lape=True, num_layers=3, hidden=8,
+                                    readout=readout_mode)
+                rows = [student_input(g, c, cfg) for g, c in zip(graphs, caches)]
+                params = init_linear_params(rng, rows[0].shape[1], cfg, 2)
+                batch = make_batch(graphs, rows, clusters)
+                slow = student_forward(batch, cfg, params)
+                fast = student_infer(batch, cfg, params_to_arrays(params))
+                assert_outputs_byte_equal(fast, slow)
+
+    def test_no_clusters_gives_none(self):
+        rng = np.random.default_rng(13)
+        g = random_er_graph(rng, 6, p=0.3, feature_dim=3)
+        cfg = GinConfig(num_layers=1, hidden=4)
+        out = INFER["gin"](make_batch([g]), cfg,
+                           params_to_arrays(init_gin_params(rng, 3, cfg, 2)))
+        assert out.cluster_embeddings is None
 
 
 class TestModelGradients:
@@ -265,7 +290,7 @@ class TestModelGradients:
         params = init_gin_params(rng, 3, cfg, 2)
 
         def loss():
-            out = gin_forward(g, None, cfg, params)
+            out = gin_forward(make_batch([g]), cfg, params)
             return ad.frobenius_sq(out.logits)
 
         assert_grads_close(autodiff_grads(loss, params),
@@ -275,10 +300,10 @@ class TestModelGradients:
         rng = np.random.default_rng(14)
         g = random_er_graph(rng, 8, p=0.4, feature_dim=3)
         cfg = GcnConfig(num_layers=2, hidden=4, readout="attention")
-        params = init_gcn_params(rng, 3, cfg, 2)
+        params = init_linear_params(rng, 3, cfg, 2)
 
         def loss():
-            out = gcn_forward(g, None, cfg, params)
+            out = gcn_forward(make_batch([g]), cfg, params)
             return ad.frobenius_sq(out.logits)
 
         assert_grads_close(autodiff_grads(loss, params),
@@ -290,11 +315,11 @@ class TestModelGradients:
         cache = build_struct_cache(g, 0, seed=2)
         cfg = StudentConfig(kind="ga-mlp", use_lape=True, num_layers=3, hidden=4)
         rows = student_input(g, cache, cfg)
-        params = init_student_params(rng, rows.shape[1], cfg, 2)
+        params = init_linear_params(rng, rows.shape[1], cfg, 2)
         batch = make_batch([g], [rows], [cache.clusters.cluster_of])
 
         def loss():
-            out = student_forward(batch, None, cfg, params)
+            out = student_forward(batch, cfg, params)
             return ad.frobenius_sq(out.logits)
 
         assert_grads_close(autodiff_grads(loss, params),
@@ -361,7 +386,7 @@ class TestPropagationOracle:
         p = params_to_arrays(params)
         h_ref, logits_ref = dense_gin_logits(graphs, cfg, p)
         batch = make_batch(graphs)
-        for out in (gin_forward(batch, None, cfg, params), gin_infer(batch, cfg, p)):
+        for out in (gin_forward(batch, cfg, params), INFER["gin"](batch, cfg, p)):
             h = getattr(out.node_embeddings, "values", out.node_embeddings)
             logits = getattr(out.logits, "values", out.logits)
             np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
@@ -372,11 +397,11 @@ class TestPropagationOracle:
     def test_gcn_matches_dense(self, graphs, readout_mode):
         rng = np.random.default_rng(22)
         cfg = GcnConfig(num_layers=3, hidden=6, readout=readout_mode)
-        params = init_gcn_params(rng, 3, cfg, 2)
+        params = init_linear_params(rng, 3, cfg, 2)
         p = params_to_arrays(params)
         h_ref, logits_ref = dense_gcn_logits(graphs, cfg, p)
         batch = make_batch(graphs)
-        for out in (gcn_forward(batch, None, cfg, params), gcn_infer(batch, cfg, p)):
+        for out in (gcn_forward(batch, cfg, params), INFER["gcn"](batch, cfg, p)):
             h = getattr(out.node_embeddings, "values", out.node_embeddings)
             logits = getattr(out.logits, "values", out.logits)
             np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,36 @@ class TestStructCachePersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="not found"):
             load_struct_caches(tmp_path / "nope.npz")
+
+    def test_not_a_zip_rejected(self, tmp_path):
+        path = tmp_path / "cache.npz"
+        for raw in (b"", b"plain text, not a zip", b"PK\x03\x04cut short"):
+            path.write_bytes(raw)
+            with pytest.raises(FormatError, match=re.escape(str(path))):
+                load_struct_caches(path)
+        np.save(tmp_path / "array.npy", np.ones(3))  # an .npy, not an .npz archive
+        (tmp_path / "array.npy").rename(path)
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_struct_caches(path)
+
+    def test_foreign_npz_rejected(self, tmp_path):
+        path = tmp_path / "cache.npz"
+        for arrays in ({"weights": np.ones(3)}, {"meta": np.str_("not json")},
+                       {"meta": np.str_("[1, 2]")}):
+            np.savez(path, **arrays)
+            with pytest.raises(FormatError, match=re.escape(str(path))):
+                load_struct_caches(path)
+
+    def test_missing_graph_arrays_rejected(self, tmp_path):
+        ds = two_class_structural(num_graphs=2, seed=0, min_nodes=5, max_nodes=8)
+        path = tmp_path / "cache.npz"
+        save_struct_caches(path, build_struct_caches(ds, seed=1, k_pe=2, walk_length=3),
+                           ds.name, seed=1)
+        with np.load(path) as data:
+            kept = {k: data[k] for k in data.files if k != "g1.cluster"}
+        np.savez(path, **kept)
+        with pytest.raises(FormatError, match=re.escape(str(path)) + ".*g1.cluster"):
+            load_struct_caches(path)
 
     def test_preprocessing_deterministic_per_graph(self):
         ds = two_class_structural(num_graphs=4, seed=1, min_nodes=6, max_nodes=10)

@@ -6,7 +6,7 @@ from graphdistill.autodiff import Adam
 from graphdistill.data import Dataset, stratified_kfold
 from graphdistill.errors import ConfigError, IntegrityError
 from graphdistill.losses import DistillWeights
-from graphdistill.models import GinConfig, StudentConfig, make_batch, gin_infer
+from graphdistill.models import GinConfig, StudentConfig, make_batch
 from graphdistill.structure import build_struct_caches
 from graphdistill.synth import two_class_structural
 from graphdistill.training import (

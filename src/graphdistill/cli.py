@@ -5,6 +5,11 @@ dynamic-bench, report. Flags override config-file values, which override
 defaults; all randomness funnels through --seed. Exit codes: 0 success,
 1 invalid input (``GraphDistillError``), 2 usage error, 3 missing input
 artifact.
+
+``preprocess`` writes ``<name>.structcache.npz`` next to the TU files; the
+other commands read it back. A sidecar of an older format
+(``structcache/1``), or one whose graph or node counts do not match the
+dataset, is invalid input (exit 1): run ``graphdistill preprocess`` again.
 """
 
 from __future__ import annotations
@@ -97,12 +102,21 @@ def load_prepared_dataset(data_dir, name: str):
     return dataset, dataset_dir
 
 
-def _load_caches(dataset_dir: Path, name: str):
-    sidecar = _sidecar_path(dataset_dir, name)
+def _load_caches(dataset_dir: Path, dataset):
+    """The dataset's struct caches; a sidecar built for other graphs is a ``FormatError``."""
+    sidecar = _sidecar_path(dataset_dir, dataset.name)
     if not sidecar.is_file():
         raise ArtifactMissingError(sidecar)
     caches, meta = load_struct_caches(sidecar)
-    return caches, meta, sidecar
+    if len(caches) != len(dataset.graphs):
+        raise FormatError(f"{sidecar}: holds {len(caches)} graphs, dataset {dataset.name} "
+                          f"has {len(dataset.graphs)}; re-run `graphdistill preprocess`")
+    for i, (cache, graph) in enumerate(zip(caches, dataset.graphs)):
+        if cache.clusters.cluster_of.size != graph.num_nodes:
+            raise FormatError(f"{sidecar}: graph {i} has {cache.clusters.cluster_of.size} "
+                              f"nodes, dataset {dataset.name} has {graph.num_nodes}; "
+                              f"re-run `graphdistill preprocess`")
+    return caches, meta
 
 
 def _echo_config(args: argparse.Namespace) -> dict:
@@ -168,7 +182,7 @@ def _rebuild_from_teacher_run(args):
     name = manifest["dataset"]
     dataset, dataset_dir = load_prepared_dataset(args.data_dir, name)
     folds = stratified_kfold(dataset, manifest["folds"], manifest["fold_seed"])
-    caches, cache_meta, _ = _load_caches(dataset_dir, name)
+    caches, _ = _load_caches(dataset_dir, dataset)
     checkpoints = {f.fold_index: load_teacher_checkpoint(args.teacher_run, f.fold_index)
                    for f in folds}
     teacher_caches = {fi: cache_teacher(ckpt, dataset, caches)
@@ -299,7 +313,7 @@ def cmd_dynamic_bench(args) -> int:
     name = manifest["dataset"]
     dataset, dataset_dir = load_prepared_dataset(args.data_dir, name)
     folds = stratified_kfold(dataset, manifest["folds"], manifest["fold_seed"])
-    caches, _, _ = _load_caches(dataset_dir, name)
+    caches, _ = _load_caches(dataset_dir, dataset)
     fold = folds[args.fold]
     t_ckpt = load_teacher_checkpoint(args.teacher_run, fold.fold_index)
     s_cfg, s_params = load_student_checkpoint(args.student_run, fold.fold_index,

@@ -136,20 +136,71 @@ class FoldSplit:
     test_ids: np.ndarray
 
 
-def _read_int_lines(path: Path, what: str) -> list[list[int]]:
+# Character kinds of a TU text file, indexed by code point. The whitespace
+# set is exactly what ``str.split()`` splits on (none lies above U+3000, so
+# the last entry stands for every higher code point); ``\n`` ends a line.
+_TOKEN, _SPACE, _COMMA, _NEWLINE = 0, 1, 2, 3
+_CHAR_KIND = np.zeros(0x3002, dtype=np.int8)
+_CHAR_KIND[[c for c in range(0x3001) if chr(c).isspace()]] = _SPACE
+_CHAR_KIND[ord(",")] = _COMMA
+_CHAR_KIND[ord("\n")] = _NEWLINE
+
+
+def _commas_between_tokens(kind: np.ndarray) -> bool:
+    """Whether every comma has a token before and after it on its own line."""
+    events = kind[kind != _SPACE]
+    comma = events == _COMMA
+    comma[1:] &= ~comma[:-1]  # first comma of each run stands for the run
+    events = np.concatenate([[_NEWLINE], events[comma | (events != _COMMA)], [_NEWLINE]])
+    at = np.flatnonzero(events == _COMMA)
+    return bool(np.all(events[at - 1] == _TOKEN) and np.all(events[at + 1] == _TOKEN))
+
+
+def _bad_line(path: Path, text: str, width: int) -> FormatError:
+    """The error for the first line of ``text`` that breaks the line grammar."""
+    plural = "s" if width > 1 else ""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values = [int(tok) for tok in _SPLIT.split(line)]
+        except ValueError:
+            values = []
+        if len(values) != width or not all(-(2**63) <= x < 2**63 for x in values):
+            return FormatError(
+                f"{path}:{lineno}: expected {width} integer{plural}, got {line!r}"
+            )
+    return FormatError(f"{path}: malformed integer table")
+
+
+def _read_int_table(path: Path, width: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The [rows, width] int64 table of a TU text file and each row's line number.
+
+    The file is read and tokenized in one pass; only when the grammar check
+    fails is it scanned line by line, to name the first bad line.
+    """
     if not path.is_file():
         raise FormatError(f"missing mandatory file for {what}: {path}")
-    rows = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([int(tok) for tok in _SPLIT.split(line)])
-            except ValueError as exc:
-                raise FormatError(f"{path}: cannot parse line {line!r}") from exc
-    return rows
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file: {exc}") from exc
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    kind = _CHAR_KIND[np.minimum(codes, _CHAR_KIND.size - 1)]
+    is_token = kind == _TOKEN
+    starts = is_token.copy()
+    starts[1:] &= ~is_token[:-1]
+    per_line = np.bincount(np.cumsum(kind == _NEWLINE)[starts])
+    row_lines = np.flatnonzero(per_line)
+    if np.all(per_line[row_lines] == width) and _commas_between_tokens(kind):
+        try:
+            values = np.array(text.replace(",", " ").split(), dtype=np.int64)
+        except (ValueError, OverflowError):
+            values = None
+        if values is not None and values.size == row_lines.size * width:
+            return values.reshape(-1, width), row_lines + 1
+    raise _bad_line(path, text, width)
 
 
 def load_tudataset(directory, name: str) -> Dataset:
@@ -161,13 +212,21 @@ def load_tudataset(directory, name: str) -> Dataset:
     is optional and, when present, is one-hot encoded into the feature
     matrix. Without node labels every node gets the constant feature [1].
 
+    Line grammar, for every file: lines end at a newline (``\r\n`` and
+    ``\r`` count as one); a line that is empty or all whitespace is skipped;
+    any other line, stripped of surrounding whitespace, is exactly 2
+    integers (``_A.txt``) or exactly 1 integer (the other files), separated
+    by runs of commas and whitespace. An integer is what ``int()`` accepts
+    and must fit in int64. A line that breaks the grammar raises
+    ``FormatError`` naming ``path:line``.
+
     Node ids are remapped to 0-indexed per-graph ids, class labels to the
     contiguous range [0, K). Edges are deduplicated, symmetrized, and
     self-loops dropped.
     """
     directory = Path(directory)
-    indicator = _read_int_lines(directory / f"{name}_graph_indicator.txt", "graph indicator")
-    graph_of_node = np.array([row[0] for row in indicator], dtype=np.int64)
+    graph_of_node = _read_int_table(
+        directory / f"{name}_graph_indicator.txt", 1, "graph indicator")[0][:, 0]
     num_nodes_total = graph_of_node.size
     if num_nodes_total == 0:
         raise FormatError(f"{name}_graph_indicator.txt is empty")
@@ -177,73 +236,77 @@ def load_tudataset(directory, name: str) -> Dataset:
     if graph_of_node.min() < 1 or present.size != num_graphs:
         raise FormatError(f"{name}_graph_indicator.txt: graph ids must cover 1..{num_graphs}")
 
-    label_rows = _read_int_lines(directory / f"{name}_graph_labels.txt", "graph labels")
-    raw_labels = np.array([row[0] for row in label_rows], dtype=np.int64)
+    raw_labels = _read_int_table(
+        directory / f"{name}_graph_labels.txt", 1, "graph labels")[0][:, 0]
     if raw_labels.size != num_graphs:
         raise FormatError(
             f"{name}_graph_labels.txt has {raw_labels.size} labels for {num_graphs} graphs"
         )
-    classes = np.unique(raw_labels)
-    label_map = {int(c): i for i, c in enumerate(classes)}
-    labels = np.array([label_map[int(c)] for c in raw_labels], dtype=np.int64)
+    classes, labels = np.unique(raw_labels, return_inverse=True)
 
-    # Per-graph local ids, in file order.
-    local_id = np.zeros(num_nodes_total, dtype=np.int64)
-    sizes = np.zeros(num_graphs, dtype=np.int64)
-    for node, gid in enumerate(graph_of_node):
-        local_id[node] = sizes[gid - 1]
-        sizes[gid - 1] += 1
+    # Nodes renumbered graph by graph, in file order within each graph.
+    order = np.argsort(graph_of_node, kind="stable")
+    new_id = np.empty(num_nodes_total, dtype=np.int64)
+    new_id[order] = np.arange(num_nodes_total)
+    node_off = np.concatenate([[0], np.cumsum(np.bincount(graph_of_node - 1))])
 
     node_label_path = directory / f"{name}_node_labels.txt"
     if node_label_path.is_file():
-        nl_rows = _read_int_lines(node_label_path, "node labels")
-        node_labels = np.array([row[0] for row in nl_rows], dtype=np.int64)
+        node_labels = _read_int_table(node_label_path, 1, "node labels")[0][:, 0]
         if node_labels.size != num_nodes_total:
             raise FormatError(
                 f"{name}_node_labels.txt has {node_labels.size} rows for {num_nodes_total} nodes"
             )
-        nl_classes = np.unique(node_labels)
-        nl_map = {int(c): i for i, c in enumerate(nl_classes)}
+        nl_classes, nl_index = np.unique(node_labels, return_inverse=True)
         feature_dim = nl_classes.size
         features = np.zeros((num_nodes_total, feature_dim))
-        for node, c in enumerate(node_labels):
-            features[node, nl_map[int(c)]] = 1.0
+        features[new_id, nl_index] = 1.0
     else:
         feature_dim = 1
         features = np.ones((num_nodes_total, 1))
 
-    edges_per_graph: list[list[tuple[int, int]]] = [[] for _ in range(num_graphs)]
     a_path = directory / f"{name}_A.txt"
-    if not a_path.is_file():
-        raise FormatError(f"missing mandatory file for edges: {a_path}")
-    with a_path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = _SPLIT.split(line)
-            try:
-                u, v = int(toks[0]), int(toks[1])
-            except (ValueError, IndexError) as exc:
-                raise FormatError(f"{a_path}:{lineno}: cannot parse edge {line!r}") from exc
-            if not (1 <= u <= num_nodes_total) or not (1 <= v <= num_nodes_total):
-                raise IntegrityError(
-                    f"{a_path}:{lineno}: node {max(u, v)} not listed in graph indicator"
-                )
-            gu, gv = graph_of_node[u - 1], graph_of_node[v - 1]
-            if gu != gv:
-                raise IntegrityError(
-                    f"{a_path}:{lineno}: edge ({u}, {v}) crosses graphs {gu} and {gv}"
-                )
-            edges_per_graph[gu - 1].append((int(local_id[u - 1]), int(local_id[v - 1])))
+    pairs, line_of = _read_int_table(a_path, 2, "edges")
+    u, v = pairs[:, 0], pairs[:, 1]
+    out_of_range = (u < 1) | (u > num_nodes_total) | (v < 1) | (v > num_nodes_total)
+    gu = graph_of_node[np.clip(u, 1, num_nodes_total) - 1]
+    gv = graph_of_node[np.clip(v, 1, num_nodes_total) - 1]
+    bad = out_of_range | (gu != gv)
+    if bad.any():
+        r = int(np.argmax(bad))
+        ur, vr = int(u[r]), int(v[r])
+        if out_of_range[r]:
+            raise IntegrityError(
+                f"{a_path}:{line_of[r]}: node {max(ur, vr)} not listed in graph indicator"
+            )
+        raise IntegrityError(
+            f"{a_path}:{line_of[r]}: edge ({ur}, {vr}) crosses graphs {gu[r]} and {gv[r]}"
+        )
 
-    graphs = []
-    for g in range(num_graphs):
-        # Rows in file order == local id order, even if graphs interleave.
-        rows = np.flatnonzero(graph_of_node == g + 1)
-        feat = features[rows].reshape(int(sizes[g]), feature_dim)
-        graphs.append(Graph.from_edges(int(sizes[g]), edges_per_graph[g], feat, int(labels[g])))
+    # One global CSR over the renumbered ids: each graph's rows are contiguous.
+    n = num_nodes_total
+    src, dst = new_id[u - 1], new_id[v - 1]
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    loop = lo == hi
+    keys = np.unique(lo[~loop] * n + hi[~loop])
+    lo, hi = keys // n, keys % n
+    both = np.sort(np.concatenate([keys, hi * n + lo]))
+    indices = both % n
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(both // n, minlength=n))])
 
+    offs = node_off.tolist()
+    edge_offs = indptr[node_off].tolist()
+    graph_labels = labels.tolist()
+    graphs = [
+        Graph(
+            num_nodes=offs[g + 1] - offs[g],
+            indptr=indptr[offs[g]:offs[g + 1] + 1] - edge_offs[g],
+            indices=indices[edge_offs[g]:edge_offs[g + 1]] - offs[g],
+            features=features[offs[g]:offs[g + 1]],
+            label=graph_labels[g],
+        )
+        for g in range(num_graphs)
+    ]
     return Dataset(graphs=graphs, num_classes=classes.size, feature_dim=feature_dim, name=name)
 
 

@@ -10,12 +10,26 @@ by ``csr_operator`` straight from a CSR adjacency: the plain adjacency
 normalized Laplacian (positional encodings) and the GCN propagation matrix
 (``models``). Positional encodings use dense ``eigh`` up to
 ``DENSE_LAPE_MAX_NODES`` nodes and shift-invert ``eigsh`` above it.
+
+The cache sidecar (``save_struct_caches``, format ``structcache/2``) is
+one compressed ``.npz`` holding a JSON ``meta`` string (format, dataset,
+seed, num_graphs, walk_length) and one packed array per field, each cut
+into graphs by int64 offsets that start at 0 and never decrease:
+
+- ``node_off`` [G+1] slices ``cluster`` [N] int64, ``lape`` [N, k_pe] and
+  ``agg`` [N, D + k_pe] float64, where N is the total node count;
+- ``modularity`` [G] float64 and ``wseed`` [G] int64, one per graph;
+- ``level_off`` [G+1] slices ``levels`` float64 (per-level modularity);
+- ``pool_off`` [G+1] slices the walks of each graph's pool out of
+  ``walk_off``, whose consecutive entries slice each walk out of ``walks``
+  int64.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +40,7 @@ from scipy.sparse.linalg import eigsh
 from .data import Dataset, Graph
 from .errors import ContractError, FormatError
 
-STRUCT_CACHE_FORMAT = "structcache/1"
+STRUCT_CACHE_FORMAT = "structcache/2"
 
 # Largest graph whose positional encoding uses dense ``eigh``. Dense and
 # shift-invert times cross near 200 nodes (sparse preferential-attachment
@@ -84,32 +98,33 @@ def modularity(graph: Graph, cluster_of: np.ndarray) -> float:
     return internal / m2 - float(np.sum((tot / m2) ** 2))
 
 
-def _local_moves(adj: list[dict[int, float]], self_w: np.ndarray, strength: np.ndarray,
-                 m2: float, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+def _local_moves(adj: list[dict[int, float]], strength: list[float], m2: float,
+                 rng: np.random.Generator) -> tuple[list[int], bool]:
     """One Louvain phase: greedy single-node moves until no move improves."""
     n = len(adj)
-    comm = np.arange(n)
-    tot = strength.copy()
+    comm = list(range(n))
+    tot = strength[:]
     moved_any = False
     while True:
         moved = 0
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             ci = comm[i]
+            k_i = strength[i]
             w_to: dict[int, float] = {}
             for j, w in adj[i].items():
                 cj = comm[j]
                 w_to[cj] = w_to.get(cj, 0.0) + w
-            tot[ci] -= strength[i]
+            tot[ci] -= k_i
             # Scaled gain of joining community c: w(i,c) - k_i * tot_c / m2.
             best_c = ci
-            best_gain = w_to.get(ci, 0.0) - strength[i] * tot[ci] / m2
+            best_gain = w_to.get(ci, 0.0) - k_i * tot[ci] / m2
             for c in sorted(w_to):
                 if c == ci:
                     continue
-                gain = w_to[c] - strength[i] * tot[c] / m2
+                gain = w_to[c] - k_i * tot[c] / m2
                 if gain > best_gain + 1e-12:
                     best_gain, best_c = gain, c
-            tot[best_c] += strength[i]
+            tot[best_c] += k_i
             if best_c != ci:
                 comm[i] = best_c
                 moved += 1
@@ -119,37 +134,38 @@ def _local_moves(adj: list[dict[int, float]], self_w: np.ndarray, strength: np.n
     return comm, moved_any
 
 
-def _relabel(comm: np.ndarray) -> tuple[np.ndarray, int]:
+def _relabel(comm: list[int]) -> tuple[list[int], int]:
     """Make community ids contiguous, ordered by first occurrence."""
     mapping: dict[int, int] = {}
-    out = np.empty_like(comm)
-    for i, c in enumerate(comm):
+    for c in comm:
         if c not in mapping:
             mapping[c] = len(mapping)
-        out[i] = mapping[c]
-    return out, len(mapping)
+    return [mapping[c] for c in comm], len(mapping)
 
 
-def _aggregate(adj, self_w, comm, num_comms):
+def _aggregate(adj: list[dict[int, float]], self_w: list[float], comm: list[int],
+               num_comms: int) -> tuple[list[dict[int, float]], list[float], list[float]]:
     new_adj: list[dict[int, float]] = [dict() for _ in range(num_comms)]
-    new_self = np.zeros(num_comms)
+    new_self = [0.0] * num_comms
     for i, nbrs in enumerate(adj):
         ci = comm[i]
         new_self[ci] += self_w[i]
+        row = new_adj[ci]
         for j, w in nbrs.items():
             cj = comm[j]
             if ci == cj:
                 new_self[ci] += w  # each internal pair visited twice
             else:
-                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-    strength = new_self + np.array([sum(d.values()) for d in new_adj])
+                row[cj] = row.get(cj, 0.0) + w
+    strength = [s + sum(d.values()) for s, d in zip(new_self, new_adj)]
     return new_adj, new_self, strength
 
 
-def _level_modularity(adj, self_w, strength, comm, m2: float) -> float:
-    num = int(comm.max()) + 1
-    internal = np.zeros(num)
-    tot = np.zeros(num)
+def _level_modularity(adj: list[dict[int, float]], self_w: list[float],
+                      strength: list[float], comm: list[int], num_comms: int,
+                      m2: float) -> float:
+    internal = [0.0] * num_comms
+    tot = [0.0] * num_comms
     for i, nbrs in enumerate(adj):
         ci = comm[i]
         internal[ci] += self_w[i]
@@ -157,7 +173,8 @@ def _level_modularity(adj, self_w, strength, comm, m2: float) -> float:
         for j, w in nbrs.items():
             if comm[j] == ci:
                 internal[ci] += w
-    return float(np.sum(internal / m2 - (tot / m2) ** 2))
+    internal_arr, tot_arr = np.array(internal), np.array(tot)
+    return float(np.sum(internal_arr / m2 - (tot_arr / m2) ** 2))
 
 
 def louvain_cluster(graph: Graph, seed: int) -> ClusterAssignment:
@@ -165,7 +182,9 @@ def louvain_cluster(graph: Graph, seed: int) -> ClusterAssignment:
 
     Deterministic for a given seed: the node visitation order of every
     local-move sweep is drawn from one seeded generator. Nodes without
-    edges always end up in singleton clusters.
+    edges always end up in singleton clusters. The sweeps run on Python
+    lists and floats (IEEE doubles, like float64), so no per-node step
+    touches a numpy scalar.
     """
     if graph.num_nodes < 1:
         raise ContractError("louvain_cluster needs at least one node")
@@ -175,24 +194,24 @@ def louvain_cluster(graph: Graph, seed: int) -> ClusterAssignment:
         return ClusterAssignment(np.arange(n), n, 0.0, [])
 
     rng = np.random.default_rng(seed)
-    adj: list[dict[int, float]] = [
-        {int(j): 1.0 for j in graph.neighbors(i)} for i in range(n)
-    ]
-    self_w = np.zeros(n)
-    strength = graph.degrees.astype(np.float64)
-    node_to_top = np.arange(n)
+    ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
+    adj = [dict.fromkeys(nbrs[ptr[i]:ptr[i + 1]], 1.0) for i in range(n)]
+    self_w = [0.0] * n
+    strength = graph.degrees.astype(np.float64).tolist()
+    node_to_top = list(range(n))
     levels: list[float] = []
 
     while True:
-        comm, improved = _local_moves(adj, self_w, strength, m2, rng)
+        comm, improved = _local_moves(adj, strength, m2, rng)
         if not improved:
             break
         comm, num_comms = _relabel(comm)
-        levels.append(_level_modularity(adj, self_w, strength, comm, m2))
-        node_to_top = comm[node_to_top]
+        levels.append(_level_modularity(adj, self_w, strength, comm, num_comms, m2))
+        node_to_top = [comm[c] for c in node_to_top]
         adj, self_w, strength = _aggregate(adj, self_w, comm, num_comms)
 
-    cluster_of, num_clusters = _relabel(node_to_top)
+    top, num_clusters = _relabel(node_to_top)
+    cluster_of = np.array(top, dtype=np.int64)
     return ClusterAssignment(
         cluster_of=cluster_of,
         num_clusters=num_clusters,
@@ -291,15 +310,16 @@ def sample_walks(graph: Graph, num_walks: int, walk_length: int, seed: int) -> W
     if walk_length < 1:
         raise ContractError(f"walk_length must be >= 1, got {walk_length}")
     rng = np.random.default_rng(seed)
+    ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
     walks = []
     for _ in range(num_walks):
         cur = int(rng.integers(graph.num_nodes))
         seq = [cur]
         for _ in range(walk_length):
-            nbrs = graph.neighbors(cur)
-            if nbrs.size == 0:
+            lo, hi = ptr[cur], ptr[cur + 1]
+            if lo == hi:
                 break
-            cur = int(nbrs[rng.integers(nbrs.size)])
+            cur = nbrs[lo + int(rng.integers(hi - lo))]
             seq.append(cur)
         walks.append(np.array(seq, dtype=np.int64))
     return WalkPool(walks=walks, walk_length=walk_length, seed=seed)
@@ -345,8 +365,23 @@ def build_struct_caches(dataset: Dataset, seed: int, k_pe: int = 8,
     ]
 
 
+def _offsets(sizes: list[int]) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
+def _packed(parts: list[np.ndarray], dtype, ndim: int) -> np.ndarray:
+    if not parts:
+        return np.zeros((0,) * ndim, dtype=dtype)
+    return np.concatenate(parts).astype(dtype, copy=False)
+
+
 def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed: int) -> None:
-    """Persist per-dataset caches as one .npz sidecar with a format tag."""
+    """Persist per-dataset caches as one ``structcache/2`` .npz sidecar.
+
+    Every field is one packed array over all graphs (see the module
+    docstring). ``lape`` and ``agg_features`` must have the same width in
+    every cache.
+    """
     first = caches[0].walk_pool.walk_length if caches else 0
     meta = {
         "format": STRUCT_CACHE_FORMAT,
@@ -355,62 +390,138 @@ def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed:
         "num_graphs": len(caches),
         "walk_length": first,
     }
-    arrays: dict[str, np.ndarray] = {"meta": np.str_(json.dumps(meta))}
-    for i, c in enumerate(caches):
-        walks = c.walk_pool.walks
-        sizes = [w.size for w in walks]
-        arrays[f"g{i}.cluster"] = c.clusters.cluster_of
-        arrays[f"g{i}.levels"] = np.array(c.clusters.level_modularity)
-        arrays[f"g{i}.modularity"] = np.asarray(c.clusters.modularity)
-        arrays[f"g{i}.lape"] = c.lape
-        arrays[f"g{i}.agg"] = c.agg_features
-        arrays[f"g{i}.walks"] = (
-            np.concatenate(walks) if walks else np.zeros(0, dtype=np.int64)
-        )
-        arrays[f"g{i}.woff"] = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        arrays[f"g{i}.wseed"] = np.asarray(c.walk_pool.seed)
-    np.savez_compressed(path, **arrays)
+    walks = [w for c in caches for w in c.walk_pool.walks]
+    np.savez_compressed(
+        path,
+        meta=np.str_(json.dumps(meta)),
+        node_off=_offsets([c.clusters.cluster_of.size for c in caches]),
+        cluster=_packed([c.clusters.cluster_of for c in caches], np.int64, 1),
+        lape=_packed([c.lape for c in caches], np.float64, 2),
+        agg=_packed([c.agg_features for c in caches], np.float64, 2),
+        modularity=np.array([c.clusters.modularity for c in caches], dtype=np.float64),
+        level_off=_offsets([len(c.clusters.level_modularity) for c in caches]),
+        levels=np.array([x for c in caches for x in c.clusters.level_modularity],
+                        dtype=np.float64),
+        pool_off=_offsets([len(c.walk_pool.walks) for c in caches]),
+        walk_off=_offsets([w.size for w in walks]),
+        walks=_packed(walks, np.int64, 1),
+        wseed=np.array([c.walk_pool.seed for c in caches], dtype=np.int64),
+    )
+
+
+# Every sidecar field: dtype and number of dimensions.
+_FIELDS = {
+    "node_off": (np.int64, 1), "cluster": (np.int64, 1), "lape": (np.float64, 2),
+    "agg": (np.float64, 2), "modularity": (np.float64, 1), "level_off": (np.int64, 1),
+    "levels": (np.float64, 1), "pool_off": (np.int64, 1), "walk_off": (np.int64, 1),
+    "walks": (np.int64, 1), "wseed": (np.int64, 1),
+}
+
+
+def _check_offsets(path: Path, name: str, off: np.ndarray, end: int,
+                   entries: int | None = None) -> None:
+    if entries is not None and off.size != entries:
+        raise FormatError(f"{path}: offsets {name!r} have {off.size} entries, expected {entries}")
+    if off.size == 0 or off[0] != 0 or np.any(np.diff(off) < 0) or off[-1] != end:
+        raise FormatError(f"{path}: offsets {name!r} are not monotone from 0 to {end}")
+
+
+def _check_layout(path: Path, fields: dict[str, np.ndarray], num_graphs: int) -> None:
+    """Raise ``FormatError`` unless the packed fields describe ``num_graphs`` graphs."""
+    for name, (dtype, ndim) in _FIELDS.items():
+        arr = fields[name]
+        if arr.dtype != dtype or arr.ndim != ndim:
+            raise FormatError(f"{path}: field {name!r} is {arr.dtype} with shape {arr.shape}")
+    for name in ("modularity", "wseed"):
+        if fields[name].size != num_graphs:
+            raise FormatError(f"{path}: field {name!r} has {fields[name].size} entries "
+                              f"for {num_graphs} graphs")
+    _check_offsets(path, "node_off", fields["node_off"], fields["cluster"].size, num_graphs + 1)
+    for name in ("lape", "agg"):
+        if fields[name].shape[0] != fields["cluster"].size:
+            raise FormatError(f"{path}: field {name!r} has {fields[name].shape[0]} rows "
+                              f"for {fields['cluster'].size} nodes")
+    _check_offsets(path, "level_off", fields["level_off"], fields["levels"].size, num_graphs + 1)
+    _check_offsets(path, "walk_off", fields["walk_off"], fields["walks"].size)
+    _check_offsets(path, "pool_off", fields["pool_off"], fields["walk_off"].size - 1,
+                   num_graphs + 1)
+
+
+def _read_fields(path: Path, data) -> tuple[dict[str, np.ndarray], dict]:
+    """The meta dict and every field of an open ``structcache/2`` archive."""
+    try:
+        meta = json.loads(str(data["meta"]))
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: not a struct cache: {exc}") from exc
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    if fmt != STRUCT_CACHE_FORMAT:
+        raise FormatError(f"{path}: unsupported cache format {fmt!r}; re-run "
+                          f"`graphdistill preprocess` to rebuild it as {STRUCT_CACHE_FORMAT}")
+    if not (isinstance(meta.get("num_graphs"), int) and meta["num_graphs"] >= 0
+            and isinstance(meta.get("walk_length"), int)):
+        raise FormatError(f"{path}: bad num_graphs or walk_length in meta")
+    fields = {}
+    for name in _FIELDS:
+        if name not in data.files:
+            raise FormatError(f"{path}: struct cache has no field {name!r}")
+        try:
+            fields[name] = data[name]
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+            raise FormatError(f"{path}: cannot read field {name!r}: {exc}") from exc
+    return fields, meta
 
 
 def load_struct_caches(path) -> tuple[list[StructCache], dict]:
+    """Read a ``structcache/2`` sidecar; every returned array is a read-only view.
+
+    A file that is not such a sidecar, misses a field or has inconsistent
+    offsets raises ``FormatError`` naming ``path``. Sidecars of an older
+    format must be rebuilt with ``graphdistill preprocess``.
+    """
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"struct cache not found: {path}")
     try:
-        data = np.load(path, allow_pickle=False)
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise FormatError(f"{path}: not an .npz struct cache: {exc}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise FormatError(f"{path}: not an .npz struct cache")
-    try:
+        fh = path.open("rb")  # owned here: np.load leaks its own handle on a cut zip
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot open struct cache: {exc}") from exc
+    with fh:
+        try:
+            data = np.load(fh, allow_pickle=False)
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise FormatError(f"{path}: not an .npz struct cache: {exc}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise FormatError(f"{path}: not an .npz struct cache")
         with data:
-            meta = json.loads(str(data["meta"]))
-            fmt = meta.get("format") if isinstance(meta, dict) else None
-            if fmt != STRUCT_CACHE_FORMAT:
-                raise FormatError(f"{path}: unsupported cache format {fmt!r}")
-            caches = []
-            for i in range(meta["num_graphs"]):
-                cluster_of = data[f"g{i}.cluster"]
-                flat = data[f"g{i}.walks"]
-                off = data[f"g{i}.woff"]
-                walks = [flat[a:b] for a, b in zip(off[:-1], off[1:])]
-                caches.append(
-                    StructCache(
-                        clusters=ClusterAssignment(
-                            cluster_of=cluster_of,
-                            num_clusters=int(cluster_of.max()) + 1 if cluster_of.size else 0,
-                            modularity=float(data[f"g{i}.modularity"]),
-                            level_modularity=list(data[f"g{i}.levels"]),
-                        ),
-                        lape=data[f"g{i}.lape"],
-                        agg_features=data[f"g{i}.agg"],
-                        walk_pool=WalkPool(
-                            walks=walks,
-                            walk_length=meta["walk_length"],
-                            seed=int(data[f"g{i}.wseed"]),
-                        ),
-                    )
-                )
-    except (KeyError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: not a struct cache: {exc}") from exc
+            fields, meta = _read_fields(path, data)
+    num_graphs, walk_length = meta["num_graphs"], meta["walk_length"]
+    _check_layout(path, fields, num_graphs)
+    for arr in fields.values():
+        arr.flags.writeable = False
+
+    cluster, lape, agg, walks = (fields[k] for k in ("cluster", "lape", "agg", "walks"))
+    node_off, level_off, pool_off, walk_off = (
+        fields[k].tolist() for k in ("node_off", "level_off", "pool_off", "walk_off"))
+    modularities, levels, seeds = (
+        fields[k].tolist() for k in ("modularity", "levels", "wseed"))
+    caches = []
+    for i in range(num_graphs):
+        lo, hi = node_off[i], node_off[i + 1]
+        cluster_of = cluster[lo:hi]
+        caches.append(StructCache(
+            clusters=ClusterAssignment(
+                cluster_of=cluster_of,
+                num_clusters=int(cluster_of.max()) + 1 if hi > lo else 0,
+                modularity=modularities[i],
+                level_modularity=levels[level_off[i]:level_off[i + 1]],
+            ),
+            lape=lape[lo:hi],
+            agg_features=agg[lo:hi],
+            walk_pool=WalkPool(
+                walks=[walks[walk_off[j]:walk_off[j + 1]]
+                       for j in range(pool_off[i], pool_off[i + 1])],
+                walk_length=walk_length,
+                seed=seeds[i],
+            ),
+        ))
     return caches, meta

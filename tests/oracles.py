@@ -5,10 +5,16 @@ enumeration, finite differences) and shares no code with the package paths
 it checks.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 
 from graphdistill import autodiff as ad
-from graphdistill.errors import IntegrityError
+from graphdistill.data import Dataset, Graph
+from graphdistill.errors import FormatError, IntegrityError
+
+_SPLIT = re.compile(r"[,\s]+")
 
 
 def finite_difference_grads(loss_fn, params, step=1e-5):
@@ -168,8 +174,6 @@ def mmd_poly_sq(h_a, h_b):
 
 def random_connected_graph(n, rng, extra_edge_fraction=0.5):
     """Random tree plus extra edges; uniform random one-hot node types."""
-    from graphdistill.data import Graph
-
     edges = [(int(rng.integers(v)), v) for v in range(1, n)]
     for _ in range(int(extra_edge_fraction * n)):
         u, v = rng.choice(n, size=2, replace=False)
@@ -179,8 +183,6 @@ def random_connected_graph(n, rng, extra_edge_fraction=0.5):
 
 
 def random_er_graph(rng, n, p=0.3, feature_dim=3, allow_isolated=True):
-    from graphdistill.data import Graph
-
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -195,3 +197,108 @@ def random_er_graph(rng, n, p=0.3, feature_dim=3, allow_isolated=True):
                 edges.append((u, v))
         g = Graph.from_edges(n, edges, feats, g.label)
     return g
+
+
+def _read_int_lines(path: Path, what: str) -> list[list[int]]:
+    if not path.is_file():
+        raise FormatError(f"missing mandatory file for {what}: {path}")
+    rows = []
+    with path.open() as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rows.append([int(tok) for tok in _SPLIT.split(line)])
+            except ValueError as exc:
+                raise FormatError(f"{path}: cannot parse line {line!r}") from exc
+    return rows
+
+
+def reference_load_tudataset(directory, name: str):
+    """Line-by-line TU loader: the reference for ``data.load_tudataset``.
+
+    Reads one line at a time, splits it with a regex and maps node ids
+    through Python dicts and per-graph loops. It ignores extra tokens on a
+    line, which the package loader rejects.
+    """
+    directory = Path(directory)
+    indicator = _read_int_lines(directory / f"{name}_graph_indicator.txt", "graph indicator")
+    graph_of_node = np.array([row[0] for row in indicator], dtype=np.int64)
+    num_nodes_total = graph_of_node.size
+    if num_nodes_total == 0:
+        raise FormatError(f"{name}_graph_indicator.txt is empty")
+
+    num_graphs = int(graph_of_node.max())
+    present = np.unique(graph_of_node)
+    if graph_of_node.min() < 1 or present.size != num_graphs:
+        raise FormatError(f"{name}_graph_indicator.txt: graph ids must cover 1..{num_graphs}")
+
+    label_rows = _read_int_lines(directory / f"{name}_graph_labels.txt", "graph labels")
+    raw_labels = np.array([row[0] for row in label_rows], dtype=np.int64)
+    if raw_labels.size != num_graphs:
+        raise FormatError(
+            f"{name}_graph_labels.txt has {raw_labels.size} labels for {num_graphs} graphs"
+        )
+    classes = np.unique(raw_labels)
+    label_map = {int(c): i for i, c in enumerate(classes)}
+    labels = np.array([label_map[int(c)] for c in raw_labels], dtype=np.int64)
+
+    # Per-graph local ids, in file order.
+    local_id = np.zeros(num_nodes_total, dtype=np.int64)
+    sizes = np.zeros(num_graphs, dtype=np.int64)
+    for node, gid in enumerate(graph_of_node):
+        local_id[node] = sizes[gid - 1]
+        sizes[gid - 1] += 1
+
+    node_label_path = directory / f"{name}_node_labels.txt"
+    if node_label_path.is_file():
+        nl_rows = _read_int_lines(node_label_path, "node labels")
+        node_labels = np.array([row[0] for row in nl_rows], dtype=np.int64)
+        if node_labels.size != num_nodes_total:
+            raise FormatError(
+                f"{name}_node_labels.txt has {node_labels.size} rows for {num_nodes_total} nodes"
+            )
+        nl_classes = np.unique(node_labels)
+        nl_map = {int(c): i for i, c in enumerate(nl_classes)}
+        feature_dim = nl_classes.size
+        features = np.zeros((num_nodes_total, feature_dim))
+        for node, c in enumerate(node_labels):
+            features[node, nl_map[int(c)]] = 1.0
+    else:
+        feature_dim = 1
+        features = np.ones((num_nodes_total, 1))
+
+    edges_per_graph: list[list[tuple[int, int]]] = [[] for _ in range(num_graphs)]
+    a_path = directory / f"{name}_A.txt"
+    if not a_path.is_file():
+        raise FormatError(f"missing mandatory file for edges: {a_path}")
+    with a_path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            toks = _SPLIT.split(line)
+            try:
+                u, v = int(toks[0]), int(toks[1])
+            except (ValueError, IndexError) as exc:
+                raise FormatError(f"{a_path}:{lineno}: cannot parse edge {line!r}") from exc
+            if not (1 <= u <= num_nodes_total) or not (1 <= v <= num_nodes_total):
+                raise IntegrityError(
+                    f"{a_path}:{lineno}: node {max(u, v)} not listed in graph indicator"
+                )
+            gu, gv = graph_of_node[u - 1], graph_of_node[v - 1]
+            if gu != gv:
+                raise IntegrityError(
+                    f"{a_path}:{lineno}: edge ({u}, {v}) crosses graphs {gu} and {gv}"
+                )
+            edges_per_graph[gu - 1].append((int(local_id[u - 1]), int(local_id[v - 1])))
+
+    graphs = []
+    for g in range(num_graphs):
+        # Rows in file order == local id order, even if graphs interleave.
+        rows = np.flatnonzero(graph_of_node == g + 1)
+        feat = features[rows].reshape(int(sizes[g]), feature_dim)
+        graphs.append(Graph.from_edges(int(sizes[g]), edges_per_graph[g], feat, int(labels[g])))
+
+    return Dataset(graphs=graphs, num_classes=classes.size, feature_dim=feature_dim, name=name)

@@ -1,10 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from graphdistill.cli import main
-from graphdistill.data import save_tudataset
+from graphdistill.cli import _load_caches, main
+from graphdistill.data import Graph, save_tudataset
+from graphdistill.errors import FormatError
+from graphdistill.structure import build_struct_caches, save_struct_caches
 from graphdistill.runio import read_metrics_csv
 from graphdistill.synth import two_class_structural
 
@@ -150,6 +153,24 @@ class TestCliContracts:
                      "--lr-patience", "1", *base]) == 1
         assert str(sidecar) in caplog.text
 
+    def test_sidecar_of_other_dataset_exits_1(self, tmp_path, caplog):
+        data = tmp_path / "data"
+        base = ["--data-dir", str(data), "--out-dir", str(tmp_path / "runs")]
+        save_tudataset(data / "TINY", two_class_structural(
+            num_graphs=8, seed=0, min_nodes=6, max_nodes=9, name="TINY"))
+        assert main(["preprocess", "--dataset", "TINY", "--k-pe", "2", *base]) == 0
+        save_tudataset(data / "TINY", two_class_structural(
+            num_graphs=8, seed=2, min_nodes=10, max_nodes=12, name="TINY"))
+        assert main(["train-teacher", "--dataset", "TINY", "--layers", "1",
+                     "--hidden", "4", "--folds", "2", "--epochs", "2", "--lr-patience", "1",
+                     *base]) == 0
+        teacher_run = [p for p in run_dirs(tmp_path / "runs") if "train-teacher" in p.name][0]
+        assert main(["distill", "--teacher-run", str(teacher_run), "--epochs", "2",
+                     "--lr-patience", "1", *base]) == 1
+        sidecar = data / "TINY" / "TINY.structcache.npz"
+        assert f"{sidecar}: graph 0 has" in caplog.text
+        assert "graphdistill preprocess" in caplog.text
+
     def test_manifest_contains_reproduction_info(self, tiny_data, tmp_path):
         out = tmp_path / "runs"
         assert main(["preprocess", "--dataset", "TINY", "--data-dir", str(tiny_data),
@@ -157,3 +178,34 @@ class TestCliContracts:
         manifest = json.loads((run_dirs(out)[0] / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
         assert "format_versions" in manifest
+
+
+class TestLoadCaches:
+    def write(self, tmp_path, num_graphs, seed):
+        ds = two_class_structural(num_graphs=num_graphs, seed=seed, min_nodes=5,
+                                  max_nodes=9, name="T")
+        save_struct_caches(tmp_path / "T.structcache.npz",
+                           build_struct_caches(ds, seed=0, k_pe=2, walk_length=2), "T", 0)
+        return ds
+
+    def test_matching_dataset_loads(self, tmp_path):
+        ds = self.write(tmp_path, 3, seed=0)
+        caches, meta = _load_caches(tmp_path, ds)
+        assert len(caches) == 3 and meta["dataset"] == "T"
+
+    def test_graph_count_mismatch(self, tmp_path):
+        ds = self.write(tmp_path, 3, seed=0)
+        ds.graphs.pop()
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "T.structcache.npz"))
+                           + ": holds 3 graphs, dataset T has 2"):
+            _load_caches(tmp_path, ds)
+
+    def test_first_node_count_mismatch_named(self, tmp_path):
+        ds = self.write(tmp_path, 3, seed=0)
+        g = ds.graphs[1]
+        ds.graphs[1] = Graph.from_edges(g.num_nodes + 1, g.edge_pairs().tolist(),
+                                        np.ones((g.num_nodes + 1, g.features.shape[1])),
+                                        g.label)
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "T.structcache.npz"))
+                           + f": graph 1 has {g.num_nodes} nodes"):
+            _load_caches(tmp_path, ds)

@@ -1,6 +1,13 @@
+import re
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from graphdistill import data
 from graphdistill.data import (
     Dataset,
     Graph,
@@ -10,10 +17,11 @@ from graphdistill.data import (
     save_tudataset,
     stratified_kfold,
 )
-from graphdistill.errors import ConfigError, FormatError, IntegrityError
+from graphdistill.errors import ConfigError, FormatError, GraphDistillError, IntegrityError
 from graphdistill.synth import two_class_structural
 
 from conftest import build_graph
+from oracles import random_er_graph, reference_load_tudataset
 
 
 def write_tu_files(directory, name, edges, indicator, graph_labels, node_labels=None):
@@ -92,6 +100,213 @@ class TestLoader:
         (tmp_path / "toy_graph_labels.txt").write_text("0\n")
         ds = load_tudataset(tmp_path, "toy")
         assert ds.graphs[0].num_edges == 1
+
+
+    def test_extra_token_rejected_with_line(self, tmp_path):
+        write_tu_files(tmp_path, "toy", [(1, 2), (2, 1)], [1, 1], [0])
+        (tmp_path / "toy_A.txt").write_text("1, 2\n\n2, 1, 7\n")
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "toy_A.txt")) + ":3"):
+            load_tudataset(tmp_path, "toy")
+        (tmp_path / "toy_A.txt").write_text("1, 2\n")
+        (tmp_path / "toy_graph_labels.txt").write_text("0 1\n")
+        with pytest.raises(FormatError, match="toy_graph_labels.txt:1"):
+            load_tudataset(tmp_path, "toy")
+
+    @pytest.mark.parametrize("edges", ["1, 2,\n", ", 1, 2\n", "1 ,\n", ",\n", "1, x\n",
+                                       "1, 2.0\n", "1, 99999999999999999999\n",
+                                       "1, 2, 2\n1\n"],
+                             ids=["trailing-comma", "leading-comma", "one-and-comma",
+                                  "comma-only", "word", "float", "overflow",
+                                  "three-then-one"])
+    def test_malformed_edge_line_rejected(self, tmp_path, edges):
+        write_tu_files(tmp_path, "toy", [], [1, 1], [0])
+        (tmp_path / "toy_A.txt").write_text("2, 1\n" + edges)
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "toy_A.txt")) + ":2"):
+            load_tudataset(tmp_path, "toy")
+
+    def test_not_utf8_rejected(self, tmp_path):
+        write_tu_files(tmp_path, "toy", [(1, 2)], [1, 1], [0])
+        (tmp_path / "toy_graph_labels.txt").write_bytes(b"\xff\xfe0\n")
+        with pytest.raises(FormatError, match="toy_graph_labels.txt"):
+            load_tudataset(tmp_path, "toy")
+
+    def test_unicode_whitespace_separates(self, tmp_path):
+        (tmp_path / "toy_A.txt").write_text("1\u30002\n\u00a0 2,\u20031 \n")
+        (tmp_path / "toy_graph_indicator.txt").write_text("1\r\n1\r\n")
+        (tmp_path / "toy_graph_labels.txt").write_text("\u2028\n0\n")
+        assert load_tudataset(tmp_path, "toy").graphs[0].num_edges == 1
+
+    def test_whitespace_table_covers_str_split(self):
+        # Every code point str.split() splits on lies inside the loader's table.
+        spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert max(spaces) < data._CHAR_KIND.size - 1
+        kinds = data._CHAR_KIND[spaces]
+        assert set(kinds[np.array(spaces) != ord("\n")].tolist()) == {data._SPACE}
+
+
+def assert_same_dataset(got, want):
+    """Byte equality of every loaded array, with dtypes and shapes."""
+    assert (got.name, got.num_classes, got.feature_dim, len(got.graphs)) == (
+        want.name, want.num_classes, want.feature_dim, len(want.graphs))
+    for a, b in zip(got.graphs, want.graphs):
+        assert a.num_nodes == b.num_nodes
+        assert a.label == b.label and type(a.label) is type(b.label)
+        for field in ("indptr", "indices", "features"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), field
+            assert x.tobytes() == y.tobytes(), field
+
+
+SEPARATORS = [",", ", ", " ", "\t", " , ", ",,", ", \t ", "  "]
+PADDING = ["", " ", "\t", "  "]
+
+
+@st.composite
+def tu_tables(draw):
+    """Integer rows of the four TU files for a random dataset.
+
+    Graph ids interleave in the indicator; edges may repeat, loop on one
+    node or appear in one direction only; nodes may be isolated.
+    """
+    num_graphs = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=num_graphs, max_size=num_graphs))
+    indicator = draw(st.permutations([g + 1 for g, k in enumerate(sizes) for _ in range(k)]))
+    members = [[i + 1 for i, x in enumerate(indicator) if x == g + 1] for g in range(num_graphs)]
+    edges = []
+    for g, a, b, both in draw(st.lists(st.tuples(st.integers(0, num_graphs - 1),
+                                                 st.integers(0, 5), st.integers(0, 5),
+                                                 st.booleans()), max_size=20)):
+        u, v = members[g][a % len(members[g])], members[g][b % len(members[g])]
+        edges += [(u, v), (v, u)] if both else [(u, v)]
+    labels = draw(st.lists(st.integers(-2, 3), min_size=num_graphs, max_size=num_graphs))
+    node_labels = draw(st.none() | st.lists(st.integers(0, 3), min_size=len(indicator),
+                                            max_size=len(indicator)))
+    tables = {"A": [list(e) for e in draw(st.permutations(edges))],
+              "graph_indicator": [[x] for x in indicator],
+              "graph_labels": [[y] for y in labels]}
+    if node_labels is not None:
+        tables["node_labels"] = [[c] for c in node_labels]
+    return tables
+
+
+def render_lines(draw, rows, at=-1, kind=None):
+    """Rows as text lines with drawn separators, padding and blank lines.
+
+    Row ``at`` gets the corruption ``kind`` (see ``CORRUPTIONS``), if any.
+    """
+    lines = []
+    for i, row in enumerate(rows):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(PADDING)))
+        tokens = [str(x) for x in row]
+        if i == at and kind == "bad-token":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(["x", "1.5", "--1", "0x1", "1-"]))
+        elif i == at and kind == "extra-token":
+            tokens.append("3")
+        elif i == at and kind == "drop-token":
+            tokens.pop()
+        line = draw(st.sampled_from(SEPARATORS)).join(tokens)
+        line = draw(st.sampled_from(PADDING)) + line + draw(st.sampled_from(PADDING))
+        if i == at and kind == "leading-comma":
+            line = "," + line
+        elif i == at and kind == "trailing-comma":
+            line += ","
+        lines.append(line)
+    return lines
+
+
+def write_lines(directory, name, files, newline):
+    for kind, lines in files.items():
+        (directory / f"{name}_{kind}.txt").write_bytes(
+            "".join(line + newline for line in lines).encode())
+
+
+def load_both(directory, name):
+    """Outcome of the package loader and of the reference: a Dataset or an error."""
+    outcomes = []
+    for loader in (load_tudataset, reference_load_tudataset):
+        try:
+            outcomes.append(loader(directory, name))
+        except GraphDistillError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+# Corruptions of one line. Those marked True are accepted by the reference
+# (it ignores extra tokens), but break the grammar the package loader checks.
+CORRUPTIONS = {
+    "bad-token": False, "extra-token": True, "drop-token": False, "leading-comma": False,
+    "trailing-comma": False, "out-of-range": False, "cross-graph": False,
+    "drop-line": False, "new-graph-id": False,
+}
+
+
+class TestLoaderOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(tables=tu_tables(), newline=st.sampled_from(["\n", "\r\n"]), data_=st.data())
+    def test_written_by_hand_matches_reference(self, tables, newline, data_):
+        files = {kind: render_lines(data_.draw, rows) for kind, rows in tables.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            write_lines(Path(tmp), "fz", files, newline)
+            got, want = load_both(tmp, "fz")
+        assert isinstance(want, Dataset), want
+        assert_same_dataset(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_graphs=st.integers(1, 6),
+           onehot=st.booleans())
+    def test_saved_dataset_matches_reference(self, seed, num_graphs, onehot):
+        rng = np.random.default_rng(seed)
+        graphs = []
+        for _ in range(num_graphs):
+            g = random_er_graph(rng, int(rng.integers(1, 9)), p=0.3)
+            feats = (np.eye(3)[rng.integers(0, 3, size=g.num_nodes)] if onehot
+                     else np.ones((g.num_nodes, 1)))
+            graphs.append(Graph(g.num_nodes, g.indptr, g.indices, feats, g.label))
+        ds = Dataset(graphs, 2, graphs[0].features.shape[1], "saved")
+        with tempfile.TemporaryDirectory() as tmp:
+            save_tudataset(tmp, ds)
+            got, want = load_both(tmp, "saved")
+        assert_same_dataset(got, want)
+        for a, b in zip(got.graphs, ds.graphs):
+            np.testing.assert_array_equal(a.edge_pairs(), b.edge_pairs())
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables=tu_tables(), kind=st.sampled_from(sorted(CORRUPTIONS)), data_=st.data())
+    def test_corrupt_file_same_error_as_reference(self, tables, kind, data_):
+        draw = data_.draw
+        n = len(tables["graph_indicator"])
+        target = {"drop-token": "A", "out-of-range": "A", "cross-graph": "A",
+                  "new-graph-id": "graph_indicator"}.get(kind)
+        target = target or draw(st.sampled_from(sorted(tables)))
+        rows = tables[target]
+        if kind == "out-of-range":
+            rows.append([draw(st.sampled_from([0, -1, n + 1, n + 7])), 1])
+        elif kind == "cross-graph":
+            ids = [r[0] for r in tables["graph_indicator"]]
+            other = [i + 1 for i, g in enumerate(ids) if g != ids[0]]
+            if not other:
+                return
+            rows.append([1, draw(st.sampled_from(other))])
+        elif kind == "new-graph-id":
+            rows[draw(st.integers(0, n - 1))] = [max(r[0] for r in rows) + 1]
+        elif kind == "drop-line" and rows:
+            del rows[draw(st.integers(0, len(rows) - 1))]
+        if not rows:
+            return
+        at = draw(st.integers(0, len(rows) - 1))
+        files = {k: render_lines(draw, r, at if k == target else -1, kind)
+                 for k, r in tables.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            write_lines(Path(tmp), "fz", files, "\n")
+            got, want = load_both(tmp, "fz")
+        if CORRUPTIONS[kind] or (kind == "trailing-comma" and target == "A"):
+            assert isinstance(got, FormatError), got
+        elif isinstance(want, Dataset):
+            assert_same_dataset(got, want)
+        else:
+            assert type(got) is type(want), (got, want)
 
 
 class TestRoundTrip:

@@ -1,12 +1,21 @@
+import hashlib
+import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphdistill.data import Graph
 from graphdistill.errors import ContractError, FormatError
 from graphdistill.structure import (
     DENSE_LAPE_MAX_NODES,
+    ClusterAssignment,
+    StructCache,
+    WalkPool,
     build_struct_caches,
     default_num_walks,
     ga_mlp_aggregate,
@@ -118,6 +127,114 @@ class TestLouvain:
         g = build_graph(34, KARATE_EDGES)
         res = louvain_cluster(g, seed=1)
         assert sorted(set(res.cluster_of.tolist())) == list(range(res.num_clusters))
+
+
+def golden_graphs():
+    """Seeded graphs whose Louvain partitions and walk pools are pinned below."""
+    rng = np.random.default_rng(7)
+    edges = preferential_attachment_edges(2000, rng, extra_edges=400)
+    yield "pa2000", Graph.from_edges(2000, edges, np.ones((2000, 1)), 0)
+    for i, g in enumerate(two_class_structural(num_graphs=3, seed=11).graphs):
+        yield f"structural{i}", g
+    # A 5-cycle, a 4-path, a K4 and two isolated nodes.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 8),
+             (9, 10), (9, 11), (9, 12), (10, 11), (10, 12), (11, 12)]
+    yield "disconnected", Graph.from_edges(15, edges, np.ones((15, 1)), 0)
+
+
+def sha256_of(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Louvain (seed 5) and walk pools (seed 9; 12 walks of length 6, or 64 of
+# length 8 on the 2000-node graph), recorded before Louvain and the walks
+# moved from numpy scalars to Python lists. Any change to the visiting
+# order, the tie-break or the float arithmetic shows here.
+GOLDEN = {
+    "pa2000": dict(
+        num_clusters=39, modularity=0.810352931200839,
+        levels=[0.5159544384288229, 0.7019589758898082, 0.7812088578661283,
+                0.8094554820935012, 0.8103529312008391],
+        cluster_sha256="9304afc28f5b09dbc6990cd7b7718b1628d8435fc181f7efdfd62040280a8a8e",
+        walks_sha256="806fbbdc42da112c09aae205a12938df15461e2a4cf4a11ff9b396ffdce49b4c",
+    ),
+    "structural0": dict(
+        num_clusters=6, modularity=0.4263941398865785,
+        levels=[0.3604678638941399, 0.4263941398865784],
+        cluster_of=[0, 1, 2, 0, 2, 0, 0, 2, 1, 2, 2, 2, 0, 1, 1, 0, 0, 2, 1, 0, 3, 3, 3, 1,
+                    4, 4, 4, 5, 5, 5, 3, 1, 1, 5, 3, 4, 5, 5, 5, 1, 3],
+        walks=[[17, 9, 32, 10, 2, 10, 21], [31, 14, 32, 39, 40, 39, 40],
+               [29, 40, 20, 1, 29, 20, 34], [19, 16, 3, 16, 3, 0, 13],
+               [11, 10, 32, 10, 21, 35, 21], [40, 33, 40, 22, 30, 22, 40],
+               [11, 10, 11, 10, 21, 35, 28], [8, 32, 8, 32, 33, 40, 39],
+               [29, 27, 36, 27, 38, 39, 0], [24, 25, 24, 33, 34, 21, 10],
+               [32, 39, 13, 9, 2, 9, 2], [16, 19, 6, 0, 13, 1, 7]],
+    ),
+    "structural1": dict(
+        num_clusters=4, modularity=0.41396150531456477,
+        levels=[0.25251364550416544, 0.41396150531456477],
+        cluster_of=[0, 1, 2, 3, 0, 3, 2, 3, 3, 1, 0, 1, 3, 0, 2, 3, 0, 0, 3, 1, 3, 2, 1, 0,
+                    1, 1, 0, 0, 0, 3, 2, 2, 2, 0],
+        walks=[[14, 31, 30, 24, 1, 22, 11], [26, 17, 26, 23, 26, 23, 26],
+               [31, 30, 31, 30, 18, 3, 33], [14, 31, 21, 32, 6, 29, 6],
+               [5, 15, 17, 12, 29, 12, 29], [32, 6, 32, 30, 32, 6, 26],
+               [25, 16, 0, 22, 11, 25, 16], [7, 25, 7, 25, 16, 25, 16],
+               [24, 28, 24, 1, 24, 30, 18], [20, 12, 20, 21, 31, 21, 20],
+               [26, 23, 26, 6, 26, 6, 26], [4, 10, 33, 0, 16, 25, 7]],
+    ),
+    "structural2": dict(
+        num_clusters=5, modularity=0.37303087586641465,
+        levels=[0.3520268851081706, 0.3730308758664146],
+        cluster_of=[0, 1, 2, 2, 0, 0, 2, 0, 2, 0, 1, 0, 0, 2, 0, 3, 3, 2, 3, 4, 3, 4, 3, 4,
+                    1, 4, 3, 4, 4, 3, 0],
+        walks=[[13, 11, 19, 15, 12, 14, 11], [24, 23, 28, 26, 29, 26, 29],
+               [22, 29, 9, 5, 11, 13, 9], [15, 28, 15, 22, 12, 4, 20],
+               [9, 29, 16, 29, 26, 28, 26], [21, 28, 19, 20, 19, 28, 19],
+               [14, 11, 19, 28, 19, 28, 15], [27, 25, 30, 25, 27, 23, 27],
+               [2, 23, 29, 9, 12, 9, 13], [18, 20, 17, 8, 17, 25, 17],
+               [14, 4, 12, 0, 7, 9, 5], [4, 20, 15, 12, 9, 5, 10]],
+    ),
+    "disconnected": dict(
+        num_clusters=5, modularity=0.6428571428571429,
+        levels=[0.5127551020408163, 0.6428571428571428],
+        cluster_of=[0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 4],
+        walks=[[6, 7, 8, 7, 6, 5, 6], [9, 12, 11, 10, 12, 11, 12], [13],
+               [12, 11, 12, 9, 10, 12, 10], [11, 10, 12, 9, 12, 9, 10],
+               [12, 9, 12, 10, 12, 11, 9], [14], [10, 12, 9, 11, 12, 11, 9],
+               [7, 8, 7, 8, 7, 8, 7], [3, 4, 0, 4, 3, 4, 3], [10, 11, 10, 9, 12, 11, 9],
+               [8, 7, 6, 7, 8, 7, 8]],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_set():
+    return dict(golden_graphs())
+
+
+class TestGoldenPreprocess:
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_louvain_and_walks_pinned(self, golden_set, name):
+        graph, want = golden_set[name], GOLDEN[name]
+        res = louvain_cluster(graph, seed=5)
+        assert res.cluster_of.dtype == np.int64
+        assert res.num_clusters == want["num_clusters"]
+        assert res.modularity == want["modularity"]
+        assert res.level_modularity == want["levels"]
+        assert all(type(x) is float for x in res.level_modularity)
+        big = graph.num_nodes > 100
+        pool = sample_walks(graph, 64 if big else 12, 8 if big else 6, seed=9)
+        assert all(w.dtype == np.int64 for w in pool.walks)
+        if big:
+            assert sha256_of(res.cluster_of) == want["cluster_sha256"]
+            sizes = np.array([w.size for w in pool.walks])
+            assert sha256_of(sizes, *pool.walks) == want["walks_sha256"]
+        else:
+            assert res.cluster_of.tolist() == want["cluster_of"]
+            assert [w.tolist() for w in pool.walks] == want["walks"]
 
 
 class TestLaplacianPE:
@@ -329,6 +446,51 @@ class TestAggregation:
             )
 
 
+def write_small_sidecar(tmp_path, num_graphs=2):
+    ds = two_class_structural(num_graphs=num_graphs, seed=0, min_nodes=5, max_nodes=8)
+    path = tmp_path / "cache.npz"
+    save_struct_caches(path, build_struct_caches(ds, seed=1, k_pe=2, walk_length=3),
+                       ds.name, seed=1)
+    return path
+
+
+def rewrite_sidecar(path, mutate):
+    """Load every array of a sidecar, let ``mutate`` edit the dict, save it back."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    mutate(arrays)
+    np.savez_compressed(path, **arrays)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def struct_cache_lists(draw):
+    """Random cache lists: none at all, 1-node graphs with all-zero LaPE,
+    empty walk pools and empty level lists included."""
+    k_pe, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    walk_length = draw(st.integers(1, 4))
+    caches = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 5))
+        cluster_of = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)),
+                              dtype=np.int64)
+        lape = np.zeros((1, k_pe)) if n == 1 else draw(hnp.arrays(np.float64, (n, k_pe),
+                                                                  elements=finite))
+        walks = [np.array(w, dtype=np.int64) for w in draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=walk_length + 1),
+            max_size=3))]
+        caches.append(StructCache(
+            clusters=ClusterAssignment(cluster_of, int(cluster_of.max()) + 1, draw(finite),
+                                       draw(st.lists(finite, max_size=3))),
+            lape=lape,
+            agg_features=draw(hnp.arrays(np.float64, (n, width + k_pe), elements=finite)),
+            walk_pool=WalkPool(walks, walk_length, draw(st.integers(0, 2**32 - 1))),
+        ))
+    return caches
+
+
 class TestStructCachePersistence:
     def test_round_trip(self, tmp_path):
         ds = two_class_structural(num_graphs=6, seed=0, min_nodes=5, max_nodes=14)
@@ -337,7 +499,7 @@ class TestStructCachePersistence:
         save_struct_caches(path, caches, ds.name, seed=42)
         back, meta = load_struct_caches(path)
         assert meta["seed"] == 42
-        assert meta["format"] == "structcache/1"
+        assert meta["format"] == "structcache/2"
         assert len(back) == len(caches)
         for a, b in zip(caches, back):
             np.testing.assert_array_equal(a.clusters.cluster_of, b.clusters.cluster_of)
@@ -377,16 +539,94 @@ class TestStructCachePersistence:
             with pytest.raises(FormatError, match=re.escape(str(path))):
                 load_struct_caches(path)
 
-    def test_missing_graph_arrays_rejected(self, tmp_path):
-        ds = two_class_structural(num_graphs=2, seed=0, min_nodes=5, max_nodes=8)
-        path = tmp_path / "cache.npz"
-        save_struct_caches(path, build_struct_caches(ds, seed=1, k_pe=2, walk_length=3),
-                           ds.name, seed=1)
-        with np.load(path) as data:
-            kept = {k: data[k] for k in data.files if k != "g1.cluster"}
-        np.savez(path, **kept)
-        with pytest.raises(FormatError, match=re.escape(str(path)) + ".*g1.cluster"):
+    @pytest.mark.parametrize("field", ["cluster", "walk_off"])
+    def test_missing_field_rejected(self, tmp_path, field):
+        path = write_small_sidecar(tmp_path)
+        rewrite_sidecar(path, lambda arrays: arrays.pop(field))
+        with pytest.raises(FormatError, match=re.escape(str(path)) + f".*'{field}'"):
             load_struct_caches(path)
+
+    def test_v1_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "cache.npz"
+        meta = {"format": "structcache/1", "dataset": "d", "seed": 1, "num_graphs": 1,
+                "walk_length": 3}
+        np.savez_compressed(path, meta=np.str_(json.dumps(meta)), **{
+            "g0.cluster": np.zeros(2, dtype=np.int64), "g0.walks": np.zeros(0, dtype=np.int64)})
+        with pytest.raises(FormatError, match=re.escape(str(path)) + ".*structcache/1.*"
+                           "re-run `graphdistill preprocess`"):
+            load_struct_caches(path)
+
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda a: a.update(node_off=a["node_off"][[0, 2, 1, 3]]), "node_off"),
+        (lambda a: a.update(node_off=a["node_off"] + 1), "node_off"),
+        (lambda a: a.update(node_off=a["node_off"][:-1]), "node_off"),
+        (lambda a: a.update(cluster=a["cluster"][:-1]), "node_off"),
+        (lambda a: a.update(lape=a["lape"][:-1]), "lape"),
+        (lambda a: a.update(agg=np.concatenate([a["agg"], a["agg"][:1]])), "agg"),
+        (lambda a: a.update(levels=a["levels"][1:]), "level_off"),
+        (lambda a: a.update(level_off=a["level_off"][::-1]), "level_off"),
+        (lambda a: a.update(pool_off=a["pool_off"] * 2), "pool_off"),
+        (lambda a: a.update(walks=a["walks"][:-1]), "walk_off"),
+        (lambda a: a.update(walk_off=np.zeros(0, dtype=np.int64)), "walk_off"),
+        (lambda a: a.update(modularity=a["modularity"][:2]), "modularity"),
+        (lambda a: a.update(wseed=a["wseed"].astype(np.float64)), "wseed"),
+        (lambda a: a.update(cluster=a["cluster"].astype(np.int32)), "cluster"),
+        (lambda a: a.update(lape=a["lape"].ravel()), "lape"),
+    ], ids=["node_off-not-monotone", "node_off-not-from-0", "node_off-short",
+            "cluster-short", "lape-rows", "agg-rows", "levels-short", "level_off-reversed",
+            "pool_off-past-end", "walks-short", "walk_off-empty", "modularity-short",
+            "wseed-dtype", "cluster-dtype", "lape-1d"])
+    def test_inconsistent_layout_rejected(self, tmp_path, mutate, field):
+        path = write_small_sidecar(tmp_path, num_graphs=3)
+        rewrite_sidecar(path, mutate)
+        with pytest.raises(FormatError, match=re.escape(str(path)) + f".*'{field}'"):
+            load_struct_caches(path)
+
+    def test_bad_meta_rejected(self, tmp_path):
+        path = write_small_sidecar(tmp_path)
+        for bad in ({"num_graphs": -1}, {"num_graphs": "2"}, {"walk_length": None}):
+            def mutate(arrays, bad=bad):
+                meta = json.loads(str(arrays["meta"]))
+                meta.update(bad)
+                arrays["meta"] = np.str_(json.dumps(meta))
+            rewrite_sidecar(path, mutate)
+            with pytest.raises(FormatError, match=re.escape(str(path))):
+                load_struct_caches(path)
+            write_small_sidecar(tmp_path)
+
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        caches, _ = load_struct_caches(write_small_sidecar(tmp_path))
+        for c in caches:
+            for arr in (c.clusters.cluster_of, c.lape, c.agg_features, *c.walk_pool.walks):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(caches=struct_cache_lists())
+    def test_round_trip_property(self, caches):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.npz"
+            save_struct_caches(path, caches, "prop", seed=3)
+            back, meta = load_struct_caches(path)
+        assert meta["num_graphs"] == len(back) == len(caches)
+        for a, b in zip(caches, back):
+            for x, y in ((a.clusters.cluster_of, b.clusters.cluster_of), (a.lape, b.lape),
+                         (a.agg_features, b.agg_features)):
+                assert (x.dtype, x.shape) == (y.dtype, y.shape)
+                assert x.tobytes() == y.tobytes()
+                assert not y.flags.writeable
+            assert b.clusters.num_clusters == a.clusters.num_clusters
+            assert b.clusters.modularity == a.clusters.modularity
+            assert type(b.clusters.modularity) is float
+            assert b.clusters.level_modularity == a.clusters.level_modularity
+            assert all(type(x) is float for x in b.clusters.level_modularity)
+            assert (b.walk_pool.walk_length, b.walk_pool.seed) == (
+                a.walk_pool.walk_length, a.walk_pool.seed)
+            assert type(b.walk_pool.seed) is int
+            assert len(b.walk_pool.walks) == len(a.walk_pool.walks)
+            for x, y in zip(a.walk_pool.walks, b.walk_pool.walks):
+                assert y.dtype == np.int64 and x.tolist() == y.tolist()
+                assert not y.flags.writeable
 
     def test_preprocessing_deterministic_per_graph(self):
         ds = two_class_structural(num_graphs=4, seed=1, min_nodes=6, max_nodes=10)

@@ -4,11 +4,15 @@ The operator set is exactly what the models and losses need. Tensors are
 0-, 1- or 2-dimensional; broadcasting is limited to python scalars and a
 row-vector bias in ``add``. Gradients accumulate additively into parents
 when ``backward`` walks the (implicit) tape in reverse topological order.
+
+Segment sums and the adjoint of ``gather_rows`` are one kernel,
+``scatter_rows``: a product with a 0/1 CSR operator.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ContractError, NumericError, ShapeError
 
@@ -40,11 +44,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, op={self._op})"
-
-    def item(self) -> float:
-        if self.values.size != 1:
-            raise ContractError(f"item() on tensor of shape {self.values.shape}")
-        return float(self.values.reshape(()))
 
     def backward(self):
         backward(self)
@@ -236,16 +235,13 @@ def concat(parts: list[Tensor], dim: int = 0) -> Tensor:
 
 
 def scatter_rows(num_rows: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Sum ``rows`` into ``num_rows`` output rows grouped by ``idx``."""
-    out = np.zeros((num_rows,) + rows.shape[1:])
-    if idx.size == 0:
-        return out
-    if np.all(idx[:-1] <= idx[1:]):  # sorted: reduceat is much faster than add.at
-        starts = np.flatnonzero(np.diff(idx, prepend=idx[0] - 1))
-        out[idx[starts]] = np.add.reduceat(rows, starts, axis=0)
-    else:
-        np.add.at(out, idx, rows)
-    return out
+    """Sum ``rows`` into ``num_rows`` output rows grouped by ``idx``, as the
+    product with a 0/1 CSR operator: each segment adds its rows in input order."""
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=num_rows), out=indptr[1:])
+    order = np.argsort(idx, kind="stable")
+    op = sp.csr_array((np.ones(idx.size), order, indptr), shape=(num_rows, idx.size))
+    return op @ rows
 
 
 def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:

@@ -38,7 +38,6 @@ from .losses import DistillWeights
 from .models import GcnConfig, GinConfig, StudentConfig, init_linear_params, params_to_arrays
 from .runio import (
     collect_metrics,
-    config_from_dict,
     fold_results_rows,
     format_summary_table,
     load_student_checkpoint,
@@ -52,7 +51,8 @@ from .runio import (
     write_manifest,
     write_metrics_csv,
 )
-from .structure import build_struct_caches, load_struct_caches, save_struct_caches
+from .structure import (build_struct_caches, ga_mlp_aggregate, load_struct_caches,
+                        save_struct_caches)
 from .synth import sparse_social_dataset
 from .training import (
     RunConfig,
@@ -103,7 +103,8 @@ def load_prepared_dataset(data_dir, name: str):
 
 
 def _load_caches(dataset_dir: Path, dataset):
-    """The dataset's struct caches; a sidecar built for other graphs is a ``FormatError``."""
+    """The dataset's struct caches; a sidecar built for other graphs (node counts, or
+    edges and features, through the recomputed aggregated block) is a ``FormatError``."""
     sidecar = _sidecar_path(dataset_dir, dataset.name)
     if not sidecar.is_file():
         raise ArtifactMissingError(sidecar)
@@ -116,6 +117,12 @@ def _load_caches(dataset_dir: Path, dataset):
             raise FormatError(f"{sidecar}: graph {i} has {cache.clusters.cluster_of.size} "
                               f"nodes, dataset {dataset.name} has {graph.num_nodes}; "
                               f"re-run `graphdistill preprocess`")
+        agg = ga_mlp_aggregate(graph, np.concatenate([graph.features, cache.lape], axis=1))
+        if (agg.shape != cache.agg_features.shape
+                or np.abs(agg - cache.agg_features).max(initial=0.0)
+                > 1e-9 * max(1.0, np.abs(agg).max(initial=0.0))):
+            raise FormatError(f"{sidecar}: graph {i} was built from other edges or features "
+                              f"than dataset {dataset.name}; re-run `graphdistill preprocess`")
     return caches, meta
 
 
@@ -177,17 +184,23 @@ def cmd_train_teacher(args) -> int:
     return 0
 
 
-def _rebuild_from_teacher_run(args):
-    manifest = read_manifest(args.teacher_run)
+def _teacher_run_folds(args):
+    """Dataset name, dataset, its directory and the folds of ``args.teacher_run``."""
+    manifest = read_manifest(args.teacher_run, {"dataset": str, "folds": int, "fold_seed": int})
     name = manifest["dataset"]
     dataset, dataset_dir = load_prepared_dataset(args.data_dir, name)
     folds = stratified_kfold(dataset, manifest["folds"], manifest["fold_seed"])
+    return name, dataset, dataset_dir, folds
+
+
+def _rebuild_from_teacher_run(args):
+    name, dataset, dataset_dir, folds = _teacher_run_folds(args)
     caches, _ = _load_caches(dataset_dir, dataset)
     checkpoints = {f.fold_index: load_teacher_checkpoint(args.teacher_run, f.fold_index)
                    for f in folds}
     teacher_caches = {fi: cache_teacher(ckpt, dataset, caches)
                       for fi, ckpt in checkpoints.items()}
-    return manifest, name, dataset, folds, caches, checkpoints, teacher_caches
+    return name, dataset, folds, caches, teacher_caches
 
 
 def _student_config(args) -> StudentConfig:
@@ -212,7 +225,7 @@ def _run_config(args, weights: DistillWeights) -> RunConfig:
 
 
 def cmd_distill(args) -> int:
-    _, name, dataset, folds, caches, _, teacher_caches = _rebuild_from_teacher_run(args)
+    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
     weights = DistillWeights(lam=args.lam, mu=args.mu, eta=args.eta, soft=args.soft)
     scfg = _student_config(args)
     run = _run_config(args, weights)
@@ -237,10 +250,7 @@ def cmd_distill(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    manifest = read_manifest(args.teacher_run)
-    name = manifest["dataset"]
-    dataset, dataset_dir = load_prepared_dataset(args.data_dir, name)
-    folds = stratified_kfold(dataset, manifest["folds"], manifest["fold_seed"])
+    name, dataset, _, folds = _teacher_run_folds(args)
     rows = []
     for fold in folds:
         if args.fold is not None and fold.fold_index != args.fold:
@@ -258,7 +268,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    _, name, dataset, folds, caches, _, teacher_caches = _rebuild_from_teacher_run(args)
+    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
     weights = DistillWeights(lam=args.lam, mu=args.mu, eta=args.eta, soft=args.soft)
     scfg = _student_config(args)
     run = _run_config(args, weights)
@@ -283,7 +293,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    _, name, dataset, folds, caches, _, teacher_caches = _rebuild_from_teacher_run(args)
+    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
     scfg = _student_config(args)
     run = _run_config(args, DistillWeights())
     grid = weight_grid(_floats(args.lambdas), _floats(args.mus), _floats(args.etas))
@@ -309,10 +319,7 @@ def cmd_grid(args) -> int:
 def cmd_dynamic_bench(args) -> int:
     if args.synthetic:
         return _dynamic_synthetic(args)
-    manifest = read_manifest(args.teacher_run)
-    name = manifest["dataset"]
-    dataset, dataset_dir = load_prepared_dataset(args.data_dir, name)
-    folds = stratified_kfold(dataset, manifest["folds"], manifest["fold_seed"])
+    name, dataset, dataset_dir, folds = _teacher_run_folds(args)
     caches, _ = _load_caches(dataset_dir, dataset)
     fold = folds[args.fold]
     t_ckpt = load_teacher_checkpoint(args.teacher_run, fold.fold_index)

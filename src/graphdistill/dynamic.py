@@ -290,8 +290,7 @@ class PerturbationMetrics:
 
 
 def perturb_and_score(graph: Graph, cache: StructCache, student: StudentModel,
-                      teacher: TeacherModel, trace: PerturbationTrace,
-                      verify: bool = False, verify_tol: float = 1e-6) -> PerturbationMetrics:
+                      teacher: TeacherModel, trace: PerturbationTrace) -> PerturbationMetrics:
     """Remove the trace's nodes, insert them back one at a time, score each k.
 
     The error reference is each engine's own prediction on the unperturbed
@@ -320,13 +319,6 @@ def perturb_and_score(graph: Graph, cache: StructCache, student: StudentModel,
                 node = int(removed[k - 1])
                 present_nbrs = [v for v in graph.neighbors(node) if state.present[v]]
                 s_logits = incremental_insert(state, node, present_nbrs)
-            if verify:
-                reference = full_student_logits(state)
-                if np.max(np.abs(s_logits - reference)) > verify_tol:
-                    raise ContractError(
-                        f"incremental/full mismatch at step {k}: "
-                        f"{np.max(np.abs(s_logits - reference)):.3g}"
-                    )
             t_logits = full_teacher_logits(state, teacher)
             se, sh = _score(s_logits, orig_student, num_classes)
             te, th = _score(t_logits, orig_teacher, num_classes)
@@ -363,9 +355,6 @@ class LatencyReport:
                 "steps": int(arr.size),
             }
         return out
-
-
-ENGINES = ("incremental_student", "full_student", "full_teacher")
 
 
 def time_inference(graphs: list[Graph], caches: list[StructCache], student: StudentModel,

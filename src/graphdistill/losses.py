@@ -6,7 +6,9 @@ removing a term never changes the value of the others; a one-graph batch
 gives the per-graph value.
 
 Teacher-side quantities enter every loss as plain numpy arrays, so no
-gradient ever flows into the teacher.
+gradient ever flows into the teacher. Each teacher target is computed by
+the same autodiff ops and helpers as the student side, on constants, so a
+student equal to its teacher scores exactly 0 on every term.
 """
 
 from __future__ import annotations
@@ -41,25 +43,17 @@ class DistillWeights:
                 raise ConfigError(f"weight {name} must be >= 0")
 
 
-def _unit_rows(m: np.ndarray) -> np.ndarray:
-    norm = np.sqrt((m * m).sum(axis=-1, keepdims=True))
-    return m / np.maximum(norm, NORM_EPS)
-
-
-def _log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 def kernel_matrix(cluster_reps: Tensor) -> Tensor:
     """Pairwise cosine similarities between cluster representations."""
     normed = ad.l2_normalize(cluster_reps, dim=-1, eps=NORM_EPS)
     return ad.matmul(normed, ad.transpose(normed))
 
 
-def kernel_matrix_np(cluster_reps: np.ndarray) -> np.ndarray:
-    normed = _unit_rows(np.asarray(cluster_reps, dtype=np.float64))
-    return normed @ normed.T
+def _weighted_kl(logp_t: np.ndarray, logq: Tensor, row_weights: np.ndarray) -> Tensor:
+    """sum_i row_weights[i] * KL(p_t[i] || q[i]) from row log-probabilities."""
+    terms = ad.mul(ad.sub(ad.constant(logp_t), logq), ad.constant(np.exp(logp_t)))
+    per_row = ad.matmul(terms, ad.constant(np.ones((logp_t.shape[1], 1))))
+    return ad.tensor_sum(ad.mul(per_row, ad.constant(row_weights[:, None])))
 
 
 def total_loss(parts: dict[str, Tensor], weights: DistillWeights) -> Tensor:
@@ -86,33 +80,21 @@ def batch_ground_truth(logits: Tensor, labels: np.ndarray) -> Tensor:
 def batch_soft_logits(student_logits: Tensor, teacher_logits: np.ndarray,
                       temperature: float = 1.0) -> Tensor:
     """KL(teacher softmax || student softmax); scaled by T^2 when T != 1."""
-    logp_t = _log_softmax_np(np.asarray(teacher_logits) / temperature, axis=1)
-    p_t = np.exp(logp_t)
-    n = p_t.shape[0]
-    logq = ad.log_softmax(ad.mul(student_logits, 1.0 / temperature), dim=1)
-    cross = ad.mul(ad.tensor_sum(ad.mul(logq, ad.constant(p_t))), -1.0 / n)
-    kl = ad.add(cross, float((p_t * logp_t).sum() / n))
+    def log_probs(logits: Tensor) -> Tensor:
+        return ad.log_softmax(ad.mul(logits, 1.0 / temperature), dim=1)
+
+    logp_t = log_probs(ad.constant(teacher_logits)).values
+    n = logp_t.shape[0]
+    kl = _weighted_kl(logp_t, log_probs(student_logits), np.full(n, 1.0 / n))
     return kl if temperature == 1.0 else ad.mul(kl, temperature * temperature)
 
 
 def batch_whole_graph(h_student: Tensor, h_teacher: np.ndarray) -> Tensor:
     """Squared L2 distance between unit-normalized graph embeddings."""
-    target = _unit_rows(np.asarray(h_teacher, dtype=np.float64))
-    normed = ad.l2_normalize(h_student, dim=-1, eps=NORM_EPS)
+    target = ad.l2_normalize(ad.constant(h_teacher), eps=NORM_EPS).values
+    normed = ad.l2_normalize(h_student, eps=NORM_EPS)
     sq = ad.frobenius_sq(ad.sub(normed, ad.constant(target)))
     return ad.mul(sq, 1.0 / target.shape[0])
-
-
-def block_kernel_target(teacher_clusters: np.ndarray,
-                        cluster_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block-diagonal teacher kernel and its 0/1 mask for a batch."""
-    c = teacher_clusters.shape[0]
-    mask = np.zeros((c, c))
-    target = np.zeros((c, c))
-    for lo, hi in zip(cluster_offsets[:-1], cluster_offsets[1:]):
-        mask[lo:hi, lo:hi] = 1.0
-        target[lo:hi, lo:hi] = kernel_matrix_np(teacher_clusters[lo:hi])
-    return target, mask
 
 
 def batch_inter_cluster(student_clusters: Tensor, teacher_clusters: np.ndarray,
@@ -124,10 +106,23 @@ def batch_inter_cluster(student_clusters: Tensor, teacher_clusters: np.ndarray,
             f"cluster embedding shapes differ: student {student_clusters.shape}, "
             f"teacher {teacher_clusters.shape}"
         )
-    target, mask = block_kernel_target(teacher_clusters, cluster_offsets)
-    kernel = kernel_matrix(student_clusters)
-    diff = ad.mul(ad.sub(kernel, ad.constant(target)), ad.constant(mask))
+    graph_of = np.repeat(np.arange(num_graphs), np.diff(cluster_offsets))
+    mask = (graph_of[:, None] == graph_of[None, :]).astype(np.float64)
+    target = kernel_matrix(ad.constant(teacher_clusters)).values
+    diff = ad.mul(ad.sub(kernel_matrix(student_clusters), ad.constant(target)), ad.constant(mask))
     return ad.mul(ad.frobenius_sq(diff), 1.0 / num_graphs)
+
+
+def _walk_log_probs(H: Tensor, walk_matrix: np.ndarray, start: int) -> Tensor:
+    """Row-wise log-softmax over walk positions ``start..`` of the scores
+    <H[walk[t]], H[walk[0]]>."""
+    anchors = ad.gather_rows(H, walk_matrix[:, 0])
+    ones = ad.constant(np.ones((H.shape[1], 1)))
+    cols = [
+        ad.matmul(ad.mul(ad.gather_rows(H, walk_matrix[:, t]), anchors), ones)
+        for t in range(start, walk_matrix.shape[1])
+    ]
+    return ad.log_softmax(ad.concat(cols, dim=1), dim=1)
 
 
 def batch_path_consistency(H_student: Tensor, H_teacher: np.ndarray,
@@ -141,23 +136,5 @@ def batch_path_consistency(H_student: Tensor, H_teacher: np.ndarray,
     if walk_matrix.size == 0:
         return ad.constant(np.asarray(0.0))
     start = 0 if include_start else 1
-    positions = range(start, walk_matrix.shape[1])
-    anchors = ad.gather_rows(H_student, walk_matrix[:, 0])
-    width = H_student.shape[1]
-    ones = ad.constant(np.ones((width, 1)))
-    cols = [
-        ad.matmul(ad.mul(ad.gather_rows(H_student, walk_matrix[:, t]), anchors), ones)
-        for t in positions
-    ]
-    logq = ad.log_softmax(ad.concat(cols, dim=1), dim=1)
-
-    anchor_t = H_teacher[walk_matrix[:, 0]]
-    scores_t = np.stack(
-        [(H_teacher[walk_matrix[:, t]] * anchor_t).sum(axis=1) for t in positions], axis=1
-    )
-    logp_t = _log_softmax_np(scores_t, axis=1)
-    p_t = np.exp(logp_t)
-
-    kl_terms = ad.mul(ad.sub(ad.constant(logp_t), logq), ad.constant(p_t))
-    per_walk = ad.matmul(kl_terms, ad.constant(np.ones((len(cols), 1))))
-    return ad.tensor_sum(ad.mul(per_walk, ad.constant(walk_weights[:, None])))
+    logp_t = _walk_log_probs(ad.constant(H_teacher), walk_matrix, start).values
+    return _weighted_kl(logp_t, _walk_log_probs(H_student, walk_matrix, start), walk_weights)

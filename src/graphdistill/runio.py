@@ -48,19 +48,31 @@ def write_manifest(run_dir, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_json(path):
+def _read_object(path, fields: dict) -> dict:
+    """A JSON object holding every key of ``fields`` with a value of its
+    type; anything else is a ``FormatError`` naming the file."""
     path = Path(path)
     if not path.is_file():
         raise ArtifactMissingError(path)
     with path.open() as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    for key, kind in fields.items():
+        if key not in data:
+            raise FormatError(f"{path}: missing key {key!r}")
+        if not isinstance(data[key], kind):
+            raise FormatError(f"{path}: {key!r} has type {type(data[key]).__name__}")
+    return data
 
 
-def read_manifest(run_dir) -> dict:
-    return _read_json(Path(run_dir) / "manifest.json")
+def read_manifest(run_dir, fields: dict) -> dict:
+    """``manifest.json`` of ``run_dir``; ``fields`` maps each key the caller
+    reads to its type."""
+    return _read_object(Path(run_dir) / "manifest.json", fields)
 
 
 def write_metrics_csv(path, rows: list[tuple]) -> None:
@@ -80,9 +92,13 @@ def read_metrics_csv(path) -> list[tuple]:
         header = fh.readline().strip()
         if header != METRICS_HEADER:
             raise FormatError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            dataset, method, fold, seed, acc = line.strip().split(",")
-            rows.append((dataset, method, int(fold), int(seed), float(acc)))
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                dataset, method, fold, seed, acc = line.strip().split(",")
+                rows.append((dataset, method, int(fold), int(seed), float(acc)))
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: expected {METRICS_HEADER}, "
+                                  f"got {line.strip()!r}") from exc
     return rows
 
 
@@ -117,14 +133,27 @@ def _config_to_dict(config) -> dict:
     return d
 
 
-def config_from_dict(d: dict):
+CONFIG_CLASSES = {"gin": GinConfig, "gcn": GcnConfig, "mlp": StudentConfig,
+                  "ga-mlp": StudentConfig}
+
+
+def config_from_dict(d: dict, source):
+    """Model config saved by ``_config_to_dict``; errors name ``source``."""
     d = dict(d)
-    kind = d.pop("kind")
-    if kind == "gin":
-        return GinConfig(**d)
-    if kind == "gcn":
-        return GcnConfig(**d)
-    return StudentConfig(kind=kind, **d)
+    kind = d.pop("kind", None)
+    if not isinstance(kind, str) or kind not in CONFIG_CLASSES:
+        raise FormatError(f"{source}: unknown model kind {kind!r}")
+    cls = CONFIG_CLASSES[kind]
+    types = {f.name: type(f.default) for f in dataclasses.fields(cls) if f.init}
+    for key, value in d.items():
+        if key not in types:
+            raise FormatError(f"{source}: unknown {kind} config key {key!r}")
+        kinds = (int, float) if types[key] is float else types[key]
+        if not isinstance(value, kinds):
+            raise FormatError(f"{source}: config key {key!r} has type {type(value).__name__}")
+    if cls is StudentConfig:
+        d["kind"] = kind
+    return cls(**d)
 
 
 def save_teacher_checkpoint(run_dir, ckpt: TeacherCheckpoint) -> None:
@@ -144,11 +173,14 @@ def save_teacher_checkpoint(run_dir, ckpt: TeacherCheckpoint) -> None:
 
 def load_teacher_checkpoint(run_dir, fold_index: int) -> TeacherCheckpoint:
     stem = Path(run_dir) / f"teacher_fold{fold_index}"
-    meta = _read_json(stem.with_suffix(".json"))
+    path = stem.with_suffix(".json")
+    meta = _read_object(path, {"fold_index": int, "config": dict,
+                               "best_test_accuracy": (int, float), "epoch_of_best": int,
+                               "train_accuracy": (int, float)})
     params = load_checkpoint(stem.with_suffix(".ckpt"))
     return TeacherCheckpoint(
         fold_index=meta["fold_index"],
-        config=config_from_dict(meta["config"]),
+        config=config_from_dict(meta["config"], path),
         params=params,
         best_test_accuracy=meta["best_test_accuracy"],
         epoch_of_best=meta["epoch_of_best"],
@@ -168,8 +200,9 @@ def save_student_checkpoint(run_dir, config: StudentConfig, params: dict,
 
 def load_student_checkpoint(run_dir, fold_index: int, seed: int):
     stem = Path(run_dir) / f"student_fold{fold_index}_seed{seed}"
-    meta = _read_json(stem.with_suffix(".json"))
-    return config_from_dict(meta["config"]), load_checkpoint(stem.with_suffix(".ckpt"))
+    path = stem.with_suffix(".json")
+    config = config_from_dict(_read_object(path, {"config": dict})["config"], path)
+    return config, load_checkpoint(stem.with_suffix(".ckpt"))
 
 
 def collect_metrics(paths) -> list[tuple]:

@@ -55,12 +55,8 @@ class RunConfig:
     lr_patience: int = 30
     seed: int = 0
     student_seeds: tuple = (0, 1, 2)
-    walk_length: int = 8
-    num_walks: int | None = None
     walks_per_epoch: int | None = None
-    k_pe: int = 8
     temperature: float = 1.0
-    include_walk_start: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -159,8 +155,7 @@ def _fit_teacher(dataset: Dataset, fold: FoldSplit, config, run: RunConfig,
     sched = PlateauScheduler(opt, run.lr_decay, run.lr_patience)
 
     test_batch = make_batch([dataset.graphs[i] for i in fold.test_ids])
-    train_batch = make_batch([dataset.graphs[i] for i in fold.train_ids])
-    best_acc, best_epoch, best_params, best_train = -1.0, -1, None, 0.0
+    best_acc, best_epoch, best_params = -1.0, -1, None
     dropout_rng = rng_dropout if config.dropout > 0 else None
 
     for epoch in range(run.epochs):
@@ -179,15 +174,15 @@ def _fit_teacher(dataset: Dataset, fold: FoldSplit, config, run: RunConfig,
             best_acc = test_acc
             best_epoch = epoch
             best_params = params_to_arrays(params)
-            best_train = _accuracy(INFER[kind], train_batch, config, params_view)
         sched.step(test_acc)
+    train_batch = make_batch([dataset.graphs[i] for i in fold.train_ids])
     return TeacherCheckpoint(
         fold_index=fold.fold_index,
         config=config,
         params=best_params,
         best_test_accuracy=best_acc,
         epoch_of_best=best_epoch,
-        train_accuracy=best_train,
+        train_accuracy=_accuracy(INFER[kind], train_batch, config, best_params),
     )
 
 
@@ -299,8 +294,7 @@ def _student_loss_parts(out, ids, batch, tcache: TeacherCache, walk_rows, walk_w
     if weights.eta > 0 and walk_rows.size:
         teacher_nodes = np.concatenate([tcache.node_embeddings[i] for i in ids])
         parts["path"] = batch_path_consistency(
-            out.node_embeddings, teacher_nodes, walk_rows, walk_weights,
-            run.include_walk_start,
+            out.node_embeddings, teacher_nodes, walk_rows, walk_weights
         )
     return parts
 
@@ -364,7 +358,7 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
                     if mat.shape[0]:
                         rows.append(mat + batch.node_offsets[j])
                         wts.append(np.full(mat.shape[0], 1.0 / (taken * len(chunk))))
-                walk_rows = np.concatenate(rows) if rows else np.zeros((0, run.walk_length + 1), dtype=np.int64)
+                walk_rows = np.concatenate(rows) if rows else np.zeros((0, 0), dtype=np.int64)
                 walk_weights = np.concatenate(wts) if wts else np.zeros(0)
             else:
                 walk_rows, walk_weights = np.zeros((0, 0), dtype=np.int64), np.zeros(0)

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphdistill import autodiff as ad
 from graphdistill.autodiff import Adam, Tensor
@@ -221,6 +223,57 @@ class TestAdam:
         assert a.tobytes() == b.tobytes()
 
 
+def scatter_loop(num_rows, idx, rows):
+    """Reference segment sum: ``out[idx[i]] += rows[i]`` in row order."""
+    out = np.zeros((num_rows,) + rows.shape[1:])
+    for i, r in enumerate(idx):
+        out[r] += rows[i]
+    return out
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize("ids,num_rows", [
+        ([0, 0, 1, 1, 1, 3], 4),  # sorted, segment 2 empty
+        ([2, 0, 2, 1, 0, 2], 3),  # unsorted, repeated
+        ([4, 4, 4, 4, 4], 6),     # one segment, the others empty
+        ([0], 1),
+        ([], 3),                  # empty input
+        ([], 0),
+    ])
+    def test_bit_equal_to_in_order_loop(self, ids, num_rows):
+        rng = np.random.default_rng(len(ids))
+        idx = np.asarray(ids, dtype=np.int64)
+        # magnitudes from 1e-8 to 1e8, so any other summation order shows
+        rows = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 9, size=(idx.size, 1))
+        got = ad.scatter_rows(num_rows, idx, rows)
+        assert got.shape == (num_rows, 3) and got.dtype == np.float64
+        assert got.tobytes() == scatter_loop(num_rows, idx, rows).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_ids_bit_equal_to_in_order_loop(self, data):
+        num_rows = data.draw(st.integers(1, 7))
+        ids = data.draw(st.lists(st.integers(0, num_rows - 1), max_size=40))
+        if data.draw(st.booleans()):
+            ids.sort()
+        idx = np.asarray(ids, dtype=np.int64)
+        rows = data.draw(hnp.arrays(np.float64, (idx.size, 2),
+                                    elements=st.floats(-1e12, 1e12, allow_subnormal=False)))
+        got = ad.scatter_rows(num_rows, idx, rows)
+        assert got.tobytes() == scatter_loop(num_rows, idx, rows).tobytes()
+
+    def test_segment_sum_and_gather_adjoint_use_it(self):
+        rng = np.random.default_rng(3)
+        idx = np.array([2, 0, 2, 1, 2, 0])
+        a = ad.parameter(rng.normal(size=(6, 4)))
+        np.testing.assert_array_equal(ad.segment_sum(a, idx, 4).values,
+                                      scatter_loop(4, idx, a.values))
+        h = ad.parameter(rng.normal(size=(3, 4)))
+        g = rng.normal(size=(6, 4))
+        ad.backward(ad.tensor_sum(ad.mul(ad.gather_rows(h, idx[idx < 3]), ad.constant(g))))
+        np.testing.assert_array_equal(h.grad, scatter_loop(3, idx[idx < 3], g))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -279,6 +332,38 @@ class TestCheckpoint:
         path.write_bytes(raw + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(path)
+
+
+@st.composite
+def param_dicts(draw):
+    names = draw(st.lists(st.text(min_size=0, max_size=6), max_size=6, unique=True))
+    shapes = st.lists(st.integers(0, 2), max_size=3).map(tuple)  # () is 0-d
+    return {name: draw(hnp.arrays(np.float64, draw(shapes))) for name in names}
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(params=param_dicts())
+    def test_round_trip_and_every_cut_rejected(self, params, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(path, params)
+        back = load_checkpoint(path)
+        assert list(back) == list(params)
+        for name, arr in params.items():
+            assert back[name].shape == arr.shape and back[name].tobytes() == arr.tobytes()
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+
+    def test_non_ascii_and_many_names(self, tmp_path):
+        params = {f"層{i}.wé": np.full((i % 3, 2), float(i)) for i in range(300)}
+        params["0-d"] = np.asarray(-0.0)
+        save_checkpoint(tmp_path / "m.ckpt", params)
+        back = load_checkpoint(tmp_path / "m.ckpt")
+        assert list(back) == list(params)
+        assert all(back[k].tobytes() == v.tobytes() for k, v in params.items())
 
 
 class TestTensorBasics:

@@ -1,14 +1,22 @@
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 from graphdistill.cli import _load_caches, main
-from graphdistill.data import Graph, save_tudataset
+from graphdistill.data import Dataset, Graph, save_tudataset
 from graphdistill.errors import FormatError
+from graphdistill.models import StudentConfig
 from graphdistill.structure import build_struct_caches, save_struct_caches
-from graphdistill.runio import read_metrics_csv
+from graphdistill.runio import (
+    load_student_checkpoint,
+    load_teacher_checkpoint,
+    read_manifest,
+    read_metrics_csv,
+    save_student_checkpoint,
+)
 from graphdistill.synth import two_class_structural
 
 
@@ -209,3 +217,132 @@ class TestLoadCaches:
         with pytest.raises(FormatError, match=re.escape(str(tmp_path / "T.structcache.npz"))
                            + f": graph 1 has {g.num_nodes} nodes"):
             _load_caches(tmp_path, ds)
+
+
+class TestLoadCachesEdges:
+    def test_sidecar_of_other_edges_rejected(self, tmp_path):
+        feats = np.ones((6, 1))
+        built = Dataset([Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)], feats, 0)], 1, 1, "T")
+        save_struct_caches(tmp_path / "T.structcache.npz",
+                           build_struct_caches(built, seed=0, k_pe=2, walk_length=2), "T", 0)
+        _load_caches(tmp_path, built)
+        other = Dataset([Graph.from_edges(6, [(0, 2), (1, 3), (2, 4), (3, 5)], feats, 0)],
+                        1, 1, "T")
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "T.structcache.npz"))
+                           + ": graph 0 was built from other edges"):
+            _load_caches(tmp_path, other)
+
+    def test_sidecar_of_other_edges_exits_1(self, tmp_path, caplog):
+        data = tmp_path / "data"
+        base = ["--data-dir", str(data), "--out-dir", str(tmp_path / "runs")]
+        ds = two_class_structural(num_graphs=8, seed=0, min_nodes=6, max_nodes=9, name="TINY")
+        save_tudataset(data / "TINY", ds)
+        assert main(["preprocess", "--dataset", "TINY", "--k-pe", "2", *base]) == 0
+        # same node counts, every graph rewired as a path
+        paths = [Graph.from_edges(g.num_nodes, [(u, u + 1) for u in range(g.num_nodes - 1)],
+                                  g.features, g.label) for g in ds.graphs]
+        save_tudataset(data / "TINY", Dataset(paths, ds.num_classes, ds.feature_dim, "TINY"))
+        assert main(["train-teacher", "--dataset", "TINY", "--layers", "1",
+                     "--hidden", "4", "--folds", "2", "--epochs", "2", "--lr-patience", "1",
+                     *base]) == 0
+        teacher_run = [p for p in run_dirs(tmp_path / "runs") if "train-teacher" in p.name][0]
+        assert main(["distill", "--teacher-run", str(teacher_run), "--epochs", "2",
+                     "--lr-patience", "1", *base]) == 1
+        sidecar = data / "TINY" / "TINY.structcache.npz"
+        assert f"{sidecar}: graph 0 was built from other edges" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def teacher_run(tiny_data, tmp_path_factory):
+    out = tmp_path_factory.mktemp("teacher_runs")
+    assert main(["train-teacher", "--dataset", "TINY", "--layers", "1", "--hidden", "4",
+                 "--folds", "2", "--epochs", "2", "--lr-patience", "1",
+                 "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 0
+    return run_dirs(out)[0]
+
+
+def _edit_json(fn):
+    def edit(path):
+        path.write_text(json.dumps(fn(json.loads(path.read_text()))))
+    return edit
+
+
+def _set_config(key, val):
+    def fn(meta):
+        meta["config"][key] = val
+        return meta
+    return fn
+
+
+def _without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+MANIFEST_FIELDS = {"dataset": str, "folds": int, "fold_seed": int}
+
+# name -> (file in the run directory, corruption, what the error says)
+RUN_DIR_CORRUPTIONS = {
+    "metrics-row-4-fields": (
+        "metrics.csv",
+        lambda p: p.write_text(p.read_text().splitlines()[0] + "\nTINY,teacher-gin,0,0.5\n"),
+        ":2: expected dataset,method,fold,seed,accuracy"),
+    "meta-without-config": ("teacher_fold0.json", _edit_json(_without("config")),
+                            ": missing key 'config'"),
+    "config-unknown-kind": ("teacher_fold0.json", _edit_json(_set_config("kind", "gat")),
+                            ": unknown model kind 'gat'"),
+    "config-extra-key": ("teacher_fold0.json", _edit_json(_set_config("width", 3)),
+                         ": unknown gin config key 'width'"),
+    "meta-is-list": ("teacher_fold0.json", _edit_json(lambda meta: [meta]),
+                     ": expected a JSON object, got list"),
+    "manifest-without-folds": ("manifest.json", _edit_json(_without("folds")),
+                               ": missing key 'folds'"),
+}
+
+
+def _corrupt_copy(teacher_run, tmp_path, case):
+    run = tmp_path / "run"
+    shutil.copytree(teacher_run, run)
+    name, edit, message = RUN_DIR_CORRUPTIONS[case]
+    edit(run / name)
+    return run, re.escape(str(run / name) + message)
+
+
+class TestRunDirErrors:
+    @pytest.mark.parametrize("case", list(RUN_DIR_CORRUPTIONS))
+    def test_reader_raises_format_error(self, teacher_run, tmp_path, case):
+        run, message = _corrupt_copy(teacher_run, tmp_path, case)
+        readers = {
+            "metrics.csv": lambda: read_metrics_csv(run / "metrics.csv"),
+            "teacher_fold0.json": lambda: load_teacher_checkpoint(run, 0),
+            "manifest.json": lambda: read_manifest(run, MANIFEST_FIELDS),
+        }
+        with pytest.raises(FormatError, match=message):
+            readers[RUN_DIR_CORRUPTIONS[case][0]]()
+
+    @pytest.mark.parametrize("case", list(RUN_DIR_CORRUPTIONS))
+    def test_cli_exits_1(self, tiny_data, teacher_run, tmp_path, caplog, case):
+        run, message = _corrupt_copy(teacher_run, tmp_path, case)
+        base = ["--data-dir", str(tiny_data), "--out-dir", str(tmp_path / "runs")]
+        if case.startswith("metrics"):
+            assert main(["report", "--runs", str(run), *base]) == 1
+        else:
+            assert main(["evaluate", "--teacher-run", str(run), *base]) == 1
+        assert re.search(message, caplog.text)
+
+    def test_valid_run_reads_back(self, teacher_run):
+        assert read_manifest(teacher_run, MANIFEST_FIELDS)["folds"] == 2
+        assert load_teacher_checkpoint(teacher_run, 1).config.kind == "gin"
+        assert len(read_metrics_csv(teacher_run / "metrics.csv")) == 2
+
+    def test_student_meta_checked(self, tmp_path):
+        save_student_checkpoint(tmp_path, StudentConfig(kind="ga-mlp"), {"w": np.ones(2)}, 0, 0)
+        cfg, params = load_student_checkpoint(tmp_path, 0, 0)
+        assert cfg == StudentConfig(kind="ga-mlp") and list(params) == ["w"]
+        meta = tmp_path / "student_fold0_seed0.json"
+        for corrupt, message in ((_set_config("hidden", "64"), "'hidden' has type str"),
+                                 (_without("config"), "missing key 'config'")):
+            shutil.copy(meta, tmp_path / "good.json")
+            _edit_json(corrupt)(meta)
+            with pytest.raises(FormatError, match=re.escape(f"{meta}: ") + ".*" + message):
+                load_student_checkpoint(tmp_path, 0, 0)
+            shutil.copy(tmp_path / "good.json", meta)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdistill.dynamic import (
     IncrementalState,
@@ -126,6 +127,32 @@ class TestIncrementalState:
                                    np.array([0]))
 
 
+class TestIncrementalEqualsFull:
+    @pytest.mark.parametrize("kind,use_lape", [("ga-mlp", True), ("mlp", False)])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_long_random_update_sequence(self, kind, use_lape, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(int(rng.integers(20, 60)), rng)
+        cache = build_struct_cache(g, 0, seed=0, k_pe=4)
+        student = make_student(g, cache, rng, kind=kind, use_lape=use_lape)
+        removed = rng.choice(g.num_nodes, size=g.num_nodes // 3, replace=False)
+        state = init_incremental_state(g, cache, student.config, student.params, removed)
+        for op in range(2000):
+            absent = np.flatnonzero(~state.present)
+            alive = np.flatnonzero(state.present)
+            if absent.size and (rng.random() < 0.5 or alive.size < 2):
+                # neighbours drawn from all present nodes, so new edges appear
+                size = int(rng.integers(0, min(5, alive.size) + 1))
+                nbrs = rng.choice(alive, size=size, replace=False) if size else []
+                logits = incremental_insert(state, int(rng.choice(absent)), nbrs)
+            else:
+                logits = incremental_remove(state, int(rng.choice(alive)))
+            if op % 250 == 249:
+                full = full_student_logits(state)
+                assert np.abs(logits - full).max() <= 1e-9 * max(1.0, np.abs(full).max())
+
+
 class TestInducedSubgraph:
     def test_matches_from_edges_over_random_updates(self):
         rng = np.random.default_rng(15)
@@ -199,7 +226,7 @@ class TestPerturbAndScore:
     def test_full_restoration_has_zero_error(self):
         g, cache, student, teacher = self._bundle()
         trace = make_trace(g, 0, num_remove=5, repetitions=3, seed=0, max_fraction=0.5)
-        metrics = perturb_and_score(g, cache, student, teacher, trace, verify=True)
+        metrics = perturb_and_score(g, cache, student, teacher, trace)
         assert metrics.student_error[-1] == 0.0
         assert metrics.teacher_error[-1] == 0.0
 

@@ -15,7 +15,9 @@ from graphdistill.losses import (
     kernel_matrix,
     total_loss,
 )
-from graphdistill.structure import WalkPool
+from graphdistill.models import INFER, GinConfig, init_gin_params, make_batch, params_to_arrays
+from graphdistill.structure import WalkPool, build_struct_caches
+from graphdistill.synth import two_class_structural
 from graphdistill.training import _full_walk_matrix
 
 from oracles import (
@@ -404,3 +406,35 @@ class TestBatchedInterCluster:
             assert inter_cluster(s[lo:hi], t[lo:hi], [hi - lo]) == pytest.approx(
                 per_graph, abs=1e-12)
         assert batched == pytest.approx(manual / 3.0, abs=1e-12)
+
+
+class TestStudentEqualToTeacher:
+    def test_every_term_is_exactly_zero(self):
+        ds = two_class_structural(num_graphs=4, seed=5, name="eq")
+        caches = build_struct_caches(ds, seed=0, k_pe=2, walk_length=4)
+        batch = make_batch(ds.graphs, cluster_ofs=[c.clusters.cluster_of for c in caches])
+        assert batch.num_graphs == 4 and batch.cluster_offsets[-1] > 4
+        cfg = GinConfig(num_layers=2, hidden=8)
+        params = params_to_arrays(init_gin_params(np.random.default_rng(0), ds.feature_dim,
+                                                  cfg, ds.num_classes))
+        out = INFER["gin"](batch, cfg, params)
+        rows, weights = [], []
+        for j, cache in enumerate(caches):
+            walks, _ = _full_walk_matrix(cache)
+            rows.append(walks + batch.node_offsets[j])
+            weights.append(np.full(walks.shape[0], 1.0 / (walks.shape[0] * len(caches))))
+        walks, weights = np.concatenate(rows), np.concatenate(weights)
+        assert walks.shape[0] > 4
+
+        for temperature in (1.0, 2.0):
+            assert value(batch_soft_logits(ad.constant(out.logits), out.logits,
+                                           temperature)) == 0.0
+        assert value(batch_whole_graph(ad.constant(out.graph_embedding),
+                                       out.graph_embedding)) == 0.0
+        assert value(batch_inter_cluster(ad.constant(out.cluster_embeddings),
+                                         out.cluster_embeddings, batch.cluster_offsets,
+                                         batch.num_graphs)) == 0.0
+        for include_start in (True, False):
+            assert value(batch_path_consistency(ad.constant(out.node_embeddings),
+                                                out.node_embeddings, walks, weights,
+                                                include_start)) == 0.0

@@ -4,9 +4,10 @@ import re
 import tempfile
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from graphdistill.data import Graph
@@ -60,6 +61,37 @@ def same_partition(a, b):
             return False
         mapping[x] = y
     return len(set(mapping.values())) == len(mapping)
+
+
+class TestModularityOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_networkx(self, data):
+        n = data.draw(st.integers(2, 25))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        # a few edges on up to 25 nodes leaves some nodes isolated
+        edges = data.draw(st.lists(pairs, min_size=1, max_size=2 * n))
+        g = build_graph(n, edges)
+        assume(g.num_edges > 0)
+        k = data.draw(st.integers(1, n))
+        cluster_of = np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                                   max_size=n)), dtype=np.int64)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(g.edge_pairs().tolist())
+        communities = [set(np.flatnonzero(cluster_of == c).tolist())
+                       for c in np.unique(cluster_of)]
+        assert modularity(g, cluster_of) == pytest.approx(
+            nx.community.modularity(nxg, communities), abs=1e-12)
+
+    def test_isolated_nodes_match_networkx(self):
+        g = build_graph(7, [(0, 1), (1, 2), (3, 4)])  # nodes 5, 6 isolated
+        cluster_of = np.array([0, 0, 1, 1, 1, 2, 0])
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(7))
+        nxg.add_edges_from(g.edge_pairs().tolist())
+        want = nx.community.modularity(nxg, [{0, 1, 6}, {2, 3, 4}, {5}])
+        assert modularity(g, cluster_of) == pytest.approx(want, abs=1e-12)
 
 
 class TestLouvain:

@@ -31,7 +31,7 @@ def tiny_setup():
     folds = stratified_kfold(dataset, 2, seed=0)
     caches = build_struct_caches(dataset, seed=0, k_pe=4, walk_length=4)
     run = RunConfig(weights=DistillWeights(), epochs=4, batch_size=8, lr=8e-3,
-                    lr_patience=2, seed=0, student_seeds=(0,), walk_length=4)
+                    lr_patience=2, seed=0, student_seeds=(0,))
     grid = [GinConfig(num_layers=2, hidden=8)]
     checkpoints = train_teacher(dataset, folds, grid, run)
     tcaches = {c.fold_index: cache_teacher(c, dataset, caches) for c in checkpoints}

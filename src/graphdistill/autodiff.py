@@ -1,9 +1,10 @@
 """Minimal dense-tensor reverse-mode autodiff on float64 numpy buffers.
 
 The operator set is exactly what the models and losses need. Tensors are
-0-, 1- or 2-dimensional; broadcasting is limited to python scalars and a
-row-vector bias in ``add``. Gradients accumulate additively into parents
-when ``backward`` walks the (implicit) tape in reverse topological order.
+0-, 1- or 2-dimensional; broadcasting is limited to python scalars in
+``mul`` and the row-vector bias of ``linear``. Gradients accumulate
+additively into parents when ``backward`` walks the (implicit) tape in
+reverse topological order, and only into parents that require grad.
 
 Segment sums and the adjoint of ``gather_rows`` are one kernel,
 ``scatter_rows``: a product with a 0/1 CSR operator.
@@ -28,7 +29,7 @@ def set_debug_checks(enabled: bool) -> None:
 class Tensor:
     """Dense float64 value participating in reverse-mode differentiation."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward", "_op", "_owns_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
@@ -37,6 +38,7 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._op = "leaf"
+        self._owns_grad = False
 
     @property
     def shape(self):
@@ -72,11 +74,18 @@ def _make(values, op: str, parents, backward_fn) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Keep the first ``g`` uncopied, never to be written (``add`` hands one ``g``
+    to both parents); the second makes a sum ``t`` owns, later ones add into it."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        t.grad = g
+        t._owns_grad = False
+    elif t._owns_grad:
+        t.grad += g
+    else:
+        t.grad = t.grad + g
+        t._owns_grad = True
 
 
 def backward(root: Tensor) -> None:
@@ -109,32 +118,17 @@ def _as_scalar(x) -> float | None:
     return None
 
 
-def add(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    if s is not None:
-        def back(g):
-            _accum(a, g)
-        return _make(a.values + s, "add", (a,), back)
-    if a.values.shape == b.values.shape:
-        def back(g):
-            _accum(a, g)
-            _accum(b, g)
-        return _make(a.values + b.values, "add", (a, b), back)
-    # Row-vector bias: [n, d] + [d].
-    if a.values.ndim == 2 and b.values.shape == (a.values.shape[1],):
-        def back(g):
-            _accum(a, g)
-            _accum(b, g.sum(axis=0))
-        return _make(a.values + b.values, "add", (a, b), back)
-    raise ShapeError(f"add: incompatible shapes {a.values.shape} and {b.values.shape}")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.values.shape != b.values.shape:
+        raise ShapeError(f"add: incompatible shapes {a.values.shape} and {b.values.shape}")
+
+    def back(g):
+        _accum(a, g)
+        _accum(b, g)
+    return _make(a.values + b.values, "add", (a, b), back)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    if s is not None:
-        def back(g):
-            _accum(a, g)
-        return _make(a.values - s, "sub", (a,), back)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.values.shape != b.values.shape:
         raise ShapeError(f"sub: incompatible shapes {a.values.shape} and {b.values.shape}")
 
@@ -154,8 +148,10 @@ def mul(a: Tensor, b) -> Tensor:
         raise ShapeError(f"mul: incompatible shapes {a.values.shape} and {b.values.shape}")
 
     def back(g):
-        _accum(a, g * b.values)
-        _accum(b, g * a.values)
+        if a.requires_grad:
+            _accum(a, g * b.values)
+        if b.requires_grad:
+            _accum(b, g * a.values)
     return _make(a.values * b.values, "mul", (a, b), back)
 
 
@@ -164,9 +160,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.values.shape} and {b.values.shape}")
 
     def back(g):
-        _accum(a, g @ b.values.T)
-        _accum(b, a.values.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.values.T)
+        if b.requires_grad:
+            _accum(b, a.values.T @ g)
     return _make(a.values @ b.values, "matmul", (a, b), back)
+
+
+def linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``h @ w + b``: a matrix product plus a row-vector bias ``b`` on every row."""
+    if (h.values.ndim != 2 or w.values.ndim != 2 or h.values.shape[1] != w.values.shape[0]
+            or b.values.shape != (w.values.shape[1],)):
+        raise ShapeError(f"linear: incompatible shapes {h.values.shape}, {w.values.shape} "
+                         f"and {b.values.shape}")
+
+    def back(g):
+        if h.requires_grad:
+            _accum(h, g @ w.values.T)
+        if w.requires_grad:
+            _accum(w, h.values.T @ g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+    out = h.values @ w.values
+    out += b.values
+    return _make(out, "linear", (h, w, b), back)
 
 
 def transpose(a: Tensor) -> Tensor:

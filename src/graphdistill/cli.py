@@ -3,8 +3,8 @@
 Batch commands: preprocess, train-teacher, distill, evaluate, ablate, grid,
 dynamic-bench, report. Flags override config-file values, which override
 defaults; all randomness funnels through --seed. Exit codes: 0 success,
-1 invalid input (``GraphDistillError``), 2 usage error, 3 missing input
-artifact.
+1 invalid input or a diverged student (``GraphDistillError``), 2 usage
+error, 3 missing input artifact.
 
 ``preprocess`` writes ``<name>.structcache.npz`` next to the TU files; the
 other commands read it back. A sidecar of an older format
@@ -33,7 +33,7 @@ from .dynamic import (
     perturb_and_score,
     time_inference,
 )
-from .errors import ArtifactMissingError, FormatError, GraphDistillError
+from .errors import ArtifactMissingError, ConfigError, FormatError, GraphDistillError
 from .losses import DistillWeights
 from .models import GcnConfig, GinConfig, StudentConfig, init_linear_params, params_to_arrays
 from .runio import (
@@ -72,12 +72,28 @@ log = logging.getLogger("graphdistill")
 DATA_ENV = "GRAPHDISTILL_DATA"
 
 
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _values(text, kind) -> list:
+    """Comma-separated ``kind`` values; a bad token is a ``ConfigError`` naming it.
+
+    ``str`` admits a bare JSON number from a ``--config`` file.
+    """
+    values = []
+    for tok in str(text).split(","):
+        if tok:
+            try:
+                values.append(kind(tok))
+            except ValueError:
+                raise ConfigError(f"expected comma-separated {kind.__name__}s, "
+                                  f"got {tok!r} in {str(text)!r}") from None
+    return values
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+def _ints(text) -> list[int]:
+    return _values(text, int)
+
+
+def _floats(text) -> list[float]:
+    return _values(text, float)
 
 
 def _resolve_dataset_dir(data_dir: Path, name: str) -> Path:
@@ -156,12 +172,12 @@ def _teacher_grid(args) -> list:
 
 
 def cmd_train_teacher(args) -> int:
-    dataset, dataset_dir = load_prepared_dataset(args.data_dir, args.dataset)
-    folds = stratified_kfold(dataset, args.folds, args.seed)
     run = RunConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                     lr_decay=args.lr_decay, lr_patience=args.lr_patience,
                     seed=args.seed)
     grid = _teacher_grid(args)
+    dataset, dataset_dir = load_prepared_dataset(args.data_dir, args.dataset)
+    folds = stratified_kfold(dataset, args.folds, args.seed)
     log.info("training %d grid points on %d folds", len(grid), len(folds))
     checkpoints = train_teacher(dataset, folds, grid, run, jobs=args.jobs)
     run_dir = new_run_dir(args.out_dir, args.dataset, "train-teacher", args.seed)
@@ -225,10 +241,10 @@ def _run_config(args, weights: DistillWeights) -> RunConfig:
 
 
 def cmd_distill(args) -> int:
-    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
     weights = DistillWeights(lam=args.lam, mu=args.mu, eta=args.eta, soft=args.soft)
     scfg = _student_config(args)
     run = _run_config(args, weights)
+    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
     results = distill_student(dataset, folds, caches, teacher_caches, scfg, run,
                               jobs=args.jobs, capture_params=args.save_students)
     method = _method_name(scfg, weights)
@@ -268,10 +284,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
     weights = DistillWeights(lam=args.lam, mu=args.mu, eta=args.eta, soft=args.soft)
     scfg = _student_config(args)
     run = _run_config(args, weights)
+    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
     report = ablate(dataset, folds, caches, teacher_caches, scfg, run, jobs=args.jobs)
     run_dir = new_run_dir(args.out_dir, name, "ablate", args.seed)
     rows = []
@@ -293,10 +309,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
     scfg = _student_config(args)
     run = _run_config(args, DistillWeights())
     grid = weight_grid(_floats(args.lambdas), _floats(args.mus), _floats(args.etas))
+    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
     results = grid_search_student(dataset, folds, caches, teacher_caches, scfg, run,
                                   grid=grid, jobs=args.jobs)
     run_dir = new_run_dir(args.out_dir, name, "grid", args.seed)

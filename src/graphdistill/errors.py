@@ -22,7 +22,7 @@ class ShapeError(GraphDistillError):
 
 
 class NumericError(GraphDistillError):
-    """An operation produced a non-finite value (raised only in debug mode)."""
+    """An operation or a training loss produced a non-finite value."""
 
 
 class ContractError(GraphDistillError):

@@ -199,7 +199,7 @@ def readout(H: Tensor, segment_ids: np.ndarray, num_segments: int, mode: str,
     if mode == SUM:
         return ad.segment_sum(H, segment_ids, num_segments)
     if mode == ATTENTION:
-        gate = ad.sigmoid(ad.add(ad.matmul(H, params["pool.w"]), params["pool.b"]))
+        gate = ad.sigmoid(ad.linear(H, params["pool.w"], params["pool.b"]))
         tiled = ad.matmul(gate, ad.constant(np.ones((1, H.shape[1]))))
         return ad.segment_sum(ad.mul(tiled, H), segment_ids, num_segments)
     raise ConfigError(f"unknown readout {mode!r}")
@@ -217,7 +217,7 @@ def _finish(batch: GraphBatch, H: Tensor, config, params) -> ForwardOutputs:
     clusters = None
     if batch.cluster_of_node is not None:
         clusters = readout(H, batch.cluster_of_node, batch.num_clusters, config.readout, params)
-    logits = ad.add(ad.matmul(pooled, params["head.w"]), params["head.b"])
+    logits = ad.linear(pooled, params["head.w"], params["head.b"])
     return ForwardOutputs(H, pooled, clusters, logits)
 
 
@@ -229,8 +229,8 @@ def gin_forward(batch: GraphBatch, config: GinConfig, params: dict[str, Tensor],
         msg = ad.propagate(h, batch.adjacency)
         own = h if config.eps == 0.0 else ad.mul(h, 1.0 + config.eps)
         pre = ad.add(own, msg)
-        a = ad.relu(ad.add(ad.matmul(pre, params[f"layer{layer}.w1"]), params[f"layer{layer}.b1"]))
-        h = ad.relu(ad.add(ad.matmul(a, params[f"layer{layer}.w2"]), params[f"layer{layer}.b2"]))
+        a = ad.relu(ad.linear(pre, params[f"layer{layer}.w1"], params[f"layer{layer}.b1"]))
+        h = ad.relu(ad.linear(a, params[f"layer{layer}.w2"], params[f"layer{layer}.b2"]))
         if layer < config.num_layers - 1:
             h = _dropout(h, config.dropout, train_rng)
     return _finish(batch, h, config, params)
@@ -242,7 +242,7 @@ def gcn_forward(batch: GraphBatch, config: GcnConfig, params: dict[str, Tensor],
     h = ad.constant(batch.features)
     for layer in range(config.num_layers):
         agg = ad.propagate(h, batch.gcn_operator)
-        h = ad.relu(ad.add(ad.matmul(agg, params[f"layer{layer}.w"]), params[f"layer{layer}.b"]))
+        h = ad.relu(ad.linear(agg, params[f"layer{layer}.w"], params[f"layer{layer}.b"]))
         if layer < config.num_layers - 1:
             h = _dropout(h, config.dropout, train_rng)
     return _finish(batch, h, config, params)
@@ -268,7 +268,7 @@ def student_forward(batch: GraphBatch, config: StudentConfig, params: dict[str, 
     """Node-wise MLP over precomputed inputs; structure enters only via inputs."""
     h = ad.constant(batch.features)
     for layer in range(config.num_layers):
-        h = ad.relu(ad.add(ad.matmul(h, params[f"layer{layer}.w"]), params[f"layer{layer}.b"]))
+        h = ad.relu(ad.linear(h, params[f"layer{layer}.w"], params[f"layer{layer}.b"]))
         h = _dropout(h, config.dropout, train_rng)
     return _finish(batch, h, config, params)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam
 from .data import Dataset, FoldSplit
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError, IntegrityError, NumericError
 from .losses import (
     DistillWeights,
     batch_ground_truth,
@@ -61,6 +61,12 @@ class RunConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        for name in ("lr", "temperature"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if self.walks_per_epoch is not None and self.walks_per_epoch < 1:
+            raise ConfigError(f"walks_per_epoch must be None or >= 1, got {self.walks_per_epoch}")
         if not self.lr_patience < self.epochs:
             raise ConfigError(
                 f"lr_patience ({self.lr_patience}) must be < epochs ({self.epochs})"
@@ -124,8 +130,8 @@ class PlateauScheduler:
         self.lr_history.append(self.optimizer.lr)
 
 
-class _Diverged(Exception):
-    pass
+class _Diverged(NumericError):
+    """A training loss became non-finite."""
 
 
 def _derived_rng(*key: int) -> np.random.Generator:

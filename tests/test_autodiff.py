@@ -114,11 +114,8 @@ class TestGradcheckEveryOp:
     def test_add_same_shape(self):
         _check_op(lambda a, b: ad.frobenius_sq(ad.add(a, b)), [(3, 2), (3, 2)])
 
-    def test_add_row_bias(self):
-        _check_op(lambda a, b: ad.frobenius_sq(ad.add(a, b)), [(3, 2), (2,)])
-
-    def test_add_scalar(self):
-        _check_op(lambda a: ad.tensor_sum(ad.add(a, 1.5)), [(3, 2)])
+    def test_linear(self):
+        _check_op(lambda h, w, b: ad.frobenius_sq(ad.linear(h, w, b)), [(3, 4), (4, 2), (2,)])
 
     def test_sub(self):
         _check_op(lambda a, b: ad.frobenius_sq(ad.sub(a, b)), [(4, 2), (4, 2)])
@@ -166,11 +163,73 @@ class TestGradcheckEveryOp:
         _check_op(lambda a: ad.mul(ad.tensor_sum(a), 1.0 / 9.0), [(3, 3)])
 
 
+class TestLeanTape:
+    """Adjoints only for operands that require grad; borrowed first gradients."""
+
+    @pytest.mark.parametrize("op", ["matmul", "mul", "linear"])
+    def test_no_adjoint_for_constant_operand(self, op, monkeypatch):
+        rng = np.random.default_rng(0)
+        c = ad.constant(rng.normal(size=(4, 3)))
+        p = ad.parameter(rng.normal(size=(3, 3)))
+        b = ad.parameter(rng.normal(size=3))
+        targets = []
+        accum = ad._accum
+        monkeypatch.setattr(ad, "_accum", lambda t, g: (targets.append(t), accum(t, g)))
+        if op == "matmul":
+            out, expected = ad.matmul(c, p), {"p": c.values.T @ np.ones((4, 3))}
+        elif op == "mul":
+            p = ad.parameter(rng.normal(size=(4, 3)))
+            out, expected = ad.mul(p, c), {"p": c.values}
+        else:
+            out = ad.linear(c, p, b)
+            expected = {"p": c.values.T @ np.ones((4, 3)), "b": np.full(3, 4.0)}
+        ad.backward(ad.tensor_sum(out))
+        assert c.grad is None and all(t is not c for t in targets)
+        np.testing.assert_array_equal(p.grad, expected["p"])
+        if "b" in expected:
+            np.testing.assert_array_equal(b.grad, expected["b"])
+
+    def test_shared_gradient_is_never_written(self):
+        # x gets four contributions: first y's own gradient array, which
+        # ``add`` hands to both x and w, then one from u and two from v.
+        rng = np.random.default_rng(2)
+        params = {"x": ad.parameter(rng.normal(size=(3, 3))),
+                  "w": ad.parameter(rng.normal(size=(3, 3)))}
+        seen = {}
+
+        def watch(t, name):
+            inner = t._backward
+
+            def back(g):
+                seen[name] = (t, g.copy())
+                inner(g)
+            t._backward = back
+            return t
+
+        def loss():
+            x, w = params["x"], params["w"]
+            z = watch(ad.mul(watch(ad.add(x, w), "y"), ad.constant(np.full((3, 3), 0.5))), "z")
+            u = watch(ad.matmul(x, w), "u")
+            v = watch(ad.mul(x, x), "v")
+            return ad.add(ad.add(ad.tensor_sum(z), ad.frobenius_sq(u)), ad.tensor_sum(v))
+
+        assert_grads_close(autodiff_grads(loss, params), finite_difference_grads(loss, params),
+                           rel_tol=1e-6)
+        assert set(seen) == {"y", "z", "u", "v"}
+        for t, grad_at_backward in seen.values():
+            np.testing.assert_array_equal(t.grad, grad_at_backward)
+
+
 class TestShapeAndNumericErrors:
     def test_shape_error_reports_both_shapes(self):
         a, b = ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 3)))
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 3\)"):
             ad.add(a, b)
+
+    def test_linear_bias_shape_checked(self):
+        h, w = ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 4)))
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(h, w, ad.constant(np.ones(3)))
 
     def test_matmul_mismatch(self):
         with pytest.raises(ShapeError):
@@ -377,5 +436,5 @@ class TestTensorBasics:
 
     def test_constants_record_no_tape(self):
         c = ad.constant(np.ones((2, 3)))
-        out = ad.relu(ad.add(ad.matmul(c, ad.constant(np.ones((3, 2)))), ad.constant(np.ones(2))))
+        out = ad.relu(ad.linear(c, ad.constant(np.ones((3, 2))), ad.constant(np.ones(2))))
         assert out._parents == () and out._backward is None

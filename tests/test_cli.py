@@ -179,6 +179,33 @@ class TestCliContracts:
         assert f"{sidecar}: graph 0 has" in caplog.text
         assert "graphdistill preprocess" in caplog.text
 
+    @pytest.mark.parametrize("flag,value", [("--temperature", "0"), ("--walks-per-epoch", "-1")])
+    def test_out_of_range_distill_flag_exits_1(self, tiny_data, teacher_run, tmp_path, caplog,
+                                               flag, value):
+        out = tmp_path / "runs"
+        assert main(["distill", "--teacher-run", str(teacher_run), flag, value,
+                     "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 1
+        assert flag[2:].replace("-", "_") in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--layers", "--hidden", "--dropout"])
+    def test_bad_list_token_exits_1(self, tiny_data, tmp_path, caplog, flag):
+        out = tmp_path / "runs"
+        assert main(["train-teacher", "--dataset", "TINY", flag, "2,x", "--data-dir",
+                     str(tiny_data), "--out-dir", str(out)]) == 1
+        assert "got 'x' in '2,x'" in caplog.text
+        assert not out.exists()
+
+    def test_config_file_number_for_list_flag(self, tiny_data, tmp_path):
+        out = tmp_path / "runs"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"layers": 1, "hidden": 4}))
+        assert main(["train-teacher", "--dataset", "TINY", "--folds", "2", "--epochs", "2",
+                     "--lr-patience", "1", "--config", str(cfg), "--data-dir", str(tiny_data),
+                     "--out-dir", str(out)]) == 0
+        grid = json.loads((run_dirs(out)[0] / "manifest.json").read_text())["grid"]
+        assert [(g["num_layers"], g["hidden"]) for g in grid] == [(1, 4)]
+
     def test_manifest_contains_reproduction_info(self, tiny_data, tmp_path):
         out = tmp_path / "runs"
         assert main(["preprocess", "--dataset", "TINY", "--data-dir", str(tiny_data),

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from graphdistill import autodiff as ad
+from graphdistill import autodiff as ad, training
 from graphdistill.autodiff import Adam
 from graphdistill.data import Dataset, stratified_kfold
-from graphdistill.errors import ConfigError, IntegrityError
+from graphdistill.errors import ConfigError, GraphDistillError, IntegrityError, NumericError
 from graphdistill.losses import DistillWeights
-from graphdistill.models import GinConfig, StudentConfig, make_batch
+from graphdistill.models import GcnConfig, GinConfig, StudentConfig, make_batch
 from graphdistill.structure import build_struct_caches
 from graphdistill.synth import two_class_structural
 from graphdistill.training import (
@@ -68,6 +70,19 @@ class TestRunConfigValidation:
     def test_batch_size_positive(self):
         with pytest.raises(ConfigError):
             RunConfig(epochs=10, lr_patience=1, batch_size=0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("temperature", 0.0), ("temperature", -1.0), ("temperature", float("nan")),
+        ("temperature", float("inf")), ("walks_per_epoch", 0), ("walks_per_epoch", -1),
+        ("lr", 0.0), ("lr", -8e-3), ("lr", float("nan")), ("lr", float("inf")),
+    ])
+    def test_out_of_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(epochs=10, lr_patience=1, **{key: value})
+
+    def test_edge_values_accepted(self):
+        RunConfig(epochs=10, lr_patience=1, walks_per_epoch=1, temperature=1e-3, lr=1e-9)
+        RunConfig(epochs=10, lr_patience=1, walks_per_epoch=None)
 
 
 class TestTeacherTraining:
@@ -207,6 +222,76 @@ class TestDistillStudent:
         results = distill_student(dataset, folds, caches, tcaches, scfg, run,
                                   capture_params=True)
         assert all(r.params is not None for r in results)
+
+
+class TestDivergence:
+    def test_nan_teacher_logit_is_typed_error(self, tiny_setup):
+        dataset, folds, caches, run, _, tcaches = tiny_setup
+        fold = folds[0]
+        tcache = tcaches[fold.fold_index]
+        logits = [row.copy() for row in tcache.logits]
+        logits[int(fold.train_ids[0])][0] = np.nan
+        bad = {fold.fold_index: replace(tcache, logits=logits)}
+        scfg = StudentConfig(kind="mlp", hidden=8)
+        with pytest.raises(GraphDistillError, match="non-finite student loss at epoch 0"):
+            distill_student(dataset, [fold], caches, bad, scfg, run)
+
+    def test_diverged_teacher_grid_point_is_skipped(self, tiny_setup):
+        dataset, folds, _, run, _, _ = tiny_setup
+        graphs = list(dataset.graphs)
+        nan_features = graphs[0].features.copy()
+        nan_features[0, 0] = np.nan
+        graphs[0] = replace(graphs[0], features=nan_features)
+        bad = replace(dataset, graphs=graphs)
+        grid = [GinConfig(num_layers=1, hidden=4)]
+        with pytest.raises(ConfigError, match="every grid point diverged"):
+            train_teacher(bad, folds, grid, run)
+        assert issubclass(training._Diverged, NumericError)
+
+
+def _reference_accum(t, g):
+    """The eager accumulation the lean tape replaced: a zeroed buffer, then +=."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.values)
+    t.grad += g
+
+
+class TestLeanTapeBitEqual:
+    """Borrowed first gradients change no bit of training."""
+
+    @staticmethod
+    def _train(dataset, folds, caches, run):
+        two = replace(run, epochs=2, lr_patience=1)
+        out = {}
+        # With eps 0, ``add`` hands one gradient to both branches of a GIN layer.
+        teachers = {"gin": GinConfig(num_layers=2, hidden=8, dropout=0.3, eps=0.3),
+                    "gin-eps0": GinConfig(num_layers=2, hidden=8),
+                    "gcn": GcnConfig(num_layers=2, hidden=8, readout="attention")}
+        for name, cfg in teachers.items():
+            (ckpt,) = train_teacher(dataset, folds[:1], [cfg], two)
+            out.update({f"{name}.{k}": v for k, v in ckpt.params.items()})
+            out[f"{name}.accuracy"] = np.array([ckpt.best_test_accuracy, ckpt.train_accuracy])
+        tcaches = {ckpt.fold_index: cache_teacher(ckpt, dataset, caches)}
+        scfg = StudentConfig(kind="ga-mlp", hidden=8, use_lape=True, dropout=0.2)
+        weights = DistillWeights(lam=0.1, mu=0.1, eta=0.1, soft=1.0)
+        (res,) = distill_student(dataset, folds[:1], caches, tcaches, scfg,
+                                 replace(two, weights=weights), capture_params=True)
+        out.update({f"student.{k}": v for k, v in res.params.items()})
+        out.update({f"curve.{k}": np.array(v) for k, v in res.loss_curves.items()})
+        out["curve.test"] = np.array(res.test_curve)
+        return out
+
+    def test_matches_eager_accumulation(self, tiny_setup, monkeypatch):
+        dataset, folds, caches, run, _, _ = tiny_setup
+        lean = self._train(dataset, folds, caches, run)
+        monkeypatch.setattr(ad, "_accum", _reference_accum)
+        eager = self._train(dataset, folds, caches, run)
+        assert lean.keys() == eager.keys()
+        assert all(v > 0 for v in lean["curve.path"]) and all(v > 0 for v in lean["curve.cluster"])
+        for key in lean:
+            assert np.array_equal(lean[key], eager[key]), key
 
 
 class TestAblation:

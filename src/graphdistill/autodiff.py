@@ -8,14 +8,46 @@ reverse topological order, and only into parents that require grad.
 
 Segment sums and the adjoint of ``gather_rows`` are one kernel,
 ``scatter_rows``: a product with a 0/1 CSR operator.
+
+Importing this module sets two glibc ``malloc`` parameters for the whole
+process: ``M_MMAP_THRESHOLD`` to 32 MiB (glibc's 64-bit maximum) and
+``M_TRIM_THRESHOLD`` to 64 MiB. Tape temporaries are typically 1-4 MB
+(a 4000 x 64 float64 activation is 2 MB). Under glibc's defaults each one
+is either mmapped fresh or trimmed back to the kernel when freed, so every
+training step page-faults its temporaries in again. With these settings a
+step reuses heap pages the process has already faulted in. Fork-started
+worker processes inherit the settings. Where the C library has no
+``mallopt`` (not glibc), nothing is set. Results do not depend on the
+setting; only allocation speed does.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, NumericError, ShapeError
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Raise glibc's mmap and trim thresholds so freed temporaries stay mapped."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20)):
+        if mallopt(param, value) != 1:
+            return
+
+
+_keep_freed_heap()
 
 _DEBUG_FINITE = False
 

@@ -201,8 +201,15 @@ def cmd_train_teacher(args) -> int:
 
 
 def _teacher_run_folds(args):
-    """Dataset name, dataset, its directory and the folds of ``args.teacher_run``."""
+    """Dataset name, dataset, its directory and the folds of ``args.teacher_run``.
+
+    A ``--fold`` index outside the run's folds is a ``ConfigError``.
+    """
     manifest = read_manifest(args.teacher_run, {"dataset": str, "folds": int, "fold_seed": int})
+    fold = getattr(args, "fold", None)
+    if fold is not None and not 0 <= fold < manifest["folds"]:
+        raise ConfigError(f"--fold {fold} is out of range: {args.teacher_run} has "
+                          f"{manifest['folds']} folds (0-{manifest['folds'] - 1})")
     name = manifest["dataset"]
     dataset, dataset_dir = load_prepared_dataset(args.data_dir, name)
     folds = stratified_kfold(dataset, manifest["folds"], manifest["fold_seed"])
@@ -563,6 +570,17 @@ def _apply_config_file(subparser, args, parser, argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+_COUNT_FLAGS = ("jobs", "num_walks", "repetitions", "timing_graphs")
+
+
+def _check_counts(args) -> None:
+    """Every count flag the command has is >= 1 (``None`` means its default)."""
+    for name in _COUNT_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
@@ -571,6 +589,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(registry[args.command], args, parser, argv)
+        _check_counts(args)
         return args.func(args)
     except ArtifactMissingError as exc:
         log.error("%s", exc)

@@ -53,6 +53,8 @@ def make_trace(graph: Graph, graph_id: int, num_remove: int = 10, repetitions: i
                seed: int = 0, max_fraction: float = 0.05) -> PerturbationTrace:
     """Plan ``repetitions`` random removals of ``num_remove`` distinct nodes."""
     n = graph.num_nodes
+    if num_remove < 1:
+        raise ConfigError(f"num_remove must be >= 1, got {num_remove}")
     if n - num_remove < 1:
         raise ConfigError(f"removing {num_remove} of {n} nodes leaves no graph")
     if num_remove > max(1, int(np.floor(max_fraction * n))):

@@ -30,6 +30,16 @@ SUM = "sum"
 ATTENTION = "attention"
 
 
+def _check_layers(config) -> None:
+    """Shared range checks of every model config: layers and width >= 1, 0 <= dropout < 1."""
+    if config.num_layers < 1:
+        raise ConfigError(f"num_layers must be >= 1, got {config.num_layers}")
+    if config.hidden < 1:
+        raise ConfigError(f"hidden must be >= 1, got {config.hidden}")
+    if not 0.0 <= config.dropout < 1.0:
+        raise ConfigError(f"dropout must be in [0, 1), got {config.dropout}")
+
+
 @dataclass
 class GinConfig:
     num_layers: int = 3
@@ -39,6 +49,9 @@ class GinConfig:
     readout: str = SUM
     kind: str = field(default="gin", init=False)
 
+    def __post_init__(self):
+        _check_layers(self)
+
 
 @dataclass
 class GcnConfig:
@@ -47,6 +60,9 @@ class GcnConfig:
     dropout: float = 0.0
     readout: str = SUM
     kind: str = field(default="gcn", init=False)
+
+    def __post_init__(self):
+        _check_layers(self)
 
 
 @dataclass
@@ -61,6 +77,7 @@ class StudentConfig:
     def __post_init__(self):
         if self.kind not in ("mlp", "ga-mlp"):
             raise ConfigError(f"unknown student kind {self.kind!r}")
+        _check_layers(self)
 
 
 @dataclass

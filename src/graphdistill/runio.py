@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from .errors import ArtifactMissingError, FormatError
+from .errors import ArtifactMissingError, ConfigError, FormatError
 from .models import GcnConfig, GinConfig, StudentConfig
 from .structure import STRUCT_CACHE_FORMAT
 from .training import FoldResult, TeacherCheckpoint
@@ -153,7 +153,10 @@ def config_from_dict(d: dict, source):
             raise FormatError(f"{source}: config key {key!r} has type {type(value).__name__}")
     if cls is StudentConfig:
         d["kind"] = kind
-    return cls(**d)
+    try:
+        return cls(**d)
+    except ConfigError as exc:
+        raise FormatError(f"{source}: {exc}") from None
 
 
 def save_teacher_checkpoint(run_dir, ckpt: TeacherCheckpoint) -> None:

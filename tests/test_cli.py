@@ -373,3 +373,100 @@ class TestRunDirErrors:
             with pytest.raises(FormatError, match=re.escape(f"{meta}: ") + ".*" + message):
                 load_student_checkpoint(tmp_path, 0, 0)
             shutil.copy(tmp_path / "good.json", meta)
+
+
+class TestCliRangeChecks:
+    """Out-of-range flags end in ``ConfigError`` (exit 1) and write no run directory."""
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--hidden", "0", "hidden must be >= 1, got 0"),
+        ("--layers", "0", "num_layers must be >= 1, got 0"),
+        ("--dropout", "1.0", "dropout must be in [0, 1), got 1.0"),
+    ])
+    def test_teacher_config_exits_1(self, tiny_data, tmp_path, caplog, flag, value, message):
+        out = tmp_path / "runs"
+        assert main(["train-teacher", "--dataset", "TINY", flag, value, "--data-dir",
+                     str(tiny_data), "--out-dir", str(out)]) == 1
+        assert message in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--hidden", "0", "hidden must be >= 1, got 0"),
+        ("--student-layers", "0", "num_layers must be >= 1, got 0"),
+        ("--dropout", "1.0", "dropout must be in [0, 1), got 1.0"),
+        ("--dropout", "-0.1", "dropout must be in [0, 1), got -0.1"),
+    ])
+    def test_student_config_exits_1(self, tiny_data, teacher_run, tmp_path, caplog, flag,
+                                    value, message):
+        out = tmp_path / "runs"
+        assert main(["distill", "--teacher-run", str(teacher_run), flag, value,
+                     "--lambda", "0", "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 1
+        assert message in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fold", ["7", "-1"])
+    def test_dynamic_bench_fold_out_of_range(self, tiny_data, teacher_run, tmp_path, caplog,
+                                             fold):
+        out = tmp_path / "runs"
+        assert main(["dynamic-bench", "--teacher-run", str(teacher_run), "--student-run",
+                     str(tmp_path / "no-student"), "--fold", fold, "--data-dir",
+                     str(tiny_data), "--out-dir", str(out)]) == 1
+        assert f"--fold {fold} is out of range" in caplog.text
+        assert "has 2 folds" in caplog.text
+        assert not out.exists()
+
+    def test_evaluate_fold_out_of_range(self, tiny_data, teacher_run, tmp_path, caplog):
+        out = tmp_path / "runs"
+        assert main(["evaluate", "--teacher-run", str(teacher_run), "--fold", "9",
+                     "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 1
+        assert "--fold 9 is out of range" in caplog.text and "has 2 folds" in caplog.text
+        assert not out.exists()
+
+    def test_evaluate_fold_in_range_scores_it(self, tiny_data, teacher_run, tmp_path, capsys):
+        assert main(["evaluate", "--teacher-run", str(teacher_run), "--fold", "1",
+                     "--data-dir", str(tiny_data), "--out-dir", str(tmp_path / "runs")]) == 0
+        assert capsys.readouterr().out.startswith("fold 1: test accuracy")
+
+    def test_synthetic_num_remove_zero(self, tmp_path, caplog):
+        assert main(["dynamic-bench", "--synthetic", "--num-remove", "0", "--timing-graphs",
+                     "1", "--synthetic-nodes", "40", "--out-dir", str(tmp_path / "runs")]) == 1
+        assert "num_remove must be >= 1, got 0" in caplog.text
+
+    @pytest.mark.parametrize("flag", ["--timing-graphs", "--repetitions"])
+    def test_dynamic_bench_count_below_1(self, tmp_path, caplog, flag):
+        assert main(["dynamic-bench", "--synthetic", flag, "0", "--synthetic-nodes", "40",
+                     "--out-dir", str(tmp_path / "runs")]) == 1
+        assert f"{flag} must be >= 1, got 0" in caplog.text
+
+    @pytest.mark.parametrize("flag,value", [("--num-walks", "-3"), ("--num-walks", "0"),
+                                            ("--jobs", "0")])
+    def test_preprocess_count_below_1(self, tmp_path, caplog, flag, value):
+        data = tmp_path / "data"
+        save_tudataset(data / "TINY", two_class_structural(num_graphs=4, seed=0, min_nodes=8,
+                                                           max_nodes=10, name="TINY"))
+        out = tmp_path / "runs"
+        assert main(["preprocess", "--dataset", "TINY", flag, value, "--data-dir", str(data),
+                     "--out-dir", str(out)]) == 1
+        assert f"{flag} must be >= 1, got {value}" in caplog.text
+        assert not (data / "TINY" / "TINY.structcache.npz").exists()
+        assert not out.exists()
+
+    def test_count_from_config_file_checked(self, tiny_data, tmp_path, caplog):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 0}))
+        out = tmp_path / "runs"
+        assert main(["train-teacher", "--dataset", "TINY", "--config", str(cfg),
+                     "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 1
+        assert "--jobs must be >= 1, got 0" in caplog.text
+        assert not out.exists()
+
+    def test_checkpoint_config_out_of_range_is_format_error(self, teacher_run, tmp_path,
+                                                            tiny_data, caplog):
+        run = tmp_path / "run"
+        shutil.copytree(teacher_run, run)
+        meta = run / "teacher_fold0.json"
+        _edit_json(_set_config("hidden", 0))(meta)
+        with pytest.raises(FormatError, match=re.escape(f"{meta}: hidden must be >= 1")):
+            load_teacher_checkpoint(run, 0)
+        assert main(["evaluate", "--teacher-run", str(run), "--data-dir", str(tiny_data),
+                     "--out-dir", str(tmp_path / "runs")]) == 1

@@ -198,6 +198,12 @@ class TestTraces:
         trace = make_trace(g, 0, num_remove=10, max_fraction=0.5)
         assert np.unique(trace.removed_nodes).size == 10
 
+    @pytest.mark.parametrize("num_remove", [0, -2])
+    def test_removal_count_below_1_rejected(self, num_remove):
+        g = random_connected_graph(40, np.random.default_rng(11))
+        with pytest.raises(ConfigError, match=f"num_remove must be >= 1, got {num_remove}"):
+            make_trace(g, 0, num_remove=num_remove, max_fraction=0.5)
+
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         g = random_connected_graph(40, rng)

@@ -33,6 +33,22 @@ from oracles import (
 )
 
 
+class TestConfigRanges:
+    @pytest.mark.parametrize("cls", [GinConfig, GcnConfig, StudentConfig])
+    @pytest.mark.parametrize("field,value", [
+        ("num_layers", 0), ("num_layers", -1), ("hidden", 0), ("dropout", 1.0),
+        ("dropout", -0.1), ("dropout", float("nan")),
+    ])
+    def test_out_of_range_rejected(self, cls, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("cls", [GinConfig, GcnConfig, StudentConfig])
+    def test_edge_values_accepted(self, cls):
+        config = cls(num_layers=1, hidden=1, dropout=0.999)
+        assert (config.num_layers, config.hidden, config.dropout) == (1, 1, 0.999)
+
+
 def identity_gin_params(dim):
     params = {}
     for layer in range(1):

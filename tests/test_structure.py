@@ -134,6 +134,27 @@ class TestLouvain:
         for iso in (3, 4):
             assert (res.cluster_of == res.cluster_of[iso]).sum() == 1
 
+    def test_modularity_close_to_networkx_louvain(self):
+        """Oracle: networkx's Louvain on 20 seeded graphs, small structural and larger
+        hub-heavy ones. Both are heuristics, so ours may find the better partition;
+        the bound is on how much worse it may be."""
+        diffs = []
+        for seed in range(20):
+            if seed % 2 == 0:
+                g = two_class_structural(num_graphs=1, seed=seed).graphs[0]
+            else:
+                n = 60 + 10 * seed
+                edges = preferential_attachment_edges(n, np.random.default_rng(seed),
+                                                      extra_edges=n // 5)
+                g = build_graph(n, edges)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(g.num_nodes))
+            nxg.add_edges_from(g.edge_pairs().tolist())
+            want = nx.community.modularity(nxg, nx.community.louvain_communities(nxg, seed=seed))
+            diffs.append(louvain_cluster(g, seed=seed).modularity - want)
+        assert min(diffs) >= -0.03, diffs
+        assert abs(np.mean(diffs)) <= 0.01, diffs
+
     def test_level_modularity_nondecreasing(self):
         g = build_graph(34, KARATE_EDGES)
         res = louvain_cluster(g, seed=3)

@@ -51,7 +51,7 @@ from .runio import (
     write_manifest,
     write_metrics_csv,
 )
-from .structure import (build_struct_caches, ga_mlp_aggregate, load_struct_caches,
+from .structure import (aggregate_blocks, build_struct_caches, load_struct_caches,
                         save_struct_caches)
 from .synth import sparse_social_dataset
 from .training import (
@@ -73,7 +73,8 @@ DATA_ENV = "GRAPHDISTILL_DATA"
 
 
 def _values(text, kind) -> list:
-    """Comma-separated ``kind`` values; a bad token is a ``ConfigError`` naming it.
+    """Comma-separated ``kind`` values, at least one; a bad token is a ``ConfigError``
+    naming it.
 
     ``str`` admits a bare JSON number from a ``--config`` file.
     """
@@ -85,6 +86,8 @@ def _values(text, kind) -> list:
             except ValueError:
                 raise ConfigError(f"expected comma-separated {kind.__name__}s, "
                                   f"got {tok!r} in {str(text)!r}") from None
+    if not values:
+        raise ConfigError(f"expected at least one {kind.__name__}, got {str(text)!r}")
     return values
 
 
@@ -133,7 +136,8 @@ def _load_caches(dataset_dir: Path, dataset):
             raise FormatError(f"{sidecar}: graph {i} has {cache.clusters.cluster_of.size} "
                               f"nodes, dataset {dataset.name} has {graph.num_nodes}; "
                               f"re-run `graphdistill preprocess`")
-        agg = ga_mlp_aggregate(graph, np.concatenate([graph.features, cache.lape], axis=1))
+    aggs = aggregate_blocks(dataset.graphs, [c.lape for c in caches])
+    for i, (cache, agg) in enumerate(zip(caches, aggs)):
         if (agg.shape != cache.agg_features.shape
                 or np.abs(agg - cache.agg_features).max(initial=0.0)
                 > 1e-9 * max(1.0, np.abs(agg).max(initial=0.0))):

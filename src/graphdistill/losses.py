@@ -39,8 +39,9 @@ class DistillWeights:
 
     def __post_init__(self):
         for name in ("lam", "mu", "eta", "soft"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"weight {name} must be >= 0")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"weight {name} must be finite and >= 0, got {value}")
 
 
 def kernel_matrix(cluster_reps: Tensor) -> Tensor:

@@ -6,15 +6,18 @@ aggregation, plus a persisted per-dataset cache of all four.
 
 Neighbourhood operators are symmetric ``scipy.sparse`` CSR matrices built
 by ``csr_operator`` straight from a CSR adjacency: the plain adjacency
-(GA-MLP aggregation here, GIN message passing in ``models``), the
-normalized Laplacian (positional encodings) and the GCN propagation matrix
-(``models``). Positional encodings use dense ``eigh`` up to
-``DENSE_LAPE_MAX_NODES`` nodes and shift-invert ``eigsh`` above it.
+(GA-MLP aggregation here, GIN message passing in ``models``), the GCN
+propagation matrix (``models``) and the normalized Laplacian of graphs
+above ``DENSE_LAPE_MAX_NODES`` nodes (shift-invert ``eigsh``); smaller
+graphs fill a dense Laplacian for ``eigh``.
 
 The cache sidecar (``save_struct_caches``, format ``structcache/2``) is
-one compressed ``.npz`` holding a JSON ``meta`` string (format, dataset,
-seed, num_graphs, walk_length) and one packed array per field, each cut
-into graphs by int64 offsets that start at 0 and never decrease:
+one ``.npz`` deflated at level 1 (``SIDECAR_DEFLATE_LEVEL``), not zlib's
+default 6, which on 3.1 MB of arrays (405 small graphs) took 144 ms
+against 91 ms for a file only 4% smaller.
+It holds a JSON ``meta`` string (format, dataset, seed, num_graphs,
+walk_length) and one packed array per field, each cut into graphs by int64
+offsets that start at 0 and never decrease:
 
 - ``node_off`` [G+1] slices ``cluster`` [N] int64, ``lape`` [N, k_pe] and
   ``agg`` [N, D + k_pe] float64, where N is the total node count;
@@ -47,6 +50,7 @@ STRUCT_CACHE_FORMAT = "structcache/2"
 # graphs, one BLAS thread, 2-core x86_64 VM: 4.9 vs 4.7 ms at 192 nodes,
 # 9.2 vs 4.8 ms at 256), and graphs up to here keep their dense encodings.
 DENSE_LAPE_MAX_NODES = 200
+SIDECAR_DEFLATE_LEVEL = 1
 # Shift just below the spectrum [0, 2] of the normalized Laplacian, so that
 # L - sigma*I stays nonsingular and the eigenvalues nearest it are the smallest.
 _EIGSH_SIGMA = -1e-3
@@ -143,13 +147,16 @@ def _relabel(comm: list[int]) -> tuple[list[int], int]:
     return [mapping[c] for c in comm], len(mapping)
 
 
-def _aggregate(adj: list[dict[int, float]], self_w: list[float], comm: list[int],
-               num_comms: int) -> tuple[list[dict[int, float]], list[float], list[float]]:
+def _aggregate(adj: list[dict[int, float]], self_w: list[float], strength: list[float],
+               comm: list[int], num_comms: int, m2: float) -> tuple[list, list, list, float]:
+    """The collapsed graph (adjacency, self weights, strengths) and the modularity of ``comm``."""
     new_adj: list[dict[int, float]] = [dict() for _ in range(num_comms)]
     new_self = [0.0] * num_comms
+    tot = [0.0] * num_comms
     for i, nbrs in enumerate(adj):
         ci = comm[i]
         new_self[ci] += self_w[i]
+        tot[ci] += strength[i]
         row = new_adj[ci]
         for j, w in nbrs.items():
             cj = comm[j]
@@ -157,24 +164,9 @@ def _aggregate(adj: list[dict[int, float]], self_w: list[float], comm: list[int]
                 new_self[ci] += w  # each internal pair visited twice
             else:
                 row[cj] = row.get(cj, 0.0) + w
+    level = float(np.sum(np.array(new_self) / m2 - (np.array(tot) / m2) ** 2))
     strength = [s + sum(d.values()) for s, d in zip(new_self, new_adj)]
-    return new_adj, new_self, strength
-
-
-def _level_modularity(adj: list[dict[int, float]], self_w: list[float],
-                      strength: list[float], comm: list[int], num_comms: int,
-                      m2: float) -> float:
-    internal = [0.0] * num_comms
-    tot = [0.0] * num_comms
-    for i, nbrs in enumerate(adj):
-        ci = comm[i]
-        internal[ci] += self_w[i]
-        tot[ci] += strength[i]
-        for j, w in nbrs.items():
-            if comm[j] == ci:
-                internal[ci] += w
-    internal_arr, tot_arr = np.array(internal), np.array(tot)
-    return float(np.sum(internal_arr / m2 - (tot_arr / m2) ** 2))
+    return new_adj, new_self, strength, level
 
 
 def louvain_cluster(graph: Graph, seed: int) -> ClusterAssignment:
@@ -206,9 +198,9 @@ def louvain_cluster(graph: Graph, seed: int) -> ClusterAssignment:
         if not improved:
             break
         comm, num_comms = _relabel(comm)
-        levels.append(_level_modularity(adj, self_w, strength, comm, num_comms, m2))
         node_to_top = [comm[c] for c in node_to_top]
-        adj, self_w, strength = _aggregate(adj, self_w, comm, num_comms)
+        adj, self_w, strength, level = _aggregate(adj, self_w, strength, comm, num_comms, m2)
+        levels.append(level)
 
     top, num_clusters = _relabel(node_to_top)
     cluster_of = np.array(top, dtype=np.int64)
@@ -246,34 +238,32 @@ def csr_operator(graph, edge_values: np.ndarray | None = None,
     return sp.csr_array((values, indices, indptr), shape=(n, n))
 
 
+def _laplacian_edges(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Row of every edge slot and its normalized Laplacian entry -1/sqrt(d_u d_v)."""
+    inv_sqrt = 1.0 / np.sqrt(np.maximum(graph.degrees, 1.0))
+    src = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+    return src, -(inv_sqrt[src] * inv_sqrt[graph.indices])
+
+
 def sparse_laplacian(graph: Graph) -> sp.csr_array:
     """Symmetric normalized Laplacian; isolated nodes keep a unit diagonal."""
-    deg = graph.degrees
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))
-    src = np.repeat(np.arange(graph.num_nodes), deg)
-    return csr_operator(graph, -(inv_sqrt[src] * inv_sqrt[graph.indices]),
-                        np.ones(graph.num_nodes))
+    return csr_operator(graph, _laplacian_edges(graph)[1], np.ones(graph.num_nodes))
 
 
-def _smallest_eigenvectors(graph: Graph, count: int) -> np.ndarray:
-    """The ``count`` lowest Laplacian eigenvectors, by ascending eigenvalue.
-
-    Graphs up to ``DENSE_LAPE_MAX_NODES`` nodes, and requests for nearly
-    the whole spectrum, use dense ``eigh``. Larger graphs use shift-invert
-    Lanczos from a fixed start vector, so repeated calls are byte-identical.
-    """
-    n = graph.num_nodes
-    lap = sparse_laplacian(graph)
-    if n <= DENSE_LAPE_MAX_NODES or count >= n:
-        return np.linalg.eigh(lap.toarray())[1][:, :count]
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    vals, vecs = eigsh(lap.tocsc(), k=count, sigma=_EIGSH_SIGMA, which="LM", v0=v0)
-    return vecs[:, np.argsort(vals, kind="stable")]
+def dense_laplacian(graph: Graph) -> np.ndarray:
+    """``sparse_laplacian(graph).toarray()``, filled without a sparse matrix."""
+    src, values = _laplacian_edges(graph)
+    lap = np.eye(graph.num_nodes)
+    lap[src, graph.indices] = values
+    return lap
 
 
 def laplacian_pe(graph: Graph, k_pe: int) -> np.ndarray:
     """Positional encoding from the k_pe smallest non-trivial Laplacian eigenvectors.
 
+    Graphs up to ``DENSE_LAPE_MAX_NODES`` nodes, and requests for nearly the
+    whole spectrum, use dense ``eigh``. Larger graphs use shift-invert
+    Lanczos from a fixed start vector, so repeated calls are byte-identical.
     Only the lowest eigenvector is dropped as trivial. A graph with c
     connected components of two or more nodes has c zero eigenvalues, so
     its first c - 1 columns lie in their null space, spanned by the
@@ -289,15 +279,17 @@ def laplacian_pe(graph: Graph, k_pe: int) -> np.ndarray:
     if n <= 1:
         return out
     avail = min(k_pe, n - 1)
-    cols = _smallest_eigenvectors(graph, avail + 1)[:, 1:]
-    for c in range(avail):
-        col = cols[:, c]
-        magnitude = np.abs(col)
-        # Near-ties in |entry| resolve to the lowest node index.
-        pivot = int(np.flatnonzero(magnitude >= magnitude.max() * (1.0 - 1e-12))[0])
-        if col[pivot] < 0:
-            col = -col
-        out[:, c] = col
+    if n <= DENSE_LAPE_MAX_NODES or k_pe >= n - 1:
+        cols = np.linalg.eigh(dense_laplacian(graph))[1][:, 1:avail + 1]
+    else:
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        vals, vecs = eigsh(sparse_laplacian(graph).tocsc(), k=avail + 1, sigma=_EIGSH_SIGMA,
+                           which="LM", v0=v0)
+        cols = vecs[:, np.argsort(vals, kind="stable")[1:]]
+    magnitude = np.abs(cols)
+    # Near-ties in |entry| resolve to the lowest node index.
+    pivot = np.argmax(magnitude >= magnitude.max(axis=0) * (1.0 - 1e-12), axis=0)
+    out[:, :avail] = np.where(cols[pivot, np.arange(avail)] < 0, -cols, cols)
     return out
 
 
@@ -335,6 +327,21 @@ def ga_mlp_aggregate(graph: Graph, features: np.ndarray) -> np.ndarray:
     return csr_operator(graph) @ (features / np.maximum(deg, 1.0)[:, None])
 
 
+def aggregate_blocks(graphs: list[Graph], lapes: list[np.ndarray]) -> list[np.ndarray]:
+    """``ga_mlp_aggregate`` of concat(X, lape) for every graph, as row views of one array.
+
+    One call on the disjoint union (a block-diagonal adjacency); each
+    graph's rows are bit-equal to aggregating that graph alone.
+    """
+    off = _offsets([g.num_nodes for g in graphs]).tolist()
+    x = np.concatenate([_packed([g.features for g in graphs], np.float64, 2),
+                        _packed(lapes, np.float64, 2)], axis=1)
+    union = Graph(off[-1], _offsets(_packed([g.degrees for g in graphs], np.int64, 1)),
+                  _packed([g.indices + lo for g, lo in zip(graphs, off)], np.int64, 1), x, 0)
+    agg = ga_mlp_aggregate(union, x)
+    return [agg[lo:hi] for lo, hi in zip(off, off[1:])]
+
+
 def default_num_walks(num_nodes: int) -> int:
     """Pool size heuristic: a quarter of the nodes, clamped to [4, 64]."""
     return int(np.clip(num_nodes // 4, 4, 64))
@@ -345,24 +352,16 @@ def _derived_seed(seed: int, graph_index: int, stream: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def build_struct_cache(graph: Graph, graph_index: int, seed: int, k_pe: int = 8,
-                       walk_length: int = 8, num_walks: int | None = None) -> StructCache:
-    """Preprocess one graph; RNG streams derive from (seed, graph_index)."""
-    clusters = louvain_cluster(graph, _derived_seed(seed, graph_index, 0))
-    lape = laplacian_pe(graph, k_pe)
-    base = np.concatenate([graph.features, lape], axis=1)
-    agg = ga_mlp_aggregate(graph, base)
-    count = default_num_walks(graph.num_nodes) if num_walks is None else num_walks
-    pool = sample_walks(graph, count, walk_length, _derived_seed(seed, graph_index, 1))
-    return StructCache(clusters=clusters, lape=lape, agg_features=agg, walk_pool=pool)
-
-
 def build_struct_caches(dataset: Dataset, seed: int, k_pe: int = 8,
                         walk_length: int = 8, num_walks: int | None = None) -> list[StructCache]:
-    return [
-        build_struct_cache(g, i, seed, k_pe, walk_length, num_walks)
-        for i, g in enumerate(dataset.graphs)
-    ]
+    """Preprocess every graph; RNG streams derive from (seed, graph index)."""
+    lapes = [laplacian_pe(g, k_pe) for g in dataset.graphs]
+    aggs = aggregate_blocks(dataset.graphs, lapes)
+    return [StructCache(
+        clusters=louvain_cluster(g, _derived_seed(seed, i, 0)), lape=lape, agg_features=agg,
+        walk_pool=sample_walks(g, default_num_walks(g.num_nodes) if num_walks is None
+                               else num_walks, walk_length, _derived_seed(seed, i, 1)),
+    ) for i, (g, lape, agg) in enumerate(zip(dataset.graphs, lapes, aggs))]
 
 
 def _offsets(sizes: list[int]) -> np.ndarray:
@@ -382,17 +381,11 @@ def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed:
     docstring). ``lape`` and ``agg_features`` must have the same width in
     every cache.
     """
-    first = caches[0].walk_pool.walk_length if caches else 0
-    meta = {
-        "format": STRUCT_CACHE_FORMAT,
-        "dataset": dataset_name,
-        "seed": seed,
-        "num_graphs": len(caches),
-        "walk_length": first,
-    }
+    meta = {"format": STRUCT_CACHE_FORMAT, "dataset": dataset_name, "seed": seed,
+            "num_graphs": len(caches),
+            "walk_length": caches[0].walk_pool.walk_length if caches else 0}
     walks = [w for c in caches for w in c.walk_pool.walks]
-    np.savez_compressed(
-        path,
+    arrays = dict(
         meta=np.str_(json.dumps(meta)),
         node_off=_offsets([c.clusters.cluster_of.size for c in caches]),
         cluster=_packed([c.clusters.cluster_of for c in caches], np.int64, 1),
@@ -407,6 +400,12 @@ def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed:
         walks=_packed(walks, np.int64, 1),
         wseed=np.array([c.walk_pool.seed for c in caches], dtype=np.int64),
     )
+    # What np.savez_compressed writes, at a lower deflate level.
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED,
+                         compresslevel=SIDECAR_DEFLATE_LEVEL) as zf:
+        for name, arr in arrays.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asanyarray(arr), allow_pickle=False)
 
 
 # Every sidecar field: dtype and number of dimensions.

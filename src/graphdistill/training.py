@@ -67,6 +67,12 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.walks_per_epoch is not None and self.walks_per_epoch < 1:
             raise ConfigError(f"walks_per_epoch must be None or >= 1, got {self.walks_per_epoch}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if self.lr_patience < 0:
+            raise ConfigError(f"lr_patience must be >= 0, got {self.lr_patience}")
+        if not self.student_seeds:
+            raise ConfigError("student_seeds must hold at least one seed")
         if not self.lr_patience < self.epochs:
             raise ConfigError(
                 f"lr_patience ({self.lr_patience}) must be < epochs ({self.epochs})"

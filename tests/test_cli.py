@@ -259,6 +259,22 @@ class TestLoadCachesEdges:
                            + ": graph 0 was built from other edges"):
             _load_caches(tmp_path, other)
 
+    @pytest.mark.parametrize("bad", [[2], [1, 3], [4]])
+    def test_first_bad_graph_named(self, tmp_path, bad):
+        ds = two_class_structural(num_graphs=5, seed=1, min_nodes=6, max_nodes=9, name="T")
+        save_struct_caches(tmp_path / "T.structcache.npz",
+                           build_struct_caches(ds, seed=0, k_pe=2, walk_length=2), "T", 0)
+        graphs = list(ds.graphs)
+        for i in bad:  # same node count, one feature entry changed
+            g = graphs[i]
+            feats = g.features.copy()
+            feats[-1, 0] += 1.0
+            graphs[i] = Graph(g.num_nodes, g.indptr, g.indices, feats, g.label)
+        other = Dataset(graphs, ds.num_classes, ds.feature_dim, "T")
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "T.structcache.npz"))
+                           + f": graph {bad[0]} was built from other edges"):
+            _load_caches(tmp_path, other)
+
     def test_sidecar_of_other_edges_exits_1(self, tmp_path, caplog):
         data = tmp_path / "data"
         base = ["--data-dir", str(data), "--out-dir", str(tmp_path / "runs")]
@@ -401,6 +417,34 @@ class TestCliRangeChecks:
         out = tmp_path / "runs"
         assert main(["distill", "--teacher-run", str(teacher_run), flag, value,
                      "--lambda", "0", "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 1
+        assert message in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lr-decay", "-1", "lr_decay must be in (0, 1], got -1.0"),
+        ("--lr-decay", "0", "lr_decay must be in (0, 1], got 0.0"),
+        ("--lr-decay", "1.5", "lr_decay must be in (0, 1], got 1.5"),
+        ("--lr-patience", "-5", "lr_patience must be >= 0, got -5"),
+    ])
+    def test_teacher_schedule_exits_1(self, tiny_data, tmp_path, caplog, flag, value, message):
+        out = tmp_path / "runs"
+        assert main(["train-teacher", "--dataset", "TINY", flag, value, "--data-dir",
+                     str(tiny_data), "--out-dir", str(out)]) == 1
+        assert message in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lambda", "nan", "weight lam must be finite and >= 0, got nan"),
+        ("--mu", "inf", "weight mu must be finite and >= 0, got inf"),
+        ("--soft", "-1", "weight soft must be finite and >= 0, got -1.0"),
+        ("--student-seeds", ",", "expected at least one int, got ','"),
+        ("--lr-decay", "nan", "lr_decay must be in (0, 1], got nan"),
+    ])
+    def test_distill_run_config_exits_1(self, tiny_data, teacher_run, tmp_path, caplog, flag,
+                                        value, message):
+        out = tmp_path / "runs"
+        assert main(["distill", "--teacher-run", str(teacher_run), flag, value,
+                     "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 1
         assert message in caplog.text
         assert not out.exists()
 

@@ -25,9 +25,9 @@ from graphdistill.models import (
     init_linear_params,
     student_input,
 )
-from graphdistill.structure import build_struct_cache
 from graphdistill.data import Graph
 
+from conftest import build_struct_cache
 from oracles import random_connected_graph, random_er_graph
 
 

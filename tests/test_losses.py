@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphdistill import autodiff as ad
-from graphdistill.errors import IntegrityError
+from graphdistill.errors import ConfigError, IntegrityError
 from graphdistill.losses import (
     DistillWeights,
     batch_ground_truth,
@@ -299,6 +299,18 @@ class TestPathConsistency:
         per_graph = (path_kl_oracle(H_t, H_s, list(walks[:2]))
                      + path_kl_oracle(H_t, H_s, list(walks[2:]))) / 2
         assert value(batched) == pytest.approx(per_graph, abs=1e-12)
+
+
+class TestDistillWeights:
+    @pytest.mark.parametrize("name", ["lam", "mu", "eta", "soft"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-12])
+    def test_non_finite_or_negative_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"weight {name} must be finite and >= 0"):
+            DistillWeights(**{name: value})
+
+    def test_zero_and_large_accepted(self):
+        DistillWeights(lam=0.0, mu=0.0, eta=0.0, soft=0.0)
+        DistillWeights(lam=1e300, mu=1e300, eta=1e300, soft=1e300)
 
 
 class TestTotalLoss:

@@ -20,9 +20,8 @@ from graphdistill.models import (
     student_infer,
     student_input,
 )
-from graphdistill.structure import build_struct_cache
 
-from conftest import build_graph
+from conftest import build_graph, build_struct_cache
 from oracles import (
     assert_grads_close,
     autodiff_grads,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import tempfile
+import zipfile
 from pathlib import Path
 
 import networkx as nx
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from graphdistill.data import Graph
+from graphdistill.data import Dataset, Graph
 from graphdistill.errors import ContractError, FormatError
 from graphdistill.structure import (
     DENSE_LAPE_MAX_NODES,
@@ -19,6 +20,7 @@ from graphdistill.structure import (
     WalkPool,
     build_struct_caches,
     default_num_walks,
+    dense_laplacian,
     ga_mlp_aggregate,
     laplacian_pe,
     load_struct_caches,
@@ -30,7 +32,7 @@ from graphdistill.structure import (
 )
 from graphdistill.synth import preferential_attachment_edges, two_class_structural
 
-from conftest import build_graph
+from conftest import build_graph, build_struct_cache
 from oracles import (
     best_partition_bruteforce,
     dense_ga_aggregate,
@@ -689,3 +691,101 @@ class TestStructCachePersistence:
             np.testing.assert_array_equal(ca.clusters.cluster_of, cb.clusters.cluster_of)
             for wa, wb in zip(ca.walk_pool.walks, cb.walk_pool.walks):
                 np.testing.assert_array_equal(wa, wb)
+
+
+def assert_caches_identical(got, want):
+    """Every array bit for bit (dtype, shape and bytes), every scalar exactly."""
+    def same(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        same(a.clusters.cluster_of, b.clusters.cluster_of)
+        assert a.clusters.num_clusters == b.clusters.num_clusters
+        assert a.clusters.modularity == b.clusters.modularity
+        assert list(a.clusters.level_modularity) == list(b.clusters.level_modularity)
+        same(a.lape, b.lape)
+        same(a.agg_features, b.agg_features)
+        assert (a.walk_pool.walk_length, a.walk_pool.seed) == (
+            b.walk_pool.walk_length, b.walk_pool.seed)
+        assert len(a.walk_pool.walks) == len(b.walk_pool.walks)
+        for x, y in zip(a.walk_pool.walks, b.walk_pool.walks):
+            same(x, y)
+
+
+class TestBatchedPreprocess:
+    """``build_struct_caches`` aggregates the whole dataset in one product;
+    it must equal preprocessing each graph on its own, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        base = two_class_structural(num_graphs=12, seed=3)
+        dim = base.feature_dim
+        rng = np.random.default_rng(4)
+        # isolated nodes 0, 4, 5 and 9 next to a triangle and a path
+        isolated = Graph.from_edges(10, [(1, 2), (2, 3), (1, 3), (6, 7), (7, 8)],
+                                    rng.normal(size=(10, dim)), 0)
+        n = DENSE_LAPE_MAX_NODES + 37
+        big = Graph.from_edges(n, preferential_attachment_edges(n, rng, extra_edges=n // 5),
+                               rng.normal(size=(n, dim)), 1)
+        edgeless = Graph.from_edges(3, [], rng.normal(size=(3, dim)), 1)
+        graphs = base.graphs[:5] + [isolated, big, edgeless] + base.graphs[5:]
+        return Dataset(graphs, 2, dim, "mixed")
+
+    @pytest.mark.parametrize("k_pe,num_walks", [(8, None), (3, 5)])
+    def test_equals_per_graph_reference(self, mixed, k_pe, num_walks):
+        got = build_struct_caches(mixed, seed=21, k_pe=k_pe, walk_length=6, num_walks=num_walks)
+        want = [build_struct_cache(g, i, 21, k_pe=k_pe, walk_length=6, num_walks=num_walks)
+                for i, g in enumerate(mixed.graphs)]
+        assert_caches_identical(got, want)
+
+    def test_structural_dataset_equals_per_graph_reference(self):
+        ds = two_class_structural(num_graphs=40, seed=11)
+        want = [build_struct_cache(g, i, 5) for i, g in enumerate(ds.graphs)]
+        assert_caches_identical(build_struct_caches(ds, seed=5), want)
+
+    def test_empty_dataset(self):
+        assert build_struct_caches(Dataset([], 2, 3, "empty"), seed=0) == []
+
+    def test_dense_laplacian_equals_sparse_toarray(self, mixed):
+        rng = np.random.default_rng(13)
+        graphs = mixed.graphs + [build_graph(1, []), build_graph(4, [])] + [
+            random_er_graph(rng, int(rng.integers(2, 40)), p=0.1) for _ in range(10)]
+        for g in graphs:
+            want = sparse_laplacian(g).toarray()
+            got = dense_laplacian(g)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    def test_sign_pivot_positive_on_near_ties(self):
+        # Regular graphs have eigenvectors with many entries of equal magnitude,
+        # so the pivot is the lowest index among near-ties.
+        for n in (6, 8, 11, 16):
+            cycle = build_graph(n, [(u, (u + 1) % n) for u in range(n)])
+            pe = laplacian_pe(cycle, n - 1)
+            for col in pe.T:
+                mag = np.abs(col)
+                pivot = np.flatnonzero(mag >= mag.max() * (1 - 1e-12))[0]
+                assert col[pivot] > 0
+
+
+class TestSidecarWriter:
+    def test_savez_compressed_sidecar_loads_equal(self, tmp_path):
+        # The same members as np.savez_compressed writes, only deflated at a
+        # lower level; a sidecar written by np.savez_compressed reads back equal.
+        ds = two_class_structural(num_graphs=6, seed=2, min_nodes=5, max_nodes=14)
+        caches = build_struct_caches(ds, seed=8, k_pe=3, walk_length=4)
+        light, heavy = tmp_path / "light.npz", tmp_path / "heavy.npz"
+        save_struct_caches(light, caches, ds.name, seed=8)
+        with np.load(light) as data:
+            np.savez_compressed(heavy, **{k: data[k] for k in data.files})
+        with zipfile.ZipFile(light) as ours, zipfile.ZipFile(heavy) as ref:
+            assert [i.filename for i in ours.infolist()] == [i.filename for i in ref.infolist()]
+            assert {i.compress_type for i in ours.infolist()} == {zipfile.ZIP_DEFLATED}
+            for name in ref.namelist():
+                assert ours.read(name) == ref.read(name)
+        back_light, meta_light = load_struct_caches(light)
+        back_heavy, meta_heavy = load_struct_caches(heavy)
+        assert meta_light == meta_heavy
+        assert_caches_identical(back_light, caches)
+        assert_caches_identical(back_heavy, back_light)

@@ -80,6 +80,19 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match=key):
             RunConfig(epochs=10, lr_patience=1, **{key: value})
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr_decay", 0.0), ("lr_decay", -1.0), ("lr_decay", 1.5), ("lr_decay", float("nan")),
+        ("lr_decay", float("inf")), ("lr_patience", -5), ("lr_patience", -1),
+        ("student_seeds", ()),
+    ])
+    def test_schedule_and_seeds_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{"epochs": 10, "lr_patience": 1, key: value})
+
+    def test_schedule_edges_accepted(self):
+        RunConfig(epochs=10, lr_patience=0, lr_decay=1.0, student_seeds=(3,))
+        RunConfig(epochs=10, lr_patience=9, lr_decay=1e-9)
+
     def test_edge_values_accepted(self):
         RunConfig(epochs=10, lr_patience=1, walks_per_epoch=1, temperature=1e-3, lr=1e-9)
         RunConfig(epochs=10, lr_patience=1, walks_per_epoch=None)

@@ -29,8 +29,10 @@ from .dynamic import (
     StudentModel,
     TeacherModel,
     aggregate_metrics,
+    check_max_fraction,
     make_trace,
     perturb_and_score,
+    removal_misfit,
     time_inference,
 )
 from .errors import ArtifactMissingError, ConfigError, FormatError, GraphDistillError
@@ -358,9 +360,7 @@ def cmd_dynamic_bench(args) -> int:
     usable, metrics = [], []
     for gid in fold.test_ids:
         g = dataset.graphs[int(gid)]
-        if g.num_nodes - args.num_remove < 1:
-            continue
-        if args.num_remove > max(1, int(args.max_fraction * g.num_nodes)):
+        if removal_misfit(g.num_nodes, args.num_remove, args.max_fraction) is not None:
             continue
         trace = make_trace(g, int(gid), args.num_remove, args.repetitions, args.seed,
                            args.max_fraction)
@@ -594,6 +594,8 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(registry[args.command], args, parser, argv)
         _check_counts(args)
+        if getattr(args, "max_fraction", None) is not None:
+            check_max_fraction(args.max_fraction)
         return args.func(args)
     except ArtifactMissingError as exc:
         log.error("%s", exc)

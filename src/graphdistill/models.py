@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Graph
 from .errors import ConfigError
-from .structure import StructCache, csr_operator
+from .structure import StructCache, csr_operator, disjoint_union
 
 SUM = "sum"
 ATTENTION = "attention"
@@ -127,29 +127,21 @@ class GraphBatch:
 
 def make_batch(graphs: list[Graph], feature_rows: list[np.ndarray] | None = None,
                cluster_ofs: list[np.ndarray] | None = None) -> GraphBatch:
-    """Merge graphs into one block-diagonal graph with segment bookkeeping."""
-    sizes = [g.num_nodes for g in graphs]
-    node_offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    degrees = np.concatenate([g.degrees for g in graphs])
-    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-    indices = (
-        np.concatenate([g.indices + off for g, off in zip(graphs, node_offsets[:-1])])
-        if indptr[-1] > 0
-        else np.zeros(0, dtype=np.int64)
-    )
+    """Merge graphs into one block-diagonal graph (``structure.disjoint_union``) with
+    segment bookkeeping; ``feature_rows``, one array per graph, replace their features."""
+    node_offsets, indptr, indices = disjoint_union(graphs)
     rows = feature_rows if feature_rows is not None else [g.features for g in graphs]
     features = np.concatenate(rows, axis=0) if rows else np.zeros((0, 0))
-    graph_of_node = np.repeat(np.arange(len(graphs)), sizes)
     batch = GraphBatch(
         num_nodes=int(node_offsets[-1]),
         num_graphs=len(graphs),
         indptr=indptr,
         indices=indices,
         features=features,
-        graph_of_node=graph_of_node,
+        graph_of_node=np.repeat(np.arange(len(graphs)), node_offsets[1:] - node_offsets[:-1]),
         labels=np.array([g.label for g in graphs], dtype=np.int64),
         node_offsets=node_offsets,
-        degrees=degrees,
+        degrees=indptr[1:] - indptr[:-1],
     )
     if cluster_ofs is not None:
         counts = [int(c.max()) + 1 if c.size else 0 for c in cluster_ofs]

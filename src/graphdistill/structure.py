@@ -327,18 +327,25 @@ def ga_mlp_aggregate(graph: Graph, features: np.ndarray) -> np.ndarray:
     return csr_operator(graph) @ (features / np.maximum(deg, 1.0)[:, None])
 
 
+def disjoint_union(graphs: list[Graph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node offsets [G+1], ``indptr`` and ``indices`` (int64) of the block-diagonal union."""
+    off = _offsets([g.num_nodes for g in graphs])
+    indptr = _offsets(_packed([g.degrees for g in graphs], np.int64, 1))
+    indices = _packed([g.indices + lo for g, lo in zip(graphs, off.tolist())], np.int64, 1)
+    return off, indptr, indices
+
+
 def aggregate_blocks(graphs: list[Graph], lapes: list[np.ndarray]) -> list[np.ndarray]:
     """``ga_mlp_aggregate`` of concat(X, lape) for every graph, as row views of one array.
 
     One call on the disjoint union (a block-diagonal adjacency); each
     graph's rows are bit-equal to aggregating that graph alone.
     """
-    off = _offsets([g.num_nodes for g in graphs]).tolist()
+    off, indptr, indices = disjoint_union(graphs)
     x = np.concatenate([_packed([g.features for g in graphs], np.float64, 2),
                         _packed(lapes, np.float64, 2)], axis=1)
-    union = Graph(off[-1], _offsets(_packed([g.degrees for g in graphs], np.int64, 1)),
-                  _packed([g.indices + lo for g, lo in zip(graphs, off)], np.int64, 1), x, 0)
-    agg = ga_mlp_aggregate(union, x)
+    agg = ga_mlp_aggregate(Graph(int(off[-1]), indptr, indices, x, 0), x)
+    off = off.tolist()
     return [agg[lo:hi] for lo, hi in zip(off, off[1:])]
 
 
@@ -365,7 +372,9 @@ def build_struct_caches(dataset: Dataset, seed: int, k_pe: int = 8,
 
 
 def _offsets(sizes: list[int]) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    off = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, dtype=np.int64, out=off[1:])
+    return off
 
 
 def _packed(parts: list[np.ndarray], dtype, ndim: int) -> np.ndarray:

@@ -86,6 +86,22 @@ def dense_batch_adjacency(graphs):
     return a
 
 
+def reference_union(graphs):
+    """Per-graph reference of a batch's union: node offsets, CSR, degrees and
+    the graph of every node, built node by node."""
+    offsets, indptr, indices, degrees, graph_of = [0], [0], [], [], []
+    for i, g in enumerate(graphs):
+        for u in range(g.num_nodes):
+            row = [offsets[-1] + int(v) for v in g.neighbors(u)]
+            indices.extend(row)
+            indptr.append(indptr[-1] + len(row))
+            degrees.append(len(row))
+            graph_of.append(i)
+        offsets.append(offsets[-1] + g.num_nodes)
+    return {"node_offsets": offsets, "indptr": indptr, "indices": indices,
+            "degrees": degrees, "graph_of_node": graph_of}
+
+
 def dense_gcn_operator(a):
     """D^-1/2 (A + I) D^-1/2 with D the row sums of A + I."""
     a_hat = a + np.eye(a.shape[0])
@@ -129,6 +145,26 @@ def dense_ga_aggregate(graph, x):
     deg = a.sum(axis=1)
     dinv = np.diag(np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0))
     return a @ dinv @ x
+
+
+def reference_incremental_state(graph, base, removed, aggregate):
+    """Initial incremental state, node by node: the neighbour sets of the
+    present nodes, their sizes and, when ``aggregate``, each present node's
+    sum of base[v] / deg(v) over those neighbours (zero rows otherwise)."""
+    n = graph.num_nodes
+    present = np.ones(n, dtype=bool)
+    present[np.asarray(removed, dtype=np.int64)] = False
+    adj = [set(int(v) for v in graph.neighbors(u) if present[v]) if present[u] else set()
+           for u in range(n)]
+    deg = np.array([len(s) for s in adj], dtype=np.float64)
+    agg = np.zeros_like(base)
+    if aggregate:
+        safe = np.maximum(deg, 1.0)
+        for u in range(n):
+            if present[u] and adj[u]:
+                nbrs = np.fromiter(adj[u], dtype=np.int64)
+                agg[u] = (base[nbrs] / safe[nbrs, None]).sum(axis=0)
+    return adj, deg, agg
 
 
 def kl_divergence(p, q):

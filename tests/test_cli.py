@@ -476,6 +476,19 @@ class TestCliRangeChecks:
                      "1", "--synthetic-nodes", "40", "--out-dir", str(tmp_path / "runs")]) == 1
         assert "num_remove must be >= 1, got 0" in caplog.text
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("synthetic", [True, False])
+    def test_dynamic_bench_max_fraction_not_finite(self, tiny_data, teacher_run, tmp_path,
+                                                   caplog, value, synthetic):
+        out = tmp_path / "runs"
+        source = (["--synthetic", "--synthetic-nodes", "40"] if synthetic else
+                  ["--teacher-run", str(teacher_run), "--student-run",
+                   str(tmp_path / "no-student"), "--data-dir", str(tiny_data)])
+        assert main(["dynamic-bench", *source, "--max-fraction", value, "--timing-graphs", "1",
+                     "--out-dir", str(out)]) == 1
+        assert f"max_fraction must be in (0, 1], got {value}" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--timing-graphs", "--repetitions"])
     def test_dynamic_bench_count_below_1(self, tmp_path, caplog, flag):
         assert main(["dynamic-bench", "--synthetic", flag, "0", "--synthetic-nodes", "40",

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from graphdistill.models import (
 from graphdistill.data import Graph
 
 from conftest import build_struct_cache
-from oracles import random_connected_graph, random_er_graph
+from oracles import random_connected_graph, random_er_graph, reference_incremental_state
 
 
 def make_student(graph, cache, rng, kind="ga-mlp", use_lape=True, hidden=8):
@@ -127,6 +129,108 @@ class TestIncrementalState:
                                    np.array([0]))
 
 
+class TestInitialStateOracle:
+    """The array-built initial state equals the per-node reference loop."""
+
+    def _check(self, g, cache, student, removed):
+        cfg = student.config
+        state = init_incremental_state(g, cache, cfg, student.params, removed)
+        base = np.concatenate([g.features, cache.lape], axis=1) if cfg.use_lape else g.features
+        adj, deg, agg = reference_incremental_state(g, base, removed, cfg.kind == "ga-mlp")
+        assert state.adj == adj
+        np.testing.assert_array_equal(state.deg, deg)
+        np.testing.assert_allclose(state.agg, agg, rtol=0, atol=1e-12)
+        return state
+
+    @pytest.mark.parametrize("kind,use_lape", [("ga-mlp", True), ("ga-mlp", False),
+                                               ("mlp", True)])
+    def test_random_graphs(self, kind, use_lape):
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            g = random_connected_graph(int(rng.integers(5, 40)), rng)
+            cache = build_struct_cache(g, 0, seed=1, k_pe=4)
+            student = make_student(g, cache, rng, kind=kind, use_lape=use_lape)
+            size = int(rng.integers(0, g.num_nodes + 1))
+            self._check(g, cache, student, rng.choice(g.num_nodes, size=size, replace=False))
+
+    def test_isolated_nodes(self):
+        rng = np.random.default_rng(32)
+        g = random_er_graph(rng, 30, p=0.05, feature_dim=4)
+        assert np.any(g.degrees == 0)
+        cache = build_struct_cache(g, 0, seed=2, k_pe=4)
+        student = make_student(g, cache, rng)
+        self._check(g, cache, student, rng.choice(30, size=6, replace=False))
+
+    def test_node_with_every_neighbor_removed(self):
+        rng = np.random.default_rng(33)
+        g = random_connected_graph(25, rng)
+        cache = build_struct_cache(g, 0, seed=3, k_pe=4)
+        student = make_student(g, cache, rng)
+        hub = int(np.argmax(g.degrees))
+        state = self._check(g, cache, student, g.neighbors(hub))
+        assert state.present[hub] and state.deg[hub] == 0.0 and not state.adj[hub]
+        np.testing.assert_array_equal(state.agg[hub], 0.0)
+
+
+class TestBadNodeLists:
+    """Ids outside the graph, repeated neighbours and self loops raise
+    ``ContractError`` and leave the state as it was."""
+
+    def _state(self):
+        rng = np.random.default_rng(16)
+        g = random_connected_graph(20, rng)
+        cache = build_struct_cache(g, 0, seed=16, k_pe=4)
+        student = make_student(g, cache, rng)
+        state = init_incremental_state(g, cache, student.config, student.params,
+                                       np.array([0, 1, 2]))
+        return g, cache, student, state
+
+    def _assert_rejected(self, call, match):
+        g, cache, student, state = self._state()
+        before = copy.deepcopy(state)
+        with pytest.raises(ContractError, match=match):
+            call(g, cache, student, state)
+        assert state.adj == before.adj
+        for name in ("present", "deg", "agg", "emb", "pooled"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
+
+    @pytest.mark.parametrize("call", [
+        lambda g, c, s, st: incremental_insert(st, 20, []),
+        lambda g, c, s, st: incremental_insert(st, -1, []),
+        lambda g, c, s, st: incremental_insert(st, 0, [20]),
+        lambda g, c, s, st: incremental_insert(st, 0, [-1]),
+        lambda g, c, s, st: incremental_remove(st, 20),
+        lambda g, c, s, st: incremental_remove(st, -1),
+        lambda g, c, s, st: init_incremental_state(g, c, s.config, s.params, np.array([20])),
+        lambda g, c, s, st: init_incremental_state(g, c, s.config, s.params, np.array([-1])),
+    ])
+    def test_node_outside_graph(self, call):
+        self._assert_rejected(call, r"outside \[0, 20\)")
+
+    @pytest.mark.parametrize("call", [
+        lambda g, c, s, st: incremental_insert(st, 0, [3, 3]),
+        lambda g, c, s, st: incremental_insert(st, 0, [5, 3, 5]),
+    ])
+    def test_repeated_neighbor(self, call):
+        self._assert_rejected(call, "repeat")
+
+    @pytest.mark.parametrize("nbrs", [[0], [3, 0]])
+    def test_neighbor_is_the_node(self, nbrs):
+        self._assert_rejected(lambda g, c, s, st: incremental_insert(st, 0, nbrs),
+                              "node 0 lists itself as a neighbor")
+
+    @pytest.mark.parametrize("indices,match", [
+        ([1, 1, 0, 0, 2, 1], "distinct neighbors"),  # edge 0-1 stored twice
+        ([0, 1, 0, 1, 2, 1], "self loop"),
+    ])
+    def test_graph_rows_not_simple(self, indices, match):
+        g = Graph(3, np.array([0, 2, 5, 6]), np.array(indices), np.eye(3), 0)
+        cfg = StudentConfig(kind="ga-mlp", hidden=4)
+        params = init_linear_params(np.random.default_rng(0), 6, cfg, 2)
+        with pytest.raises(ContractError, match=match):
+            init_incremental_state(g, None, cfg, {k: p.values for k, p in params.items()}, [])
+
+
 class TestIncrementalEqualsFull:
     @pytest.mark.parametrize("kind,use_lape", [("ga-mlp", True), ("mlp", False)])
     @settings(max_examples=3, deadline=None)
@@ -203,6 +307,12 @@ class TestTraces:
         g = random_connected_graph(40, np.random.default_rng(11))
         with pytest.raises(ConfigError, match=f"num_remove must be >= 1, got {num_remove}"):
             make_trace(g, 0, num_remove=num_remove, max_fraction=0.5)
+
+    @pytest.mark.parametrize("max_fraction", [float("nan"), float("inf"), 0.0, -0.5, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, max_fraction):
+        g = random_connected_graph(40, np.random.default_rng(12))
+        with pytest.raises(ConfigError, match=r"max_fraction must be in \(0, 1\]"):
+            make_trace(g, 0, num_remove=1, max_fraction=max_fraction)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)

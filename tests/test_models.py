@@ -29,6 +29,7 @@ from oracles import (
     dense_gcn_operator,
     finite_difference_grads,
     random_er_graph,
+    reference_union,
 )
 
 
@@ -342,14 +343,15 @@ class TestModelGradients:
 
 
 def propagation_batches():
-    """Multi-graph batches with isolated nodes, plus one batch with no edges."""
+    """Multi-graph batches with isolated nodes, one batch with no edges and a
+    single graph."""
     rng = np.random.default_rng(20)
     er = [random_er_graph(rng, int(rng.integers(2, 16)), p=0.2, feature_dim=3)
           for _ in range(5)]
     lone = build_graph(4, [(0, 1)], rng.normal(size=(4, 3)))  # nodes 2, 3 isolated
     single = build_graph(1, [], rng.normal(size=(1, 3)))
     edgeless = [build_graph(n, [], rng.normal(size=(n, 3))) for n in (3, 1, 2)]
-    return [er + [lone, single], [single, lone, er[0]], edgeless]
+    return [er + [lone, single], [single, lone, er[0]], edgeless, [er[1]]]
 
 
 def dense_readout(H, graphs, params_np, mode):
@@ -386,6 +388,8 @@ class TestPropagationOracle:
     @pytest.mark.parametrize("graphs", propagation_batches())
     def test_operators_match_dense(self, graphs):
         batch = make_batch(graphs)
+        for name, want in reference_union(graphs).items():
+            assert np.array_equal(getattr(batch, name), want), name
         a = dense_batch_adjacency(graphs)
         np.testing.assert_array_equal(batch.adjacency.toarray(), a)
         np.testing.assert_allclose(batch.gcn_operator.toarray(), dense_gcn_operator(a),

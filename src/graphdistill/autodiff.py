@@ -28,7 +28,7 @@ import ctypes
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, ShapeError
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -48,15 +48,6 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
-
-_DEBUG_FINITE = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle per-op non-finite output checks (off by default)."""
-    global _DEBUG_FINITE
-    _DEBUG_FINITE = bool(enabled)
-
 
 class Tensor:
     """Dense float64 value participating in reverse-mode differentiation."""
@@ -94,8 +85,6 @@ def parameter(values) -> Tensor:
 def _make(values, op: str, parents, backward_fn) -> Tensor:
     out = Tensor(values)
     out._op = op
-    if _DEBUG_FINITE and not np.all(np.isfinite(out.values)):
-        raise NumericError(f"non-finite output from op {op!r}")
     for p in parents:  # a plain loop costs less than any() over a generator
         if p.requires_grad:
             out.requires_grad = True

@@ -8,8 +8,9 @@ error, 3 missing input artifact.
 
 ``preprocess`` writes ``<name>.structcache.npz`` next to the TU files; the
 other commands read it back. A sidecar of an older format
-(``structcache/1``), or one whose graph or node counts do not match the
-dataset, is invalid input (exit 1): run ``graphdistill preprocess`` again.
+(``structcache/1`` or ``/2``), one whose graph or node counts do not match
+the dataset, or one whose cluster or walk ids point outside their graph, is
+invalid input (exit 1): run ``graphdistill preprocess`` again.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .runio import (
     load_student_checkpoint,
     load_teacher_checkpoint,
     new_run_dir,
+    read_json_object,
     read_manifest,
     save_student_checkpoint,
     save_teacher_checkpoint,
@@ -452,6 +454,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON file with flag defaults")
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The optimisation flags shared by teacher training and distillation."""
+    p.add_argument("--epochs", type=int, default=350)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--lr", type=float, default=8e-3)
+    p.add_argument("--lr-decay", type=float, default=0.6)
+    p.add_argument("--lr-patience", type=int, default=30)
+
+
 def _add_student_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--student", choices=["mlp", "ga-mlp"], default="mlp")
     p.add_argument("--lape", action="store_true")
@@ -463,11 +474,7 @@ def _add_student_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=1e-4)
     p.add_argument("--soft", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=350)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=8e-3)
-    p.add_argument("--lr-decay", type=float, default=0.6)
-    p.add_argument("--lr-patience", type=int, default=30)
+    _add_run_flags(p)
     p.add_argument("--student-seeds", default="0,1,2")
     p.add_argument("--walks-per-epoch", type=int, default=None)
     p.add_argument("--temperature", type=float, default=1.0)
@@ -495,11 +502,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--dropout", default="0")
     p.add_argument("--readout", choices=["sum", "attention"], default="sum")
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=350)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=8e-3)
-    p.add_argument("--lr-decay", type=float, default=0.6)
-    p.add_argument("--lr-patience", type=int, default=30)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_train_teacher)
 
     p = sub.add_parser("distill", help="distill a teacher run into a student")
@@ -555,16 +558,7 @@ def _apply_config_file(subparser, args, parser, argv) -> argparse.Namespace:
     """Config file sets subcommand defaults; explicit flags still override."""
     if not args.config:
         return args
-    path = Path(args.config)
-    if not path.is_file():
-        raise ArtifactMissingError(path)
-    try:
-        with path.open() as fh:
-            overrides = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: config is not valid JSON: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise FormatError(f"{path}: config must be a JSON object, got {type(overrides).__name__}")
+    overrides = read_json_object(args.config, {})
     known = {a.dest for a in subparser._actions}
     defaults = {k.replace("-", "_"): v for k, v in overrides.items()}
     unknown = set(defaults) - known

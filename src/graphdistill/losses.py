@@ -114,28 +114,25 @@ def batch_inter_cluster(student_clusters: Tensor, teacher_clusters: np.ndarray,
     return ad.mul(ad.frobenius_sq(diff), 1.0 / num_graphs)
 
 
-def _walk_log_probs(H: Tensor, walk_matrix: np.ndarray, start: int) -> Tensor:
-    """Row-wise log-softmax over walk positions ``start..`` of the scores
-    <H[walk[t]], H[walk[0]]>."""
+def _walk_log_probs(H: Tensor, walk_matrix: np.ndarray) -> Tensor:
+    """Row-wise log-softmax over walk positions of the scores <H[walk[t]], H[walk[0]]>."""
     anchors = ad.gather_rows(H, walk_matrix[:, 0])
     ones = ad.constant(np.ones((H.shape[1], 1)))
     cols = [
         ad.matmul(ad.mul(ad.gather_rows(H, walk_matrix[:, t]), anchors), ones)
-        for t in range(start, walk_matrix.shape[1])
+        for t in range(walk_matrix.shape[1])
     ]
     return ad.log_softmax(ad.concat(cols, dim=1), dim=1)
 
 
 def batch_path_consistency(H_student: Tensor, H_teacher: np.ndarray,
-                           walk_matrix: np.ndarray, walk_weights: np.ndarray,
-                           include_start: bool = True) -> Tensor:
-    """Weighted sum of per-walk KLs over same-length walks (global node ids).
+                           walk_matrix: np.ndarray, walk_weights: np.ndarray) -> Tensor:
+    """Weighted sum of per-walk KLs over full-length walks (global node ids).
 
     ``walk_weights`` carries the per-graph averaging: 1 / (walks-in-graph *
     graphs-in-batch) for each row of ``walk_matrix``.
     """
     if walk_matrix.size == 0:
         return ad.constant(np.asarray(0.0))
-    start = 0 if include_start else 1
-    logp_t = _walk_log_probs(ad.constant(H_teacher), walk_matrix, start).values
-    return _weighted_kl(logp_t, _walk_log_probs(H_student, walk_matrix, start), walk_weights)
+    logp_t = _walk_log_probs(ad.constant(H_teacher), walk_matrix).values
+    return _weighted_kl(logp_t, _walk_log_probs(H_student, walk_matrix), walk_weights)

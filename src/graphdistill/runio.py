@@ -48,7 +48,7 @@ def write_manifest(run_dir, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_object(path, fields: dict) -> dict:
+def read_json_object(path, fields: dict) -> dict:
     """A JSON object holding every key of ``fields`` with a value of its
     type; anything else is a ``FormatError`` naming the file."""
     path = Path(path)
@@ -72,7 +72,7 @@ def _read_object(path, fields: dict) -> dict:
 def read_manifest(run_dir, fields: dict) -> dict:
     """``manifest.json`` of ``run_dir``; ``fields`` maps each key the caller
     reads to its type."""
-    return _read_object(Path(run_dir) / "manifest.json", fields)
+    return read_json_object(Path(run_dir) / "manifest.json", fields)
 
 
 def write_metrics_csv(path, rows: list[tuple]) -> None:
@@ -177,9 +177,9 @@ def save_teacher_checkpoint(run_dir, ckpt: TeacherCheckpoint) -> None:
 def load_teacher_checkpoint(run_dir, fold_index: int) -> TeacherCheckpoint:
     stem = Path(run_dir) / f"teacher_fold{fold_index}"
     path = stem.with_suffix(".json")
-    meta = _read_object(path, {"fold_index": int, "config": dict,
-                               "best_test_accuracy": (int, float), "epoch_of_best": int,
-                               "train_accuracy": (int, float)})
+    meta = read_json_object(path, {"fold_index": int, "config": dict,
+                                   "best_test_accuracy": (int, float), "epoch_of_best": int,
+                                   "train_accuracy": (int, float)})
     params = load_checkpoint(stem.with_suffix(".ckpt"))
     return TeacherCheckpoint(
         fold_index=meta["fold_index"],
@@ -204,7 +204,7 @@ def save_student_checkpoint(run_dir, config: StudentConfig, params: dict,
 def load_student_checkpoint(run_dir, fold_index: int, seed: int):
     stem = Path(run_dir) / f"student_fold{fold_index}_seed{seed}"
     path = stem.with_suffix(".json")
-    config = config_from_dict(_read_object(path, {"config": dict})["config"], path)
+    config = config_from_dict(read_json_object(path, {"config": dict})["config"], path)
     return config, load_checkpoint(stem.with_suffix(".ckpt"))
 
 

@@ -11,7 +11,7 @@ propagation matrix (``models``) and the normalized Laplacian of graphs
 above ``DENSE_LAPE_MAX_NODES`` nodes (shift-invert ``eigsh``); smaller
 graphs fill a dense Laplacian for ``eigh``.
 
-The cache sidecar (``save_struct_caches``, format ``structcache/2``) is
+The cache sidecar (``save_struct_caches``, format ``structcache/3``) is
 one ``.npz`` deflated at level 1 (``SIDECAR_DEFLATE_LEVEL``), not zlib's
 default 6, which on 3.1 MB of arrays (405 small graphs) took 144 ms
 against 91 ms for a file only 4% smaller.
@@ -23,9 +23,12 @@ offsets that start at 0 and never decrease:
   ``agg`` [N, D + k_pe] float64, where N is the total node count;
 - ``modularity`` [G] float64 and ``wseed`` [G] int64, one per graph;
 - ``level_off`` [G+1] slices ``levels`` float64 (per-level modularity);
-- ``pool_off`` [G+1] slices the walks of each graph's pool out of
-  ``walk_off``, whose consecutive entries slice each walk out of ``walks``
-  int64.
+- ``pool_off`` [G+1] slices the rows of each graph's walk pool out of
+  ``walks`` [W, walk_length + 1] int64, the pools' ``WalkPool.walks``
+  matrices stacked.
+
+The loader also checks that every cluster and walk id lies in [0, n) of
+its own graph, and that -1 appears only as the tail of a singleton walk.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from scipy.sparse.linalg import eigsh
 from .data import Dataset, Graph
 from .errors import ContractError, FormatError
 
-STRUCT_CACHE_FORMAT = "structcache/2"
+STRUCT_CACHE_FORMAT = "structcache/3"
 
 # Largest graph whose positional encoding uses dense ``eigh``. Dense and
 # shift-invert times cross near 200 nodes (sparse preferential-attachment
@@ -68,9 +71,13 @@ class ClusterAssignment:
 
 @dataclass
 class WalkPool:
-    """Precomputed random walks; each walk is start node + up to T steps."""
+    """Precomputed random walks as one int64 matrix [num_walks, walk_length + 1].
 
-    walks: list[np.ndarray]
+    Each row is a start node and ``walk_length`` steps, or, for a start
+    without neighbours, that node followed by ``-1``s (a singleton walk).
+    """
+
+    walks: np.ndarray
     walk_length: int
     seed: int
 
@@ -296,8 +303,10 @@ def laplacian_pe(graph: Graph, k_pe: int) -> np.ndarray:
 def sample_walks(graph: Graph, num_walks: int, walk_length: int, seed: int) -> WalkPool:
     """Uniform random walks: random start node, then T uniform neighbor steps.
 
-    A walk starting on an isolated node is the singleton sequence. An empty
-    pool (num_walks=0) is valid and contributes nothing downstream.
+    A walk starting on an isolated node is the singleton sequence, padded
+    with ``-1``s to the matrix width. No other walk ends early: after the
+    first step the previous node is always a neighbour. An empty pool
+    (num_walks=0) is valid and contributes nothing downstream.
     """
     if walk_length < 1:
         raise ContractError(f"walk_length must be >= 1, got {walk_length}")
@@ -313,8 +322,9 @@ def sample_walks(graph: Graph, num_walks: int, walk_length: int, seed: int) -> W
                 break
             cur = nbrs[lo + int(rng.integers(hi - lo))]
             seq.append(cur)
-        walks.append(np.array(seq, dtype=np.int64))
-    return WalkPool(walks=walks, walk_length=walk_length, seed=seed)
+        walks.append(seq + [-1] * (walk_length + 1 - len(seq)))
+    matrix = np.array(walks, dtype=np.int64).reshape(num_walks, walk_length + 1)
+    return WalkPool(walks=matrix, walk_length=walk_length, seed=seed)
 
 
 def ga_mlp_aggregate(graph: Graph, features: np.ndarray) -> np.ndarray:
@@ -384,16 +394,15 @@ def _packed(parts: list[np.ndarray], dtype, ndim: int) -> np.ndarray:
 
 
 def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed: int) -> None:
-    """Persist per-dataset caches as one ``structcache/2`` .npz sidecar.
+    """Persist per-dataset caches as one ``structcache/3`` .npz sidecar.
 
     Every field is one packed array over all graphs (see the module
-    docstring). ``lape`` and ``agg_features`` must have the same width in
-    every cache.
+    docstring). ``lape``, ``agg_features`` and the walk matrices must have
+    the same width in every cache.
     """
     meta = {"format": STRUCT_CACHE_FORMAT, "dataset": dataset_name, "seed": seed,
             "num_graphs": len(caches),
             "walk_length": caches[0].walk_pool.walk_length if caches else 0}
-    walks = [w for c in caches for w in c.walk_pool.walks]
     arrays = dict(
         meta=np.str_(json.dumps(meta)),
         node_off=_offsets([c.clusters.cluster_of.size for c in caches]),
@@ -405,8 +414,8 @@ def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed:
         levels=np.array([x for c in caches for x in c.clusters.level_modularity],
                         dtype=np.float64),
         pool_off=_offsets([len(c.walk_pool.walks) for c in caches]),
-        walk_off=_offsets([w.size for w in walks]),
-        walks=_packed(walks, np.int64, 1),
+        walks=_packed([c.walk_pool.walks for c in caches], np.int64, 2).reshape(
+            -1, meta["walk_length"] + 1),
         wseed=np.array([c.walk_pool.seed for c in caches], dtype=np.int64),
     )
     # What np.savez_compressed writes, at a lower deflate level.
@@ -421,8 +430,8 @@ def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed:
 _FIELDS = {
     "node_off": (np.int64, 1), "cluster": (np.int64, 1), "lape": (np.float64, 2),
     "agg": (np.float64, 2), "modularity": (np.float64, 1), "level_off": (np.int64, 1),
-    "levels": (np.float64, 1), "pool_off": (np.int64, 1), "walk_off": (np.int64, 1),
-    "walks": (np.int64, 1), "wseed": (np.int64, 1),
+    "levels": (np.float64, 1), "pool_off": (np.int64, 1), "walks": (np.int64, 2),
+    "wseed": (np.int64, 1),
 }
 
 
@@ -434,8 +443,10 @@ def _check_offsets(path: Path, name: str, off: np.ndarray, end: int,
         raise FormatError(f"{path}: offsets {name!r} are not monotone from 0 to {end}")
 
 
-def _check_layout(path: Path, fields: dict[str, np.ndarray], num_graphs: int) -> None:
-    """Raise ``FormatError`` unless the packed fields describe ``num_graphs`` graphs."""
+def _check_layout(path: Path, fields: dict[str, np.ndarray], num_graphs: int,
+                  walk_length: int) -> None:
+    """Raise ``FormatError`` unless the packed fields describe ``num_graphs`` graphs
+    whose cluster and walk ids stay inside their own graph."""
     for name, (dtype, ndim) in _FIELDS.items():
         arr = fields[name]
         if arr.dtype != dtype or arr.ndim != ndim:
@@ -450,13 +461,25 @@ def _check_layout(path: Path, fields: dict[str, np.ndarray], num_graphs: int) ->
             raise FormatError(f"{path}: field {name!r} has {fields[name].shape[0]} rows "
                               f"for {fields['cluster'].size} nodes")
     _check_offsets(path, "level_off", fields["level_off"], fields["levels"].size, num_graphs + 1)
-    _check_offsets(path, "walk_off", fields["walk_off"], fields["walks"].size)
-    _check_offsets(path, "pool_off", fields["pool_off"], fields["walk_off"].size - 1,
-                   num_graphs + 1)
+    walks = fields["walks"]
+    if walks.shape[1] != walk_length + 1:
+        raise FormatError(f"{path}: field 'walks' has {walks.shape[1]} columns "
+                          f"for walk_length {walk_length}")
+    _check_offsets(path, "pool_off", fields["pool_off"], walks.shape[0], num_graphs + 1)
+    sizes = np.diff(fields["node_off"])
+    cluster = fields["cluster"]
+    if np.any((cluster < 0) | (cluster >= np.repeat(sizes, sizes))):
+        raise FormatError(f"{path}: field 'cluster' holds ids outside [0, n) of their graph")
+    n = np.repeat(sizes, np.diff(fields["pool_off"]))[:, None]
+    valid = (walks >= 0) & (walks < n)
+    valid[:, 1:] |= np.all(walks[:, 1:] == -1, axis=1, keepdims=True)  # singleton tails
+    if not valid.all():
+        raise FormatError(f"{path}: field 'walks' holds ids outside [0, n) of their graph "
+                          "or -1 outside the tail of a singleton walk")
 
 
 def _read_fields(path: Path, data) -> tuple[dict[str, np.ndarray], dict]:
-    """The meta dict and every field of an open ``structcache/2`` archive."""
+    """The meta dict and every field of an open ``structcache/3`` archive."""
     try:
         meta = json.loads(str(data["meta"]))
     except (KeyError, ValueError) as exc:
@@ -480,11 +503,12 @@ def _read_fields(path: Path, data) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def load_struct_caches(path) -> tuple[list[StructCache], dict]:
-    """Read a ``structcache/2`` sidecar; every returned array is a read-only view.
+    """Read a ``structcache/3`` sidecar; every returned array is a read-only view.
 
-    A file that is not such a sidecar, misses a field or has inconsistent
-    offsets raises ``FormatError`` naming ``path``. Sidecars of an older
-    format must be rebuilt with ``graphdistill preprocess``.
+    A file that is not such a sidecar, misses a field, has inconsistent
+    offsets or holds an id outside its graph raises ``FormatError`` naming
+    ``path``. Sidecars of an older format must be rebuilt with
+    ``graphdistill preprocess``.
     """
     path = Path(path)
     if not path.is_file():
@@ -503,13 +527,13 @@ def load_struct_caches(path) -> tuple[list[StructCache], dict]:
         with data:
             fields, meta = _read_fields(path, data)
     num_graphs, walk_length = meta["num_graphs"], meta["walk_length"]
-    _check_layout(path, fields, num_graphs)
+    _check_layout(path, fields, num_graphs, walk_length)
     for arr in fields.values():
         arr.flags.writeable = False
 
     cluster, lape, agg, walks = (fields[k] for k in ("cluster", "lape", "agg", "walks"))
-    node_off, level_off, pool_off, walk_off = (
-        fields[k].tolist() for k in ("node_off", "level_off", "pool_off", "walk_off"))
+    node_off, level_off, pool_off = (
+        fields[k].tolist() for k in ("node_off", "level_off", "pool_off"))
     modularities, levels, seeds = (
         fields[k].tolist() for k in ("modularity", "levels", "wseed"))
     caches = []
@@ -526,8 +550,7 @@ def load_struct_caches(path) -> tuple[list[StructCache], dict]:
             lape=lape[lo:hi],
             agg_features=agg[lo:hi],
             walk_pool=WalkPool(
-                walks=[walks[walk_off[j]:walk_off[j + 1]]
-                       for j in range(pool_off[i], pool_off[i + 1])],
+                walks=walks[pool_off[i]:pool_off[i + 1]],
                 walk_length=walk_length,
                 seed=seeds[i],
             ),

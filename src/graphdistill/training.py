@@ -269,22 +269,16 @@ def cache_teacher(checkpoint: TeacherCheckpoint, dataset: Dataset,
     )
 
 
-def _full_walk_matrix(cache: StructCache) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the pool's full-length walks; shorter walks contribute nothing.
+def _draw_walks(pool: np.ndarray, rng: np.random.Generator,
+                limit: int | None) -> tuple[np.ndarray, int]:
+    """Up to ``limit`` rows of a walk matrix in random order, and how many were drawn.
 
-    Returns the stacked matrix plus a pool-index -> matrix-row map (-1 for
-    walks that ended early on an isolated start).
+    Singleton rows (last entry -1) are dropped after the draw: they count in
+    the number drawn, which the path-term weights divide by, but add no term.
     """
-    length = cache.walk_pool.walk_length + 1
-    full = [w for w in cache.walk_pool.walks if w.size == length]
-    row_of = np.full(len(cache.walk_pool.walks), -1, dtype=np.int64)
-    row = 0
-    for i, w in enumerate(cache.walk_pool.walks):
-        if w.size == length:
-            row_of[i] = row
-            row += 1
-    matrix = np.stack(full) if full else np.zeros((0, length), dtype=np.int64)
-    return matrix, row_of
+    take = len(pool) if limit is None else min(limit, len(pool))
+    rows = pool[rng.permutation(len(pool))[:take]]
+    return rows[rows[:, -1] >= 0], take
 
 
 def _student_loss_parts(out, ids, batch, tcache: TeacherCache, walk_rows, walk_weights,
@@ -322,8 +316,6 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
             f"teacher {tcache.graph_embeddings[0].size}, student {scfg.hidden}"
         )
     inputs = [student_input(g, c, scfg) for g, c in zip(dataset.graphs, struct_caches)]
-    walk_matrices = [_full_walk_matrix(c) for c in struct_caches]
-    pool_sizes = [len(c.walk_pool.walks) for c in struct_caches]
 
     rng_init = _derived_rng(run.seed, seed, fold.fold_index, 0)
     rng_shuffle = _derived_rng(run.seed, seed, fold.fold_index, 1)
@@ -347,11 +339,8 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
         epoch_walks = {}
         if weights.eta > 0:
             for gid in fold.train_ids:
-                full, row_of = walk_matrices[gid]
-                size = pool_sizes[gid]
-                take = size if run.walks_per_epoch is None else min(run.walks_per_epoch, size)
-                rows = row_of[rng_walks.permutation(size)[:take]]
-                epoch_walks[gid] = (full[rows[rows >= 0]], take)
+                epoch_walks[gid] = _draw_walks(struct_caches[gid].walk_pool.walks, rng_walks,
+                                               run.walks_per_epoch)
 
         sums = {k: 0.0 for k in curves}
         nbatches = 0

@@ -177,13 +177,13 @@ def softmax_np(x):
     return e / e.sum()
 
 
-def path_kl_oracle(h_teacher, h_student, walks, include_start=True):
+def path_kl_oracle(h_teacher, h_student, walks):
     """Direct per-walk KL summation, averaged over the walk collection."""
     if len(walks) == 0:
         return 0.0
     total = 0.0
     for walk in walks:
-        nodes = np.asarray(walk) if include_start else np.asarray(walk)[1:]
+        nodes = np.asarray(walk)
         if nodes.size < 2:
             continue
         anchor = int(walk[0])
@@ -191,6 +191,29 @@ def path_kl_oracle(h_teacher, h_student, walks, include_start=True):
         q = softmax_np(h_student[nodes] @ h_student[anchor])
         total += kl_divergence(p, q)
     return total / len(walks)
+
+
+def unpadded(walks):
+    """Each row of a walk matrix without its ``-1`` padding."""
+    return [row[row >= 0] for row in walks]
+
+
+def full_walk_matrix(walks, walk_length):
+    """Stack a pool's full-length walks (a list of variable-length walks).
+
+    Returns the stacked matrix plus a pool-index -> matrix-row map (-1 for
+    walks that ended early on an isolated start).
+    """
+    length = walk_length + 1
+    full = [w for w in walks if w.size == length]
+    row_of = np.full(len(walks), -1, dtype=np.int64)
+    row = 0
+    for i, w in enumerate(walks):
+        if w.size == length:
+            row_of[i] = row
+            row += 1
+    matrix = np.stack(full) if full else np.zeros((0, length), dtype=np.int64)
+    return matrix, row_of
 
 
 def mmd_poly_sq(h_a, h_b):

@@ -12,7 +12,6 @@ from graphdistill.errors import (
     ArtifactMissingError,
     ContractError,
     FormatError,
-    NumericError,
     ShapeError,
 )
 
@@ -238,15 +237,6 @@ class TestShapeAndNumericErrors:
     def test_segment_index_out_of_range(self):
         with pytest.raises(ShapeError):
             ad.segment_sum(ad.constant(np.ones((2, 1))), np.array([0, 5]), 2)
-
-    def test_debug_mode_flags_nonfinite(self):
-        ad.set_debug_checks(True)
-        try:
-            with np.errstate(invalid="ignore"):
-                with pytest.raises(NumericError, match="mul"):
-                    ad.mul(ad.constant([np.inf]), 0.0)
-        finally:
-            ad.set_debug_checks(False)
 
 
 class TestAdam:

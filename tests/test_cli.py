@@ -160,6 +160,16 @@ class TestCliContracts:
         assert main(["distill", "--teacher-run", str(teacher_run), "--epochs", "2",
                      "--lr-patience", "1", *base]) == 1
         assert str(sidecar) in caplog.text
+        # the previous layout, with one offset per walk, must be rebuilt
+        meta = {"format": "structcache/2", "dataset": "TINY", "seed": 0, "num_graphs": 8,
+                "walk_length": 8}
+        np.savez_compressed(sidecar, meta=np.str_(json.dumps(meta)),
+                            walk_off=np.zeros(1, dtype=np.int64))
+        caplog.clear()
+        assert main(["distill", "--teacher-run", str(teacher_run), "--epochs", "2",
+                     "--lr-patience", "1", *base]) == 1
+        assert f"{sidecar}: unsupported cache format 'structcache/2'" in caplog.text
+        assert "re-run `graphdistill preprocess`" in caplog.text
 
     def test_sidecar_of_other_dataset_exits_1(self, tmp_path, caplog):
         data = tmp_path / "data"

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -16,14 +14,14 @@ from graphdistill.losses import (
     total_loss,
 )
 from graphdistill.models import INFER, GinConfig, init_gin_params, make_batch, params_to_arrays
-from graphdistill.structure import WalkPool, build_struct_caches
+from graphdistill.structure import build_struct_caches
 from graphdistill.synth import two_class_structural
-from graphdistill.training import _full_walk_matrix
 
 from oracles import (
     assert_grads_close,
     autodiff_grads,
     finite_difference_grads,
+    full_walk_matrix,
     kl_divergence,
     mmd_poly_sq,
     path_kl_oracle,
@@ -49,12 +47,11 @@ def inter_cluster(student, teacher, sizes):
                                      len(sizes)))
 
 
-def path_loss(h_teacher, h_student, walks, include_start=True):
+def path_loss(h_teacher, h_student, walks):
     """Path loss of one graph whose walk pool is ``walks`` (equal lengths)."""
     walks = np.asarray(walks, dtype=np.int64)
     weights = np.full(walks.shape[0], 1.0 / max(walks.shape[0], 1))
-    return value(batch_path_consistency(ad.constant(h_student), h_teacher, walks, weights,
-                                        include_start))
+    return value(batch_path_consistency(ad.constant(h_student), h_teacher, walks, weights))
 
 
 class TestGroundTruth:
@@ -222,11 +219,9 @@ class TestPathSoftmax:
         assert loss == pytest.approx(np.log((np.e + 3) / 4) - 0.25, rel=1e-12)
 
     def test_orthogonal_equal_norm_uniform(self):
-        # orthogonal unit rows look alike from the anchor once it is excluded
+        # orthogonal unit rows look alike from the anchor, but the anchor
+        # itself is a walk position and h_0.h_0 = 1 favours position 0
         walk = [[0, 1, 2, 3]]
-        assert path_loss(np.eye(4), np.ones((4, 2)), walk, include_start=False) == \
-            pytest.approx(0.0, abs=1e-12)
-        # with the anchor included, h_0.h_0 = 1 favours position 0
         p = np.array([np.e, 1.0, 1.0, 1.0]) / (np.e + 3)
         assert path_loss(np.eye(4), np.ones((4, 2)), walk) == \
             pytest.approx(float((p * np.log(4 * p)).sum()), rel=1e-12)
@@ -263,9 +258,8 @@ class TestPathConsistency:
         H_t = rng.normal(size=(6, 4))
         H_s = rng.normal(size=(6, 4))
         walks = rng.integers(0, 6, size=(7, 5))
-        for include_start in (True, False):
-            assert path_loss(H_t, H_s, walks, include_start) == pytest.approx(
-                path_kl_oracle(H_t, H_s, list(walks), include_start), abs=1e-10)
+        assert path_loss(H_t, H_s, walks) == pytest.approx(
+            path_kl_oracle(H_t, H_s, list(walks)), abs=1e-10)
 
     def test_empty_pool_zero(self):
         loss = batch_path_consistency(ad.constant(np.ones((2, 2))), np.ones((2, 2)),
@@ -278,8 +272,7 @@ class TestPathConsistency:
         rng = np.random.default_rng(9)
         H_t, H_s = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         mixed = [np.array([2]), np.array([0, 1, 0])]
-        cache = SimpleNamespace(walk_pool=WalkPool(walks=mixed, walk_length=2, seed=0))
-        matrix, row_of = _full_walk_matrix(cache)
+        matrix, row_of = full_walk_matrix(mixed, walk_length=2)
         np.testing.assert_array_equal(matrix, [[0, 1, 0]])
         np.testing.assert_array_equal(row_of, [-1, 0])
         half = batch_path_consistency(ad.constant(H_s), H_t, matrix, np.full(1, 1 / 2))
@@ -432,7 +425,7 @@ class TestStudentEqualToTeacher:
         out = INFER["gin"](batch, cfg, params)
         rows, weights = [], []
         for j, cache in enumerate(caches):
-            walks, _ = _full_walk_matrix(cache)
+            walks = cache.walk_pool.walks[cache.walk_pool.walks[:, -1] >= 0]
             rows.append(walks + batch.node_offsets[j])
             weights.append(np.full(walks.shape[0], 1.0 / (walks.shape[0] * len(caches))))
         walks, weights = np.concatenate(rows), np.concatenate(weights)
@@ -446,7 +439,5 @@ class TestStudentEqualToTeacher:
         assert value(batch_inter_cluster(ad.constant(out.cluster_embeddings),
                                          out.cluster_embeddings, batch.cluster_offsets,
                                          batch.num_graphs)) == 0.0
-        for include_start in (True, False):
-            assert value(batch_path_consistency(ad.constant(out.node_embeddings),
-                                                out.node_embeddings, walks, weights,
-                                                include_start)) == 0.0
+        assert value(batch_path_consistency(ad.constant(out.node_embeddings),
+                                            out.node_embeddings, walks, weights)) == 0.0

@@ -38,6 +38,7 @@ from oracles import (
     dense_ga_aggregate,
     dense_normalized_laplacian,
     random_er_graph,
+    unpadded,
 )
 
 # Zachary's karate club, 34 nodes / 78 edges.
@@ -282,14 +283,15 @@ class TestGoldenPreprocess:
         assert all(type(x) is float for x in res.level_modularity)
         big = graph.num_nodes > 100
         pool = sample_walks(graph, 64 if big else 12, 8 if big else 6, seed=9)
-        assert all(w.dtype == np.int64 for w in pool.walks)
+        assert pool.walks.dtype == np.int64
+        walks = unpadded(pool.walks)
         if big:
             assert sha256_of(res.cluster_of) == want["cluster_sha256"]
-            sizes = np.array([w.size for w in pool.walks])
-            assert sha256_of(sizes, *pool.walks) == want["walks_sha256"]
+            sizes = np.array([w.size for w in walks])
+            assert sha256_of(sizes, *walks) == want["walks_sha256"]
         else:
             assert res.cluster_of.tolist() == want["cluster_of"]
-            assert [w.tolist() for w in pool.walks] == want["walks"]
+            assert [w.tolist() for w in walks] == want["walks"]
 
 
 class TestLaplacianPE:
@@ -440,7 +442,7 @@ class TestWalks:
 
     def test_isolated_singleton(self, isolated_node):
         pool = sample_walks(isolated_node, 5, 4, seed=0)
-        assert all(w.size == 1 for w in pool.walks)
+        assert pool.walks.tolist() == [[0, -1, -1, -1, -1]] * 5
 
     def test_triangle_uniform_transitions(self, triangle):
         pool = sample_walks(triangle, 1000, 8, seed=1)
@@ -458,12 +460,16 @@ class TestWalks:
         for trial in range(6):
             g = random_er_graph(rng, int(rng.integers(3, 25)), p=0.3)
             pool = sample_walks(g, 40, 8, seed=trial)
-            for walk in pool.walks:
+            assert pool.walks.shape == (40, 9)
+            for walk in unpadded(pool.walks):
+                # a full walk, or a singleton from a start without neighbours
+                assert walk.size == 9 or (walk.size == 1 and g.degrees[walk[0]] == 0)
                 for a, b in zip(walk[:-1], walk[1:]):
                     assert b in g.neighbors(int(a))
 
     def test_empty_pool(self, triangle):
-        assert sample_walks(triangle, 0, 8, seed=0).walks == []
+        walks = sample_walks(triangle, 0, 8, seed=0).walks
+        assert walks.shape == (0, 9) and walks.dtype == np.int64
 
     def test_deterministic(self, triangle):
         a = sample_walks(triangle, 10, 8, seed=3)
@@ -523,7 +529,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 @st.composite
 def struct_cache_lists(draw):
     """Random cache lists: none at all, 1-node graphs with all-zero LaPE,
-    empty walk pools and empty level lists included."""
+    empty walk pools and empty level lists included. Walk rows are what the
+    sampler makes: full walks, or a start node followed by -1s."""
     k_pe, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     walk_length = draw(st.integers(1, 4))
     caches = []
@@ -533,9 +540,11 @@ def struct_cache_lists(draw):
                               dtype=np.int64)
         lape = np.zeros((1, k_pe)) if n == 1 else draw(hnp.arrays(np.float64, (n, k_pe),
                                                                   elements=finite))
-        walks = [np.array(w, dtype=np.int64) for w in draw(st.lists(
-            st.lists(st.integers(0, n - 1), min_size=1, max_size=walk_length + 1),
-            max_size=3))]
+        full = st.lists(st.integers(0, n - 1), min_size=walk_length + 1,
+                        max_size=walk_length + 1)
+        singleton = st.integers(0, n - 1).map(lambda s: [s] + [-1] * walk_length)
+        walks = np.array(draw(st.lists(full | singleton, max_size=3)),
+                         dtype=np.int64).reshape(-1, walk_length + 1)
         caches.append(StructCache(
             clusters=ClusterAssignment(cluster_of, int(cluster_of.max()) + 1, draw(finite),
                                        draw(st.lists(finite, max_size=3))),
@@ -554,7 +563,7 @@ class TestStructCachePersistence:
         save_struct_caches(path, caches, ds.name, seed=42)
         back, meta = load_struct_caches(path)
         assert meta["seed"] == 42
-        assert meta["format"] == "structcache/2"
+        assert meta["format"] == "structcache/3"
         assert len(back) == len(caches)
         for a, b in zip(caches, back):
             np.testing.assert_array_equal(a.clusters.cluster_of, b.clusters.cluster_of)
@@ -594,7 +603,7 @@ class TestStructCachePersistence:
             with pytest.raises(FormatError, match=re.escape(str(path))):
                 load_struct_caches(path)
 
-    @pytest.mark.parametrize("field", ["cluster", "walk_off"])
+    @pytest.mark.parametrize("field", ["cluster", "walks"])
     def test_missing_field_rejected(self, tmp_path, field):
         path = write_small_sidecar(tmp_path)
         rewrite_sidecar(path, lambda arrays: arrays.pop(field))
@@ -621,15 +630,23 @@ class TestStructCachePersistence:
         (lambda a: a.update(levels=a["levels"][1:]), "level_off"),
         (lambda a: a.update(level_off=a["level_off"][::-1]), "level_off"),
         (lambda a: a.update(pool_off=a["pool_off"] * 2), "pool_off"),
-        (lambda a: a.update(walks=a["walks"][:-1]), "walk_off"),
-        (lambda a: a.update(walk_off=np.zeros(0, dtype=np.int64)), "walk_off"),
+        (lambda a: a.update(walks=a["walks"][:-1]), "pool_off"),
+        (lambda a: a.update(walks=a["walks"][:, :-1]), "walks"),
+        (lambda a: a.update(walks=a["walks"].ravel()), "walks"),
+        (lambda a: a["walks"].__setitem__((0, 2), -1), "walks"),
+        (lambda a: a["walks"].__setitem__(0, -1), "walks"),
+        (lambda a: a["walks"].__setitem__((0, 1), a["node_off"][1]), "walks"),
+        (lambda a: a["cluster"].__setitem__(a["node_off"][1], -1), "cluster"),
+        (lambda a: a["cluster"].__setitem__(0, a["node_off"][1]), "cluster"),
         (lambda a: a.update(modularity=a["modularity"][:2]), "modularity"),
         (lambda a: a.update(wseed=a["wseed"].astype(np.float64)), "wseed"),
         (lambda a: a.update(cluster=a["cluster"].astype(np.int32)), "cluster"),
         (lambda a: a.update(lape=a["lape"].ravel()), "lape"),
     ], ids=["node_off-not-monotone", "node_off-not-from-0", "node_off-short",
             "cluster-short", "lape-rows", "agg-rows", "levels-short", "level_off-reversed",
-            "pool_off-past-end", "walks-short", "walk_off-empty", "modularity-short",
+            "pool_off-past-end", "walks-short", "walks-width", "walks-1d",
+            "walk-id-minus-1", "walk-all-padding", "walk-id-past-graph", "cluster-id-minus-1",
+            "cluster-id-past-graph", "modularity-short",
             "wseed-dtype", "cluster-dtype", "lape-1d"])
     def test_inconsistent_layout_rejected(self, tmp_path, mutate, field):
         path = write_small_sidecar(tmp_path, num_graphs=3)
@@ -708,9 +725,7 @@ def assert_caches_identical(got, want):
         same(a.agg_features, b.agg_features)
         assert (a.walk_pool.walk_length, a.walk_pool.seed) == (
             b.walk_pool.walk_length, b.walk_pool.seed)
-        assert len(a.walk_pool.walks) == len(b.walk_pool.walks)
-        for x, y in zip(a.walk_pool.walks, b.walk_pool.walks):
-            same(x, y)
+        same(a.walk_pool.walks, b.walk_pool.walks)
 
 
 class TestBatchedPreprocess:

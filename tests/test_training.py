@@ -9,11 +9,12 @@ from graphdistill.data import Dataset, stratified_kfold
 from graphdistill.errors import ConfigError, GraphDistillError, IntegrityError, NumericError
 from graphdistill.losses import DistillWeights
 from graphdistill.models import GcnConfig, GinConfig, StudentConfig, make_batch
-from graphdistill.structure import build_struct_caches
+from graphdistill.structure import build_struct_caches, sample_walks
 from graphdistill.synth import two_class_structural
 from graphdistill.training import (
     PlateauScheduler,
     RunConfig,
+    _draw_walks,
     ablate,
     ablation_weights,
     cache_teacher,
@@ -24,6 +25,7 @@ from graphdistill.training import (
 )
 
 from conftest import build_graph
+from oracles import full_walk_matrix, unpadded
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +237,88 @@ class TestDistillStudent:
         results = distill_student(dataset, folds, caches, tcaches, scfg, run,
                                   capture_params=True)
         assert all(r.params is not None for r in results)
+
+
+# ``FoldResult.loss_curves`` of a 2-epoch GA-MLP+LaPE distill on ``tiny_setup``
+# (2 of its 96 walks start on an isolated node), recorded when walk pools were
+# lists of variable-length arrays; one list entry per fold.
+PINNED_LOSS_CURVES = {
+    None: [
+        {
+            "gt": [1.1417966449794443, 0.7711382983405957],
+            "sl": [0.10693418396165008, 0.23250897201163073],
+            "graph": [1.0735917224788383, 1.1803795366266416],
+            "cluster": [0.49285586199250253, 0.3210462385032094],
+            "path": [0.7386634773087672, 0.7956899052554736],
+            "total": [1.4054494537359592, 1.153869416855737],
+        },
+        {
+            "gt": [0.92752806769161, 0.7569734022714517],
+            "sl": [0.1955562159671359, 0.21229559201932707],
+            "graph": [1.2888811353555276, 1.2561062452961842],
+            "cluster": [0.33420264734896243, 0.35568459145057885],
+            "path": [0.5716520786106485, 0.510913570347818],
+            "total": [1.285449827137056, 1.1304991693224897],
+        },
+    ],
+    2: [
+        {
+            "gt": [1.141796644941378, 0.7711382379000831],
+            "sl": [0.10693418397017812, 0.2325089935639283],
+            "graph": [1.0735917224639824, 1.1803792830255877],
+            "cluster": [0.4928558619019263, 0.3210464912086075],
+            "path": [0.7536606103328123, 0.8949222106934676],
+            "total": [1.4054509534091801, 1.1538793011085002],
+        },
+        {
+            "gt": [0.9275280675176922, 0.7569736770922153],
+            "sl": [0.19555621588877078, 0.21229533333066267],
+            "graph": [1.2888811352280947, 1.2561050733065704],
+            "cluster": [0.3342026473921169, 0.35568538754714457],
+            "path": [0.5687650006284058, 0.461113539168866],
+            "total": [1.285449538168547, 1.1304941678621663],
+        },
+    ],
+}
+
+
+class TestPinnedLossCurves:
+    @pytest.mark.parametrize("walks_per_epoch", [None, 2])
+    def test_loss_curves_unchanged(self, tiny_setup, walks_per_epoch):
+        dataset, folds, caches, run, _, tcaches = tiny_setup
+        scfg = StudentConfig(kind="ga-mlp", num_layers=2, hidden=8, use_lape=True)
+        run = replace(run, epochs=2, lr_patience=1, walks_per_epoch=walks_per_epoch)
+        results = distill_student(dataset, folds, caches, tcaches, scfg, run)
+        assert [r.loss_curves for r in results] == PINNED_LOSS_CURVES[walks_per_epoch]
+
+
+class TestWalkDraw:
+    """An epoch's draw from the padded pool matrix equals the pick through the
+    stacked full-walk matrix and its pool-index map (``oracles.full_walk_matrix``)."""
+
+    @staticmethod
+    def assert_same_draw(pool, walk_length, limit, seed):
+        full, row_of = full_walk_matrix(unpadded(pool), walk_length)
+        got, take = _draw_walks(pool, np.random.default_rng(seed), limit)
+        assert take == (len(pool) if limit is None else min(limit, len(pool)))
+        rows = row_of[np.random.default_rng(seed).permutation(len(pool))[:take]]
+        want = full[rows[rows >= 0]]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("limit", [None, 1, 5, 50])
+    def test_pool_with_singleton_rows(self, limit):
+        g = build_graph(7, [(0, 1), (1, 2), (2, 0), (4, 5)])  # 3 and 6 are isolated
+        pool = sample_walks(g, 20, 3, seed=4).walks
+        assert 0 < np.sum(pool[:, -1] < 0) < len(pool)
+        for seed in range(3):
+            self.assert_same_draw(pool, 3, limit, seed)
+
+    @pytest.mark.parametrize("limit", [None, 2])
+    def test_empty_and_all_singleton_pools(self, limit):
+        self.assert_same_draw(np.zeros((0, 4), dtype=np.int64), 3, limit, 0)
+        self.assert_same_draw(sample_walks(build_graph(2, []), 6, 3, seed=0).walks, 3,
+                              limit, 0)
 
 
 class TestDivergence:

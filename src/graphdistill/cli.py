@@ -398,9 +398,10 @@ def _write_dynamic_outputs(run_dir, agg, latency) -> None:
 def _write_latency_csv(run_dir, latency) -> dict:
     summary = latency.summary()
     with (run_dir / "latency.csv").open("w") as fh:
-        fh.write("engine,mean_ms,median_ms,steps\n")
+        fh.write("engine,mean_ms,median_ms,p95_ms,p99_ms,steps\n")
         for engine, stats in summary.items():
-            fh.write(f"{engine},{stats['mean_ms']!r},{stats['median_ms']!r},{stats['steps']}\n")
+            fh.write(f"{engine},{stats['mean_ms']!r},{stats['median_ms']!r},"
+                     f"{stats['p95_ms']!r},{stats['p99_ms']!r},{stats['steps']}\n")
     return summary
 
 
@@ -579,6 +580,17 @@ def _check_counts(args) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
+def _check_seeds(args) -> None:
+    """``--seed`` and every ``--student-seeds`` entry is >= 0, as seed sequences need
+    (``None`` means the default)."""
+    seeds = [("--seed", args.seed)]
+    if getattr(args, "student_seeds", None) is not None:
+        seeds += [("--student-seeds", s) for s in _ints(args.student_seeds)]
+    for flag, value in seeds:
+        if value is not None and value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value}")
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
@@ -588,6 +600,7 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(registry[args.command], args, parser, argv)
         _check_counts(args)
+        _check_seeds(args)
         if getattr(args, "max_fraction", None) is not None:
             check_max_fraction(args.max_fraction)
         return args.func(args)

@@ -28,6 +28,9 @@ class Graph:
     indptr, indices : np.ndarray
         CSR adjacency. ``indices[indptr[u]:indptr[u+1]]`` are the sorted
         neighbors of node ``u``; both directions of each edge are stored.
+        An ``indptr`` that does not run monotone from 0 to ``indices.size``,
+        or a row that is not strictly increasing or holds ``u`` itself,
+        raises ``IntegrityError``.
     features : np.ndarray
         Node-feature matrix of shape [num_nodes, D], float64.
     label : int
@@ -50,6 +53,19 @@ class Graph:
             )
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
             raise IntegrityError("edge endpoint outside [0, num_nodes)")
+        # count_nonzero, not any(): a few us less on every graph and subgraph.
+        degrees = self.degrees
+        if (self.indptr[0] != 0 or self.indptr[-1] != self.indices.size
+                or np.count_nonzero(degrees < 0)):
+            raise IntegrityError(f"indptr does not run monotone from 0 to {self.indices.size}")
+        src = np.repeat(np.arange(n), degrees)
+        if np.count_nonzero(src == self.indices):
+            raise IntegrityError("graph has a self loop")
+        # One key per stored edge, src * n + dst: it rises strictly along
+        # ``indices`` exactly when every row is strictly increasing.
+        key = src * n + self.indices
+        if np.count_nonzero(key[1:] <= key[:-1]):
+            raise IntegrityError("graph rows must list distinct neighbors in increasing order")
 
     @property
     def degrees(self) -> np.ndarray:

@@ -2,18 +2,19 @@
 graphs, incremental student inference against full recomputation, and
 robustness/latency metrics.
 
-The incremental path keeps, per present node, its aggregated feature row
-and its embedding through the student MLP. Its initial state comes from the
-graph's CSR masked to the present nodes, through the ``ga_mlp_aggregate``
-the full path also uses. An update moves each neighbor's degree through one
-reweight step and re-embeds only the rows whose aggregation changes (the
-node, its neighbors, and theirs, since the aggregation is normalized by
-neighbor degrees). Full recomputation runs the student or teacher forward
-from scratch on the extracted present-node subgraph.
+The incremental path keeps, per present node, its sorted neighbour list,
+aggregated feature row and embedding through the student MLP. Its initial
+state comes from the graph's CSR masked to the present nodes, through the
+``ga_mlp_aggregate`` the full path also uses. An update moves each
+neighbor's degree through one reweight step and re-embeds only the rows
+whose aggregation changes (the node, its neighbors, and theirs, since the
+aggregation is normalized by neighbor degrees). Full recomputation runs a
+forward from scratch on the present-node subgraph: the lists, remapped.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import time
 from dataclasses import astuple, dataclass, field
@@ -89,7 +90,8 @@ class IncrementalState:
     """Live state of one perturbed graph under a sum-readout student.
 
     ``adj``, ``deg`` and ``agg`` describe the present-node subgraph; rows of
-    absent nodes are empty or zero. ``agg`` stays zero for an MLP student.
+    absent nodes are empty or zero. ``adj[u]`` holds u's neighbours in
+    increasing order. ``agg`` stays zero for an MLP student.
     """
 
     graph: Graph
@@ -97,7 +99,7 @@ class IncrementalState:
     params: dict[str, np.ndarray]
     base: np.ndarray            # static per-node inputs: X [+ original lape]
     present: np.ndarray
-    adj: list[set]
+    adj: list[list[int]]
     deg: np.ndarray
     agg: np.ndarray             # aggregated block, rows valid where present
     emb: np.ndarray             # per-node embeddings, zero where absent
@@ -128,9 +130,9 @@ def init_incremental_state(graph: Graph, cache: StructCache, config: StudentConf
     """Build the state for the graph with ``removed`` nodes (and their edges) gone.
 
     ``deg``, ``adj`` and ``agg`` (one ``ga_mlp_aggregate`` call) come from the
-    CSR masked to edges between present nodes; it must be simple with sorted
-    rows, as ``Graph`` documents. Surviving nodes keep the original graph's
-    positional encodings; only the aggregated block reacts to topology changes.
+    CSR masked to edges between present nodes, whose rows ``Graph`` holds
+    sorted and simple. Surviving nodes keep the original graph's positional
+    encodings; only the aggregated block reacts to topology changes.
     """
     if config.readout != SUM:
         raise ContractError("incremental inference requires sum readout")
@@ -139,10 +141,6 @@ def init_incremental_state(graph: Graph, cache: StructCache, config: StudentConf
     if removed.size and (removed.min() < 0 or removed.max() >= n):
         raise ContractError(f"removed node outside [0, {n})")
     src = np.repeat(np.arange(n), graph.degrees)
-    if np.any(src == graph.indices):
-        raise ContractError("graph has a self loop")
-    if np.any(np.diff(src * n + graph.indices) <= 0):
-        raise ContractError("graph rows must list distinct neighbors in increasing order")
     present = np.ones(n, dtype=bool)
     present[removed] = False
     base = graph.features
@@ -154,7 +152,7 @@ def init_incremental_state(graph: Graph, cache: StructCache, config: StudentConf
     bounds, flat = indptr.tolist(), masked.indices.tolist()
     state = IncrementalState(
         graph=graph, config=config, params=params, base=base, present=present,
-        adj=[set(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+        adj=[flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
         deg=masked.degrees.astype(np.float64),
         agg=ga_mlp_aggregate(masked, base) if config.kind == "ga-mlp" else np.zeros_like(base),
         emb=np.zeros((n, config.hidden)), pooled=np.zeros(config.hidden),
@@ -177,7 +175,8 @@ def _refresh_rows(state: IncrementalState, nodes) -> None:
 
 def _move_degree(state: IncrementalState, v: int, d_new: float, changed: set) -> None:
     """Set ``deg[v]`` to ``d_new``, reweighting v's share base[v] / deg[v] of
-    its current neighbours' ``agg`` rows; those rows join ``changed``."""
+    the ``agg`` rows of its neighbours in ``adj[v]`` (one addition each, in
+    any order); those rows join ``changed``."""
     d_old = state.deg[v]
     state.deg[v] = d_new
     if state.config.kind != "ga-mlp" or d_old == 0.0 or d_new == 0.0:
@@ -209,8 +208,8 @@ def incremental_insert(state: IncrementalState, node: int, neighbors) -> np.ndar
     changed = {node}
     for v in nbrs:
         _move_degree(state, v, state.deg[v] + 1.0, changed)
-        state.adj[v].add(node)
-        state.adj[node].add(v)
+        bisect.insort(state.adj[v], node)
+    state.adj[node] = nbrs
     state.deg[node] = float(len(nbrs))
     if state.config.kind == "ga-mlp":
         changed.update(nbrs)
@@ -228,7 +227,7 @@ def incremental_insert(state: IncrementalState, node: int, neighbors) -> np.ndar
 def incremental_remove(state: IncrementalState, node: int) -> np.ndarray:
     """Remove ``node`` and its incident edges; exact inverse of insertion."""
     node = _checked_node(state, node, present=True)
-    nbrs = sorted(state.adj[node])
+    nbrs = state.adj[node]
     changed = set()
     if state.config.kind == "ga-mlp" and nbrs:
         changed.update(nbrs)
@@ -236,9 +235,9 @@ def incremental_remove(state: IncrementalState, node: int) -> np.ndarray:
         for v in nbrs:
             state.agg[v] -= share
     for v in nbrs:
-        state.adj[v].discard(node)
+        state.adj[v].remove(node)
         _move_degree(state, v, state.deg[v] - 1.0, changed)
-    state.adj[node] = set()
+    state.adj[node] = []
     state.deg[node] = 0.0
     state.agg[node] = 0.0
     state.present[node] = False
@@ -253,9 +252,9 @@ def _induced_subgraph(state: IncrementalState) -> tuple[Graph, np.ndarray]:
     alive = np.flatnonzero(state.present)
     remap = -np.ones(state.graph.num_nodes, dtype=np.int64)
     remap[alive] = np.arange(alive.size)
-    # Neighbour sets hold only present nodes, and the id map is monotone, so
-    # sorted original ids remap to the sorted CSR rows of the subgraph.
-    rows = [sorted(state.adj[u]) for u in alive.tolist()]
+    # Neighbour lists are sorted and hold only present nodes, and the id map
+    # is monotone, so they remap to the sorted CSR rows of the subgraph.
+    rows = [state.adj[u] for u in alive.tolist()]
     indptr = np.zeros(alive.size + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
     flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=indptr[-1])
@@ -351,7 +350,7 @@ def aggregate_metrics(per_graph: list[PerturbationMetrics]) -> PerturbationMetri
 
 @dataclass
 class LatencyReport:
-    """Per-insertion-step wall-clock, in milliseconds."""
+    """Per-insertion-step wall-clock in ms; the summary adds p95 and p99 tails."""
 
     samples: dict[str, list[float]] = field(default_factory=dict)
 
@@ -360,6 +359,7 @@ class LatencyReport:
 
     def summary(self) -> dict[str, dict[str, float]]:
         return {engine: {"mean_ms": float(np.mean(xs)), "median_ms": float(np.median(xs)),
+                         **{f"p{q}_ms": float(np.percentile(xs, q)) for q in (95, 99)},
                          "steps": len(xs)} for engine, xs in self.samples.items()}
 
 

@@ -28,7 +28,8 @@ offsets that start at 0 and never decrease:
   matrices stacked.
 
 The loader also checks that every cluster and walk id lies in [0, n) of
-its own graph, and that -1 appears only as the tail of a singleton walk.
+its own graph, that -1 appears only as the tail of a singleton walk, and
+that a sidecar holding walks has a ``walk_length`` of at least 1.
 """
 
 from __future__ import annotations
@@ -398,11 +399,16 @@ def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed:
 
     Every field is one packed array over all graphs (see the module
     docstring). ``lape``, ``agg_features`` and the walk matrices must have
-    the same width in every cache.
+    the same width in every cache; walk pools of another ``walk_length``
+    than the first raise ``ContractError`` naming the first such graph.
     """
+    walk_length = caches[0].walk_pool.walk_length if caches else 0
+    for i, c in enumerate(caches):
+        if c.walk_pool.walk_length != walk_length:
+            raise ContractError(f"graph {i} has walk_length {c.walk_pool.walk_length}, "
+                                f"graph 0 has {walk_length}; one sidecar holds one walk length")
     meta = {"format": STRUCT_CACHE_FORMAT, "dataset": dataset_name, "seed": seed,
-            "num_graphs": len(caches),
-            "walk_length": caches[0].walk_pool.walk_length if caches else 0}
+            "num_graphs": len(caches), "walk_length": walk_length}
     arrays = dict(
         meta=np.str_(json.dumps(meta)),
         node_off=_offsets([c.clusters.cluster_of.size for c in caches]),
@@ -415,7 +421,7 @@ def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed:
                         dtype=np.float64),
         pool_off=_offsets([len(c.walk_pool.walks) for c in caches]),
         walks=_packed([c.walk_pool.walks for c in caches], np.int64, 2).reshape(
-            -1, meta["walk_length"] + 1),
+            -1, walk_length + 1),
         wseed=np.array([c.walk_pool.seed for c in caches], dtype=np.int64),
     )
     # What np.savez_compressed writes, at a lower deflate level.
@@ -462,6 +468,9 @@ def _check_layout(path: Path, fields: dict[str, np.ndarray], num_graphs: int,
                               f"for {fields['cluster'].size} nodes")
     _check_offsets(path, "level_off", fields["level_off"], fields["levels"].size, num_graphs + 1)
     walks = fields["walks"]
+    if walks.shape[0] and walk_length < 1:
+        raise FormatError(f"{path}: holds walks for walk_length {walk_length} in meta, "
+                          "which must be >= 1")
     if walks.shape[1] != walk_length + 1:
         raise FormatError(f"{path}: field 'walks' has {walks.shape[1]} columns "
                           f"for walk_length {walk_length}")

@@ -5,7 +5,8 @@ import shutil
 import numpy as np
 import pytest
 
-from graphdistill.cli import _load_caches, main
+from graphdistill.cli import _load_caches, _write_dynamic_outputs, main
+from graphdistill.dynamic import LatencyReport, PerturbationMetrics
 from graphdistill.data import Dataset, Graph, save_tudataset
 from graphdistill.errors import FormatError
 from graphdistill.models import StudentConfig
@@ -94,6 +95,28 @@ class TestPipeline:
         methods = {r[1] for r in rows}
         assert len(methods) == 5
         assert len(rows) == 5 * 2  # arms x folds
+
+
+class TestLatencyOutputs:
+    def test_csv_and_json_carry_tails(self, tmp_path):
+        report = LatencyReport()
+        for i in range(40):
+            report.add("incremental_student", (i % 7) * 1e-4)
+            report.add("full_teacher", (40 - i) ** 2 * 1e-5)
+        agg = PerturbationMetrics(*np.zeros((4, 3)))
+        _write_dynamic_outputs(tmp_path, agg, report)
+        lines = (tmp_path / "latency.csv").read_text().splitlines()
+        assert lines[0] == "engine,mean_ms,median_ms,p95_ms,p99_ms,steps"
+        stored = json.loads((tmp_path / "latency.json").read_text())
+        for line in lines[1:]:
+            engine, *values, steps = line.split(",")
+            ms = report.samples[engine]
+            want = [np.mean(ms), np.median(ms), np.percentile(ms, 95), np.percentile(ms, 99)]
+            assert [float(v) for v in values] == [float(x) for x in want]
+            assert int(steps) == 40
+            assert [stored[engine][k] for k in ("mean_ms", "median_ms", "p95_ms", "p99_ms")] \
+                == [float(x) for x in want]
+        assert sorted(stored) == ["full_teacher", "incremental_student"]
 
 
 class TestCliContracts:
@@ -516,6 +539,33 @@ class TestCliRangeChecks:
                      "--out-dir", str(out)]) == 1
         assert f"{flag} must be >= 1, got {value}" in caplog.text
         assert not (data / "TINY" / "TINY.structcache.npz").exists()
+        assert not out.exists()
+
+    def test_preprocess_negative_seed(self, tmp_path, caplog):
+        data = tmp_path / "data"
+        save_tudataset(data / "TINY", two_class_structural(num_graphs=4, seed=0, min_nodes=8,
+                                                           max_nodes=10, name="TINY"))
+        out = tmp_path / "runs"
+        assert main(["preprocess", "--dataset", "TINY", "--seed", "-1", "--data-dir",
+                     str(data), "--out-dir", str(out)]) == 1
+        assert "--seed must be >= 0, got -1" in caplog.text
+        assert not (data / "TINY" / "TINY.structcache.npz").exists()
+        assert not out.exists()
+
+    def test_teacher_negative_seed(self, tiny_data, tmp_path, caplog):
+        out = tmp_path / "runs"
+        assert main(["train-teacher", "--dataset", "TINY", "--seed", "-1", "--data-dir",
+                     str(tiny_data), "--out-dir", str(out)]) == 1
+        assert "--seed must be >= 0, got -1" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["-1", "0,-2"])
+    def test_distill_negative_student_seed(self, tiny_data, teacher_run, tmp_path, caplog,
+                                           seeds):
+        out = tmp_path / "runs"
+        assert main(["distill", "--teacher-run", str(teacher_run), "--student-seeds", seeds,
+                     "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 1
+        assert f"--student-seeds must be >= 0, got {seeds.split(',')[-1]}" in caplog.text
         assert not out.exists()
 
     def test_count_from_config_file_checked(self, tiny_data, tmp_path, caplog):

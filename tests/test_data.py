@@ -399,3 +399,40 @@ class TestGraphInvariants:
         g = build_graph(2, [(0, 1)], label=5)
         with pytest.raises(IntegrityError):
             Dataset([g], 2, 1, "t")
+
+    @pytest.mark.parametrize("indptr,indices,match", [
+        ([0, 2, 5, 6], [1, 1, 0, 0, 2, 1], "distinct neighbors"),  # 0-1 stored twice
+        ([0, 2, 4, 6], [2, 1, 0, 2, 0, 1], "distinct neighbors"),  # row 0 decreasing
+        ([0, 1, 1, 3], [2, 1, 0], "distinct neighbors"),  # last row decreasing
+        ([0, 2, 3, 4], [1, 2, 0, 0], None),  # sorted rows, no self loop
+        ([0, 1, 3, 4], [0, 0, 2, 1], "self loop"),
+        ([0, 2, 4, 4], [1, 1, 0, 1], "self loop"),
+        ([1, 2, 4, 5], [1, 0, 2, 1], "indptr"),
+        ([0, 2, 4, 5], [1, 0, 2, 1], "indptr"),
+        ([0, 3, 2, 4], [1, 2, 0, 1], "indptr"),
+    ])
+    def test_rows_must_be_strictly_increasing_without_self_loops(self, indptr, indices, match):
+        args = (3, np.array(indptr), np.array(indices), np.eye(3), 0)
+        if match is None:
+            Graph(*args)
+            return
+        with pytest.raises(IntegrityError, match=match):
+            Graph(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(st.integers(0, 5), max_size=5), min_size=6, max_size=6))
+    def test_row_check_equals_per_row_loop(self, rows):
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        indices = np.array([v for r in rows for v in r], dtype=np.int64)
+        simple = all(u not in r and all(a < b for a, b in zip(r, r[1:]))
+                     for u, r in enumerate(rows))
+        try:
+            Graph(6, indptr, indices, np.zeros((6, 1)), 0)
+        except IntegrityError:
+            assert not simple
+        else:
+            assert simple
+
+    def test_empty_and_edgeless_graphs_accepted(self):
+        Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 2)), 0)
+        Graph(4, np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((4, 2)), 0)

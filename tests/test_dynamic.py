@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphdistill.dynamic import (
     IncrementalState,
+    LatencyReport,
     PerturbationTrace,
     _induced_subgraph,
     StudentModel,
@@ -19,7 +20,7 @@ from graphdistill.dynamic import (
     shannon_entropy_bits,
     time_inference,
 )
-from graphdistill.errors import ConfigError, ContractError
+from graphdistill.errors import ConfigError, ContractError, IntegrityError
 from graphdistill.models import (
     GinConfig,
     StudentConfig,
@@ -137,7 +138,7 @@ class TestInitialStateOracle:
         state = init_incremental_state(g, cache, cfg, student.params, removed)
         base = np.concatenate([g.features, cache.lape], axis=1) if cfg.use_lape else g.features
         adj, deg, agg = reference_incremental_state(g, base, removed, cfg.kind == "ga-mlp")
-        assert state.adj == adj
+        assert state.adj == [sorted(nbrs) for nbrs in adj]
         np.testing.assert_array_equal(state.deg, deg)
         np.testing.assert_allclose(state.agg, agg, rtol=0, atol=1e-12)
         return state
@@ -224,11 +225,10 @@ class TestBadNodeLists:
         ([0, 1, 0, 1, 2, 1], "self loop"),
     ])
     def test_graph_rows_not_simple(self, indices, match):
-        g = Graph(3, np.array([0, 2, 5, 6]), np.array(indices), np.eye(3), 0)
-        cfg = StudentConfig(kind="ga-mlp", hidden=4)
-        params = init_linear_params(np.random.default_rng(0), 6, cfg, 2)
-        with pytest.raises(ContractError, match=match):
-            init_incremental_state(g, None, cfg, {k: p.values for k, p in params.items()}, [])
+        # The sorted neighbour lists rely on ``Graph`` refusing such rows, so
+        # no state can be built from one.
+        with pytest.raises(IntegrityError, match=match):
+            Graph(3, np.array([0, 2, 5, 6]), np.array(indices), np.eye(3), 0)
 
 
 class TestIncrementalEqualsFull:
@@ -255,6 +255,47 @@ class TestIncrementalEqualsFull:
             if op % 250 == 249:
                 full = full_student_logits(state)
                 assert np.abs(logits - full).max() <= 1e-9 * max(1.0, np.abs(full).max())
+
+
+class TestSortedNeighbourLists:
+    """Every update keeps each ``adj[u]`` a strictly increasing list, the
+    lists symmetric, and equal to neighbour sets kept by plain set updates."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["ga-mlp", "mlp"]))
+    def test_long_random_update_sequence(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(int(rng.integers(2, 40)), rng)
+        cache = build_struct_cache(g, 0, seed=0, k_pe=2)
+        student = make_student(g, cache, rng, kind=kind, use_lape=False, hidden=4)
+        removed = rng.choice(g.num_nodes, size=int(rng.integers(0, g.num_nodes)), replace=False)
+        state = init_incremental_state(g, cache, student.config, student.params, removed)
+        oracle, _, _ = reference_incremental_state(g, g.features, removed, False)
+        for _ in range(600):
+            absent = np.flatnonzero(~state.present)
+            alive = np.flatnonzero(state.present)
+            if absent.size and (rng.random() < 0.5 or alive.size < 2):
+                # neighbours drawn from all present nodes, so new edges appear
+                node = int(rng.choice(absent))
+                size = int(rng.integers(0, min(6, alive.size) + 1))
+                nbrs = [int(v) for v in rng.choice(alive, size=size, replace=False)]
+                incremental_insert(state, node, nbrs)
+                oracle[node] = set(nbrs)
+                for v in nbrs:
+                    oracle[v].add(node)
+            else:
+                node = int(rng.choice(alive))
+                incremental_remove(state, node)
+                for v in oracle[node]:
+                    oracle[v].discard(node)
+                oracle[node] = set()
+            for u, nbrs in enumerate(state.adj):
+                assert type(nbrs) is list
+                assert all(a < b for a, b in zip(nbrs, nbrs[1:])), (u, nbrs)
+                assert set(nbrs) == oracle[u], u
+                assert all(u in state.adj[v] for v in nbrs), u
+                assert state.deg[u] == len(nbrs)
+                assert nbrs == [] or state.present[u]
 
 
 class TestInducedSubgraph:
@@ -376,3 +417,18 @@ class TestTiming:
         for stats in summary.values():
             assert stats["steps"] == 6
             assert stats["mean_ms"] > 0.0
+
+    def test_summary_tails_match_percentile(self):
+        report = LatencyReport()
+        steps = [0.4, 0.1, 2.5, 0.3, 0.2, 0.9, 0.6, 7.0, 0.5, 0.8, 0.7]
+        for i, ms in enumerate(steps):
+            report.add("full_student", ms / 1e3)
+            report.add("incremental_student", i / 1e3)
+        ms = report.samples["full_student"]
+        stats = report.summary()["full_student"]
+        assert stats["p95_ms"] == float(np.percentile(ms, 95))
+        assert stats["p99_ms"] == float(np.percentile(ms, 99))
+        assert stats["p95_ms"] == pytest.approx(4.75) and stats["p99_ms"] == pytest.approx(6.55)
+        assert stats["median_ms"] == pytest.approx(0.6) and stats["steps"] == 11
+        inc = report.summary()["incremental_student"]
+        assert inc["p95_ms"] == pytest.approx(9.5) and inc["p99_ms"] == pytest.approx(9.9)

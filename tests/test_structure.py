@@ -666,6 +666,36 @@ class TestStructCachePersistence:
                 load_struct_caches(path)
             write_small_sidecar(tmp_path)
 
+    @pytest.mark.parametrize("walk_length", [0, -1])
+    def test_walks_with_walk_length_below_1_rejected(self, tmp_path, walk_length):
+        path = write_small_sidecar(tmp_path)
+
+        def mutate(arrays):
+            meta = json.loads(str(arrays["meta"]))
+            meta["walk_length"] = walk_length
+            arrays["meta"] = np.str_(json.dumps(meta))
+            arrays["walks"] = arrays["walks"][:, :walk_length + 1]
+
+        rewrite_sidecar(path, mutate)
+        with pytest.raises(FormatError, match=re.escape(str(path)) + ".*walk_length"):
+            load_struct_caches(path)
+
+    def test_empty_sidecar_with_walk_length_0_loads(self, tmp_path):
+        path = tmp_path / "cache.npz"
+        save_struct_caches(path, [], "empty", seed=0)
+        caches, meta = load_struct_caches(path)
+        assert caches == [] and meta["walk_length"] == 0
+
+    def test_mixed_walk_lengths_rejected_on_save(self, tmp_path):
+        ds = two_class_structural(num_graphs=4, seed=0, min_nodes=5, max_nodes=8)
+        caches = build_struct_caches(ds, seed=1, k_pe=2, walk_length=3)
+        caches[2] = build_struct_caches(ds, seed=1, k_pe=2, walk_length=5)[2]
+        caches[3] = build_struct_caches(ds, seed=1, k_pe=2, walk_length=4)[3]
+        path = tmp_path / "cache.npz"
+        with pytest.raises(ContractError, match="graph 2 has walk_length 5, graph 0 has 3"):
+            save_struct_caches(path, caches, ds.name, seed=1)
+        assert not path.exists()
+
     def test_loaded_arrays_are_read_only(self, tmp_path):
         caches, _ = load_struct_caches(write_small_sidecar(tmp_path))
         for c in caches:

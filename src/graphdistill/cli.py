@@ -76,30 +76,27 @@ log = logging.getLogger("graphdistill")
 DATA_ENV = "GRAPHDISTILL_DATA"
 
 
-def _values(text, kind) -> list:
+def _values(text: str, kind) -> list:
     """Comma-separated ``kind`` values, at least one; a bad token is a ``ConfigError``
-    naming it.
-
-    ``str`` admits a bare JSON number from a ``--config`` file.
-    """
+    naming it."""
     values = []
-    for tok in str(text).split(","):
+    for tok in text.split(","):
         if tok:
             try:
                 values.append(kind(tok))
             except ValueError:
                 raise ConfigError(f"expected comma-separated {kind.__name__}s, "
-                                  f"got {tok!r} in {str(text)!r}") from None
+                                  f"got {tok!r} in {text!r}") from None
     if not values:
-        raise ConfigError(f"expected at least one {kind.__name__}, got {str(text)!r}")
+        raise ConfigError(f"expected at least one {kind.__name__}, got {text!r}")
     return values
 
 
-def _ints(text) -> list[int]:
+def _ints(text: str) -> list[int]:
     return _values(text, int)
 
 
-def _floats(text) -> list[float]:
+def _floats(text: str) -> list[float]:
     return _values(text, float)
 
 
@@ -555,17 +552,52 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A ``--config`` value as its flag would parse it; ``ConfigError`` naming ``key``
+    otherwise.
+
+    A switch takes a JSON boolean. Any other flag takes a string or a number,
+    passed through the flag's ``type`` and checked against its ``choices``
+    as if it had been typed on the command line, or ``null`` where the flag
+    defaults to none.
+    """
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"config key {key!r}: expected true or false, got {value!r}")
+    if value is None and action.default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"config key {key!r}: expected a string or a number, got {value!r}")
+    text = str(value)
+    try:
+        value = text if action.type is None else action.type(text)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: invalid {action.type.__name__} value "
+                          f"{text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of "
+                          f"{', '.join(map(str, action.choices))}")
+    return value
+
+
 def _apply_config_file(subparser, args, parser, argv) -> argparse.Namespace:
     """Config file sets subcommand defaults; explicit flags still override."""
     if not args.config:
         return args
     overrides = read_json_object(args.config, {})
-    known = {a.dest for a in subparser._actions}
-    defaults = {k.replace("-", "_"): v for k, v in overrides.items()}
-    unknown = set(defaults) - known
+    actions = {a.dest: a for a in subparser._actions}
+    defaults = {}
+    unknown = []
+    for key, value in overrides.items():
+        dest = key.replace("-", "_")
+        if dest in actions:
+            defaults[dest] = _config_value(actions[dest], key, value)
+        else:
+            unknown.append(dest)
     if unknown:
         log.warning("config keys not used by %s: %s", args.command, sorted(unknown))
-    subparser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+    subparser.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 

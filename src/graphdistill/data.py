@@ -29,8 +29,8 @@ class Graph:
         CSR adjacency. ``indices[indptr[u]:indptr[u+1]]`` are the sorted
         neighbors of node ``u``; both directions of each edge are stored.
         An ``indptr`` that does not run monotone from 0 to ``indices.size``,
-        or a row that is not strictly increasing or holds ``u`` itself,
-        raises ``IntegrityError``.
+        a row that is not strictly increasing or holds ``u`` itself, or an
+        edge stored in one direction only raises ``IntegrityError``.
     features : np.ndarray
         Node-feature matrix of shape [num_nodes, D], float64.
     label : int
@@ -66,6 +66,9 @@ class Graph:
         key = src * n + self.indices
         if np.count_nonzero(key[1:] <= key[:-1]):
             raise IntegrityError("graph rows must list distinct neighbors in increasing order")
+        # Symmetric exactly when the reversed keys dst * n + src, sorted, are these keys.
+        if np.count_nonzero(np.sort(self.indices * n + src) != key):
+            raise IntegrityError("graph stores an edge in one direction only")
 
     @property
     def degrees(self) -> np.ndarray:

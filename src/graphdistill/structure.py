@@ -11,10 +11,25 @@ propagation matrix (``models``) and the normalized Laplacian of graphs
 above ``DENSE_LAPE_MAX_NODES`` nodes (shift-invert ``eigsh``); smaller
 graphs fill a dense Laplacian for ``eigh``.
 
+Louvain (``louvain_cluster``) clusters a whole dataset in one call. Graphs
+are independent, so the many small graphs of a dataset run in lockstep:
+each step visits the next node of every graph still sweeping, in that
+graph's own seeded order, and makes all their moves with a fixed handful
+of numpy operations on the disjoint union; after a phase, every graph that
+improved is aggregated at once. A step costs about the same however few
+graphs it visits, so the lockstep batch takes the graphs with 1 to
+``LOCKSTEP_MAX_M2`` stored edge entries up to the size cap where the node
+visits it takes over outweigh ``LOCKSTEP_COST_NODES`` per node of that
+cap; larger graphs, and every graph of a dataset too narrow to pay for a
+step, run one node visit at a time. The two schedules give byte-identical
+partitions and modularities (see ``louvain_cluster``).
+
 The cache sidecar (``save_struct_caches``, format ``structcache/3``) is
 one ``.npz`` deflated at level 1 (``SIDECAR_DEFLATE_LEVEL``), not zlib's
 default 6, which on 3.1 MB of arrays (405 small graphs) took 144 ms
-against 91 ms for a file only 4% smaller.
+against 91 ms for a file only 4% smaller. The ``lape`` member is stored
+without compression (``SIDECAR_STORED``): eigenvector entries deflate only
+to 95% of their size, at about 41 ms of a 405-graph save, for 41 kB.
 It holds a JSON ``meta`` string (format, dataset, seed, num_graphs,
 walk_length) and one packed array per field, each cut into graphs by int64
 offsets that start at 0 and never decrease:
@@ -55,6 +70,23 @@ STRUCT_CACHE_FORMAT = "structcache/3"
 # 9.2 vs 4.8 ms at 256), and graphs up to here keep their dense encodings.
 DENSE_LAPE_MAX_NODES = 200
 SIDECAR_DEFLATE_LEVEL = 1
+SIDECAR_STORED = ("lape",)  # members written without compression
+# Louvain in lockstep pays about 65 us per step however few graphs it
+# visits, and a level takes as many steps as its largest graph's sweeps;
+# one graph at a time costs about 2.5 us per node visit. Against one graph
+# at a time (2-core x86_64 VM, one BLAS thread), two_class_structural sets
+# (24-45 nodes) of 32, 48, 64, 96, 405 and 1000 graphs ran x0.74-0.79,
+# x1.01, x1.20, x1.52-1.59, x2.4-2.8 and x2.6-3.2; 100 sparse social graphs
+# of 60 to 200 nodes x1.2-2.0, and 20 of 400 nodes x0.25. Three graphs of
+# 200 nodes next to 100 small ones made that batch x0.37 of splitting them
+# off. So ``louvain_cluster`` runs in lockstep the graphs up to the size
+# cap that maximises (their total nodes) - LOCKSTEP_COST_NODES * cap, when
+# that is positive. The crossover at 48 graphs of 34.5 nodes on average
+# and 45 at most puts it near 1656 / 45 = 37.
+LOCKSTEP_COST_NODES = 36
+# The tie-break is exact up to this many stored edge entries (see
+# ``_lockstep_moves``).
+LOCKSTEP_MAX_M2 = 2000
 # Shift just below the spectrum [0, 2] of the normalized Laplacian, so that
 # L - sigma*I stays nonsingular and the eigenvalues nearest it are the smallest.
 _EIGSH_SIGMA = -1e-3
@@ -177,17 +209,13 @@ def _aggregate(adj: list[dict[int, float]], self_w: list[float], strength: list[
     return new_adj, new_self, strength, level
 
 
-def louvain_cluster(graph: Graph, seed: int) -> ClusterAssignment:
-    """Greedy modularity-maximizing clustering (Louvain).
+def _louvain_one(graph: Graph, seed: int) -> ClusterAssignment:
+    """Louvain on one graph, one node visit at a time.
 
-    Deterministic for a given seed: the node visitation order of every
-    local-move sweep is drawn from one seeded generator. Nodes without
-    edges always end up in singleton clusters. The sweeps run on Python
-    lists and floats (IEEE doubles, like float64), so no per-node step
-    touches a numpy scalar.
+    The sweeps run on Python lists and floats (IEEE doubles, like float64),
+    so no per-node step touches a numpy scalar. A graph without edges is
+    all singletons and draws nothing from its generator.
     """
-    if graph.num_nodes < 1:
-        raise ContractError("louvain_cluster needs at least one node")
     n = graph.num_nodes
     m2 = float(graph.indices.size)
     if m2 == 0.0:
@@ -218,6 +246,211 @@ def louvain_cluster(graph: Graph, seed: int) -> ClusterAssignment:
         modularity=modularity(graph, cluster_of),
         level_modularity=levels,
     )
+
+
+def _first_occurrence(labels: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_relabel`` of every block that ``off`` cuts ``labels`` into, in one pass.
+
+    Blocks share no label. Returns the ids numbered on from block to block
+    (block b's ids start at the number of ids in blocks before it) and the
+    number of ids in each block.
+    """
+    _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    counts = np.bincount(np.searchsorted(off, first, side="right") - 1,
+                         minlength=off.size - 1)
+    return rank[inv], counts
+
+
+def _lockstep_moves(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+                    strength: np.ndarray, off: np.ndarray, m2: np.ndarray,
+                    rngs: list) -> tuple[np.ndarray, np.ndarray]:
+    """``_local_moves`` of every graph of a weighted disjoint union at once.
+
+    Each step visits the next node of every graph still sweeping and makes
+    all their moves together; graphs never share a community, so the moves
+    touch disjoint entries. Returns each node's community (a node of its
+    own block) and which graphs moved any node.
+    """
+    # A move is the closed form of the tie scan in ``_local_moves``: stay
+    # unless the best candidate beats ``ci`` by more than 1e-12, else join
+    # the lowest id within 1e-12 of the best. It gives the scan's answer
+    # while m2 <= LOCKSTEP_MAX_M2. Weights are integers, so w, k and tot are
+    # exact, and gains w - k*tot/m2 that differ mathematically differ by at
+    # least 1/m2. Computed as ``w - (k * tot) / m2``, a gain is off by at
+    # most u*(k*tot/m2 + |gain|) (u = 2**-53). For two equal gains, with
+    # the rounding of ``gain + 1e-12``, that adds up to at most 1.5*u*m2
+    # (k*tot <= m2**2/4, and two communities share at most k of a node's
+    # weight): 3.4e-13 < 1e-12 at m2 = 2000.
+    n, num = strength.size, off.size - 1
+    deg = indptr[1:] - indptr[:-1]
+    comm = np.arange(n)
+    tot = strength.copy()
+    acc = np.zeros(n)  # w(i, c) of the visited nodes, zero between steps
+    perm = np.empty(n, dtype=np.int64)
+    bounds = list(zip(off[:-1].tolist(), off[1:].tolist()))
+    for (lo, hi), rng in zip(bounds, rngs):
+        perm[lo:hi] = lo + rng.permutation(hi - lo)
+    act = np.arange(num)
+    cur, end, m2a = off[:-1].copy(), off[1:].copy(), m2.copy()
+    sweep_moved = np.zeros(num, dtype=bool)
+    improved = np.zeros(num, dtype=bool)
+    while act.size:
+        nodes = perm[cur]
+        d = deg[nodes]
+        stop = np.cumsum(d)
+        start = stop - d
+        total = int(stop[-1])
+        slot = np.arange(total) + np.repeat(indptr[nodes] - start, d)
+        cj = comm[indices[slot]]
+        np.add.at(acc, cj, weights[slot])
+        ci = comm[nodes]
+        w_own = acc[ci]
+        own = np.repeat(np.arange(act.size), d)
+        k = strength[nodes]
+        tot[ci] -= k
+        g_own = w_own - (k * tot[ci]) / m2a
+        gain = acc[cj] - (k[own] * tot[cj]) / m2a[own]
+        acc[cj] = 0.0
+        gain[cj == ci[own]] = -np.inf
+        best = np.full(act.size, -np.inf)
+        np.maximum.at(best, own, gain)
+        target = np.full(act.size, n)
+        np.minimum.at(target, own, np.where(gain >= best[own] - 1e-12, cj, n))
+        move = best > g_own + 1e-12
+        new = np.where(move, target, ci)
+        tot[new] += k
+        comm[nodes] = new
+        sweep_moved[act] |= move
+        cur += 1
+        fin = cur == end
+        if not fin.any():
+            continue
+        keep = ~fin
+        for j in np.flatnonzero(fin).tolist():
+            g = int(act[j])
+            if sweep_moved[g]:  # another sweep, in a fresh order
+                lo, hi = bounds[g]
+                perm[lo:hi] = lo + rngs[g].permutation(hi - lo)
+                cur[j] = lo
+                keep[j] = True
+                sweep_moved[g] = False
+                improved[g] = True
+        act, cur, end, m2a = act[keep], cur[keep], end[keep], m2a[keep]
+    return comm, improved
+
+
+def _louvain_lockstep(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssignment]:
+    """``_louvain_one`` of every graph at once; every graph needs an edge.
+
+    Each level runs ``_lockstep_moves`` on the disjoint union of the graphs
+    still improving, then aggregates all of them in one pass.
+    """
+    rngs = [np.random.default_rng(s) for s in seeds]
+    off0, indptr, indices = disjoint_union(graphs)
+    m2 = np.array([g.indices.size for g in graphs], dtype=np.float64)
+    weights = np.ones(indices.size)
+    strength = (indptr[1:] - indptr[:-1]).astype(np.float64)
+    self_w = np.zeros(strength.size)
+    off = off0
+    live = np.arange(len(graphs))      # graphs still improving, in order
+    orig = np.arange(strength.size)    # original nodes of the live graphs
+    top = orig.copy()                  # ... and the level node holding each
+    top_off = off0
+    cluster = np.empty(strength.size, dtype=np.int64)
+    levels: list[list[float]] = [[] for _ in graphs]
+    while live.size:
+        comm, improved = _lockstep_moves(indptr, indices, weights, strength, off, m2[live],
+                                         [rngs[g] for g in live.tolist()])
+        sizes0 = top_off[1:] - top_off[:-1]
+        kept0 = np.repeat(improved, sizes0)
+        if not kept0.all():  # graphs that moved nothing end on their level's nodes
+            done_sizes = sizes0[~improved]
+            ids, counts = _first_occurrence(top[~kept0], _offsets(done_sizes))
+            cluster[orig[~kept0]] = ids - np.repeat(_offsets(counts)[:-1], done_sizes)
+        if not improved.any():
+            break
+        sizes = off[1:] - off[:-1]
+        kept = np.repeat(improved, sizes)
+        ids, counts = _first_occurrence(comm[kept], _offsets(sizes[improved]))
+        num_comms = int(counts.sum())
+        new_id = np.zeros(strength.size, dtype=np.int64)
+        new_id[kept] = ids
+        # The collapsed graphs: internal weight becomes self weight, parallel
+        # edges merge. Weights are integers, so every sum is exact.
+        src = np.repeat(np.arange(strength.size), indptr[1:] - indptr[:-1])
+        on = kept[src]
+        s, t, w = new_id[src[on]], new_id[indices[on]], weights[on]
+        inside = s == t
+        self_w = (np.bincount(ids, weights=self_w[kept], minlength=num_comms)
+                  + np.bincount(s[inside], weights=w[inside], minlength=num_comms))
+        strength = np.bincount(ids, weights=strength[kept], minlength=num_comms)
+        key, pos = np.unique(s[~inside] * num_comms + t[~inside], return_inverse=True)
+        weights = np.bincount(pos, weights=w[~inside], minlength=key.size)
+        indices = key % num_comms
+        indptr = _offsets(np.bincount(key // num_comms, minlength=num_comms))
+        live = live[improved]
+        off = _offsets(counts)
+        m2_node = np.repeat(m2[live], counts)
+        q = self_w / m2_node - (strength / m2_node) ** 2  # as ``_aggregate`` computes it
+        for g, lo, hi in zip(live.tolist(), off[:-1].tolist(), off[1:].tolist()):
+            levels[g].append(float(np.sum(q[lo:hi])))
+        top, orig = new_id[top[kept0]], orig[kept0]
+        top_off = _offsets(sizes0[improved])
+    out = []
+    for graph, lo, hi, level_q in zip(graphs, off0[:-1].tolist(), off0[1:].tolist(), levels):
+        cluster_of = cluster[lo:hi]
+        out.append(ClusterAssignment(
+            cluster_of=cluster_of,
+            num_clusters=int(cluster_of.max()) + 1,
+            modularity=modularity(graph, cluster_of),
+            level_modularity=level_q,
+        ))
+    return out
+
+
+def louvain_cluster(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssignment]:
+    """Greedy modularity-maximizing clustering (Louvain) of every graph.
+
+    Deterministic for a given seed: the node visitation order of every
+    local-move sweep is drawn from the graph's own seeded generator
+    (``seeds[i]`` for ``graphs[i]``). Nodes without edges always end up in
+    singleton clusters.
+
+    Graphs with 1 to ``LOCKSTEP_MAX_M2`` stored edge entries and at most
+    ``cap`` nodes run in lockstep (``_louvain_lockstep``): one numpy step
+    visits the next node of every graph still sweeping, and each level
+    aggregates every graph that improved at once. ``cap`` is the size that
+    maximises the nodes taken over minus ``LOCKSTEP_COST_NODES * cap`` (the
+    steps the largest graph's sweeps take, in node visits); with no
+    positive maximum nothing runs in lockstep. The rest run one node visit
+    at a time (``_louvain_one``). A graph's result does not depend on
+    the schedule or on the other graphs, byte for byte: each graph draws
+    its permutation from its own generator at the start of every sweep;
+    integer weights make every ``w`` and ``tot`` sum exact in any order;
+    gains use the same expression; each level's modularity is one
+    ``np.sum`` over the graph's own communities; communities are relabelled
+    by first occurrence; and the 1e-12 tie scan has an exact closed form
+    while m2 <= ``LOCKSTEP_MAX_M2`` (see ``_lockstep_moves``).
+    """
+    if len(graphs) != len(seeds):
+        raise ContractError(f"louvain_cluster got {len(graphs)} graphs and {len(seeds)} seeds")
+    for i, g in enumerate(graphs):
+        if g.num_nodes < 1:
+            raise ContractError(f"louvain_cluster needs at least one node, graph {i} has none")
+    fits = sorted((g.num_nodes, i) for i, g in enumerate(graphs)
+                  if 0 < g.indices.size <= LOCKSTEP_MAX_M2)
+    sizes = np.array([n for n, _ in fits], dtype=np.int64)
+    saving = np.cumsum(sizes) - LOCKSTEP_COST_NODES * sizes  # per size cap
+    out: list[ClusterAssignment | None] = [None] * len(graphs)
+    if saving.size and saving.max() > 0:
+        small = sorted(i for _, i in fits[:int(np.argmax(saving)) + 1])
+        batch = _louvain_lockstep([graphs[i] for i in small], [seeds[i] for i in small])
+        for i, res in zip(small, batch):
+            out[i] = res
+    return [res if res is not None else _louvain_one(g, s)
+            for res, g, s in zip(out, graphs, seeds)]
 
 
 def csr_operator(graph, edge_values: np.ndarray | None = None,
@@ -373,13 +606,15 @@ def _derived_seed(seed: int, graph_index: int, stream: int) -> int:
 def build_struct_caches(dataset: Dataset, seed: int, k_pe: int = 8,
                         walk_length: int = 8, num_walks: int | None = None) -> list[StructCache]:
     """Preprocess every graph; RNG streams derive from (seed, graph index)."""
-    lapes = [laplacian_pe(g, k_pe) for g in dataset.graphs]
-    aggs = aggregate_blocks(dataset.graphs, lapes)
+    graphs = dataset.graphs
+    lapes = [laplacian_pe(g, k_pe) for g in graphs]
+    aggs = aggregate_blocks(graphs, lapes)
+    clusters = louvain_cluster(graphs, [_derived_seed(seed, i, 0) for i in range(len(graphs))])
     return [StructCache(
-        clusters=louvain_cluster(g, _derived_seed(seed, i, 0)), lape=lape, agg_features=agg,
+        clusters=c, lape=lape, agg_features=agg,
         walk_pool=sample_walks(g, default_num_walks(g.num_nodes) if num_walks is None
                                else num_walks, walk_length, _derived_seed(seed, i, 1)),
-    ) for i, (g, lape, agg) in enumerate(zip(dataset.graphs, lapes, aggs))]
+    ) for i, (g, c, lape, agg) in enumerate(zip(graphs, clusters, lapes, aggs))]
 
 
 def _offsets(sizes: list[int]) -> np.ndarray:
@@ -424,11 +659,15 @@ def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed:
             -1, walk_length + 1),
         wseed=np.array([c.walk_pool.seed for c in caches], dtype=np.int64),
     )
-    # What np.savez_compressed writes, at a lower deflate level.
+    # What np.savez_compressed writes, at a lower deflate level, and with
+    # ``lape`` stored (see the module docstring).
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED,
                          compresslevel=SIDECAR_DEFLATE_LEVEL) as zf:
         for name, arr in arrays.items():
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+            member = f"{name}.npy"
+            if name in SIDECAR_STORED:
+                member = zipfile.ZipInfo(member)  # ZIP_STORED, the ZipInfo default
+            with zf.open(member, "w", force_zip64=True) as fh:
                 np.lib.format.write_array(fh, np.asanyarray(arr), allow_pickle=False)
 
 

@@ -22,7 +22,7 @@ def build_graph(n, edges, features=None, label=0):
 def build_struct_cache(graph, graph_index, seed, k_pe=8, walk_length=8, num_walks=None):
     """One graph's cache as ``build_struct_caches`` builds it at ``graph_index``,
     computed on that graph alone (its own ``ga_mlp_aggregate`` call)."""
-    clusters = louvain_cluster(graph, _derived_seed(seed, graph_index, 0))
+    clusters = louvain_cluster([graph], [_derived_seed(seed, graph_index, 0)])[0]
     lape = laplacian_pe(graph, k_pe)
     agg = ga_mlp_aggregate(graph, np.concatenate([graph.features, lape], axis=1))
     count = default_num_walks(graph.num_nodes) if num_walks is None else num_walks

@@ -577,6 +577,48 @@ class TestCliRangeChecks:
         assert "--jobs must be >= 1, got 0" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        {"epochs": 1.5}, {"folds": 2.0}, {"batch_size": 2.5}, {"seed": 1.5}, {"lr": None},
+        {"epochs": True}, {"epochs": "x"}, {"arch": "gat"}, {"layers": [3]},
+    ], ids=["epochs-float", "folds-float", "batch-size-float", "seed-float", "lr-null",
+            "epochs-bool", "epochs-text", "arch-not-a-choice", "layers-list"])
+    def test_bad_config_value_exits_1(self, tiny_data, tmp_path, caplog, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert main(["train-teacher", "--dataset", "TINY", "--config", str(cfg),
+                     "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 1
+        (key,) = config
+        assert f"config key {key!r}" in caplog.text
+        assert not out.exists()
+
+    def test_config_values_parse_like_flags(self, tiny_data, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": "2", "folds": 2, "lr": 1, "lr-patience": 1,
+                                   "layers": 1, "hidden": 4, "arch": "gcn"}))
+        out = tmp_path / "runs"
+        assert main(["train-teacher", "--dataset", "TINY", "--config", str(cfg),
+                     "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 0
+        config = json.loads((run_dirs(out)[0] / "manifest.json").read_text())["config"]
+        assert (config["epochs"], config["folds"], config["lr"], config["arch"]) == (
+            2, 2, 1.0, "gcn")
+        assert type(config["lr"]) is float
+
+    @pytest.mark.parametrize("config,code", [({"save_students": 1}, 1),
+                                             ({"walks_per_epoch": None}, 0)],
+                             ids=["switch-not-bool", "null-where-default-is-none"])
+    def test_config_switch_and_null(self, tiny_data, teacher_run, tmp_path, caplog, config,
+                                    code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert main(["distill", "--teacher-run", str(teacher_run), "--config", str(cfg),
+                     "--epochs", "2", "--lr-patience", "1", "--student-seeds", "0",
+                     "--hidden", "4", "--data-dir", str(tiny_data),
+                     "--out-dir", str(out)]) == code
+        if code:
+            assert "config key 'save_students'" in caplog.text
+
     def test_checkpoint_config_out_of_range_is_format_error(self, teacher_run, tmp_path,
                                                             tiny_data, caplog):
         run = tmp_path / "run"

@@ -410,6 +410,8 @@ class TestGraphInvariants:
         ([1, 2, 4, 5], [1, 0, 2, 1], "indptr"),
         ([0, 2, 4, 5], [1, 0, 2, 1], "indptr"),
         ([0, 3, 2, 4], [1, 2, 0, 1], "indptr"),
+        ([0, 2, 3, 4], [1, 2, 2, 1], "one direction only"),  # 1->0 and 2->0 missing
+        ([0, 1, 2, 2], [1, 2], "one direction only"),  # a directed path 0->1->2
     ])
     def test_rows_must_be_strictly_increasing_without_self_loops(self, indptr, indices, match):
         args = (3, np.array(indptr), np.array(indices), np.eye(3), 0)
@@ -425,13 +427,33 @@ class TestGraphInvariants:
         indptr = np.cumsum([0] + [len(r) for r in rows])
         indices = np.array([v for r in rows for v in r], dtype=np.int64)
         simple = all(u not in r and all(a < b for a, b in zip(r, r[1:]))
-                     for u, r in enumerate(rows))
+                     and all(u in rows[v] for v in r) for u, r in enumerate(rows))
         try:
             Graph(6, indptr, indices, np.zeros((6, 1)), 0)
         except IntegrityError:
             assert not simple
         else:
             assert simple
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_symmetry_check_equals_edge_set(self, data):
+        """Rows of an undirected edge set, with a few stored entries dropped:
+        ``Graph`` accepts them exactly when every kept entry's reverse is kept."""
+        n = data.draw(st.integers(2, 8))
+        edges = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                  .filter(lambda e: e[0] < e[1])))
+        entries = sorted(edges | {(v, u) for u, v in edges})
+        dropped = data.draw(st.sets(st.sampled_from(entries), max_size=2)) if entries else set()
+        kept = [e for e in entries if e not in dropped]
+        indptr = np.cumsum([0] + [sum(1 for u, _ in kept if u == w) for w in range(n)])
+        indices = np.array([v for _, v in kept], dtype=np.int64)
+        args = (n, indptr, indices, np.zeros((n, 1)), 0)
+        if any((v, u) in dropped for u, v in kept):
+            with pytest.raises(IntegrityError, match="one direction only"):
+                Graph(*args)
+        else:
+            assert Graph(*args).num_edges == len(kept) // 2
 
     def test_empty_and_edgeless_graphs_accepted(self):
         Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 2)), 0)

@@ -13,8 +13,11 @@ from hypothesis.extra import numpy as hnp
 
 from graphdistill.data import Dataset, Graph
 from graphdistill.errors import ContractError, FormatError
+from graphdistill import structure
 from graphdistill.structure import (
     DENSE_LAPE_MAX_NODES,
+    LOCKSTEP_COST_NODES,
+    LOCKSTEP_MAX_M2,
     ClusterAssignment,
     StructCache,
     WalkPool,
@@ -100,40 +103,40 @@ class TestModularityOracle:
 class TestLouvain:
     def test_two_triangles_match_exhaustive_optimum(self, two_triangles):
         best, best_q = best_partition_bruteforce(two_triangles)
-        result = louvain_cluster(two_triangles, seed=0)
+        result = louvain_cluster([two_triangles], [0])[0]
         assert result.num_clusters == 2
         assert same_partition(result.cluster_of.tolist(), best)
         assert result.modularity == pytest.approx(best_q, abs=1e-12)
         assert result.modularity == pytest.approx(0.5, abs=1e-12)
 
     def test_single_node(self, isolated_node):
-        result = louvain_cluster(isolated_node, seed=0)
+        result = louvain_cluster([isolated_node], [0])[0]
         assert result.num_clusters == 1
         assert result.modularity == 0.0
 
     def test_karate_club_quality(self):
         g = build_graph(34, KARATE_EDGES)
         assert g.num_edges == 78
-        result = louvain_cluster(g, seed=0)
+        result = louvain_cluster([g], [0])[0]
         assert result.modularity >= 0.40  # known optimum is about 0.42
 
     def test_deterministic(self):
         g = build_graph(34, KARATE_EDGES)
-        a = louvain_cluster(g, seed=11)
-        b = louvain_cluster(g, seed=11)
+        a = louvain_cluster([g], [11])[0]
+        b = louvain_cluster([g], [11])[0]
         np.testing.assert_array_equal(a.cluster_of, b.cluster_of)
 
     def test_beats_singletons(self):
         rng = np.random.default_rng(4)
         for trial in range(10):
             g = random_er_graph(rng, int(rng.integers(5, 25)), p=0.25)
-            res = louvain_cluster(g, seed=trial)
+            res = louvain_cluster([g], [trial])[0]
             singles = modularity(g, np.arange(g.num_nodes))
             assert res.modularity >= singles - 1e-12
 
     def test_isolated_nodes_are_singletons(self):
         g = build_graph(5, [(0, 1), (1, 2)])  # nodes 3, 4 isolated
-        res = louvain_cluster(g, seed=0)
+        res = louvain_cluster([g], [0])[0]
         for iso in (3, 4):
             assert (res.cluster_of == res.cluster_of[iso]).sum() == 1
 
@@ -154,13 +157,13 @@ class TestLouvain:
             nxg.add_nodes_from(range(g.num_nodes))
             nxg.add_edges_from(g.edge_pairs().tolist())
             want = nx.community.modularity(nxg, nx.community.louvain_communities(nxg, seed=seed))
-            diffs.append(louvain_cluster(g, seed=seed).modularity - want)
+            diffs.append(louvain_cluster([g], [seed])[0].modularity - want)
         assert min(diffs) >= -0.03, diffs
         assert abs(np.mean(diffs)) <= 0.01, diffs
 
     def test_level_modularity_nondecreasing(self):
         g = build_graph(34, KARATE_EDGES)
-        res = louvain_cluster(g, seed=3)
+        res = louvain_cluster([g], [3])[0]
         levels = res.level_modularity
         assert len(levels) >= 1
         assert all(b >= a - 1e-12 for a, b in zip(levels, levels[1:]))
@@ -169,7 +172,7 @@ class TestLouvain:
     def test_top_level_fixed_point(self):
         # Merging any final cluster into any other must not improve modularity.
         g = build_graph(34, KARATE_EDGES)
-        res = louvain_cluster(g, seed=0)
+        res = louvain_cluster([g], [0])[0]
         base = res.modularity
         for c in range(res.num_clusters):
             for d in range(res.num_clusters):
@@ -181,8 +184,154 @@ class TestLouvain:
 
     def test_contiguous_indices(self):
         g = build_graph(34, KARATE_EDGES)
-        res = louvain_cluster(g, seed=1)
+        res = louvain_cluster([g], [1])[0]
         assert sorted(set(res.cluster_of.tolist())) == list(range(res.num_clusters))
+
+
+# Small graph shapes for the lockstep tests; most tie heavily between moves.
+GRAPH_KINDS = ("random", "edgeless", "one-node", "complete", "star", "cycle", "circulant",
+               "grid", "clique-isolated", "m2-bound")
+
+
+def shaped_graph(kind, n, rng):
+    """A graph of ``kind``; ``n`` nodes except for "one-node" and "m2-bound",
+    whose edges fill exactly ``LOCKSTEP_MAX_M2`` stored entries."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "one-node":
+        return build_graph(1, [])
+    if kind == "m2-bound":
+        if rng.random() < 0.5:  # K45 and one node joined to 10 of it
+            return build_graph(46, [(u, v) for u in range(45) for v in range(u + 1, 45)]
+                               + [(45, v) for v in range(10)])
+        all_pairs = [(u, v) for u in range(60) for v in range(u + 1, 60)]
+        picked = rng.choice(len(all_pairs), size=LOCKSTEP_MAX_M2 // 2, replace=False)
+        return build_graph(60, [all_pairs[i] for i in picked])
+    if kind == "random":
+        p_edge = rng.uniform(0.1, 0.8)
+        return build_graph(n, [e for e in pairs if rng.random() < p_edge])
+    edges = {
+        "edgeless": [],
+        "complete": pairs,
+        "star": [(0, v) for v in range(1, n)],
+        "cycle": [(v, (v + 1) % n) for v in range(n)],
+        "circulant": [(v, (v + d) % n) for v in range(n) for d in (1, 3)],
+        "grid": [(v, v + 1) for v in range(n - 1) if (v + 1) % 3] + [(v, v + 3) for v in
+                                                                      range(n - 3)],
+        "clique-isolated": [(u, v) for u, v in pairs if v < (n + 1) // 2],
+    }[kind]
+    return build_graph(n, edges)
+
+
+@st.composite
+def small_datasets(draw):
+    graphs = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(GRAPH_KINDS))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        graphs.append(shaped_graph(kind, draw(st.integers(2, 14)), rng))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(graphs),
+                          max_size=len(graphs)))
+    return graphs, seeds
+
+
+def assert_same_clustering(got, want):
+    assert got.cluster_of.dtype == want.cluster_of.dtype == np.int64
+    assert got.cluster_of.tobytes() == want.cluster_of.tobytes()
+    assert type(got.num_clusters) is int and got.num_clusters == want.num_clusters
+    assert type(got.modularity) is float and got.modularity == want.modularity
+    assert all(type(x) is float for x in got.level_modularity)
+    assert got.level_modularity == want.level_modularity
+
+
+def spy_lockstep(mp):
+    """Record the graphs of every ``_louvain_lockstep`` batch."""
+    batches, lockstep = [], structure._louvain_lockstep
+    mp.setattr(structure, "_louvain_lockstep",
+               lambda gs, ss: batches.append(list(gs)) or lockstep(gs, ss))
+    return batches
+
+
+class TestLouvainLockstep:
+    """The lockstep schedule must give every graph what the per-graph engine
+    gives it, bit for bit, whatever else is in the batch."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(dataset=small_datasets())
+    def test_lockstep_equals_per_graph(self, dataset):
+        graphs, seeds = dataset
+        with pytest.MonkeyPatch.context() as mp:  # every graph with an edge in lockstep
+            mp.setattr(structure, "LOCKSTEP_COST_NODES", 0)
+            batches = spy_lockstep(mp)
+            got = louvain_cluster(graphs, seeds)
+        with_edges = [g for g in graphs if g.indices.size > 0]
+        assert batches == ([with_edges] if with_edges else [])
+        assert len(got) == len(graphs)
+        for g, seed, res in zip(graphs, seeds, got):
+            assert_same_clustering(res, structure._louvain_one(g, seed))
+
+    @pytest.mark.parametrize("n,edges,seed", [
+        (7, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5),
+             (2, 6), (3, 4), (3, 5), (4, 5), (5, 6)], 476),
+        (8, [(0, 1), (0, 3), (0, 7), (1, 2), (1, 3), (1, 6), (2, 3), (3, 4), (5, 7), (6, 7)],
+         324),
+    ], ids=["candidates-tie", "candidate-ties-own"])
+    def test_float_near_ties_resolve_like_the_scan(self, n, edges, seed):
+        # Gains here tie mathematically but not in float (like 0.7 as 1 - 0.3
+        # and as 2 - 1.3). Dropping the 1e-12 slack from the closed form
+        # changes these partitions: in the choice among candidates (first)
+        # and in the choice to leave ``ci`` (second).
+        g = build_graph(n, edges)
+        assert_same_clustering(structure._louvain_lockstep([g], [seed])[0],
+                               structure._louvain_one(g, seed))
+
+    @pytest.mark.parametrize("cycles,extra,batched", [
+        (30, [], 0),           # 300 nodes do not pay for 36 steps per node of cap 10
+        (40, [], 40),          # 400 nodes do
+        (40, [300], 40),       # a 300-node cycle would cost more steps than it saves
+        (40, [12] * 2, 40),    # two slightly larger graphs would not pay for their steps
+        (40, [12] * 7, 47),    # seven do
+        (40, ["K47", "edgeless"], 40),  # past LOCKSTEP_MAX_M2, and without edges
+    ])
+    def test_lockstep_batch_selection(self, cycles, extra, batched):
+        assert LOCKSTEP_COST_NODES == 36  # the counts above assume it
+        others = {"K47": shaped_graph("complete", 47, None),
+                  "edgeless": shaped_graph("edgeless", 5, None)}
+        graphs = [shaped_graph("cycle", 10, None)] * cycles + [
+            others[x] if isinstance(x, str) else shaped_graph("cycle", x, None) for x in extra]
+        with pytest.MonkeyPatch.context() as mp:
+            batches = spy_lockstep(mp)
+            louvain_cluster(graphs, list(range(len(graphs))))
+        assert [len(b) for b in batches] == ([batched] if batched else [])
+
+    def test_graph_in_dataset_equals_graph_alone(self):
+        rng = np.random.default_rng(12)
+        graphs = (two_class_structural(num_graphs=75, seed=12).graphs
+                  + [shaped_graph(kind, 11, rng) for kind in GRAPH_KINDS]
+                  + [build_graph(240, preferential_attachment_edges(240, rng, 48)),
+                     shaped_graph("complete", 47, rng)])  # over LOCKSTEP_MAX_M2
+        seeds = [structure._derived_seed(12, i, 0) for i in range(len(graphs))]
+        subset = rng.permutation(len(graphs))[:70]
+        with pytest.MonkeyPatch.context() as mp:
+            batches = spy_lockstep(mp)
+            whole = louvain_cluster(graphs, seeds)
+            part = louvain_cluster([graphs[i] for i in subset], [seeds[i] for i in subset])
+        # both schedules run in both calls, and the batches differ
+        assert 0 < len(batches[0]) < len(graphs) and 0 < len(batches[1]) < len(subset)
+        assert len(batches[0]) != len(batches[1])
+        for j, i in enumerate(subset):
+            assert_same_clustering(part[j], whole[i])
+        for g, seed, res in zip(graphs, seeds, whole):
+            assert_same_clustering(res, louvain_cluster([g], [seed])[0])
+
+    def test_seed_count_must_match(self, triangle):
+        with pytest.raises(ContractError, match="2 graphs and 1 seeds"):
+            louvain_cluster([triangle, triangle], [0])
+
+    def test_graph_without_nodes_rejected(self, triangle):
+        empty = Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                      np.zeros((0, 1)), 0)
+        with pytest.raises(ContractError, match="graph 1 has none"):
+            louvain_cluster([triangle, empty], [0, 1])
 
 
 def golden_graphs():
@@ -275,7 +424,7 @@ class TestGoldenPreprocess:
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_louvain_and_walks_pinned(self, golden_set, name):
         graph, want = golden_set[name], GOLDEN[name]
-        res = louvain_cluster(graph, seed=5)
+        res = louvain_cluster([graph], [5])[0]
         assert res.cluster_of.dtype == np.int64
         assert res.num_clusters == want["num_clusters"]
         assert res.modularity == want["modularity"]
@@ -816,8 +965,9 @@ class TestBatchedPreprocess:
 
 class TestSidecarWriter:
     def test_savez_compressed_sidecar_loads_equal(self, tmp_path):
-        # The same members as np.savez_compressed writes, only deflated at a
-        # lower level; a sidecar written by np.savez_compressed reads back equal.
+        # The same members as np.savez_compressed writes, deflated at a lower
+        # level except ``lape``, which is stored; a sidecar written by
+        # np.savez_compressed reads back equal.
         ds = two_class_structural(num_graphs=6, seed=2, min_nodes=5, max_nodes=14)
         caches = build_struct_caches(ds, seed=8, k_pe=3, walk_length=4)
         light, heavy = tmp_path / "light.npz", tmp_path / "heavy.npz"
@@ -826,7 +976,9 @@ class TestSidecarWriter:
             np.savez_compressed(heavy, **{k: data[k] for k in data.files})
         with zipfile.ZipFile(light) as ours, zipfile.ZipFile(heavy) as ref:
             assert [i.filename for i in ours.infolist()] == [i.filename for i in ref.infolist()]
-            assert {i.compress_type for i in ours.infolist()} == {zipfile.ZIP_DEFLATED}
+            assert {i.filename: i.compress_type for i in ours.infolist()} == {
+                name: zipfile.ZIP_STORED if name == "lape.npy" else zipfile.ZIP_DEFLATED
+                for name in ref.namelist()}
             for name in ref.namelist():
                 assert ours.read(name) == ref.read(name)
         back_light, meta_light = load_struct_caches(light)

@@ -91,7 +91,8 @@ class IncrementalState:
 
     ``adj``, ``deg`` and ``agg`` describe the present-node subgraph; rows of
     absent nodes are empty or zero. ``adj[u]`` holds u's neighbours in
-    increasing order. ``agg`` stays zero for an MLP student.
+    increasing order, and ``deg[u]`` is their count as a float. ``agg``
+    stays zero for an MLP student.
     """
 
     graph: Graph
@@ -256,7 +257,7 @@ def _induced_subgraph(state: IncrementalState) -> tuple[Graph, np.ndarray]:
     # is monotone, so they remap to the sorted CSR rows of the subgraph.
     rows = [state.adj[u] for u in alive.tolist()]
     indptr = np.zeros(alive.size + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    np.cumsum(state.deg[alive].astype(np.int64), out=indptr[1:])  # deg[u] == len(adj[u])
     flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=indptr[-1])
     sub = Graph(alive.size, indptr, remap[flat], state.graph.features[alive], state.graph.label)
     return sub, alive

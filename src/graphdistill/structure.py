@@ -27,10 +27,18 @@ partitions and modularities (see ``louvain_cluster``).
 The cache sidecar (``save_struct_caches``, format ``structcache/3``) is
 one ``.npz`` deflated at level 1 (``SIDECAR_DEFLATE_LEVEL``), not zlib's
 default 6, which on 3.1 MB of arrays (405 small graphs) took 144 ms
-against 91 ms for a file only 4% smaller. The ``lape`` member is stored
-without compression (``SIDECAR_STORED``): eigenvector entries deflate only
-to 95% of their size, at about 41 ms of a 405-graph save, for 41 kB.
-It holds a JSON ``meta`` string (format, dataset, seed, num_graphs,
+against 91 ms for a file only 4% smaller. The float members ``lape`` and
+``agg`` are stored without compression (``SIDECAR_STORED``): eigenvector
+entries deflate only to 95% of their size, and the aggregated block to
+58%, for most of the deflate time. Storing both trades time for bytes
+(seed 421, 2-core x86_64 VM, medians of 15 calls, ranges over runs). On
+the 405-graph ``two_class_structural`` set, save went 46-54 -> 8 ms and
+load 16-20 -> 7 ms for 1,994,080 -> 2,755,092 bytes; on four 2000-node
+sparse graphs, save went 20-26 -> 5 ms and load 7-10 -> 3-4 ms for
+1,085,871 -> 2,129,503 bytes. The loader reads stored and deflated
+members alike, so sidecars that deflate every member still load.
+
+The sidecar holds a JSON ``meta`` string (format, dataset, seed, num_graphs,
 walk_length) and one packed array per field, each cut into graphs by int64
 offsets that start at 0 and never decrease:
 
@@ -70,7 +78,7 @@ STRUCT_CACHE_FORMAT = "structcache/3"
 # 9.2 vs 4.8 ms at 256), and graphs up to here keep their dense encodings.
 DENSE_LAPE_MAX_NODES = 200
 SIDECAR_DEFLATE_LEVEL = 1
-SIDECAR_STORED = ("lape",)  # members written without compression
+SIDECAR_STORED = ("lape", "agg")  # members written without compression
 # Louvain in lockstep pays about 65 us per step however few graphs it
 # visits, and a level takes as many steps as its largest graph's sweeps;
 # one graph at a time costs about 2.5 us per node visit. Against one graph
@@ -131,15 +139,39 @@ class StructCache:
 
 
 def modularity(graph: Graph, cluster_of: np.ndarray) -> float:
-    """Newman modularity of a partition of a simple unweighted graph."""
-    m2 = float(graph.indices.size)
-    if m2 == 0.0:
-        return 0.0
-    src = np.repeat(np.arange(graph.num_nodes), graph.degrees)
-    internal = float(np.sum(cluster_of[src] == cluster_of[graph.indices]))
-    deg = graph.degrees.astype(np.float64)
-    tot = np.bincount(cluster_of, weights=deg)
-    return internal / m2 - float(np.sum((tot / m2) ** 2))
+    """Newman modularity of a partition of a simple unweighted graph.
+
+    The one-graph case of ``_modularities``.
+    """
+    n = graph.num_nodes
+    return _modularities(np.array([0, n]), graph.indptr, graph.indices, cluster_of,
+                         [int(cluster_of.max()) + 1 if n else 0])[0]
+
+
+def _modularities(off: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+                  cluster: np.ndarray, widths) -> list[float]:
+    """``modularity`` of every graph of a disjoint union, in one pass.
+
+    ``off`` [G+1] cuts the union's nodes into graphs; ``cluster`` holds
+    each node's id within its own graph, below that graph's ``widths``
+    entry. A graph without edges scores 0.0. Each graph's community term is
+    one ``np.sum`` over its own ``widths`` entries, and every other sum
+    counts integers, so a graph scores the same alone or in any union.
+    """
+    sizes = off[1:] - off[:-1]
+    deg = indptr[1:] - indptr[:-1]
+    edges = indptr[off[1:]] - indptr[off[:-1]]
+    label_off = _offsets(widths)
+    label = cluster + np.repeat(label_off[:-1], sizes)
+    same = np.repeat(label, deg) == label[indices]
+    internal = np.bincount(np.repeat(np.arange(sizes.size), edges), weights=same,
+                           minlength=sizes.size)
+    tot = np.bincount(label, weights=deg.astype(np.float64), minlength=int(label_off[-1]))
+    m2 = edges.astype(np.float64)
+    q = (tot / np.repeat(np.maximum(m2, 1.0), widths)) ** 2  # edgeless graphs score 0.0
+    return [i / m - float(np.sum(q[lo:hi])) if m else 0.0
+            for i, m, lo, hi in zip(internal.tolist(), m2.tolist(),
+                                    label_off[:-1].tolist(), label_off[1:].tolist())]
 
 
 def _local_moves(adj: list[dict[int, float]], strength: list[float], m2: float,
@@ -345,10 +377,12 @@ def _louvain_lockstep(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssi
     """``_louvain_one`` of every graph at once; every graph needs an edge.
 
     Each level runs ``_lockstep_moves`` on the disjoint union of the graphs
-    still improving, then aggregates all of them in one pass.
+    still improving, then aggregates all of them in one pass. The final
+    partitions are scored in one pass too (``_modularities``).
     """
     rngs = [np.random.default_rng(s) for s in seeds]
-    off0, indptr, indices = disjoint_union(graphs)
+    off0, indptr0, indices0 = disjoint_union(graphs)
+    indptr, indices = indptr0, indices0
     m2 = np.array([g.indices.size for g in graphs], dtype=np.float64)
     weights = np.ones(indices.size)
     strength = (indptr[1:] - indptr[:-1]).astype(np.float64)
@@ -398,16 +432,12 @@ def _louvain_lockstep(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssi
             levels[g].append(float(np.sum(q[lo:hi])))
         top, orig = new_id[top[kept0]], orig[kept0]
         top_off = _offsets(sizes0[improved])
-    out = []
-    for graph, lo, hi, level_q in zip(graphs, off0[:-1].tolist(), off0[1:].tolist(), levels):
-        cluster_of = cluster[lo:hi]
-        out.append(ClusterAssignment(
-            cluster_of=cluster_of,
-            num_clusters=int(cluster_of.max()) + 1,
-            modularity=modularity(graph, cluster_of),
-            level_modularity=level_q,
-        ))
-    return out
+    widths = np.maximum.reduceat(cluster, off0[:-1]) + 1
+    qs = _modularities(off0, indptr0, indices0, cluster, widths)
+    return [ClusterAssignment(cluster_of=cluster[lo:hi], num_clusters=w, modularity=q,
+                              level_modularity=level_q)
+            for lo, hi, w, q, level_q in zip(off0[:-1].tolist(), off0[1:].tolist(),
+                                             widths.tolist(), qs, levels)]
 
 
 def louvain_cluster(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssignment]:
@@ -534,6 +564,33 @@ def laplacian_pe(graph: Graph, k_pe: int) -> np.ndarray:
     return out
 
 
+def _halves(bitgen: np.random.PCG64, count: int) -> list[int]:
+    """The next ``count`` 64-bit words of ``bitgen`` as 32-bit halves, low half first."""
+    return bitgen.random_raw(count).astype("<u8", copy=False).view("<u4").tolist()
+
+
+def _bounded(r: int, halves: list[int], pos: int,
+             bitgen: np.random.PCG64) -> tuple[int, int]:
+    """``Generator.integers(r)`` for 1 <= r <= 2**32, from ``halves[pos:]``.
+
+    Lemire's method as numpy runs it: a range of 1 takes nothing; otherwise
+    take the next half x, m = x * r, take another while m mod 2**32 is
+    below (2**32 - r) % r, and draw m >> 32. Returns the draw and the
+    position after the halves taken; ``halves`` is extended from
+    ``bitgen`` when it runs out.
+    """
+    if r == 1:
+        return 0, pos
+    while True:
+        if pos == len(halves):
+            halves += _halves(bitgen, 8)
+        m = halves[pos] * r
+        pos += 1
+        low = m & 0xFFFFFFFF
+        if low >= r or low >= ((1 << 32) - r) % r:  # (2**32 - r) % r < r
+            return m >> 32, pos
+
+
 def sample_walks(graph: Graph, num_walks: int, walk_length: int, seed: int) -> WalkPool:
     """Uniform random walks: random start node, then T uniform neighbor steps.
 
@@ -541,20 +598,37 @@ def sample_walks(graph: Graph, num_walks: int, walk_length: int, seed: int) -> W
     with ``-1``s to the matrix width. No other walk ends early: after the
     first step the previous node is always a neighbour. An empty pool
     (num_walks=0) is valid and contributes nothing downstream.
+
+    The walks are those of one ``np.random.default_rng(seed)`` drawing
+    ``integers(num_nodes)`` for each start and ``integers(degree)`` for each
+    step, draw for draw; ``_bounded`` computes each draw from the raw words
+    of the generator's ``PCG64``, without a generator call per draw. A test
+    pins the pools against that per-draw sampler (``tests/oracles.py``).
     """
     if walk_length < 1:
         raise ContractError(f"walk_length must be >= 1, got {walk_length}")
-    rng = np.random.default_rng(seed)
+    if num_walks < 0:
+        raise ContractError(f"num_walks must be >= 0, got {num_walks}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
+    n = graph.num_nodes
+    if num_walks and n < 1:
+        raise ContractError("sample_walks needs a node to start from, the graph has none")
+    bitgen = np.random.PCG64(seed)
+    # Without rejections, which are rare, a walk takes at most walk_length + 1 halves.
+    halves = _halves(bitgen, (num_walks * (walk_length + 1) + 1) // 2)
+    pos = 0
     ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
     walks = []
     for _ in range(num_walks):
-        cur = int(rng.integers(graph.num_nodes))
+        cur, pos = _bounded(n, halves, pos, bitgen)
         seq = [cur]
         for _ in range(walk_length):
             lo, hi = ptr[cur], ptr[cur + 1]
             if lo == hi:
                 break
-            cur = nbrs[lo + int(rng.integers(hi - lo))]
+            step, pos = _bounded(hi - lo, halves, pos, bitgen)
+            cur = nbrs[lo + step]
             seq.append(cur)
         walks.append(seq + [-1] * (walk_length + 1 - len(seq)))
     matrix = np.array(walks, dtype=np.int64).reshape(num_walks, walk_length + 1)
@@ -660,7 +734,7 @@ def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed:
         wseed=np.array([c.walk_pool.seed for c in caches], dtype=np.int64),
     )
     # What np.savez_compressed writes, at a lower deflate level, and with
-    # ``lape`` stored (see the module docstring).
+    # ``SIDECAR_STORED`` stored (see the module docstring).
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED,
                          compresslevel=SIDECAR_DEFLATE_LEVEL) as zf:
         for name, arr in arrays.items():

@@ -131,6 +131,17 @@ def dense_modularity(graph, assignment):
     return float(np.trace(s.T @ b @ s) / m2)
 
 
+def reference_modularity(graph, cluster_of):
+    """Newman modularity of one graph, computed on that graph alone."""
+    m2 = float(graph.indices.size)
+    if m2 == 0.0:
+        return 0.0
+    src = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+    internal = float(np.sum(cluster_of[src] == cluster_of[graph.indices]))
+    tot = np.bincount(cluster_of, weights=graph.degrees.astype(np.float64))
+    return internal / m2 - float(np.sum((tot / m2) ** 2))
+
+
 def best_partition_bruteforce(graph):
     best_q, best = -np.inf, None
     for assignment in all_partitions(graph.num_nodes):
@@ -191,6 +202,24 @@ def path_kl_oracle(h_teacher, h_student, walks):
         q = softmax_np(h_student[nodes] @ h_student[anchor])
         total += kl_divergence(p, q)
     return total / len(walks)
+
+
+def reference_sample_walks(graph, num_walks, walk_length, seed):
+    """The walk matrix of ``sample_walks``, one ``Generator.integers`` call per draw."""
+    rng = np.random.default_rng(seed)
+    ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
+    walks = []
+    for _ in range(num_walks):
+        cur = int(rng.integers(graph.num_nodes))
+        seq = [cur]
+        for _ in range(walk_length):
+            lo, hi = ptr[cur], ptr[cur + 1]
+            if lo == hi:
+                break
+            cur = nbrs[lo + int(rng.integers(hi - lo))]
+            seq.append(cur)
+        walks.append(seq + [-1] * (walk_length + 1 - len(seq)))
+    return np.array(walks, dtype=np.int64).reshape(num_walks, walk_length + 1)
 
 
 def unpadded(walks):

@@ -252,6 +252,9 @@ class TestIncrementalEqualsFull:
                 logits = incremental_insert(state, int(rng.choice(absent)), nbrs)
             else:
                 logits = incremental_remove(state, int(rng.choice(alive)))
+            # ``_induced_subgraph`` builds its row pointers from ``deg``
+            assert all(state.deg[u] == len(state.adj[u])
+                       for u in np.flatnonzero(state.present).tolist())
             if op % 250 == 249:
                 full = full_student_logits(state)
                 assert np.abs(logits - full).max() <= 1e-9 * max(1.0, np.abs(full).max())

@@ -41,6 +41,8 @@ from oracles import (
     dense_ga_aggregate,
     dense_normalized_laplacian,
     random_er_graph,
+    reference_modularity,
+    reference_sample_walks,
     unpadded,
 )
 
@@ -98,6 +100,26 @@ class TestModularityOracle:
         nxg.add_edges_from(g.edge_pairs().tolist())
         want = nx.community.modularity(nxg, [{0, 1, 6}, {2, 3, 4}, {5}])
         assert modularity(g, cluster_of) == pytest.approx(want, abs=1e-12)
+
+    def test_dataset_pass_equals_per_graph(self):
+        # One pass over a mixed union scores every graph as it scores alone:
+        # edgeless and one-node graphs, unused and repeated labels, and the
+        # contiguous partitions Louvain makes.
+        rng = np.random.default_rng(5)
+        graphs = ([shaped_graph(kind, int(rng.integers(2, 14)), rng)
+                   for kind in GRAPH_KINDS for _ in range(3)]
+                  + two_class_structural(num_graphs=12, seed=5).graphs)
+        clusters = [rng.integers(0, int(rng.integers(1, g.num_nodes + 3)), size=g.num_nodes)
+                    for g in graphs]
+        clusters += [c.cluster_of for c in louvain_cluster(graphs, list(range(len(graphs))))]
+        graphs = graphs + graphs
+        off, indptr, indices = structure.disjoint_union(graphs)
+        got = structure._modularities(off, indptr, indices, np.concatenate(clusters),
+                                      [int(c.max()) + 1 for c in clusters])
+        want = [reference_modularity(g, c) for g, c in zip(graphs, clusters)]
+        assert all(type(q) is float for q in got)
+        assert got == want
+        assert [modularity(g, c) for g, c in zip(graphs, clusters)] == want
 
 
 class TestLouvain:
@@ -581,6 +603,46 @@ class TestSparseLaplacianPE:
         np.testing.assert_allclose(lam, exact, rtol=0, atol=1e-10)
 
 
+@st.composite
+def walk_graphs(draw):
+    """Graphs of 1 to 12 nodes with few edges, so isolated nodes and leaves are common."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return build_graph(n, edges)
+
+
+class TestBoundedDraw:
+    """``structure._bounded`` must draw what ``Generator.integers`` draws,
+    also for ranges where numpy rejects a quarter to a half of the words."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 45, 3 * 2**30, 2**31 + 1, 2**32 - 1])
+    @pytest.mark.parametrize("seed", [0, 9, 2**63 + 5])
+    def test_matches_generator_integers(self, r, seed):
+        rng = np.random.default_rng(seed)
+        want = [int(rng.integers(r)) for _ in range(300)]
+        bitgen = np.random.PCG64(seed)
+        halves = structure._halves(bitgen, 5)  # runs out early, so it is refilled
+        got, pos = [], 0
+        for _ in range(300):
+            x, pos = structure._bounded(r, halves, pos, bitgen)
+            got.append(x)
+        assert got == want
+        if r in (3 * 2**30, 2**31 + 1):  # rejected about 1/4 and 1/2 of the time
+            assert pos > 330
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mixed_ranges_from_an_empty_list(self, seed):
+        # Ranges interleave as in a walk, and every half comes from a refill.
+        ranges = np.random.default_rng(100 + seed).choice(
+            [1, 1, 2, 5, 38, 3 * 2**30, 2**31 + 1, 2**32 - 1], size=400).tolist()
+        rng = np.random.default_rng(seed)
+        bitgen, halves, pos = np.random.PCG64(seed), [], 0
+        for r in ranges:
+            x, pos = structure._bounded(r, halves, pos, bitgen)
+            assert x == int(rng.integers(r))
+
+
 class TestWalks:
     def test_p2_forced_alternation(self, k2):
         pool = sample_walks(k2, 50, 3, seed=0)
@@ -619,6 +681,30 @@ class TestWalks:
     def test_empty_pool(self, triangle):
         walks = sample_walks(triangle, 0, 8, seed=0).walks
         assert walks.shape == (0, 9) and walks.dtype == np.int64
+
+    def test_negative_num_walks_rejected(self, triangle):
+        with pytest.raises(ContractError, match="num_walks must be >= 0, got -1"):
+            sample_walks(triangle, -1, 8, seed=0)
+
+    def test_negative_seed_rejected(self, triangle):
+        with pytest.raises(ContractError, match="seed must be >= 0, got -3"):
+            sample_walks(triangle, 4, 8, seed=-3)
+
+    def test_graph_without_nodes(self):
+        empty = Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                      np.zeros((0, 1)), 0)
+        assert sample_walks(empty, 0, 3, seed=0).walks.shape == (0, 4)
+        with pytest.raises(ContractError, match="needs a node to start from"):
+            sample_walks(empty, 1, 3, seed=0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(graph=walk_graphs(), num_walks=st.integers(0, 70), walk_length=st.integers(1, 8),
+           seed=st.integers(0, 2**64 - 1))
+    def test_equals_per_draw_sampler(self, graph, num_walks, walk_length, seed):
+        got = sample_walks(graph, num_walks, walk_length, seed).walks
+        want = reference_sample_walks(graph, num_walks, walk_length, seed)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_deterministic(self, triangle):
         a = sample_walks(triangle, 10, 8, seed=3)
@@ -966,8 +1052,8 @@ class TestBatchedPreprocess:
 class TestSidecarWriter:
     def test_savez_compressed_sidecar_loads_equal(self, tmp_path):
         # The same members as np.savez_compressed writes, deflated at a lower
-        # level except ``lape``, which is stored; a sidecar written by
-        # np.savez_compressed reads back equal.
+        # level except ``lape`` and ``agg``, which are stored; a sidecar
+        # written by np.savez_compressed reads back equal.
         ds = two_class_structural(num_graphs=6, seed=2, min_nodes=5, max_nodes=14)
         caches = build_struct_caches(ds, seed=8, k_pe=3, walk_length=4)
         light, heavy = tmp_path / "light.npz", tmp_path / "heavy.npz"
@@ -977,7 +1063,8 @@ class TestSidecarWriter:
         with zipfile.ZipFile(light) as ours, zipfile.ZipFile(heavy) as ref:
             assert [i.filename for i in ours.infolist()] == [i.filename for i in ref.infolist()]
             assert {i.filename: i.compress_type for i in ours.infolist()} == {
-                name: zipfile.ZIP_STORED if name == "lape.npy" else zipfile.ZIP_DEFLATED
+                name: zipfile.ZIP_STORED if name in ("lape.npy", "agg.npy")
+                else zipfile.ZIP_DEFLATED
                 for name in ref.namelist()}
             for name in ref.namelist():
                 assert ours.read(name) == ref.read(name)

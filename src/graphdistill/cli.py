@@ -27,6 +27,7 @@ import numpy as np
 
 from .data import load_tudataset, stratified_kfold, degree_onehot_features
 from .dynamic import (
+    WARMUP_STEPS,
     StudentModel,
     TeacherModel,
     aggregate_metrics,
@@ -404,6 +405,10 @@ def _write_latency_csv(run_dir, latency) -> dict:
 
 def _dynamic_synthetic(args) -> int:
     """Latency-only benchmark on synthetic sparse graphs with fresh models."""
+    # Every timed step comes after the warm-up; make_trace rejects counts below 1.
+    if 1 <= args.num_remove <= WARMUP_STEPS:
+        raise ConfigError(f"--num-remove must exceed the {WARMUP_STEPS} untimed warm-up "
+                          f"steps with --synthetic, got {args.num_remove}")
     dataset = sparse_social_dataset(num_graphs=args.timing_graphs,
                                     num_nodes=args.synthetic_nodes, seed=args.seed)
     caches = build_struct_caches(dataset, args.seed)
@@ -601,7 +606,7 @@ def _apply_config_file(subparser, args, parser, argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-_COUNT_FLAGS = ("jobs", "num_walks", "repetitions", "timing_graphs")
+_COUNT_FLAGS = ("jobs", "num_walks", "repetitions", "synthetic_nodes", "timing_graphs")
 
 
 def _check_counts(args) -> None:

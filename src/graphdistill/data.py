@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, IntegrityError
+from .errors import ConfigError, ContractError, FormatError, IntegrityError
 
 _SPLIT = re.compile(r"[,\s]+")
 
@@ -84,40 +84,83 @@ class Graph:
 
     def edge_pairs(self) -> np.ndarray:
         """Undirected edges as an array of (u, v) with u < v, sorted."""
+        # Rows run in node order and each is increasing, so the pairs come sorted.
         src = np.repeat(np.arange(self.num_nodes), self.degrees)
         mask = src < self.indices
-        pairs = np.stack([src[mask], self.indices[mask]], axis=1)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order]
+        return np.stack([src[mask], self.indices[mask]], axis=1)
 
     @staticmethod
     def from_edges(num_nodes: int, edges, features: np.ndarray, label: int) -> "Graph":
-        """Build a Graph from an iterable of (u, v) pairs.
+        """Build a Graph from (u, v) pairs.
 
-        Self-loops are dropped; duplicates are removed; the adjacency is
-        symmetrized so (u, v) implies (v, u).
+        ``edges`` is an (m, 2) integer array or any iterable of pairs of
+        Python or numpy integers, in any order and orientation. Self-loops
+        are dropped; duplicates are removed; the adjacency is symmetrized so
+        (u, v) implies (v, u). A row that is not a pair, or an endpoint that
+        is not an integer or lies outside [0, num_nodes), raises
+        ``IntegrityError`` naming the first such pair.
         """
-        pairs = set()
-        for u, v in edges:
-            if u == v:
-                continue
-            pairs.add((min(u, v), max(u, v)))
-        if pairs:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-            both = np.concatenate([arr, arr[:, ::-1]])
-        else:
-            both = np.zeros((0, 2), dtype=np.int64)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=num_nodes)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        pairs = _edge_array(num_nodes, edges)
+        indptr, indices = _symmetric_csr(pairs[:, 0], pairs[:, 1], num_nodes)
         return Graph(
             num_nodes=num_nodes,
             indptr=indptr,
-            indices=both[:, 1].copy(),
+            indices=indices,
             features=np.asarray(features, dtype=np.float64),
             label=int(label),
         )
+
+
+def _edge_array(num_nodes: int, edges) -> np.ndarray:
+    """``edges`` as an (m, 2) int64 array of endpoints in [0, num_nodes).
+
+    Input that numpy reads as an (m, 2) integer array is range-checked in
+    one pass; anything else pair by pair. Either way the error names the
+    first bad pair.
+    """
+    rows = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        arr = np.asarray(rows)
+    except (ValueError, OverflowError):  # ragged rows, or ints beyond 64 bits
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        if len(rows) == 0:
+            return np.zeros((0, 2), dtype=np.int64)
+        for row in rows:
+            _check_pair(num_nodes, row)
+        arr = np.array([tuple(row) for row in rows], dtype=np.int64)
+    bad = (arr < 0) | (arr >= num_nodes)
+    if np.count_nonzero(bad):
+        _check_pair(num_nodes, arr[np.argmax(bad.any(axis=1))].tolist())
+    return arr.astype(np.int64, copy=False)
+
+
+def _check_pair(num_nodes: int, row) -> None:
+    """``IntegrityError`` unless ``row`` is a pair of integers in [0, num_nodes)."""
+    pair = tuple(x.item() if isinstance(x, np.generic) else x
+                 for x in (row if np.iterable(row) else (row,)))
+    if len(pair) != 2:
+        raise IntegrityError(f"edge {pair!r} is not a pair of endpoints")
+    for x in pair:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise IntegrityError(f"edge {pair!r}: endpoint {x!r} is not an integer")
+        if not 0 <= x < num_nodes:
+            raise IntegrityError(
+                f"edge {pair!r}: endpoint {x} outside [0, {num_nodes})")
+
+
+def _symmetric_csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``indptr``, ``indices`` of the simple undirected graph on n nodes
+    with edges src[i] -- dst[i]: self-loops dropped, duplicates and both
+    orientations merged, each row sorted."""
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    loop = lo == hi
+    keys = np.unique(lo[~loop] * n + hi[~loop])
+    lo, hi = keys // n, keys % n
+    both = np.sort(np.concatenate([keys, hi * n + lo]))
+    indices = both % n
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(both // n, minlength=n))])
+    return indptr, indices
 
 
 @dataclass
@@ -303,15 +346,7 @@ def load_tudataset(directory, name: str) -> Dataset:
         )
 
     # One global CSR over the renumbered ids: each graph's rows are contiguous.
-    n = num_nodes_total
-    src, dst = new_id[u - 1], new_id[v - 1]
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    loop = lo == hi
-    keys = np.unique(lo[~loop] * n + hi[~loop])
-    lo, hi = keys // n, keys % n
-    both = np.sort(np.concatenate([keys, hi * n + lo]))
-    indices = both % n
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(both // n, minlength=n))])
+    indptr, indices = _symmetric_csr(new_id[u - 1], new_id[v - 1], num_nodes_total)
 
     offs = node_off.tolist()
     edge_offs = indptr[node_off].tolist()
@@ -332,14 +367,29 @@ def load_tudataset(directory, name: str) -> Dataset:
 def save_tudataset(directory, dataset: Dataset) -> None:
     """Write a dataset back out in TUDataset raw-file layout.
 
-    Node features are written as ``_node_labels.txt`` only when every row is
-    one-hot; otherwise features are omitted (the format has no general
-    feature file in the subset we support).
+    Writes ``<name>_graph_indicator.txt`` (the 1-based graph id of every
+    node), ``<name>_graph_labels.txt`` (one label per graph) and
+    ``<name>_A.txt``: for each undirected edge u < v of each graph, in
+    sorted order, the two lines ``"a, b"`` and ``"b, a"`` with a, b the
+    1-based global ids of u, v. Every line ends in ``\n``. Node features
+    are written as ``_node_labels.txt`` (the column of each row's 1) only
+    when every row is one-hot; otherwise features are omitted (the format
+    has no general feature file in the subset we support).
+
+    A dataset with no graphs, or with a graph without nodes, raises
+    ``ContractError`` before anything is written: ``load_tudataset`` could
+    not read it back. Each file gets one write per graph.
     """
+    if not dataset.graphs:
+        raise ContractError(f"dataset {dataset.name!r} has no graphs to write")
+    for gid, g in enumerate(dataset.graphs):
+        if g.num_nodes == 0:
+            raise ContractError(
+                f"dataset {dataset.name!r}: graph {gid} has no nodes; TU files cannot hold it")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     name = dataset.name
-    offsets = np.cumsum([0] + [g.num_nodes for g in dataset.graphs])
+    offsets = np.cumsum([0] + [g.num_nodes for g in dataset.graphs]).tolist()
 
     with (directory / f"{name}_graph_indicator.txt").open("w") as fh:
         for gid, g in enumerate(dataset.graphs, start=1):
@@ -348,18 +398,18 @@ def save_tudataset(directory, dataset: Dataset) -> None:
         for g in dataset.graphs:
             fh.write(f"{g.label}\n")
     with (directory / f"{name}_A.txt").open("w") as fh:
-        for gid, g in enumerate(dataset.graphs):
-            base = offsets[gid] + 1
-            for u, v in g.edge_pairs():
-                fh.write(f"{base + u}, {base + v}\n")
-                fh.write(f"{base + v}, {base + u}\n")
+        for base, g in zip(offsets, dataset.graphs):
+            pairs = g.edge_pairs() + (base + 1)
+            lines = np.concatenate([pairs, pairs[:, ::-1]], axis=1)  # a, b, b, a
+            fh.write("%d, %d\n" * (2 * len(pairs)) % tuple(lines.ravel().tolist()))
 
     stacked = np.concatenate([g.features for g in dataset.graphs], axis=0)
     is_onehot = np.all(np.isin(stacked, (0.0, 1.0))) and np.all(stacked.sum(axis=1) == 1.0)
     if is_onehot:
+        node_labels = stacked.argmax(axis=1).tolist()
         with (directory / f"{name}_node_labels.txt").open("w") as fh:
-            for row in stacked:
-                fh.write(f"{int(np.argmax(row))}\n")
+            for lo, hi in zip(offsets[:-1], offsets[1:]):
+                fh.write("%d\n" * (hi - lo) % tuple(node_labels[lo:hi]))
 
 
 def max_degree(dataset: Dataset) -> int:

@@ -364,9 +364,13 @@ class LatencyReport:
                          "steps": len(xs)} for engine, xs in self.samples.items()}
 
 
+# Insertion steps of each trace that ``time_inference`` runs but does not time.
+WARMUP_STEPS = 3
+
+
 def time_inference(graphs: list[Graph], caches: list[StructCache], student: StudentModel,
                    teacher: TeacherModel, traces: list[PerturbationTrace],
-                   warmup_steps: int = 3) -> LatencyReport:
+                   warmup_steps: int = WARMUP_STEPS) -> LatencyReport:
     """Wall-clock per insertion step for the three inference engines.
 
     The two full-recompute engines are timed on the cores behind

@@ -390,3 +390,83 @@ def reference_load_tudataset(directory, name: str):
         graphs.append(Graph.from_edges(int(sizes[g]), edges_per_graph[g], feat, int(labels[g])))
 
     return Dataset(graphs=graphs, num_classes=classes.size, feature_dim=feature_dim, name=name)
+
+
+def reference_preferential_attachment_edges(n, rng, extra_edges=0):
+    """One ``Generator.choice`` call per node: the reference for
+    ``synth.preferential_attachment_edges``, which must make the same draws."""
+    edges = []
+    degree = np.zeros(n)
+    for v in range(1, n):
+        weights = degree[:v] + 1.0
+        u = int(rng.choice(v, p=weights / weights.sum()))
+        edges.append((u, v))
+        degree[u] += 1
+        degree[v] += 1
+    for _ in range(extra_edges):
+        u, v = rng.choice(n, size=2, replace=False)
+        edges.append((int(u), int(v)))
+    return edges
+
+
+def reference_from_edges(num_nodes, edges, features, label):
+    """A Python set of (min, max) tuples: the reference for ``Graph.from_edges``
+    on valid input."""
+    pairs = set()
+    for u, v in edges:
+        if u == v:
+            continue
+        pairs.add((min(u, v), max(u, v)))
+    if pairs:
+        arr = np.array(sorted(pairs), dtype=np.int64)
+        both = np.concatenate([arr, arr[:, ::-1]])
+    else:
+        both = np.zeros((0, 2), dtype=np.int64)
+    order = np.lexsort((both[:, 1], both[:, 0]))
+    both = both[order]
+    counts = np.bincount(both[:, 0], minlength=num_nodes)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return Graph(
+        num_nodes=num_nodes,
+        indptr=indptr,
+        indices=both[:, 1].copy(),
+        features=np.asarray(features, dtype=np.float64),
+        label=int(label),
+    )
+
+
+def _reference_edge_pairs(graph):
+    src = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+    mask = src < graph.indices
+    pairs = np.stack([src[mask], graph.indices[mask]], axis=1)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return pairs[order]
+
+
+def reference_save_tudataset(directory, dataset):
+    """One write per line: the reference for the bytes ``data.save_tudataset``
+    writes (for datasets it accepts)."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    name = dataset.name
+    offsets = np.cumsum([0] + [g.num_nodes for g in dataset.graphs])
+
+    with (directory / f"{name}_graph_indicator.txt").open("w") as fh:
+        for gid, g in enumerate(dataset.graphs, start=1):
+            fh.write(f"{gid}\n" * g.num_nodes)
+    with (directory / f"{name}_graph_labels.txt").open("w") as fh:
+        for g in dataset.graphs:
+            fh.write(f"{g.label}\n")
+    with (directory / f"{name}_A.txt").open("w") as fh:
+        for gid, g in enumerate(dataset.graphs):
+            base = offsets[gid] + 1
+            for u, v in _reference_edge_pairs(g):
+                fh.write(f"{base + u}, {base + v}\n")
+                fh.write(f"{base + v}, {base + u}\n")
+
+    stacked = np.concatenate([g.features for g in dataset.graphs], axis=0)
+    is_onehot = np.all(np.isin(stacked, (0.0, 1.0))) and np.all(stacked.sum(axis=1) == 1.0)
+    if is_onehot:
+        with (directory / f"{name}_node_labels.txt").open("w") as fh:
+            for row in stacked:
+                fh.write(f"{int(np.argmax(row))}\n")

@@ -509,6 +509,31 @@ class TestCliRangeChecks:
                      "1", "--synthetic-nodes", "40", "--out-dir", str(tmp_path / "runs")]) == 1
         assert "num_remove must be >= 1, got 0" in caplog.text
 
+    @pytest.mark.parametrize("num_remove", ["1", "3"])
+    def test_synthetic_num_remove_within_warmup(self, tmp_path, caplog, num_remove):
+        """Every step of such a trace is warm-up, so nothing would be timed."""
+        out = tmp_path / "runs"
+        assert main(["dynamic-bench", "--synthetic", "--num-remove", num_remove,
+                     "--timing-graphs", "1", "--synthetic-nodes", "40",
+                     "--max-fraction", "0.5", "--out-dir", str(out)]) == 1
+        assert (f"--num-remove must exceed the 3 untimed warm-up steps with --synthetic, "
+                f"got {num_remove}") in caplog.text
+        assert not out.exists()
+
+    def test_synthetic_four_removals_timed(self, tmp_path, capsys):
+        assert main(["dynamic-bench", "--synthetic", "--num-remove", "4", "--timing-graphs", "1",
+                     "--synthetic-nodes", "20", "--max-fraction", "0.5",
+                     "--out-dir", str(tmp_path / "runs")]) == 0
+        assert "incremental speedup over full teacher" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_synthetic_nodes_below_1(self, tmp_path, caplog, value):
+        out = tmp_path / "runs"
+        assert main(["dynamic-bench", "--synthetic", "--synthetic-nodes", value,
+                     "--out-dir", str(out)]) == 1
+        assert f"--synthetic-nodes must be >= 1, got {value}" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("synthetic", [True, False])
     def test_dynamic_bench_max_fraction_not_finite(self, tiny_data, teacher_run, tmp_path,

@@ -17,11 +17,13 @@ from graphdistill.data import (
     save_tudataset,
     stratified_kfold,
 )
-from graphdistill.errors import ConfigError, FormatError, GraphDistillError, IntegrityError
+from graphdistill.errors import (ConfigError, ContractError, FormatError, GraphDistillError,
+                                 IntegrityError)
 from graphdistill.synth import two_class_structural
 
 from conftest import build_graph
-from oracles import random_er_graph, reference_load_tudataset
+from oracles import (random_er_graph, reference_from_edges, reference_load_tudataset,
+                     reference_save_tudataset)
 
 
 def write_tu_files(directory, name, edges, indicator, graph_labels, node_labels=None):
@@ -458,3 +460,96 @@ class TestGraphInvariants:
     def test_empty_and_edgeless_graphs_accepted(self):
         Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 2)), 0)
         Graph(4, np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((4, 2)), 0)
+
+
+EDGE_FORMS = {
+    "tuples": lambda pairs: [tuple(p) for p in pairs],
+    "lists": lambda pairs: [list(p) for p in pairs],
+    "numpy ints": lambda pairs: [(np.int64(u), np.int32(v)) for u, v in pairs],
+    "uint64 scalars": lambda pairs: [(np.uint64(u), v) for u, v in pairs],
+    "generator": lambda pairs: (tuple(p) for p in pairs),
+    "int64 array": lambda pairs: np.array(pairs, dtype=np.int64).reshape(-1, 2),
+    "int32 array": lambda pairs: np.array(pairs, dtype=np.int32).reshape(-1, 2),
+    "uint8 array": lambda pairs: np.array(pairs, dtype=np.uint8).reshape(-1, 2),
+}
+
+
+class TestFromEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), form=st.sampled_from(sorted(EDGE_FORMS)))
+    def test_equals_reference(self, data, form):
+        """Duplicates, self loops and both orientations, in every accepted form."""
+        n = data.draw(st.integers(0, 12))
+        node = st.integers(0, max(n - 1, 0))
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=40 if n else 0))
+        feats = np.arange(n, dtype=np.float64).reshape(n, 1)
+        got = Graph.from_edges(n, EDGE_FORMS[form](pairs), feats, 1)
+        want = reference_from_edges(n, pairs, feats, 1)
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("edges,match", [
+        ([(-1, 2)], r"edge \(-1, 2\): endpoint -1 outside \[0, 3\)"),
+        ([(0, 1), (0, 3)], r"edge \(0, 3\): endpoint 3 outside \[0, 3\)"),
+        (np.array([[0, 1], [2, 5]]), r"edge \(2, 5\): endpoint 5 outside"),
+        (np.array([[0, 1], [-4, 1]], dtype=np.int8), r"edge \(-4, 1\)"),
+        (np.array([[0, 2**63 + 5]], dtype=np.uint64), r"outside \[0, 3\)"),
+        ([(0, 2**70)], r"outside \[0, 3\)"),
+        ([(0.5, 1.7)], r"edge \(0.5, 1.7\): endpoint 0.5 is not an integer"),
+        ([(0, 1), (1, 2.0)], r"endpoint 2.0 is not an integer"),
+        (np.array([[0.0, 1.0]]), r"endpoint 0.0 is not an integer"),
+        ([(True, False)], r"endpoint True is not an integer"),
+        ([(0, "1")], r"endpoint '1' is not an integer"),
+        ([(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair"),
+        ([(0, 1), (1, 2, 0)], r"edge \(1, 2, 0\) is not a pair"),
+        ([(0, 1), (2,)], r"edge \(2,\) is not a pair"),
+        ([(0, 1), 2], r"edge \(2,\) is not a pair"),
+        (np.zeros((2, 3), dtype=np.int64), r"is not a pair"),
+    ])
+    def test_bad_pairs_named(self, edges, match):
+        with pytest.raises(IntegrityError, match=match):
+            Graph.from_edges(3, edges, np.ones((3, 1)), 0)
+
+    def test_no_nodes_no_edges(self):
+        g = Graph.from_edges(0, [], np.zeros((0, 2)), 0)
+        assert g.indptr.tolist() == [0] and g.indices.size == 0
+        with pytest.raises(IntegrityError, match="outside"):
+            Graph.from_edges(0, [(0, 0)], np.zeros((0, 2)), 0)
+
+
+class TestSaveBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_graphs=st.integers(1, 6),
+           features=st.sampled_from(["onehot", "ones", "normal", "onehot-but-one"]))
+    def test_files_equal_reference(self, seed, num_graphs, features):
+        rng = np.random.default_rng(seed)
+        graphs = []
+        for _ in range(num_graphs):
+            g = random_er_graph(rng, int(rng.integers(1, 12)), p=float(rng.random()))
+            feats = {"onehot": lambda k: np.eye(4)[rng.integers(0, 4, size=k)],
+                     "ones": lambda k: np.ones((k, 4)),
+                     "normal": lambda k: rng.normal(size=(k, 4)),
+                     "onehot-but-one": lambda k: np.eye(4)[rng.integers(0, 4, size=k)] * 2,
+                     }[features](g.num_nodes)
+            graphs.append(Graph(g.num_nodes, g.indptr, g.indices, feats,
+                                int(rng.integers(0, 3))))
+        ds = Dataset(graphs, 3, 4, "bytes")
+        with tempfile.TemporaryDirectory() as got, tempfile.TemporaryDirectory() as want:
+            save_tudataset(got, ds)
+            reference_save_tudataset(want, ds)
+            files = sorted(p.name for p in Path(want).iterdir())
+            assert sorted(p.name for p in Path(got).iterdir()) == files
+            for name in files:
+                assert (Path(got) / name).read_bytes() == (Path(want) / name).read_bytes()
+
+    def test_no_graphs_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ContractError, match="has no graphs"):
+            save_tudataset(tmp_path / "out", Dataset([], 2, 1, "empty"))
+        assert not (tmp_path / "out").exists()
+
+    def test_graph_without_nodes_rejected_before_writing(self, tmp_path):
+        graphs = [build_graph(3, [(0, 1)]), Graph.from_edges(0, [], np.ones((0, 1)), 0)]
+        with pytest.raises(ContractError, match="graph 1 has no nodes"):
+            save_tudataset(tmp_path / "out", Dataset(graphs, 2, 1, "hollow"))
+        assert not (tmp_path / "out").exists()

@@ -13,21 +13,19 @@ from graphdistill.synth import preferential_attachment_edges, two_class_structur
 from oracles import reference_preferential_attachment_edges
 
 
-def both_ways(n, extra_edges, seed=0, between=None):
+def both_ways(n, extra_edges, seed=0):
     """Edges and final state of the package and the reference, each from its own
-    ``default_rng(seed)``; ``between`` runs on each generator before the call."""
+    ``default_rng(seed)``."""
     out = []
     for make in (preferential_attachment_edges, reference_preferential_attachment_edges):
         rng = np.random.default_rng(seed)
-        if between is not None:
-            between(rng)
         edges = np.asarray(make(n, rng, extra_edges), dtype=np.int64).reshape(-1, 2)
         out.append((edges, rng.bit_generator.state))
     return out
 
 
-def assert_same_as_reference(n, extra_edges, seed=0, between=None):
-    (got, got_state), (want, want_state) = both_ways(n, extra_edges, seed, between)
+def assert_same_as_reference(n, extra_edges, seed=0):
+    (got, got_state), (want, want_state) = both_ways(n, extra_edges, seed)
     np.testing.assert_array_equal(got, want)
     assert got_state == want_state
 

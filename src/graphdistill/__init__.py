@@ -14,7 +14,7 @@ from .losses import DistillWeights
 from .models import GcnConfig, GinConfig, StudentConfig
 from .structure import StructCache, build_struct_caches, ga_mlp_aggregate, \
     laplacian_pe, louvain_cluster, sample_walks
-from .training import RunConfig, ablate, cache_teacher, distill_student, train_teacher
+from .training import RunConfig, cache_teacher, distill_student, sweep, train_teacher
 
 __version__ = "0.1.0"
 
@@ -22,6 +22,6 @@ __all__ = [
     "Dataset", "FoldSplit", "Graph", "degree_onehot_features", "load_tudataset",
     "save_tudataset", "stratified_kfold", "DistillWeights", "GcnConfig", "GinConfig",
     "StudentConfig", "StructCache", "build_struct_caches", "ga_mlp_aggregate",
-    "laplacian_pe", "louvain_cluster", "sample_walks", "RunConfig", "ablate",
-    "cache_teacher", "distill_student", "train_teacher", "__version__",
+    "laplacian_pe", "louvain_cluster", "sample_walks", "RunConfig", "cache_teacher",
+    "distill_student", "sweep", "train_teacher", "__version__",
 ]

@@ -6,6 +6,10 @@ defaults; all randomness funnels through --seed. Exit codes: 0 success,
 1 invalid input or a diverged student (``GraphDistillError``), 2 usage
 error, 3 missing input artifact.
 
+``distill``, ``ablate`` and ``grid`` train their loss-weight arms in one
+``training.sweep``. ``grid`` honours ``--soft`` and labels its rows
+``grid[lam=<l>;mu=<m>;eta=<e>]-<student>``; a point named twice is invalid input.
+
 ``preprocess`` writes ``<name>.structcache.npz`` next to the TU files; the
 other commands read it back. A sidecar of an older format
 (``structcache/1`` or ``/2``), one whose graph or node counts do not match
@@ -61,14 +65,11 @@ from .structure import (aggregate_blocks, build_struct_caches, load_struct_cache
 from .synth import sparse_social_dataset
 from .training import (
     RunConfig,
-    ablate,
     cache_teacher,
-    distill_student,
-    grid_search_student,
     mean_accuracy,
     std_accuracy,
+    sweep,
     train_teacher,
-    weight_grid,
 )
 from . import models
 
@@ -245,37 +246,70 @@ def _method_name(scfg: StudentConfig, weights: DistillWeights) -> str:
     return "multigran-kd-" + suffix
 
 
-def _run_config(args, weights: DistillWeights) -> RunConfig:
-    return RunConfig(weights=weights, epochs=args.epochs, batch_size=args.batch_size,
+def _run_config(args) -> RunConfig:
+    return RunConfig(epochs=args.epochs, batch_size=args.batch_size,
                      lr=args.lr, lr_decay=args.lr_decay, lr_patience=args.lr_patience,
                      seed=args.seed, student_seeds=tuple(_ints(args.student_seeds)),
                      walks_per_epoch=args.walks_per_epoch,
                      temperature=args.temperature)
 
 
+def ablation_arms(base: DistillWeights) -> dict[str, DistillWeights]:
+    """The five ablation arms. The baseline arm is the plain student (no
+    distillation signal at all); single-component arms keep the soft-logit term."""
+    keep = dataclasses.replace
+    return {"baseline": DistillWeights(lam=0.0, mu=0.0, eta=0.0, soft=0.0),
+            "graph": keep(base, mu=0.0, eta=0.0), "cluster": keep(base, lam=0.0, eta=0.0),
+            "path": keep(base, lam=0.0, mu=0.0), "full": base}
+
+
+def grid_arms(lams, mus, etas, soft: float) -> list[tuple[str, DistillWeights]]:
+    """The searched trade-off combinations as (label, weights) pairs, in
+    deterministic order; a label holds no comma, so it fits a metrics.csv row."""
+    return [(f"lam={lam:g};mu={mu:g};eta={eta:g}", DistillWeights(lam, mu, eta, soft))
+            for lam in lams for mu in mus for eta in etas]
+
+
+def _sweep_command(args, scfg: StudentConfig, arms, method: str, results_json: str | None,
+                   summarize) -> int:
+    """Train every arm on ``--teacher-run`` in one ``training.sweep`` and write the run
+    directory of distill, ablate and grid. ``method.format(label)`` names an arm's
+    metrics.csv rows and ``results_json.format(label)``, if given, its results file;
+    ``summarize(report)`` reports the results and returns the command's own manifest
+    fields. ``--save-students`` saves each student's best parameters.
+    """
+    run = _run_config(args)
+    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
+    save = getattr(args, "save_students", False)
+    report = sweep(dataset, folds, caches, teacher_caches, scfg, run, arms, jobs=args.jobs,
+                   capture_params=save)
+    run_dir = new_run_dir(args.out_dir, name, args.command, args.seed)
+    rows = []
+    for label, results in report.items():
+        rows.extend(fold_results_rows(name, method.format(label), results))
+        if results_json is not None:
+            write_fold_results_json(run_dir / results_json.format(label), results)
+        for r in results if save else ():
+            save_student_checkpoint(run_dir, scfg, r.params, r.fold_index, r.seed)
+    write_metrics_csv(run_dir / "metrics.csv", rows)
+    write_manifest(run_dir, {"command": args.command, "config": _echo_config(args),
+                             "dataset": name, **summarize(report)})
+    print(run_dir)
+    return 0
+
+
 def cmd_distill(args) -> int:
     weights = DistillWeights(lam=args.lam, mu=args.mu, eta=args.eta, soft=args.soft)
     scfg = _student_config(args)
-    run = _run_config(args, weights)
-    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
-    results = distill_student(dataset, folds, caches, teacher_caches, scfg, run,
-                              jobs=args.jobs, capture_params=args.save_students)
     method = _method_name(scfg, weights)
-    run_dir = new_run_dir(args.out_dir, name, "distill", args.seed)
-    write_fold_results_json(run_dir / "results.json", results)
-    write_metrics_csv(run_dir / "metrics.csv", fold_results_rows(name, method, results))
-    if args.save_students:
-        for r in results:
-            save_student_checkpoint(run_dir, scfg, r.params, r.fold_index, r.seed)
-    write_manifest(run_dir, {
-        "command": "distill", "config": _echo_config(args), "dataset": name,
-        "method": method, "weights": dataclasses.asdict(weights),
-        "student": dataclasses.asdict(scfg),
-    })
-    log.info("%s: mean best test accuracy %.4f +- %.4f", method,
-             mean_accuracy(results), std_accuracy(results))
-    print(run_dir)
-    return 0
+
+    def summarize(report):
+        log.info("%s: mean best test accuracy %.4f +- %.4f", method,
+                 mean_accuracy(report[method]), std_accuracy(report[method]))
+        return {"method": method, "weights": dataclasses.asdict(weights),
+                "student": dataclasses.asdict(scfg)}
+
+    return _sweep_command(args, scfg, {method: weights}, "{}", "results.json", summarize)
 
 
 def cmd_evaluate(args) -> int:
@@ -297,52 +331,31 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    weights = DistillWeights(lam=args.lam, mu=args.mu, eta=args.eta, soft=args.soft)
+    arms = ablation_arms(DistillWeights(lam=args.lam, mu=args.mu, eta=args.eta, soft=args.soft))
     scfg = _student_config(args)
-    run = _run_config(args, weights)
-    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
-    report = ablate(dataset, folds, caches, teacher_caches, scfg, run, jobs=args.jobs)
-    run_dir = new_run_dir(args.out_dir, name, "ablate", args.seed)
-    rows = []
-    summary_lines = []
-    for arm, results in report.items():
-        rows.extend(fold_results_rows(name, f"arm-{arm}-{scfg.kind}", results))
-        summary_lines.append(
-            f"{arm:<10} {100 * mean_accuracy(results):6.2f} +- {100 * std_accuracy(results):5.2f}"
-        )
-        write_fold_results_json(run_dir / f"results_{arm}.json", results)
-    write_metrics_csv(run_dir / "metrics.csv", rows)
-    write_manifest(run_dir, {"command": "ablate", "config": _echo_config(args),
-                             "dataset": name, "arms": list(report)})
-    table = "\n".join(summary_lines)
-    log.info("ablation summary (accuracy %%):\n%s", table)
-    print(table)
-    print(run_dir)
-    return 0
+
+    def summarize(report):
+        table = "\n".join(f"{arm:<10} {100 * mean_accuracy(res):6.2f} +- "
+                          f"{100 * std_accuracy(res):5.2f}" for arm, res in report.items())
+        log.info("ablation summary (accuracy %%):\n%s", table)
+        print(table)
+        return {"arms": list(report)}
+
+    return _sweep_command(args, scfg, arms, f"arm-{{}}-{scfg.kind}", "results_{}.json",
+                          summarize)
 
 
 def cmd_grid(args) -> int:
     scfg = _student_config(args)
-    run = _run_config(args, DistillWeights())
-    grid = weight_grid(_floats(args.lambdas), _floats(args.mus), _floats(args.etas))
-    name, dataset, folds, caches, teacher_caches = _rebuild_from_teacher_run(args)
-    results = grid_search_student(dataset, folds, caches, teacher_caches, scfg, run,
-                                  grid=grid, jobs=args.jobs)
-    run_dir = new_run_dir(args.out_dir, name, "grid", args.seed)
-    rows = []
-    best_key, best_acc = None, -1.0
-    for key, res in results.items():
-        rows.extend(fold_results_rows(name, f"grid[{key}]-{scfg.kind}", res))
-        acc = mean_accuracy(res)
-        if acc > best_acc:
-            best_key, best_acc = key, acc
-    write_metrics_csv(run_dir / "metrics.csv", rows)
-    write_manifest(run_dir, {"command": "grid", "config": _echo_config(args),
-                             "dataset": name, "best": best_key,
-                             "best_accuracy": best_acc})
-    print(f"best: {best_key} ({100 * best_acc:.2f}%)")
-    print(run_dir)
-    return 0
+    arms = grid_arms(_floats(args.lambdas), _floats(args.mus), _floats(args.etas), args.soft)
+
+    def summarize(report):
+        best = max(report, key=lambda label: mean_accuracy(report[label]))
+        best_acc = mean_accuracy(report[best])
+        print(f"best: {best} ({100 * best_acc:.2f}%)")
+        return {"best": best, "best_accuracy": best_acc}
+
+    return _sweep_command(args, scfg, arms, f"grid[{{}}]-{scfg.kind}", None, summarize)
 
 
 def cmd_dynamic_bench(args) -> int:

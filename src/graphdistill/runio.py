@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from .errors import ArtifactMissingError, ConfigError, FormatError
+from .errors import ArtifactMissingError, ConfigError, ContractError, FormatError
 from .models import GcnConfig, GinConfig, StudentConfig
 from .structure import STRUCT_CACHE_FORMAT
 from .training import FoldResult, TeacherCheckpoint
@@ -76,7 +76,11 @@ def read_manifest(run_dir, fields: dict) -> dict:
 
 
 def write_metrics_csv(path, rows: list[tuple]) -> None:
-    """Rows are (dataset, method, fold, seed, accuracy)."""
+    """Rows are (dataset, method, fold, seed, accuracy); a field holding a comma or a
+    line break, which ``read_metrics_csv`` could not split back, is a ``ContractError``."""
+    bad = [v for row in rows for v in map(str, row) if any(c in v for c in ",\r\n")]
+    if bad:
+        raise ContractError(f"metrics.csv fields {bad} hold a comma or a line break")
     with Path(path).open("w") as fh:
         fh.write(METRICS_HEADER + "\n")
         for dataset, method, fold, seed, acc in rows:

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import Dataset, Graph, degree_onehot_features
+from .errors import ConfigError
 
 
 def _onehot(types: np.ndarray, dim: int) -> np.ndarray:
@@ -62,8 +63,12 @@ def two_class_structural(num_graphs: int = 405, seed: int = 0, num_types: int = 
     Class 0 graphs are near-uniform random graphs; class 1 graphs carry two
     dense blocks with a sparse bridge, at matched expected degree. Node
     types are drawn from slightly class-tilted distributions, so features
-    alone separate the classes only weakly.
+    alone separate the classes only weakly. ``min_nodes`` below 3 (a block
+    without a pair) or ``max_nodes`` below ``min_nodes`` is a ``ConfigError``.
     """
+    if min_nodes < 3 or max_nodes < min_nodes:
+        raise ConfigError(f"need 3 <= min_nodes <= max_nodes, got min_nodes={min_nodes}, "
+                          f"max_nodes={max_nodes}")
     rng = np.random.default_rng(seed)
     type_p0 = np.linspace(1.0, 2.0, num_types)
     type_p0 /= type_p0.sum()

@@ -1,5 +1,9 @@
-"""Teacher training, teacher-output caching, student distillation, learning
-rate scheduling, grid enumeration and the component ablation runner.
+"""Teacher training, teacher-output caching, student distillation and learning
+rate scheduling.
+
+``sweep`` is the one student runner: distillation, the component ablation
+and the loss-weight grid each train their arms of ``DistillWeights`` through
+it, and ``distill_student`` is its one-arm case.
 
 Evaluation protocol: folds carry train/test only; the best test accuracy
 over epochs is reported per fold, and the plateau scheduler monitors the
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +77,8 @@ class RunConfig:
             raise ConfigError(f"lr_patience must be >= 0, got {self.lr_patience}")
         if not self.student_seeds:
             raise ConfigError("student_seeds must hold at least one seed")
+        if len(set(self.student_seeds)) != len(self.student_seeds):
+            raise ConfigError(f"student_seeds repeats a seed: {tuple(self.student_seeds)}")
         if not self.lr_patience < self.epochs:
             raise ConfigError(
                 f"lr_patience ({self.lr_patience}) must be < epochs ({self.epochs})"
@@ -306,17 +312,10 @@ def _student_loss_parts(out, ids, batch, tcache: TeacherCache, walk_rows, walk_w
 
 
 def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCache],
-                 tcache: TeacherCache, scfg: StudentConfig, run: RunConfig,
-                 seed: int, capture_params: bool = False) -> FoldResult:
+                 inputs: list[np.ndarray], tcache: TeacherCache, scfg: StudentConfig,
+                 run: RunConfig, weights: DistillWeights, seed: int,
+                 capture_params: bool = False) -> FoldResult:
     t0 = time.perf_counter()
-    weights = run.weights
-    if weights.lam > 0 and tcache.graph_embeddings[0].size != scfg.hidden:
-        raise ConfigError(
-            "whole-graph loss needs matching hidden sizes: "
-            f"teacher {tcache.graph_embeddings[0].size}, student {scfg.hidden}"
-        )
-    inputs = [student_input(g, c, scfg) for g, c in zip(dataset.graphs, struct_caches)]
-
     rng_init = _derived_rng(run.seed, seed, fold.fold_index, 0)
     rng_shuffle = _derived_rng(run.seed, seed, fold.fold_index, 1)
     rng_dropout = _derived_rng(run.seed, seed, fold.fold_index, 2)
@@ -400,25 +399,53 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
 
 
 def _student_task(args):
-    dataset, fold, struct_caches, tcache, scfg, run, seed, capture = args
-    return _fit_student(dataset, fold, struct_caches, tcache, scfg, run, seed, capture)
+    return _fit_student(*args)
+
+
+def sweep(dataset: Dataset, folds: list[FoldSplit], struct_caches: list[StructCache],
+          teacher_caches: dict[int, TeacherCache], scfg: StudentConfig, run: RunConfig,
+          arms, jobs: int = 1, capture_params: bool = False) -> dict[str, list[FoldResult]]:
+    """Train the student with each arm's loss weights on every fold, repeated over
+    ``run.student_seeds``; ``run.weights`` is not read.
+
+    ``arms`` maps a label to its ``DistillWeights``, as a dict or as (label,
+    weights) pairs; a repeated label is a ``ConfigError``. Every graph's student
+    input is built once, and every (arm, fold, seed) task goes to one
+    ``_parallel_map``. Returns each arm's results in input order, fold-major.
+    """
+    pairs = list(arms.items() if isinstance(arms, dict) else arms)
+    labels = [label for label, _ in pairs]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"repeated sweep arm labels {repeated}")
+    if len(struct_caches) != len(dataset.graphs):
+        raise ConfigError("struct caches missing: preprocess the dataset first")
+    for fold in folds:
+        if fold.fold_index not in teacher_caches:
+            raise ConfigError(f"no teacher cache for fold {fold.fold_index}")
+        teacher_hidden = teacher_caches[fold.fold_index].graph_embeddings[0].size
+        if any(w.lam > 0 for _, w in pairs) and teacher_hidden != scfg.hidden:
+            raise ConfigError(
+                "whole-graph loss needs matching hidden sizes: "
+                f"teacher {teacher_hidden}, student {scfg.hidden}"
+            )
+    inputs = [student_input(g, c, scfg) for g, c in zip(dataset.graphs, struct_caches)]
+    tasks = [(dataset, fold, struct_caches, inputs, teacher_caches[fold.fold_index], scfg,
+              run, weights, seed, capture_params)
+             for _, weights in pairs for fold in folds for seed in run.student_seeds]
+    results = _parallel_map(_student_task, tasks, jobs)
+    per_arm = len(folds) * len(run.student_seeds)
+    return {label: results[i * per_arm:(i + 1) * per_arm] for i, label in enumerate(labels)}
 
 
 def distill_student(dataset: Dataset, folds: list[FoldSplit], struct_caches: list[StructCache],
                     teacher_caches: dict[int, TeacherCache], scfg: StudentConfig,
                     run: RunConfig, jobs: int = 1,
                     capture_params: bool = False) -> list[FoldResult]:
-    """Train the student on every fold, repeated over run.student_seeds."""
-    if len(struct_caches) != len(dataset.graphs):
-        raise ConfigError("struct caches missing: preprocess the dataset first")
-    tasks = []
-    for fold in folds:
-        if fold.fold_index not in teacher_caches:
-            raise ConfigError(f"no teacher cache for fold {fold.fold_index}")
-        for seed in run.student_seeds:
-            tasks.append((dataset, fold, struct_caches, teacher_caches[fold.fold_index],
-                          scfg, run, seed, capture_params))
-    return _parallel_map(_student_task, tasks, jobs)
+    """Train the student on every fold, repeated over run.student_seeds: a one-arm
+    ``sweep`` over ``run.weights``."""
+    return sweep(dataset, folds, struct_caches, teacher_caches, scfg, run,
+                 {"run": run.weights}, jobs, capture_params)["run"]
 
 
 def mean_accuracy(results: list[FoldResult]) -> float:
@@ -427,59 +454,3 @@ def mean_accuracy(results: list[FoldResult]) -> float:
 
 def std_accuracy(results: list[FoldResult]) -> float:
     return float(np.std([r.best_test_accuracy for r in results]))
-
-
-ABLATION_ARMS = ("baseline", "graph", "cluster", "path", "full")
-
-
-def ablation_weights(base: DistillWeights, arm: str) -> DistillWeights:
-    """Weight vector of one ablation arm, zeroing everything else.
-
-    The baseline arm is the plain student (no distillation signal at all);
-    single-component arms keep the soft-logit term.
-    """
-    if arm == "baseline":
-        return DistillWeights(lam=0.0, mu=0.0, eta=0.0, soft=0.0)
-    if arm == "graph":
-        return DistillWeights(lam=base.lam, mu=0.0, eta=0.0, soft=base.soft)
-    if arm == "cluster":
-        return DistillWeights(lam=0.0, mu=base.mu, eta=0.0, soft=base.soft)
-    if arm == "path":
-        return DistillWeights(lam=0.0, mu=0.0, eta=base.eta, soft=base.soft)
-    if arm == "full":
-        return DistillWeights(lam=base.lam, mu=base.mu, eta=base.eta, soft=base.soft)
-    raise ConfigError(f"unknown ablation arm {arm!r}")
-
-
-def ablate(dataset: Dataset, folds: list[FoldSplit], struct_caches: list[StructCache],
-           teacher_caches: dict[int, TeacherCache], scfg: StudentConfig,
-           run: RunConfig, jobs: int = 1) -> dict[str, list[FoldResult]]:
-    """Run {baseline, graph-only, cluster-only, path-only, full} arms."""
-    report = {}
-    for arm in ABLATION_ARMS:
-        arm_run = replace(run, weights=ablation_weights(run.weights, arm))
-        report[arm] = distill_student(dataset, folds, struct_caches, teacher_caches,
-                                      scfg, arm_run, jobs)
-    return report
-
-
-def weight_grid(lams=(1.0, 1e-1, 1e-2), mus=(1.0, 1e-1, 1e-2),
-                etas=(1e-4, 1e-5), soft: float = 1.0) -> list[DistillWeights]:
-    """The searched trade-off combinations, in deterministic order."""
-    return [
-        DistillWeights(lam=lam, mu=mu, eta=eta, soft=soft)
-        for lam in lams for mu in mus for eta in etas
-    ]
-
-
-def grid_search_student(dataset: Dataset, folds, struct_caches, teacher_caches,
-                        scfg: StudentConfig, run: RunConfig,
-                        grid: list[DistillWeights] | None = None,
-                        jobs: int = 1) -> dict[str, list[FoldResult]]:
-    grid = weight_grid() if grid is None else grid
-    out = {}
-    for w in grid:
-        key = f"lam={w.lam:g},mu={w.mu:g},eta={w.eta:g}"
-        out[key] = distill_student(dataset, folds, struct_caches, teacher_caches,
-                                   scfg, replace(run, weights=w), jobs)
-    return out

@@ -5,10 +5,11 @@ import shutil
 import numpy as np
 import pytest
 
+from graphdistill import cli
 from graphdistill.cli import _load_caches, _write_dynamic_outputs, main
 from graphdistill.dynamic import LatencyReport, PerturbationMetrics
 from graphdistill.data import Dataset, Graph, save_tudataset
-from graphdistill.errors import FormatError
+from graphdistill.errors import ContractError, FormatError
 from graphdistill.models import StudentConfig
 from graphdistill.structure import build_struct_caches, save_struct_caches
 from graphdistill.runio import (
@@ -17,6 +18,7 @@ from graphdistill.runio import (
     read_manifest,
     read_metrics_csv,
     save_student_checkpoint,
+    write_metrics_csv,
 )
 from graphdistill.synth import two_class_structural
 
@@ -95,6 +97,84 @@ class TestPipeline:
         methods = {r[1] for r in rows}
         assert len(methods) == 5
         assert len(rows) == 5 * 2  # arms x folds
+
+    def test_grid_run_reads_back_in_report(self, tiny_data, tmp_path):
+        out = tmp_path / "runs"
+        base = ["--data-dir", str(tiny_data), "--out-dir", str(out), "--seed", "3"]
+        assert main(["preprocess", "--dataset", "TINY", "--k-pe", "4",
+                     "--walk-length", "4", *base]) == 0
+        assert main(["train-teacher", "--dataset", "TINY", "--layers", "2",
+                     "--hidden", "8", "--folds", "2", "--epochs", "2",
+                     "--lr-patience", "1", *base]) == 0
+        teacher_run = [p for p in run_dirs(out) if "train-teacher" in p.name][0]
+        assert main(["grid", "--teacher-run", str(teacher_run), "--hidden", "8",
+                     "--student-layers", "2", "--epochs", "2", "--lr-patience", "1",
+                     "--student-seeds", "0", "--lambdas", "0.1", "--mus", "1",
+                     "--etas", "1e-4", *base]) == 0
+        grid_run = [p for p in run_dirs(out) if "_grid_" in p.name][0]
+        rows = read_metrics_csv(grid_run / "metrics.csv")
+        assert [r[1] for r in rows] == ["grid[lam=0.1;mu=1;eta=0.0001]-mlp"] * 2
+        assert read_manifest(grid_run, {"best": str})["best"] == "lam=0.1;mu=1;eta=0.0001"
+        assert main(["report", "--runs", str(grid_run), *base]) == 0
+
+
+def _preprocess(tiny_data, tmp_path):
+    assert main(["preprocess", "--dataset", "TINY", "--k-pe", "4", "--walk-length", "4",
+                 "--data-dir", str(tiny_data), "--out-dir", str(tmp_path / "prep")]) == 0
+
+
+class TestSweepCommands:
+    """distill, ablate and grid share one sweep and one writer."""
+
+    def test_metrics_equal_across_jobs(self, tiny_data, teacher_run, tmp_path):
+        _preprocess(tiny_data, tmp_path)
+        common = ["--teacher-run", str(teacher_run), "--hidden", "4", "--student-layers", "2",
+                  "--epochs", "2", "--lr-patience", "1", "--student-seeds", "0,1",
+                  "--data-dir", str(tiny_data)]
+        for argv in (["distill"], ["ablate"],
+                     ["grid", "--lambdas", "0.1,1", "--mus", "1", "--etas", "1e-4"]):
+            written = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{argv[0]}_jobs{jobs}"
+                assert main([*argv, *common, "--jobs", jobs, "--out-dir", str(out)]) == 0
+                written.append((run_dirs(out)[0] / "metrics.csv").read_bytes())
+            assert written[0] == written[1], argv[0]
+            assert len(written[0].splitlines()) > 4
+
+    def test_grid_honours_soft(self, tiny_data, teacher_run, tmp_path, monkeypatch):
+        _preprocess(tiny_data, tmp_path)
+        arms, sweep = [], cli.sweep
+
+        def recording_sweep(*args, **kwargs):
+            arms.append(args[6])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep", recording_sweep)
+        assert main(["grid", "--teacher-run", str(teacher_run), "--hidden", "4",
+                     "--epochs", "2", "--lr-patience", "1", "--student-seeds", "0",
+                     "--lambdas", "0.1", "--mus", "1,0.1", "--etas", "1e-4", "--soft", "0",
+                     "--data-dir", str(tiny_data), "--out-dir", str(tmp_path / "runs")]) == 0
+        (grid,) = arms
+        assert [w.soft for _, w in grid] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("flag,value", [("--lambdas", "0.1,0.1"),
+                                            ("--etas", "0.1234567,0.1234568")])
+    def test_grid_repeated_point_exits_1(self, tiny_data, teacher_run, tmp_path, caplog,
+                                         flag, value):
+        _preprocess(tiny_data, tmp_path)
+        out = tmp_path / "runs"
+        assert main(["grid", "--teacher-run", str(teacher_run), "--hidden", "4",
+                     "--epochs", "2", "--lr-patience", "1", flag, value,
+                     "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 1
+        assert "repeated sweep arm labels" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["a,b", "a\nb", "a\rb"])
+    def test_metrics_writer_rejects_separators(self, tmp_path, field):
+        path = tmp_path / "metrics.csv"
+        with pytest.raises(ContractError, match="comma or a line break"):
+            write_metrics_csv(path, [("TINY", "m", 0, 0, 0.5), ("TINY", field, 1, 0, 0.5)])
+        assert not path.exists()
 
 
 class TestLatencyOutputs:
@@ -472,6 +552,7 @@ class TestCliRangeChecks:
         ("--soft", "-1", "weight soft must be finite and >= 0, got -1.0"),
         ("--student-seeds", ",", "expected at least one int, got ','"),
         ("--lr-decay", "nan", "lr_decay must be in (0, 1], got nan"),
+        ("--student-seeds", "0,0", "student_seeds repeats a seed: (0, 0)"),
     ])
     def test_distill_run_config_exits_1(self, tiny_data, teacher_run, tmp_path, caplog, flag,
                                         value, message):

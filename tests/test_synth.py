@@ -8,6 +8,7 @@ import pytest
 
 from graphdistill import synth
 from graphdistill.data import save_tudataset
+from graphdistill.errors import ConfigError
 from graphdistill.synth import preferential_attachment_edges, two_class_structural
 
 from oracles import reference_preferential_attachment_edges
@@ -130,3 +131,15 @@ class TestPinnedBenchmarkInputs:
             edges = preferential_attachment_edges(2000, rng, 400)
             h.update(np.asarray(edges, dtype="<i8").tobytes())
         assert h.hexdigest() == PINNED_PA
+
+
+class TestTwoClassStructuralSizes:
+    @pytest.mark.parametrize("min_nodes,max_nodes", [(2, 6), (1, 1), (0, 5), (5, 4), (9, 3)])
+    def test_bad_node_range_is_config_error(self, min_nodes, max_nodes):
+        with pytest.raises(ConfigError, match="3 <= min_nodes <= max_nodes"):
+            two_class_structural(20, 0, min_nodes=min_nodes, max_nodes=max_nodes)
+
+    def test_smallest_range_accepted(self):
+        ds = two_class_structural(20, 0, min_nodes=3, max_nodes=3)
+        assert {g.num_nodes for g in ds.graphs} == {3}
+        assert set(ds.labels.tolist()) == {0, 1}

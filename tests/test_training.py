@@ -5,6 +5,7 @@ import pytest
 
 from graphdistill import autodiff as ad, training
 from graphdistill.autodiff import Adam
+from graphdistill.cli import _floats, ablation_arms, build_parser, grid_arms
 from graphdistill.data import Dataset, stratified_kfold
 from graphdistill.errors import ConfigError, GraphDistillError, IntegrityError, NumericError
 from graphdistill.losses import DistillWeights
@@ -15,13 +16,11 @@ from graphdistill.training import (
     PlateauScheduler,
     RunConfig,
     _draw_walks,
-    ablate,
-    ablation_weights,
     cache_teacher,
     distill_student,
     mean_accuracy,
+    sweep,
     train_teacher,
-    weight_grid,
 )
 
 from conftest import build_graph
@@ -85,7 +84,7 @@ class TestRunConfigValidation:
     @pytest.mark.parametrize("key,value", [
         ("lr_decay", 0.0), ("lr_decay", -1.0), ("lr_decay", 1.5), ("lr_decay", float("nan")),
         ("lr_decay", float("inf")), ("lr_patience", -5), ("lr_patience", -1),
-        ("student_seeds", ()),
+        ("student_seeds", ()), ("student_seeds", (0, 0)), ("student_seeds", (1, 2, 1)),
     ])
     def test_schedule_and_seeds_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -394,16 +393,17 @@ class TestLeanTapeBitEqual:
 class TestAblation:
     def test_arm_weight_vectors(self):
         base = DistillWeights(lam=0.3, mu=0.2, eta=1e-4, soft=1.0)
-        assert ablation_weights(base, "baseline") == DistillWeights(0, 0, 0, soft=0.0)
-        assert ablation_weights(base, "graph") == DistillWeights(0.3, 0, 0, soft=1.0)
-        assert ablation_weights(base, "cluster") == DistillWeights(0, 0.2, 0, soft=1.0)
-        assert ablation_weights(base, "path") == DistillWeights(0, 0, 1e-4, soft=1.0)
-        assert ablation_weights(base, "full") == base
+        arms = ablation_arms(base)
+        assert arms["baseline"] == DistillWeights(0, 0, 0, soft=0.0)
+        assert arms["graph"] == DistillWeights(0.3, 0, 0, soft=1.0)
+        assert arms["cluster"] == DistillWeights(0, 0.2, 0, soft=1.0)
+        assert arms["path"] == DistillWeights(0, 0, 1e-4, soft=1.0)
+        assert arms["full"] == base
 
     def test_report_shape(self, tiny_setup):
         dataset, folds, caches, run, _, tcaches = tiny_setup
         scfg = StudentConfig(kind="mlp", num_layers=2, hidden=8)
-        report = ablate(dataset, folds, caches, tcaches, scfg, run)
+        report = sweep(dataset, folds, caches, tcaches, scfg, run, ablation_arms(run.weights))
         assert list(report) == ["baseline", "graph", "cluster", "path", "full"]
         for results in report.values():
             assert len(results) == len(folds) * len(run.student_seeds)
@@ -411,11 +411,9 @@ class TestAblation:
     def test_all_zero_arms_identical(self, tiny_setup):
         # With every weight zero, all arms collapse to the same computation.
         dataset, folds, caches, run, _, tcaches = tiny_setup
-        from dataclasses import replace
-
-        zero = replace(run, weights=DistillWeights(0.0, 0.0, 0.0, soft=0.0))
         scfg = StudentConfig(kind="mlp", num_layers=2, hidden=8)
-        report = ablate(dataset, folds, caches, tcaches, scfg, zero)
+        arms = ablation_arms(DistillWeights(0.0, 0.0, 0.0, soft=0.0))
+        report = sweep(dataset, folds, caches, tcaches, scfg, run, arms)
         ref = [r.best_test_accuracy for r in report["baseline"]]
         for arm in ("graph", "cluster", "path", "full"):
             assert [r.best_test_accuracy for r in report[arm]] == ref
@@ -423,9 +421,50 @@ class TestAblation:
 
 class TestWeightGrid:
     def test_spec_search_space_size(self):
-        grid = weight_grid()
+        parser, _ = build_parser()
+        args = parser.parse_args(["grid", "--teacher-run", "run"])
+        grid = grid_arms(_floats(args.lambdas), _floats(args.mus), _floats(args.etas),
+                         args.soft)
         assert len(grid) == 18
-        assert len({(w.lam, w.mu, w.eta) for w in grid}) == 18
+        assert len({(w.lam, w.mu, w.eta) for _, w in grid}) == 18
+        assert len({label for label, _ in grid}) == 18
+        assert all("," not in label for label, _ in grid)
+
+
+class TestSweep:
+    def test_one_pool_and_arms_match_one_arm_runs(self, tiny_setup, monkeypatch):
+        dataset, folds, caches, run, _, tcaches = tiny_setup
+        scfg = StudentConfig(kind="mlp", num_layers=2, hidden=8)
+        run = replace(run, student_seeds=(0, 1))
+        arms = grid_arms([0.1, 0.0], [1.0], [1e-4, 0.0], soft=1.0)
+        pools = []
+
+        class CountingPool(training.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", CountingPool)
+        report = sweep(dataset, folds, caches, tcaches, scfg, run, arms, jobs=2)
+        assert len(pools) == 1
+        assert list(report) == [label for label, _ in arms]
+        for label, weights in arms:
+            alone = distill_student(dataset, folds, caches, tcaches, scfg,
+                                    replace(run, weights=weights))
+            got = report[label]
+            assert [(r.fold_index, r.seed) for r in got] == [
+                (f.fold_index, s) for f in folds for s in run.student_seeds]
+            assert [r.loss_curves for r in got] == [r.loss_curves for r in alone]
+            assert [r.test_curve for r in got] == [r.test_curve for r in alone]
+
+    @pytest.mark.parametrize("values", [[0.1, 0.1], [0.1234567, 0.1234568]])
+    def test_repeated_label_rejected(self, tiny_setup, monkeypatch, values):
+        dataset, folds, caches, run, _, tcaches = tiny_setup
+        scfg = StudentConfig(kind="mlp", num_layers=2, hidden=8)
+        monkeypatch.setattr(training, "_parallel_map", None)  # fails before any training
+        with pytest.raises(ConfigError, match="repeated sweep arm labels"):
+            sweep(dataset, folds, caches, tcaches, scfg, run,
+                  grid_arms(values, [1.0], [1e-4], soft=1.0))
 
 
 class TestParallelJobs:

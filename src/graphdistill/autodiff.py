@@ -7,7 +7,8 @@ additively into parents when ``backward`` walks the (implicit) tape in
 reverse topological order, and only into parents that require grad.
 
 Segment sums and the adjoint of ``gather_rows`` are one kernel,
-``scatter_rows``: a product with a 0/1 CSR operator.
+``scatter_rows``: a product with a 0/1 CSR operator. ``grouped_dots``
+scores each anchor against its own block of rows by dense products alone.
 
 Importing this module sets two glibc ``malloc`` parameters for the whole
 process: ``M_MMAP_THRESHOLD`` to 32 MiB (glibc's 64-bit maximum) and
@@ -69,9 +70,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, op={self._op})"
-
-    def backward(self):
-        backward(self)
 
 
 def constant(values) -> Tensor:
@@ -306,6 +304,23 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     def back(g):
         _accum(a, scatter_rows(a.values.shape[0], idx, g))
     return _make(a.values[idx], "gather_rows", (a,), back)
+
+
+def grouped_dots(rows: Tensor, anchors: Tensor) -> Tensor:
+    """``out[w, t] = <rows[w * k + t], anchors[w]>`` with ``k = len(rows) // len(anchors)``:
+    each anchor against its own block of ``k`` consecutive rows."""
+    r, a = rows.values, anchors.values
+    if (r.ndim != 2 or a.ndim != 2 or r.shape[1] != a.shape[1] or a.shape[0] == 0
+            or r.shape[0] % a.shape[0]):
+        raise ShapeError(f"grouped_dots: incompatible shapes {r.shape} and {a.shape}")
+    blocks = r.reshape(a.shape[0], r.shape[0] // a.shape[0], a.shape[1])
+
+    def back(g):
+        if rows.requires_grad:
+            _accum(rows, (g[:, :, None] * a[:, None, :]).reshape(r.shape))
+        if anchors.requires_grad:
+            _accum(anchors, np.einsum("wt,wtd->wd", g, blocks))
+    return _make(np.einsum("wtd,wd->wt", blocks, a), "grouped_dots", (rows, anchors), back)
 
 
 def propagate(a: Tensor, op) -> Tensor:

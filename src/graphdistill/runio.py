@@ -2,18 +2,25 @@
 
 Every command writes into a fresh directory named
 ``<dataset>_<command>_s<seed>_<timestamp>`` containing ``manifest.json``
-(enough to re-run the experiment exactly) plus its artifacts. Metric rows
-go to a flat ``metrics.csv`` with columns dataset,method,fold,seed,accuracy;
-floats are serialized with ``repr`` so identical runs are byte-identical.
+(enough to re-run the experiment exactly, with the environment its floats
+depend on) plus its artifacts. Metric rows go to a flat ``metrics.csv`` with
+columns dataset,method,fold,seed,accuracy; floats are serialized with
+``repr`` so identical runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
+import numpy as np
+import scipy
+
+from . import __version__
 from .checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from .errors import ArtifactMissingError, ConfigError, ContractError, FormatError
 from .models import GcnConfig, GinConfig, StudentConfig
@@ -40,9 +47,25 @@ def new_run_dir(out_root, dataset: str, command: str, seed: int) -> Path:
     return path
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Versions, BLAS build and BLAS thread variables (None when unset): the
+    same seed gives the same floats only where all of these agree."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "graphdistill": __version__,
+        "blas_name": blas.get("name"), "blas_version": blas.get("version"),
+        **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
+
 def write_manifest(run_dir, payload: dict) -> None:
     payload = dict(payload)
     payload.setdefault("format_versions", FORMAT_VERSIONS)
+    payload.setdefault("environment", _environment())
     with (Path(run_dir) / "manifest.json").open("w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -204,6 +204,18 @@ def path_kl_oracle(h_teacher, h_student, walks):
     return total / len(walks)
 
 
+def reference_walk_log_probs(H, walk_matrix):
+    """Row-wise log-softmax over walk positions of the scores <H[walk[t]], H[walk[0]]>,
+    one ``gather_rows`` per position (column 0 is the anchor's own score)."""
+    anchors = ad.gather_rows(H, walk_matrix[:, 0])
+    ones = ad.constant(np.ones((H.shape[1], 1)))
+    cols = [
+        ad.matmul(ad.mul(ad.gather_rows(H, walk_matrix[:, t]), anchors), ones)
+        for t in range(walk_matrix.shape[1])
+    ]
+    return ad.log_softmax(ad.concat(cols, dim=1), dim=1)
+
+
 def reference_sample_walks(graph, num_walks, walk_length, seed):
     """The walk matrix of ``sample_walks``, one ``Generator.integers`` call per draw."""
     rng = np.random.default_rng(seed)

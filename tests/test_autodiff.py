@@ -24,6 +24,11 @@ class TestForwardValues:
         out = ad.segment_sum(x, np.array([0, 0, 1]), 2)
         np.testing.assert_array_equal(out.values, [[3.0], [3.0]])
 
+    def test_grouped_dots_definition(self):
+        rows = ad.constant([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [1.0, -1.0]])
+        out = ad.grouped_dots(rows, ad.constant([[3.0, 4.0], [0.5, 2.0]]))
+        np.testing.assert_array_equal(out.values, [[3.0, 4.0], [5.0, -1.5]])
+
     def test_l2_normalize_triangle(self):
         out = ad.l2_normalize(ad.constant([3.0, 4.0]))
         np.testing.assert_allclose(out.values, [0.6, 0.8], atol=1e-7)
@@ -157,6 +162,20 @@ class TestGradcheckEveryOp:
         idx = np.array([2, 0, 1, 0])
         _check_op(lambda a: ad.frobenius_sq(ad.gather_rows(a, idx)), [(3, 2)])
 
+    def test_grouped_dots(self):
+        rows, anchors = np.arange(18.0).reshape(6, 3) / 7.0, np.array([[1.0, -2.0, 0.5]] * 2)
+        _check_op(lambda r, a: ad.frobenius_sq(ad.grouped_dots(r, a)), [(6, 3), (2, 3)])
+        _check_op(lambda r: ad.frobenius_sq(ad.grouped_dots(r, ad.constant(anchors))), [(6, 3)])
+        _check_op(lambda a: ad.frobenius_sq(ad.grouped_dots(ad.constant(rows), a)), [(2, 3)])
+
+    def test_grouped_dots_of_rows_gathered_from_one_tensor(self):
+        # the path term's shape: anchors and later positions from one table,
+        # with repeats and the anchor itself among its own block
+        later, first = np.array([1, 2, 0, 3, 3, 1]), np.array([0, 3])
+        _check_op(lambda h: ad.frobenius_sq(ad.grouped_dots(ad.gather_rows(h, later),
+                                                            ad.gather_rows(h, first))),
+                  [(4, 3)])
+
     def test_sum_mean(self):
         _check_op(lambda a: ad.tensor_sum(a), [(3, 3)])
         _check_op(lambda a: ad.mul(ad.tensor_sum(a), 1.0 / 9.0), [(3, 3)])
@@ -187,6 +206,22 @@ class TestLeanTape:
         np.testing.assert_array_equal(p.grad, expected["p"])
         if "b" in expected:
             np.testing.assert_array_equal(b.grad, expected["b"])
+
+    @pytest.mark.parametrize("constant_side", ["rows", "anchors"])
+    def test_grouped_dots_no_adjoint_for_constant_operand(self, constant_side, monkeypatch):
+        rng = np.random.default_rng(1)
+        rows, anchors = rng.normal(size=(6, 3)), rng.normal(size=(2, 3))
+        r = ad.constant(rows) if constant_side == "rows" else ad.parameter(rows)
+        a = ad.constant(anchors) if constant_side == "anchors" else ad.parameter(anchors)
+        targets = []
+        accum = ad._accum
+        monkeypatch.setattr(ad, "_accum", lambda t, g: (targets.append(t), accum(t, g)))
+        ad.backward(ad.tensor_sum(ad.grouped_dots(r, a)))
+        const, param = (r, a) if constant_side == "rows" else (a, r)
+        assert const.grad is None and all(t is not const for t in targets)
+        expected = (np.repeat(anchors, 3, axis=0) if param is r
+                    else rows.reshape(2, 3, 3).sum(axis=1))
+        np.testing.assert_allclose(param.grad, expected, rtol=1e-15)
 
     def test_shared_gradient_is_never_written(self):
         # x gets four contributions: first y's own gradient array, which
@@ -233,6 +268,13 @@ class TestShapeAndNumericErrors:
     def test_matmul_mismatch(self):
         with pytest.raises(ShapeError):
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
+
+    @pytest.mark.parametrize("rows, anchors", [((5, 3), (2, 3)), ((4, 3), (2, 2)),
+                                               ((4, 3), (0, 3)), ((0, 3), (0, 3)),
+                                               ((6,), (2, 3))])
+    def test_grouped_dots_bad_shapes(self, rows, anchors):
+        with pytest.raises(ShapeError, match="grouped_dots"):
+            ad.grouped_dots(ad.constant(np.ones(rows)), ad.constant(np.ones(anchors)))
 
     def test_segment_index_out_of_range(self):
         with pytest.raises(ShapeError):
@@ -428,3 +470,5 @@ class TestTensorBasics:
         c = ad.constant(np.ones((2, 3)))
         out = ad.relu(ad.linear(c, ad.constant(np.ones((3, 2))), ad.constant(np.ones(2))))
         assert out._parents == () and out._backward is None
+        dots = ad.grouped_dots(ad.constant(np.ones((4, 3))), c)
+        assert dots.shape == (2, 2) and dots._parents == () and dots._backward is None

@@ -1,10 +1,13 @@
 import json
+import platform
 import re
 import shutil
 
 import numpy as np
 import pytest
+import scipy
 
+import graphdistill
 from graphdistill import cli
 from graphdistill.cli import _load_caches, _write_dynamic_outputs, main
 from graphdistill.dynamic import LatencyReport, PerturbationMetrics
@@ -326,6 +329,33 @@ class TestCliContracts:
         manifest = json.loads((run_dirs(out)[0] / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
         assert "format_versions" in manifest
+
+    def test_manifest_records_environment(self, tiny_data, tmp_path, monkeypatch):
+        # The thread variables are recorded as set (None when unset); they
+        # reach the manifest only, so metrics.csv keeps its bytes.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        runs = []
+        for omp in (None, "3"):
+            if omp is None:
+                monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OMP_NUM_THREADS", omp)
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            out = tmp_path / f"runs-{omp}"
+            assert main(["train-teacher", "--dataset", "TINY", "--layers", "1", "--hidden", "4",
+                         "--folds", "2", "--epochs", "2", "--lr-patience", "1",
+                         "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 0
+            (run,) = run_dirs(out)
+            env = json.loads((run / "manifest.json").read_text())["environment"]
+            assert env == {
+                "python": platform.python_version(), "numpy": np.__version__,
+                "scipy": scipy.__version__, "graphdistill": graphdistill.__version__,
+                "blas_name": blas["name"], "blas_version": blas["version"],
+                "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": omp, "MKL_NUM_THREADS": None,
+            }
+            runs.append((run / "metrics.csv").read_bytes())
+        assert runs[0] == runs[1]
 
 
 class TestLoadCaches:

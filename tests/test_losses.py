@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from graphdistill import autodiff as ad
+from graphdistill import autodiff as ad, losses
 from graphdistill.errors import ConfigError, IntegrityError
 from graphdistill.losses import (
     DistillWeights,
@@ -25,6 +26,7 @@ from oracles import (
     kl_divergence,
     mmd_poly_sq,
     path_kl_oracle,
+    reference_walk_log_probs,
     softmax_np,
 )
 
@@ -292,6 +294,60 @@ class TestPathConsistency:
         per_graph = (path_kl_oracle(H_t, H_s, list(walks[:2]))
                      + path_kl_oracle(H_t, H_s, list(walks[2:]))) / 2
         assert value(batched) == pytest.approx(per_graph, abs=1e-12)
+
+
+@st.composite
+def walk_batches(draw):
+    """A batch of 1-3 graphs of 1-5 nodes each, 1-4 full-length walks per graph
+    (columns 2-6) over that graph's global node ids, and per-graph weights.
+    Small graphs make walks revisit their anchor and repeat nodes."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    length = draw(st.integers(2, 6))
+    rows, weights, lo = [], [], 0
+    for n in sizes:
+        count = draw(st.integers(1, 4))
+        for _ in range(count):
+            rows.append([lo + draw(st.integers(0, n - 1)) for _ in range(length)])
+            weights.append(1.0 / (count * len(sizes)))
+        lo += n
+    return lo, np.array(rows, dtype=np.int64), np.array(weights)
+
+
+class TestPathTermAgainstPerPositionForm:
+    """``batch_path_consistency`` against the same KL over the one-gather-per-
+    position scores of ``oracles.reference_walk_log_probs``."""
+
+    @staticmethod
+    def assert_within_1e_12(H_s, H_t, walks, weights):
+        logp_t = reference_walk_log_probs(ad.constant(H_t), walks).values
+        results = []
+        for loss_of in (
+            lambda H: batch_path_consistency(H, H_t, walks, weights),
+            lambda H: losses._weighted_kl(logp_t, reference_walk_log_probs(H, walks), weights),
+        ):
+            H = ad.parameter(H_s)
+            loss = loss_of(H)
+            ad.backward(loss)
+            results.append((float(loss.values), H.grad))
+        (value, grad), (ref_value, ref_grad) = results
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+        return grad
+
+    @given(batch=walk_batches(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_value_and_gradient(self, batch, seed):
+        num_nodes, walks, weights = batch
+        assume((walks != walks[:, :1]).any())  # some walk leaves its anchor
+        rng = np.random.default_rng(seed)
+        H_t, H_s = rng.normal(size=(num_nodes, 4)), rng.normal(size=(num_nodes, 4))
+        self.assert_within_1e_12(H_s, H_t, walks, weights)
+
+    def test_single_walk_of_two_positions(self):
+        rng = np.random.default_rng(15)
+        H_t, H_s = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        grad = self.assert_within_1e_12(H_s, H_t, np.array([[2, 0]]), np.ones(1))
+        assert not grad[1].any()  # node 1 is on no walk
 
 
 class TestDistillWeights:

@@ -239,23 +239,24 @@ class TestDistillStudent:
 
 
 # ``FoldResult.loss_curves`` of a 2-epoch GA-MLP+LaPE distill on ``tiny_setup``
-# (2 of its 96 walks start on an isolated node), recorded when walk pools were
-# lists of variable-length arrays; one list entry per fold.
+# (2 of its 96 walks start on an isolated node); one list entry per fold.
+# The last bits depend on the summation order of the walk scores and their
+# adjoints in ``losses._walk_log_probs``.
 PINNED_LOSS_CURVES = {
     None: [
         {
-            "gt": [1.1417966449794443, 0.7711382983405957],
-            "sl": [0.10693418396165008, 0.23250897201163073],
+            "gt": [1.1417966449794443, 0.7711382983405954],
+            "sl": [0.10693418396165008, 0.23250897201163076],
             "graph": [1.0735917224788383, 1.1803795366266416],
-            "cluster": [0.49285586199250253, 0.3210462385032094],
-            "path": [0.7386634773087672, 0.7956899052554736],
-            "total": [1.4054494537359592, 1.153869416855737],
+            "cluster": [0.49285586199250253, 0.32104623850320946],
+            "path": [0.7386634773087672, 0.7956899052554735],
+            "total": [1.4054494537359592, 1.1538694168557369],
         },
         {
             "gt": [0.92752806769161, 0.7569734022714517],
-            "sl": [0.1955562159671359, 0.21229559201932707],
+            "sl": [0.1955562159671359, 0.21229559201932705],
             "graph": [1.2888811353555276, 1.2561062452961842],
-            "cluster": [0.33420264734896243, 0.35568459145057885],
+            "cluster": [0.33420264734896243, 0.3556845914505789],
             "path": [0.5716520786106485, 0.510913570347818],
             "total": [1.285449827137056, 1.1304991693224897],
         },
@@ -265,30 +266,60 @@ PINNED_LOSS_CURVES = {
             "gt": [1.141796644941378, 0.7711382379000831],
             "sl": [0.10693418397017812, 0.2325089935639283],
             "graph": [1.0735917224639824, 1.1803792830255877],
-            "cluster": [0.4928558619019263, 0.3210464912086075],
+            "cluster": [0.4928558619019263, 0.32104649120860745],
             "path": [0.7536606103328123, 0.8949222106934676],
             "total": [1.4054509534091801, 1.1538793011085002],
         },
         {
             "gt": [0.9275280675176922, 0.7569736770922153],
             "sl": [0.19555621588877078, 0.21229533333066267],
-            "graph": [1.2888811352280947, 1.2561050733065704],
-            "cluster": [0.3342026473921169, 0.35568538754714457],
+            "graph": [1.2888811352280947, 1.2561050733065702],
+            "cluster": [0.33420264739211686, 0.3556853875471446],
             "path": [0.5687650006284058, 0.461113539168866],
             "total": [1.285449538168547, 1.1304941678621663],
         },
     ],
 }
 
+# The same distill with ``eta = 0`` (no path term), recorded with the
+# one-gather-per-position path term: every other term is untouched by how
+# the path term is computed, so these stay bit-equal.
+PINNED_LOSS_CURVES_NO_PATH = [
+    {
+        "gt": [1.1417966449775312, 0.7711382692275999],
+        "sl": [0.10693418396686304, 0.23250907162410805],
+        "graph": [1.0735917224678455, 1.180380183823199],
+        "cluster": [0.4928558619751071, 0.3210463567706676],
+        "path": [0.0, 0.0],
+        "total": [1.4053755873886895, 1.1537899949110944],
+    },
+    {
+        "gt": [0.9275280673358288, 0.7569733417026666],
+        "sl": [0.19555621585555988, 0.21229554769407322],
+        "graph": [1.2888811352116865, 1.2561073163282823],
+        "cluster": [0.33420264757093343, 0.35568386105972966],
+        "path": [0.0, 0.0],
+        "total": [1.2853926614696507, 1.130448007135541],
+    },
+]
+
 
 class TestPinnedLossCurves:
-    @pytest.mark.parametrize("walks_per_epoch", [None, 2])
-    def test_loss_curves_unchanged(self, tiny_setup, walks_per_epoch):
+    @staticmethod
+    def curves(tiny_setup, **changes):
         dataset, folds, caches, run, _, tcaches = tiny_setup
         scfg = StudentConfig(kind="ga-mlp", num_layers=2, hidden=8, use_lape=True)
-        run = replace(run, epochs=2, lr_patience=1, walks_per_epoch=walks_per_epoch)
-        results = distill_student(dataset, folds, caches, tcaches, scfg, run)
-        assert [r.loss_curves for r in results] == PINNED_LOSS_CURVES[walks_per_epoch]
+        run = replace(run, epochs=2, lr_patience=1, **changes)
+        return [r.loss_curves for r in distill_student(dataset, folds, caches, tcaches, scfg, run)]
+
+    @pytest.mark.parametrize("walks_per_epoch", [None, 2])
+    def test_loss_curves_unchanged(self, tiny_setup, walks_per_epoch):
+        assert (self.curves(tiny_setup, walks_per_epoch=walks_per_epoch)
+                == PINNED_LOSS_CURVES[walks_per_epoch])
+
+    def test_no_path_term_curves_unchanged(self, tiny_setup):
+        weights = DistillWeights(eta=0.0)
+        assert self.curves(tiny_setup, weights=weights) == PINNED_LOSS_CURVES_NO_PATH
 
 
 class TestWalkDraw:

@@ -6,6 +6,10 @@ defaults; all randomness funnels through --seed. Exit codes: 0 success,
 1 invalid input or a diverged student (``GraphDistillError``), 2 usage
 error, 3 missing input artifact.
 
+The same seed gives byte-identical run directories, apart from timestamps
+and wall-clock times, only at a fixed BLAS thread count and environment;
+manifests record both, and ``report`` warns when its runs' environments differ.
+
 ``distill``, ``ablate`` and ``grid`` train their loss-weight arms in one
 ``training.sweep``. ``grid`` honours ``--soft`` and labels its rows
 ``grid[lam=<l>;mu=<m>;eta=<e>]-<student>``; a point named twice is invalid input.
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -45,18 +48,21 @@ from .errors import ArtifactMissingError, ConfigError, FormatError, GraphDistill
 from .losses import DistillWeights
 from .models import GcnConfig, GinConfig, StudentConfig, init_linear_params, params_to_arrays
 from .runio import (
-    collect_metrics,
+    environment_differences,
     fold_results_rows,
     format_summary_table,
     load_student_checkpoint,
     load_teacher_checkpoint,
+    metrics_files,
     new_run_dir,
     read_json_object,
     read_manifest,
+    read_metrics_csv,
     save_student_checkpoint,
     save_teacher_checkpoint,
     summarize_metrics,
     write_fold_results_json,
+    write_json,
     write_manifest,
     write_metrics_csv,
 )
@@ -401,9 +407,7 @@ def _write_dynamic_outputs(run_dir, agg, latency) -> None:
             fh.write(f"{k},{agg.student_error[k]!r},{agg.student_entropy[k]!r},"
                      f"{agg.teacher_error[k]!r},{agg.teacher_entropy[k]!r}\n")
     summary = _write_latency_csv(run_dir, latency)
-    with (run_dir / "latency.json").open("w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(run_dir / "latency.json", summary)
 
 
 def _write_latency_csv(run_dir, latency) -> dict:
@@ -450,7 +454,10 @@ def _dynamic_synthetic(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = collect_metrics(args.runs)
+    files = metrics_files(args.runs)
+    if differ := environment_differences(files):
+        log.warning("aggregated runs differ in environment: %s", ", ".join(differ))
+    rows = [row for f in files for row in read_metrics_csv(f)]
     summary = summarize_metrics(rows)
     table = format_summary_table(summary)
     print(table)

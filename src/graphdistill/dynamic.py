@@ -369,8 +369,7 @@ WARMUP_STEPS = 3
 
 
 def time_inference(graphs: list[Graph], caches: list[StructCache], student: StudentModel,
-                   teacher: TeacherModel, traces: list[PerturbationTrace],
-                   warmup_steps: int = WARMUP_STEPS) -> LatencyReport:
+                   teacher: TeacherModel, traces: list[PerturbationTrace]) -> LatencyReport:
     """Wall-clock per insertion step for the three inference engines.
 
     The two full-recompute engines are timed on the cores behind
@@ -396,7 +395,7 @@ def time_inference(graphs: list[Graph], caches: list[StructCache], student: Stud
             t3 = time.perf_counter()
             _teacher_logits(teacher, sub)
             t4 = time.perf_counter()
-            if k < warmup_steps:
+            if k < WARMUP_STEPS:
                 continue
             report.add("incremental_student", t1 - t0)
             report.add("full_student", t3 - t2)

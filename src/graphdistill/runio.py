@@ -62,13 +62,17 @@ def _environment() -> dict:
     }
 
 
+def write_json(path, obj, sort_keys: bool = False) -> None:
+    with Path(path).open("w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def write_manifest(run_dir, payload: dict) -> None:
     payload = dict(payload)
     payload.setdefault("format_versions", FORMAT_VERSIONS)
     payload.setdefault("environment", _environment())
-    with (Path(run_dir) / "manifest.json").open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(run_dir) / "manifest.json", payload, sort_keys=True)
 
 
 def read_json_object(path, fields: dict) -> dict:
@@ -149,9 +153,7 @@ def write_fold_results_json(path, results: list[FoldResult]) -> None:
         }
         for r in results
     ]
-    with Path(path).open("w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def _config_to_dict(config) -> dict:
@@ -196,9 +198,7 @@ def save_teacher_checkpoint(run_dir, ckpt: TeacherCheckpoint) -> None:
         "epoch_of_best": ckpt.epoch_of_best,
         "train_accuracy": ckpt.train_accuracy,
     }
-    with stem.with_suffix(".json").open("w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(stem.with_suffix(".json"), meta)
 
 
 def load_teacher_checkpoint(run_dir, fold_index: int) -> TeacherCheckpoint:
@@ -222,10 +222,8 @@ def save_student_checkpoint(run_dir, config: StudentConfig, params: dict,
                             fold_index: int, seed: int) -> None:
     stem = Path(run_dir) / f"student_fold{fold_index}_seed{seed}"
     save_checkpoint(stem.with_suffix(".ckpt"), params)
-    with stem.with_suffix(".json").open("w") as fh:
-        json.dump({"config": _config_to_dict(config), "fold_index": fold_index,
-                   "seed": seed}, fh, indent=2)
-        fh.write("\n")
+    write_json(stem.with_suffix(".json"),
+               {"config": _config_to_dict(config), "fold_index": fold_index, "seed": seed})
 
 
 def load_student_checkpoint(run_dir, fold_index: int, seed: int):
@@ -235,28 +233,39 @@ def load_student_checkpoint(run_dir, fold_index: int, seed: int):
     return config, load_checkpoint(stem.with_suffix(".ckpt"))
 
 
-def collect_metrics(paths) -> list[tuple]:
-    """Gather metric rows from run dirs, metrics files, or directory roots."""
-    rows = []
-    for p in paths:
-        p = Path(p)
+def metrics_files(paths) -> list[Path]:
+    """The ``metrics.csv`` files of run dirs, metrics files, or directory roots."""
+    files = []
+    for p in map(Path, paths):
         if p.is_file():
-            rows.extend(read_metrics_csv(p))
+            files.append(p)
         elif (p / "metrics.csv").is_file():
-            rows.extend(read_metrics_csv(p / "metrics.csv"))
+            files.append(p / "metrics.csv")
         else:
             found = sorted(p.glob("**/metrics.csv"))
             if not found:
                 raise ArtifactMissingError(p / "metrics.csv")
-            for f in found:
-                rows.extend(read_metrics_csv(f))
-    return rows
+            files.extend(found)
+    return files
+
+
+def environment_differences(files) -> list[str]:
+    """The ``environment`` keys whose values differ between the manifests next
+    to ``files``; a file with no manifest, or a manifest with no ``environment``
+    object, is skipped."""
+    envs = []
+    for f in files:
+        try:
+            envs.append(read_json_object(Path(f).parent / "manifest.json",
+                                         {"environment": dict})["environment"])
+        except (ArtifactMissingError, FormatError):
+            continue
+    keys = sorted({key for env in envs for key in env})
+    return [key for key in keys if len({json.dumps(env.get(key)) for env in envs}) > 1]
 
 
 def summarize_metrics(rows: list[tuple]) -> list[tuple]:
     """Mean and population std of accuracy per (dataset, method)."""
-    import numpy as np
-
     groups: dict[tuple, list[float]] = {}
     for dataset, method, _fold, _seed, acc in rows:
         groups.setdefault((dataset, method), []).append(acc)

@@ -5,6 +5,9 @@ rate scheduling.
 and the loss-weight grid each train their arms of ``DistillWeights`` through
 it, and ``distill_student`` is its one-arm case.
 
+``_fit`` is the one epoch loop of teachers and students, and the place for
+per-epoch telemetry and for model selection on a validation slice.
+
 Evaluation protocol: folds carry train/test only; the best test accuracy
 over epochs is reported per fold, and the plateau scheduler monitors the
 same metric.
@@ -12,6 +15,7 @@ same metric.
 
 from __future__ import annotations
 
+import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -45,6 +49,8 @@ from .models import (
     student_input,
 )
 from .structure import StructCache
+
+log = logging.getLogger("graphdistill")
 
 
 @dataclass
@@ -161,83 +167,111 @@ def _accuracy(infer_fn, batch: GraphBatch, config, params_np) -> float:
     return float((pred == batch.labels).mean())
 
 
-def _fit_teacher(dataset: Dataset, fold: FoldSplit, config, run: RunConfig,
-                 grid_index: int) -> TeacherCheckpoint:
-    kind = config.kind
-    rng_init = _derived_rng(run.seed, fold.fold_index, grid_index, 0)
-    rng_shuffle = _derived_rng(run.seed, fold.fold_index, grid_index, 1)
-    rng_dropout = _derived_rng(run.seed, fold.fold_index, grid_index, 2)
-    params = INIT[kind](rng_init, dataset.feature_dim, config, dataset.num_classes)
+def _fit(stage: str, fold: FoldSplit, seed: int, params: dict, run: RunConfig,
+         rng_shuffle: np.random.Generator, epoch_losses, accuracy,
+         keep_best: bool) -> FoldResult:
+    """The one training loop of teachers and students.
+
+    Each epoch shuffles ``fold.train_ids`` into batches for ``epoch_losses``, a
+    generator of ``(loss, parts)`` per batch, and averages each part into
+    ``loss_curves``. ``accuracy(params_view)`` scores the test fold after each
+    epoch for the scheduler and the best epoch (params kept when ``keep_best``).
+    """
+    t0 = time.perf_counter()
     params_view = {k: p.values for k, p in params.items()}
     opt = Adam(params, run.lr)
     sched = PlateauScheduler(opt, run.lr_decay, run.lr_patience)
-
-    test_batch = make_batch([dataset.graphs[i] for i in fold.test_ids])
+    curves: dict[str, list[float]] = {}
+    test_curve: list[float] = []
     best_acc, best_epoch, best_params = -1.0, -1, None
-    dropout_rng = rng_dropout if config.dropout > 0 else None
 
     for epoch in range(run.epochs):
-        perm = rng_shuffle.permutation(fold.train_ids)
-        for chunk in _chunks(perm, run.batch_size):
-            batch = make_batch([dataset.graphs[i] for i in chunk])
-            out = FORWARD[kind](batch, config, params, dropout_rng)
-            loss = batch_ground_truth(out.logits, batch.labels)
+        sums: dict[str, float] = {}
+        chunks = _chunks(rng_shuffle.permutation(fold.train_ids), run.batch_size)
+        for nbatches, (loss, parts) in enumerate(epoch_losses(chunks), 1):
             if not np.isfinite(loss.values):
-                raise _Diverged(f"non-finite loss at epoch {epoch}")
+                raise _Diverged(f"non-finite {stage} loss at epoch {epoch}")
             opt.zero_grad()
             ad.backward(loss)
             opt.step()
-        test_acc = _accuracy(INFER[kind], test_batch, config, params_view)
+            # A comprehension, so that no loop variable keeps this batch's tape alive.
+            sums = {key: sums.get(key, 0.0) + float(part.values) for key, part in parts.items()}
+        for key, total in sums.items():
+            curves.setdefault(key, []).append(total / nbatches)
+        test_acc = accuracy(params_view)
+        test_curve.append(test_acc)
         if test_acc > best_acc:
-            best_acc = test_acc
-            best_epoch = epoch
-            best_params = params_to_arrays(params)
+            best_acc, best_epoch = test_acc, epoch
+            if keep_best:
+                best_params = params_to_arrays(params)
         sched.step(test_acc)
+
+    return FoldResult(fold_index=fold.fold_index, seed=seed, best_test_accuracy=best_acc,
+                      epoch_of_best=best_epoch, loss_curves=curves, test_curve=test_curve,
+                      wall_clock=time.perf_counter() - t0, params=best_params)
+
+
+def _fit_teacher(dataset: Dataset, fold: FoldSplit, config, run: RunConfig,
+                 grid_index: int) -> TeacherCheckpoint:
+    kind = config.kind
+    rng_init, rng_shuffle, rng_dropout = (
+        _derived_rng(run.seed, fold.fold_index, grid_index, k) for k in range(3))
+    params = INIT[kind](rng_init, dataset.feature_dim, config, dataset.num_classes)
+    dropout_rng = rng_dropout if config.dropout > 0 else None
+    test_batch = make_batch([dataset.graphs[i] for i in fold.test_ids])
+
+    def epoch_losses(chunks):
+        for chunk in chunks:
+            batch = make_batch([dataset.graphs[i] for i in chunk])
+            out = FORWARD[kind](batch, config, params, dropout_rng)
+            loss = batch_ground_truth(out.logits, batch.labels)
+            yield loss, {"gt": loss}
+
+    result = _fit("teacher", fold, run.seed, params, run, rng_shuffle, epoch_losses,
+                  lambda view: _accuracy(INFER[kind], test_batch, config, view), keep_best=True)
     train_batch = make_batch([dataset.graphs[i] for i in fold.train_ids])
     return TeacherCheckpoint(
-        fold_index=fold.fold_index,
-        config=config,
-        params=best_params,
-        best_test_accuracy=best_acc,
-        epoch_of_best=best_epoch,
-        train_accuracy=_accuracy(INFER[kind], train_batch, config, best_params),
-    )
+        fold_index=fold.fold_index, config=config, params=result.params,
+        best_test_accuracy=result.best_test_accuracy, epoch_of_best=result.epoch_of_best,
+        train_accuracy=_accuracy(INFER[kind], train_batch, config, result.params))
 
 
-def _teacher_task(args):
-    dataset, fold, config, run, grid_index = args
+def _teacher_task(dataset, fold, config, run, grid_index):
     try:
         return fold.fold_index, grid_index, _fit_teacher(dataset, fold, config, run, grid_index)
-    except _Diverged:
-        return fold.fold_index, grid_index, None
+    except _Diverged as exc:
+        return fold.fold_index, grid_index, str(exc)
 
 
 def _parallel_map(fn, tasks, jobs: int):
+    """``fn(*task)`` for every task, in a process pool when ``jobs`` > 1."""
     if jobs <= 1:
-        return [fn(t) for t in tasks]
+        return [fn(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def train_teacher(dataset: Dataset, folds: list[FoldSplit], grid: list,
                   run: RunConfig, jobs: int = 1) -> list[TeacherCheckpoint]:
     """Train every grid point on every fold; keep the best checkpoint per fold.
 
-    A grid point whose loss diverges is recorded as failed and skipped;
-    remaining points still compete for the fold.
+    A diverged grid point is skipped. A fold that lost some of its points logs
+    one warning naming them and their epochs; one that lost all is a ``ConfigError``.
     """
     tasks = [(dataset, fold, cfg, run, gi) for fold in folds for gi, cfg in enumerate(grid)]
-    results = _parallel_map(_teacher_task, tasks, jobs)
     best: dict[int, TeacherCheckpoint] = {}
-    for fold_index, _, ckpt in results:
-        if ckpt is None:
-            continue
-        cur = best.get(fold_index)
-        if cur is None or ckpt.best_test_accuracy > cur.best_test_accuracy:
-            best[fold_index] = ckpt
+    diverged: dict[int, list[str]] = {}
+    for fi, gi, ckpt in _parallel_map(_teacher_task, tasks, jobs):
+        if isinstance(ckpt, str):
+            diverged.setdefault(fi, []).append(f"grid point {gi}: {ckpt}")
+        elif fi not in best or ckpt.best_test_accuracy > best[fi].best_test_accuracy:
+            best[fi] = ckpt
     missing = [f.fold_index for f in folds if f.fold_index not in best]
     if missing:
-        raise ConfigError(f"every grid point diverged for folds {missing}")
+        raise ConfigError(f"every grid point diverged for folds {missing}: " + "; ".join(
+            f"fold {i} {', '.join(diverged.get(i, []))}" for i in missing))
+    for fi, reasons in diverged.items():
+        log.warning("teacher fold %d skipped %s", fi, ", ".join(reasons))
     return [best[f.fold_index] for f in folds]
 
 
@@ -287,7 +321,7 @@ def _draw_walks(pool: np.ndarray, rng: np.random.Generator,
     return rows[rows[:, -1] >= 0], take
 
 
-def _student_loss_parts(out, ids, batch, tcache: TeacherCache, walk_rows, walk_weights,
+def _student_loss_parts(out, ids, batch, tcache: TeacherCache, epoch_walks: dict,
                         run: RunConfig, weights: DistillWeights) -> dict:
     zero = ad.constant(np.asarray(0.0))
     parts = {"gt": batch_ground_truth(out.logits, batch.labels), "sl": zero,
@@ -303,11 +337,18 @@ def _student_loss_parts(out, ids, batch, tcache: TeacherCache, walk_rows, walk_w
         parts["cluster"] = batch_inter_cluster(
             out.cluster_embeddings, teacher_clusters, batch.cluster_offsets, batch.num_graphs
         )
-    if weights.eta > 0 and walk_rows.size:
-        teacher_nodes = np.concatenate([tcache.node_embeddings[i] for i in ids])
-        parts["path"] = batch_path_consistency(
-            out.node_embeddings, teacher_nodes, walk_rows, walk_weights
-        )
+    if weights.eta > 0:
+        rows, wts = [], []
+        for j, gid in enumerate(ids):
+            mat, taken = epoch_walks[gid]
+            if mat.shape[0]:
+                rows.append(mat + batch.node_offsets[j])
+                wts.append(np.full(mat.shape[0], 1.0 / (taken * len(ids))))
+        if rows:
+            teacher_nodes = np.concatenate([tcache.node_embeddings[i] for i in ids])
+            parts["path"] = batch_path_consistency(
+                out.node_embeddings, teacher_nodes, np.concatenate(rows), np.concatenate(wts)
+            )
     return parts
 
 
@@ -315,91 +356,30 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
                  inputs: list[np.ndarray], tcache: TeacherCache, scfg: StudentConfig,
                  run: RunConfig, weights: DistillWeights, seed: int,
                  capture_params: bool = False) -> FoldResult:
-    t0 = time.perf_counter()
-    rng_init = _derived_rng(run.seed, seed, fold.fold_index, 0)
-    rng_shuffle = _derived_rng(run.seed, seed, fold.fold_index, 1)
-    rng_dropout = _derived_rng(run.seed, seed, fold.fold_index, 2)
-    rng_walks = _derived_rng(run.seed, seed, fold.fold_index, 3)
+    rng_init, rng_shuffle, rng_dropout, rng_walks = (
+        _derived_rng(run.seed, seed, fold.fold_index, k) for k in range(4))
     dropout_rng = rng_dropout if scfg.dropout > 0 else None
 
     params = init_linear_params(rng_init, inputs[0].shape[1], scfg, dataset.num_classes)
-    params_view = {k: p.values for k, p in params.items()}
-    opt = Adam(params, run.lr)
-    sched = PlateauScheduler(opt, run.lr_decay, run.lr_patience)
-    test_batch = make_batch(
-        [dataset.graphs[i] for i in fold.test_ids], [inputs[i] for i in fold.test_ids]
-    )
+    test_batch = make_batch([dataset.graphs[i] for i in fold.test_ids],
+                            [inputs[i] for i in fold.test_ids])
 
-    curves: dict[str, list[float]] = {k: [] for k in ("gt", "sl", "graph", "cluster", "path", "total")}
-    test_curve: list[float] = []
-    best_acc, best_epoch, best_params = -1.0, -1, None
-
-    for epoch in range(run.epochs):
-        epoch_walks = {}
-        if weights.eta > 0:
-            for gid in fold.train_ids:
-                epoch_walks[gid] = _draw_walks(struct_caches[gid].walk_pool.walks, rng_walks,
-                                               run.walks_per_epoch)
-
-        sums = {k: 0.0 for k in curves}
-        nbatches = 0
-        perm = rng_shuffle.permutation(fold.train_ids)
-        for chunk in _chunks(perm, run.batch_size):
-            graphs = [dataset.graphs[i] for i in chunk]
-            batch = make_batch(
-                graphs,
-                [inputs[i] for i in chunk],
-                [struct_caches[i].clusters.cluster_of for i in chunk] if weights.mu > 0 else None,
-            )
-            if weights.eta > 0:
-                rows, wts = [], []
-                for j, gid in enumerate(chunk):
-                    mat, taken = epoch_walks[gid]
-                    if mat.shape[0]:
-                        rows.append(mat + batch.node_offsets[j])
-                        wts.append(np.full(mat.shape[0], 1.0 / (taken * len(chunk))))
-                walk_rows = np.concatenate(rows) if rows else np.zeros((0, 0), dtype=np.int64)
-                walk_weights = np.concatenate(wts) if wts else np.zeros(0)
-            else:
-                walk_rows, walk_weights = np.zeros((0, 0), dtype=np.int64), np.zeros(0)
-
+    def epoch_losses(chunks):
+        # Drawn before the first batch, in ``fold.train_ids`` order.
+        epoch_walks = {gid: _draw_walks(struct_caches[gid].walk_pool.walks, rng_walks,
+                                        run.walks_per_epoch)
+                       for gid in (fold.train_ids if weights.eta > 0 else ())}
+        for chunk in chunks:
+            batch = make_batch([dataset.graphs[i] for i in chunk], [inputs[i] for i in chunk],
+                               [struct_caches[i].clusters.cluster_of for i in chunk]
+                               if weights.mu > 0 else None)
             out = student_forward(batch, scfg, params, dropout_rng)
-            parts = _student_loss_parts(out, chunk, batch, tcache, walk_rows, walk_weights, run, weights)
+            parts = _student_loss_parts(out, chunk, batch, tcache, epoch_walks, run, weights)
             loss = total_loss(parts, weights)
-            if not np.isfinite(loss.values):
-                raise _Diverged(f"non-finite student loss at epoch {epoch}")
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-            nbatches += 1
-            for key in ("gt", "sl", "graph", "cluster", "path"):
-                sums[key] += float(parts[key].values)
-            sums["total"] += float(loss.values)
+            yield loss, {**parts, "total": loss}
 
-        for key in curves:
-            curves[key].append(sums[key] / max(nbatches, 1))
-        test_acc = _accuracy(student_infer, test_batch, scfg, params_view)
-        test_curve.append(test_acc)
-        if test_acc > best_acc:
-            best_acc, best_epoch = test_acc, epoch
-            if capture_params:
-                best_params = params_to_arrays(params)
-        sched.step(test_acc)
-
-    return FoldResult(
-        fold_index=fold.fold_index,
-        seed=seed,
-        best_test_accuracy=best_acc,
-        epoch_of_best=best_epoch,
-        loss_curves=curves,
-        test_curve=test_curve,
-        wall_clock=time.perf_counter() - t0,
-        params=best_params,
-    )
-
-
-def _student_task(args):
-    return _fit_student(*args)
+    return _fit("student", fold, seed, params, run, rng_shuffle, epoch_losses,
+                lambda view: _accuracy(student_infer, test_batch, scfg, view), capture_params)
 
 
 def sweep(dataset: Dataset, folds: list[FoldSplit], struct_caches: list[StructCache],
@@ -433,7 +413,7 @@ def sweep(dataset: Dataset, folds: list[FoldSplit], struct_caches: list[StructCa
     tasks = [(dataset, fold, struct_caches, inputs, teacher_caches[fold.fold_index], scfg,
               run, weights, seed, capture_params)
              for _, weights in pairs for fold in folds for seed in run.student_seeds]
-    results = _parallel_map(_student_task, tasks, jobs)
+    results = _parallel_map(_fit_student, tasks, jobs)
     per_arm = len(folds) * len(run.student_seeds)
     return {label: results[i * per_arm:(i + 1) * per_arm] for i, label in enumerate(labels)}
 

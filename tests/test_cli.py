@@ -357,6 +357,31 @@ class TestCliContracts:
             runs.append((run / "metrics.csv").read_bytes())
         assert runs[0] == runs[1]
 
+    def test_report_warns_on_differing_environments(self, tiny_data, tmp_path, monkeypatch,
+                                                    caplog):
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            out = tmp_path / f"runs-{threads}"
+            assert main(["train-teacher", "--dataset", "TINY", "--layers", "1", "--hidden", "4",
+                         "--folds", "2", "--epochs", "2", "--lr-patience", "1",
+                         "--data-dir", str(tiny_data), "--out-dir", str(out)]) == 0
+            runs.extend(run_dirs(out))
+        reports = []
+        for case in ("both manifests", "one manifest"):
+            caplog.clear()
+            out = tmp_path / case
+            assert main(["report", "--runs", *map(str, runs), "--out-dir", str(out)]) == 0
+            warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+            reports.append((run_dirs(out)[0] / "metrics.csv").read_bytes())
+            if case == "both manifests":
+                assert warned == ["aggregated runs differ in environment: OPENBLAS_NUM_THREADS"]
+                (runs[1] / "manifest.json").unlink()  # a run with no manifest is skipped
+            else:
+                assert warned == []
+        first, second = ((run / "metrics.csv").read_bytes() for run in runs)
+        assert reports[0] == reports[1] == first + second.split(b"\n", 1)[1]
+
 
 class TestLoadCaches:
     def write(self, tmp_path, num_graphs, seed):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphdistill.dynamic import (
+    WARMUP_STEPS,
     IncrementalState,
     LatencyReport,
     PerturbationTrace,
@@ -413,8 +414,9 @@ class TestTiming:
         cache = build_struct_cache(g, 0, seed=14)
         student = make_student(g, cache, rng, hidden=16)
         teacher = make_teacher(g, rng, hidden=16, layers=3)
-        trace = make_trace(g, 0, num_remove=8, repetitions=1, seed=3, max_fraction=0.5)
-        report = time_inference([g], [cache], student, teacher, [trace], warmup_steps=2)
+        trace = make_trace(g, 0, num_remove=WARMUP_STEPS + 6, repetitions=1, seed=3,
+                           max_fraction=0.5)
+        report = time_inference([g], [cache], student, teacher, [trace])
         summary = report.summary()
         assert set(summary) == {"incremental_student", "full_student", "full_teacher"}
         for stats in summary.values():

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -322,6 +323,79 @@ class TestPinnedLossCurves:
         assert self.curves(tiny_setup, weights=weights) == PINNED_LOSS_CURVES_NO_PATH
 
 
+def params_sha256(params: dict) -> str:
+    h = hashlib.sha256()
+    for key in sorted(params):
+        h.update(key.encode())
+        h.update(str(params[key].shape).encode())
+        h.update(params[key].tobytes())
+    return h.hexdigest()
+
+
+# Per fold of a 2-epoch teacher on ``tiny_setup``: (params sha256,
+# best_test_accuracy, epoch_of_best, train_accuracy).
+PINNED_TEACHERS = {
+    "gin": (GinConfig(num_layers=2, hidden=8, dropout=0.3, eps=0.3), [
+        ("e5d984fb2189b2c3aec956a01d6d834126a98ce733ea4fd8eda43c5995af7176",
+         0.5833333333333334, 0, 0.5833333333333334),
+        ("7d11e33a904677a0bd2bedc035a6da40f8222f166d799ea16809671d09a86fbd",
+         0.6666666666666666, 1, 0.4166666666666667),
+    ]),
+    "gin-eps0": (GinConfig(num_layers=2, hidden=8), [
+        ("131f30c2eab273105f9a518cda6b4243fdbabffd6489143315e7b78bed32ed9c",
+         0.5833333333333334, 0, 0.5833333333333334),
+        ("eda8392cdf9ee4b75e7040e09f59f35bd842ed07ceedd06c17287a5d2bbfceae",
+         0.6666666666666666, 1, 0.4166666666666667),
+    ]),
+    "gcn": (GcnConfig(num_layers=2, hidden=8, readout="attention"), [
+        ("3688e6e23202945559a7f62a7ec1f9cceb99364b4cdee10fd010a85237e44a63",
+         0.75, 0, 0.6666666666666666),
+        ("f0123427bda00774ef5fdf595e9e13970f02ff62bc9c727b942d6a924db713c8",
+         0.8333333333333334, 0, 0.5833333333333334),
+    ]),
+}
+
+# Per fold of the ``TestPinnedLossCurves`` distill: (test_curve, epoch_of_best,
+# best params sha256).
+PINNED_STUDENTS = {
+    None: [
+        ([0.5833333333333334, 0.5833333333333334], 0,
+         "bd0cee9c0b007926db6a40840295efdc46eed3235d118e824c7edfbdd9ad334b"),
+        ([0.25, 0.16666666666666666], 0,
+         "b798a05e91c74f9501666ee943fd4dd521a0842193120f151c8049c72b9b233c"),
+    ],
+    2: [
+        ([0.5833333333333334, 0.5833333333333334], 0,
+         "ad69fc1a25a0bad6f6060ed7867c100c5ef9e0f00032abbbcc32303310a63c3a"),
+        ([0.25, 0.16666666666666666], 0,
+         "14b9858fe5b7bb0f80ee36baf773112e4230aed9b1b9ed8477a75a1f117dbe32"),
+    ],
+}
+
+
+class TestPinnedFits:
+    """Teacher checkpoints and student selections of a 2-epoch run, pinned to
+    the bit: the training loop's draw order, selection and updates."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TEACHERS))
+    def test_teacher_checkpoints_unchanged(self, tiny_setup, name):
+        dataset, folds, _, run, _, _ = tiny_setup
+        config, pinned = PINNED_TEACHERS[name]
+        ckpts = train_teacher(dataset, folds, [config], replace(run, epochs=2, lr_patience=1))
+        assert [(params_sha256(c.params), c.best_test_accuracy, c.epoch_of_best,
+                 c.train_accuracy) for c in ckpts] == pinned
+
+    @pytest.mark.parametrize("walks_per_epoch", [None, 2])
+    def test_student_selection_unchanged(self, tiny_setup, walks_per_epoch):
+        dataset, folds, caches, run, _, tcaches = tiny_setup
+        scfg = StudentConfig(kind="ga-mlp", num_layers=2, hidden=8, use_lape=True)
+        run = replace(run, epochs=2, lr_patience=1, walks_per_epoch=walks_per_epoch)
+        results = distill_student(dataset, folds, caches, tcaches, scfg, run,
+                                  capture_params=True)
+        assert [(r.test_curve, r.epoch_of_best, params_sha256(r.params))
+                for r in results] == PINNED_STUDENTS[walks_per_epoch]
+
+
 class TestWalkDraw:
     """An epoch's draw from the padded pool matrix equals the pick through the
     stacked full-walk matrix and its pool-index map (``oracles.full_walk_matrix``)."""
@@ -374,6 +448,28 @@ class TestDivergence:
         with pytest.raises(ConfigError, match="every grid point diverged"):
             train_teacher(bad, folds, grid, run)
         assert issubclass(training._Diverged, NumericError)
+        # Graph 0 trains in one fold only; that fold names its grid point and epoch.
+        with pytest.raises(ConfigError, match=r"folds \[(\d)\]: fold \1 grid point 0: "
+                                              r"non-finite teacher loss at epoch 0$"):
+            train_teacher(bad, folds, grid, run)
+
+    def test_partly_diverged_fold_logs_one_warning(self, tiny_setup, monkeypatch, caplog):
+        dataset, folds, _, run, _, _ = tiny_setup
+        fit = training._fit_teacher
+
+        def fit_or_diverge(dataset, fold, config, run, grid_index):
+            if grid_index == 1:
+                raise training._Diverged("non-finite teacher loss at epoch 3")
+            return fit(dataset, fold, config, run, grid_index)
+
+        monkeypatch.setattr(training, "_fit_teacher", fit_or_diverge)
+        grid = [GinConfig(num_layers=1, hidden=4), GinConfig(num_layers=2, hidden=8)]
+        with caplog.at_level("WARNING", logger="graphdistill"):
+            ckpts = train_teacher(dataset, folds, grid, run)
+        assert [c.config for c in ckpts] == [grid[0]] * len(folds)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"teacher fold {f.fold_index} skipped grid point 1: non-finite teacher loss at epoch 3"
+            for f in folds]
 
 
 def _reference_accum(t, g):

@@ -14,6 +14,9 @@ manifests record both, and ``report`` warns when its runs' environments differ.
 ``training.sweep``. ``grid`` honours ``--soft`` and labels its rows
 ``grid[lam=<l>;mu=<m>;eta=<e>]-<student>``; a point named twice is invalid input.
 
+``dynamic-bench`` runs saved (``--teacher-run``, ``--student-run``) or ``--synthetic``
+models; both sources write perturbation.csv, latency.csv and latency.json.
+
 ``preprocess`` writes ``<name>.structcache.npz`` next to the TU files; the
 other commands read it back. A sidecar of an older format
 (``structcache/1`` or ``/2``), one whose graph or node counts do not match
@@ -35,6 +38,7 @@ import numpy as np
 from .data import load_tudataset, stratified_kfold, degree_onehot_features
 from .dynamic import (
     WARMUP_STEPS,
+    LatencyReport,
     StudentModel,
     TeacherModel,
     aggregate_metrics,
@@ -42,7 +46,6 @@ from .dynamic import (
     make_trace,
     perturb_and_score,
     removal_misfit,
-    time_inference,
 )
 from .errors import ArtifactMissingError, ConfigError, FormatError, GraphDistillError
 from .losses import DistillWeights
@@ -364,64 +367,28 @@ def cmd_grid(args) -> int:
     return _sweep_command(args, scfg, arms, f"grid[{{}}]-{scfg.kind}", None, summarize)
 
 
-def cmd_dynamic_bench(args) -> int:
-    if args.synthetic:
-        return _dynamic_synthetic(args)
+def _dynamic_from_runs(args):
+    """The ``--fold`` test graphs that fit ``--num-remove``, one trace each, with the
+    saved teacher and student. A missing run flag is a ``ConfigError`` naming it."""
+    for flag in ("teacher_run", "student_run"):
+        if getattr(args, flag) is None:
+            raise ConfigError(f"--{flag.replace('_', '-')} is required without --synthetic")
     name, dataset, dataset_dir, folds = _teacher_run_folds(args)
     caches, _ = _load_caches(dataset_dir, dataset)
     fold = folds[args.fold]
     t_ckpt = load_teacher_checkpoint(args.teacher_run, fold.fold_index)
     s_cfg, s_params = load_student_checkpoint(args.student_run, fold.fold_index,
                                               args.student_seed)
-    teacher = TeacherModel(t_ckpt.config, t_ckpt.params)
-    student = StudentModel(s_cfg, s_params)
-
-    usable, metrics = [], []
-    for gid in fold.test_ids:
-        g = dataset.graphs[int(gid)]
-        if removal_misfit(g.num_nodes, args.num_remove, args.max_fraction) is not None:
-            continue
-        trace = make_trace(g, int(gid), args.num_remove, args.repetitions, args.seed,
-                           args.max_fraction)
-        usable.append(trace)
-        metrics.append(perturb_and_score(g, caches[int(gid)], student, teacher, trace))
-    if not metrics:
-        log.error("no test graph large enough for %d removals", args.num_remove)
-        return 1
-    agg = aggregate_metrics(metrics)
-    latency = time_inference(dataset.graphs, caches, student, teacher,
-                             usable[: args.timing_graphs])
-
-    run_dir = new_run_dir(args.out_dir, name, "dynamic-bench", args.seed)
-    _write_dynamic_outputs(run_dir, agg, latency)
-    write_manifest(run_dir, {"command": "dynamic-bench", "config": _echo_config(args),
-                             "dataset": name, "graphs_scored": len(metrics)})
-    print(run_dir)
-    return 0
+    traces = [make_trace(dataset.graphs[gid], gid, args.num_remove, args.repetitions,
+                         args.seed, args.max_fraction) for gid in map(int, fold.test_ids)
+              if removal_misfit(dataset.graphs[gid].num_nodes, args.num_remove,
+                                args.max_fraction) is None]
+    return (name, dataset.graphs, caches, StudentModel(s_cfg, s_params),
+            TeacherModel(t_ckpt.config, t_ckpt.params), traces)
 
 
-def _write_dynamic_outputs(run_dir, agg, latency) -> None:
-    with (run_dir / "perturbation.csv").open("w") as fh:
-        fh.write("k,student_error,student_entropy,teacher_error,teacher_entropy\n")
-        for k in range(agg.student_error.size):
-            fh.write(f"{k},{agg.student_error[k]!r},{agg.student_entropy[k]!r},"
-                     f"{agg.teacher_error[k]!r},{agg.teacher_entropy[k]!r}\n")
-    summary = _write_latency_csv(run_dir, latency)
-    write_json(run_dir / "latency.json", summary)
-
-
-def _write_latency_csv(run_dir, latency) -> dict:
-    summary = latency.summary()
-    with (run_dir / "latency.csv").open("w") as fh:
-        fh.write("engine,mean_ms,median_ms,p95_ms,p99_ms,steps\n")
-        for engine, stats in summary.items():
-            fh.write(f"{engine},{stats['mean_ms']!r},{stats['median_ms']!r},"
-                     f"{stats['p95_ms']!r},{stats['p99_ms']!r},{stats['steps']}\n")
-    return summary
-
-
-def _dynamic_synthetic(args) -> int:
-    """Latency-only benchmark on synthetic sparse graphs with fresh models."""
+def _dynamic_synthetic(args):
+    """Fresh models on ``--timing-graphs`` synthetic sparse graphs, one repetition each."""
     # Every timed step comes after the warm-up; make_trace rejects counts below 1.
     if 1 <= args.num_remove <= WARMUP_STEPS:
         raise ConfigError(f"--num-remove must exceed the {WARMUP_STEPS} untimed warm-up "
@@ -435,22 +402,51 @@ def _dynamic_synthetic(args) -> int:
     s_cfg = StudentConfig(kind="ga-mlp", num_layers=3, hidden=64)
     in_dim = models.student_input(dataset.graphs[0], caches[0], s_cfg).shape[1]
     s_params = params_to_arrays(init_linear_params(rng, in_dim, s_cfg, 2))
-    teacher = TeacherModel(t_cfg, t_params)
-    student = StudentModel(s_cfg, s_params)
-    traces = [
-        make_trace(g, i, args.num_remove, 1, args.seed, args.max_fraction)
-        for i, g in enumerate(dataset.graphs)
-    ]
-    latency = time_inference(dataset.graphs, caches, student, teacher, traces)
-    run_dir = new_run_dir(args.out_dir, dataset.name, "dynamic-bench", args.seed)
-    summary = _write_latency_csv(run_dir, latency)
-    write_manifest(run_dir, {"command": "dynamic-bench", "config": _echo_config(args)})
+    traces = [make_trace(g, i, args.num_remove, 1, args.seed, args.max_fraction)
+              for i, g in enumerate(dataset.graphs)]
+    return (dataset.name, dataset.graphs, caches, StudentModel(s_cfg, s_params),
+            TeacherModel(t_cfg, t_params), traces)
+
+
+def cmd_dynamic_bench(args) -> int:
+    """Score every trace and time the first ``--timing-graphs`` in the same pass."""
+    source = _dynamic_synthetic if args.synthetic else _dynamic_from_runs
+    name, graphs, caches, student, teacher, traces = source(args)
+    if not traces:
+        raise ConfigError(f"no test graph large enough for {args.num_remove} removals")
+    latency = LatencyReport()
+    agg = aggregate_metrics([
+        perturb_and_score(graphs[t.graph_id], caches[t.graph_id], student, teacher, t,
+                          latency if i < args.timing_graphs else None)
+        for i, t in enumerate(traces)])
+    run_dir = new_run_dir(args.out_dir, name, "dynamic-bench", args.seed)
+    summary = _write_dynamic_outputs(run_dir, agg, latency)
+    write_manifest(run_dir, {"command": "dynamic-bench", "config": _echo_config(args),
+                             "dataset": name, "graphs_scored": len(traces)})
     for engine, stats in summary.items():
         print(f"{engine:<22} mean {stats['mean_ms']:8.3f} ms  median {stats['median_ms']:8.3f} ms")
-    speedup = summary["full_teacher"]["mean_ms"] / summary["incremental_student"]["mean_ms"]
-    print(f"incremental speedup over full teacher: {speedup:.1f}x")
+    if summary:
+        speedup = summary["full_teacher"]["mean_ms"] / summary["incremental_student"]["mean_ms"]
+        print(f"incremental speedup over full teacher: {speedup:.1f}x")
     print(run_dir)
     return 0
+
+
+def _write_dynamic_outputs(run_dir, agg, latency) -> dict:
+    """Write perturbation.csv, latency.csv and latency.json; return the latency summary."""
+    with (run_dir / "perturbation.csv").open("w") as fh:
+        fh.write("k,student_error,student_entropy,teacher_error,teacher_entropy\n")
+        for k in range(agg.student_error.size):
+            fh.write(f"{k},{agg.student_error[k]!r},{agg.student_entropy[k]!r},"
+                     f"{agg.teacher_error[k]!r},{agg.teacher_entropy[k]!r}\n")
+    summary = latency.summary()
+    with (run_dir / "latency.csv").open("w") as fh:
+        fh.write("engine,mean_ms,median_ms,p95_ms,p99_ms,steps\n")
+        for engine, stats in summary.items():
+            fh.write(f"{engine},{stats['mean_ms']!r},{stats['median_ms']!r},"
+                     f"{stats['p95_ms']!r},{stats['p99_ms']!r},{stats['steps']}\n")
+    write_json(run_dir / "latency.json", summary)
+    return summary
 
 
 def cmd_report(args) -> int:

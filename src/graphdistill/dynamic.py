@@ -10,6 +10,9 @@ neighbor's degree through one reweight step and re-embeds only the rows
 whose aggregation changes (the node, its neighbors, and theirs, since the
 aggregation is normalized by neighbor degrees). Full recomputation runs a
 forward from scratch on the present-node subgraph: the lists, remapped.
+
+``perturb_and_score`` replays each removal of a trace once: every step scores
+both engines, and the first repetition can time the insert and both full forwards.
 """
 
 from __future__ import annotations
@@ -30,18 +33,10 @@ from .structure import StructCache, ga_mlp_aggregate
 
 @dataclass
 class PerturbationTrace:
-    """Removal plan for one graph; repetition r >= 1 redraws from (seed, r)."""
+    """Removal plan for one graph: row r of ``removals`` is repetition r's nodes."""
 
     graph_id: int
-    removed_nodes: np.ndarray
-    repetitions: int
-    seed: int
-
-
-def _draw_removal(num_nodes: int, num_remove: int, graph_id: int, seed: int,
-                  repetition: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, graph_id, repetition]))
-    return rng.choice(num_nodes, size=num_remove, replace=False)
+    removals: np.ndarray  # [repetitions, num_remove] int64
 
 
 def check_max_fraction(max_fraction: float) -> None:
@@ -62,15 +57,18 @@ def removal_misfit(num_nodes: int, num_remove: int, max_fraction: float) -> str 
 
 def make_trace(graph: Graph, graph_id: int, num_remove: int = 10, repetitions: int = 20,
                seed: int = 0, max_fraction: float = 0.05) -> PerturbationTrace:
-    """Plan ``repetitions`` random removals of ``num_remove`` distinct nodes."""
-    if num_remove < 1:
-        raise ConfigError(f"num_remove must be >= 1, got {num_remove}")
+    """Plan ``repetitions`` random removals of ``num_remove`` distinct nodes;
+    repetition r draws from the seed sequence (seed, graph_id, r)."""
+    for name, count in (("num_remove", num_remove), ("repetitions", repetitions)):
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1, got {count}")
     check_max_fraction(max_fraction)
     misfit = removal_misfit(graph.num_nodes, num_remove, max_fraction)
     if misfit is not None:
         raise ConfigError(misfit)
-    removed = _draw_removal(graph.num_nodes, num_remove, graph_id, seed, 0)
-    return PerturbationTrace(graph_id, removed, repetitions, seed)
+    return PerturbationTrace(graph_id, np.stack([
+        np.random.default_rng(np.random.SeedSequence([seed, graph_id, r])).choice(
+            graph.num_nodes, size=num_remove, replace=False) for r in range(repetitions)]))
 
 
 @dataclass
@@ -312,43 +310,6 @@ class PerturbationMetrics:
     teacher_entropy: np.ndarray
 
 
-def perturb_and_score(graph: Graph, cache: StructCache, student: StudentModel,
-                      teacher: TeacherModel, trace: PerturbationTrace) -> PerturbationMetrics:
-    """Remove the trace's nodes, insert them back one at a time, score each k.
-
-    The error reference is each engine's own prediction on the unperturbed
-    graph. Student predictions come from the incremental state; teacher
-    predictions from full recomputation.
-    """
-    num_classes = student.params["head.b"].size
-    batch = make_batch([graph], [student_input(graph, cache, student.config)])
-    orig_student = int(np.argmax(student_infer(batch, student.config, student.params).logits[0]))
-    orig_teacher = int(np.argmax(_teacher_logits(teacher, graph)))
-
-    steps = trace.removed_nodes.size
-    sums = np.zeros((4, steps + 1))
-    for rep in range(trace.repetitions):
-        removed = (trace.removed_nodes if rep == 0 else
-                   _draw_removal(graph.num_nodes, steps, trace.graph_id, trace.seed, rep))
-        state = init_incremental_state(graph, cache, student.config, student.params, removed)
-        s_logits = state.logits()
-        for k in range(steps + 1):
-            if k > 0:
-                node = int(removed[k - 1])
-                present_nbrs = [v for v in graph.neighbors(node) if state.present[v]]
-                s_logits = incremental_insert(state, node, present_nbrs)
-            t_logits = full_teacher_logits(state, teacher)
-            se, sh = _score(s_logits, orig_student, num_classes)
-            te, th = _score(t_logits, orig_teacher, num_classes)
-            sums[:, k] += (se, sh, te, th)
-    sums /= trace.repetitions
-    return PerturbationMetrics(*sums)
-
-
-def aggregate_metrics(per_graph: list[PerturbationMetrics]) -> PerturbationMetrics:
-    return PerturbationMetrics(*np.mean([astuple(m) for m in per_graph], axis=0))
-
-
 @dataclass
 class LatencyReport:
     """Per-insertion-step wall-clock in ms; the summary adds p95 and p99 tails."""
@@ -364,40 +325,58 @@ class LatencyReport:
                          "steps": len(xs)} for engine, xs in self.samples.items()}
 
 
-# Insertion steps of each trace that ``time_inference`` runs but does not time.
+# Insertion steps of each timed trace that ``perturb_and_score`` does not time.
 WARMUP_STEPS = 3
 
 
-def time_inference(graphs: list[Graph], caches: list[StructCache], student: StudentModel,
-                   teacher: TeacherModel, traces: list[PerturbationTrace]) -> LatencyReport:
-    """Wall-clock per insertion step for the three inference engines.
+def perturb_and_score(graph: Graph, cache: StructCache, student: StudentModel,
+                      teacher: TeacherModel, trace: PerturbationTrace,
+                      latency: LatencyReport | None = None) -> PerturbationMetrics:
+    """Remove each repetition's nodes, insert them back one at a time, score each k.
 
-    The two full-recompute engines are timed on the cores behind
-    ``full_student_logits`` and ``full_teacher_logits``: each window holds
-    the input rows, ``make_batch`` and the forward. Subgraph extraction is
-    kept out of both windows, so their numbers are lower bounds and the
-    incremental speedup is measured conservatively.
+    The error reference is each engine's own prediction on the unperturbed
+    graph. Student predictions come from the incremental state; teacher
+    predictions from full recomputation on the extracted subgraph. With
+    ``latency``, each step of the first repetition after ``WARMUP_STEPS`` adds
+    three windows: the insert, and input rows + ``make_batch`` + forward for each
+    full engine. Extraction is outside every window, so the full engines' times
+    are lower bounds and the incremental speedup is measured conservatively.
     """
-    report = LatencyReport()
-    for trace in traces:
-        graph = graphs[trace.graph_id]
-        state = init_incremental_state(graph, caches[trace.graph_id], student.config,
-                                       student.params, trace.removed_nodes)
-        for k, node in enumerate(trace.removed_nodes):
-            node = int(node)
-            present_nbrs = [v for v in graph.neighbors(node) if state.present[v]]
-            t0 = time.perf_counter()
-            incremental_insert(state, node, present_nbrs)
-            t1 = time.perf_counter()
+    num_classes = student.params["head.b"].size
+    batch = make_batch([graph], [student_input(graph, cache, student.config)])
+    orig_student = int(np.argmax(student_infer(batch, student.config, student.params).logits[0]))
+    orig_teacher = int(np.argmax(_teacher_logits(teacher, graph)))
+
+    steps = trace.removals.shape[1]
+    sums = np.zeros((4, steps + 1))
+    for rep, removed in enumerate(trace.removals):
+        timed = latency is not None and rep == 0
+        state = init_incremental_state(graph, cache, student.config, student.params, removed)
+        s_logits = state.logits()
+        for k in range(steps + 1):
+            if k > 0:
+                node = int(removed[k - 1])
+                present_nbrs = [v for v in graph.neighbors(node) if state.present[v]]
+                t0 = time.perf_counter()
+                s_logits = incremental_insert(state, node, present_nbrs)
+                t1 = time.perf_counter()
             sub, alive = _induced_subgraph(state)
             t2 = time.perf_counter()
-            _student_logits(state, sub, alive)
+            if timed:
+                _student_logits(state, sub, alive)
             t3 = time.perf_counter()
-            _teacher_logits(teacher, sub)
+            t_logits = _teacher_logits(teacher, sub)
             t4 = time.perf_counter()
-            if k < WARMUP_STEPS:
-                continue
-            report.add("incremental_student", t1 - t0)
-            report.add("full_student", t3 - t2)
-            report.add("full_teacher", t4 - t3)
-    return report
+            if timed and k > WARMUP_STEPS:
+                latency.add("incremental_student", t1 - t0)
+                latency.add("full_student", t3 - t2)
+                latency.add("full_teacher", t4 - t3)
+            se, sh = _score(s_logits, orig_student, num_classes)
+            te, th = _score(t_logits, orig_teacher, num_classes)
+            sums[:, k] += (se, sh, te, th)
+    sums /= len(trace.removals)
+    return PerturbationMetrics(*sums)
+
+
+def aggregate_metrics(per_graph: list[PerturbationMetrics]) -> PerturbationMetrics:
+    return PerturbationMetrics(*np.mean([astuple(m) for m in per_graph], axis=0))

@@ -233,8 +233,16 @@ def load_student_checkpoint(run_dir, fold_index: int, seed: int):
     return config, load_checkpoint(stem.with_suffix(".ckpt"))
 
 
+def _written_by_report(run_dir: Path) -> bool:
+    try:
+        return read_manifest(run_dir, {}).get("command") == "report"
+    except (ArtifactMissingError, FormatError):
+        return False
+
+
 def metrics_files(paths) -> list[Path]:
-    """The ``metrics.csv`` files of run dirs, metrics files, or directory roots."""
+    """The ``metrics.csv`` files of run dirs, metrics files, or directory roots; under
+    a root, earlier ``report`` dirs (copies of the rows they read) are skipped."""
     files = []
     for p in map(Path, paths):
         if p.is_file():
@@ -242,7 +250,8 @@ def metrics_files(paths) -> list[Path]:
         elif (p / "metrics.csv").is_file():
             files.append(p / "metrics.csv")
         else:
-            found = sorted(p.glob("**/metrics.csv"))
+            found = sorted(f for f in p.glob("**/metrics.csv")
+                           if not _written_by_report(f.parent))
             if not found:
                 raise ArtifactMissingError(p / "metrics.csv")
             files.extend(found)

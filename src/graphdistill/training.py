@@ -172,10 +172,10 @@ def _fit(stage: str, fold: FoldSplit, seed: int, params: dict, run: RunConfig,
          keep_best: bool) -> FoldResult:
     """The one training loop of teachers and students.
 
-    Each epoch shuffles ``fold.train_ids`` into batches for ``epoch_losses``, a
-    generator of ``(loss, parts)`` per batch, and averages each part into
-    ``loss_curves``. ``accuracy(params_view)`` scores the test fold after each
-    epoch for the scheduler and the best epoch (params kept when ``keep_best``).
+    Each epoch shuffles ``fold.train_ids`` into batches; ``epoch_losses()``, called
+    before the epoch's first batch, returns ``batch_loss(chunk) -> (loss, parts)``.
+    Parts are averaged into ``loss_curves``; ``accuracy(params_view)`` scores the test
+    fold after each epoch for the scheduler and best epoch (params kept when ``keep_best``).
     """
     t0 = time.perf_counter()
     params_view = {k: p.values for k, p in params.items()}
@@ -188,7 +188,9 @@ def _fit(stage: str, fold: FoldSplit, seed: int, params: dict, run: RunConfig,
     for epoch in range(run.epochs):
         sums: dict[str, float] = {}
         chunks = _chunks(rng_shuffle.permutation(fold.train_ids), run.batch_size)
-        for nbatches, (loss, parts) in enumerate(epoch_losses(chunks), 1):
+        batch_loss = epoch_losses()
+        for nbatches, chunk in enumerate(chunks, 1):
+            loss, parts = batch_loss(chunk)
             if not np.isfinite(loss.values):
                 raise _Diverged(f"non-finite {stage} loss at epoch {epoch}")
             opt.zero_grad()
@@ -196,6 +198,7 @@ def _fit(stage: str, fold: FoldSplit, seed: int, params: dict, run: RunConfig,
             opt.step()
             # A comprehension, so that no loop variable keeps this batch's tape alive.
             sums = {key: sums.get(key, 0.0) + float(part.values) for key, part in parts.items()}
+            del loss, parts  # so that the next forward starts with no tape alive
         for key, total in sums.items():
             curves.setdefault(key, []).append(total / nbatches)
         test_acc = accuracy(params_view)
@@ -220,14 +223,13 @@ def _fit_teacher(dataset: Dataset, fold: FoldSplit, config, run: RunConfig,
     dropout_rng = rng_dropout if config.dropout > 0 else None
     test_batch = make_batch([dataset.graphs[i] for i in fold.test_ids])
 
-    def epoch_losses(chunks):
-        for chunk in chunks:
-            batch = make_batch([dataset.graphs[i] for i in chunk])
-            out = FORWARD[kind](batch, config, params, dropout_rng)
-            loss = batch_ground_truth(out.logits, batch.labels)
-            yield loss, {"gt": loss}
+    def batch_loss(chunk):
+        batch = make_batch([dataset.graphs[i] for i in chunk])
+        out = FORWARD[kind](batch, config, params, dropout_rng)
+        loss = batch_ground_truth(out.logits, batch.labels)
+        return loss, {"gt": loss}
 
-    result = _fit("teacher", fold, run.seed, params, run, rng_shuffle, epoch_losses,
+    result = _fit("teacher", fold, run.seed, params, run, rng_shuffle, lambda: batch_loss,
                   lambda view: _accuracy(INFER[kind], test_batch, config, view), keep_best=True)
     train_batch = make_batch([dataset.graphs[i] for i in fold.train_ids])
     return TeacherCheckpoint(
@@ -364,19 +366,20 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
     test_batch = make_batch([dataset.graphs[i] for i in fold.test_ids],
                             [inputs[i] for i in fold.test_ids])
 
-    def epoch_losses(chunks):
+    def epoch_losses():
         # Drawn before the first batch, in ``fold.train_ids`` order.
         epoch_walks = {gid: _draw_walks(struct_caches[gid].walk_pool.walks, rng_walks,
                                         run.walks_per_epoch)
                        for gid in (fold.train_ids if weights.eta > 0 else ())}
-        for chunk in chunks:
+        def batch_loss(chunk):
             batch = make_batch([dataset.graphs[i] for i in chunk], [inputs[i] for i in chunk],
                                [struct_caches[i].clusters.cluster_of for i in chunk]
                                if weights.mu > 0 else None)
             out = student_forward(batch, scfg, params, dropout_rng)
             parts = _student_loss_parts(out, chunk, batch, tcache, epoch_walks, run, weights)
             loss = total_loss(parts, weights)
-            yield loss, {**parts, "total": loss}
+            return loss, {**parts, "total": loss}
+        return batch_loss
 
     return _fit("student", fold, seed, params, run, rng_shuffle, epoch_losses,
                 lambda view: _accuracy(student_infer, test_batch, scfg, view), capture_params)

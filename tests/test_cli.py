@@ -1,7 +1,9 @@
+import hashlib
 import json
 import platform
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,61 @@ class TestSweepCommands:
         with pytest.raises(ContractError, match="comma or a line break"):
             write_metrics_csv(path, [("TINY", "m", 0, 0, 0.5), ("TINY", field, 1, 0, 0.5)])
         assert not path.exists()
+
+
+# sha256 of the saved-model perturbation.csv below, as written when the scores and
+# the latencies of a trace came from two separate replays of it.
+PERTURBATION_SHA256 = "853c8c5dfe09351918cf6258f64e3df7c684e482a82cbcdca6bf469770eba345"
+
+
+class TestDynamicBenchPins:
+    def test_saved_model_outputs_pinned(self, tiny_data, teacher_run, tmp_path):
+        _preprocess(tiny_data, tmp_path)
+        base = ["--data-dir", str(tiny_data), "--out-dir", str(tmp_path / "runs")]
+        assert main(["distill", "--teacher-run", str(teacher_run), "--student", "ga-mlp",
+                     "--lape", "--hidden", "4", "--student-layers", "2", "--epochs", "2",
+                     "--lr-patience", "1", "--student-seeds", "0", "--save-students",
+                     *base]) == 0
+        student_run = run_dirs(tmp_path / "runs")[0]
+        # 5 removals: 2 timed steps after the warm-up on each of 2 of the 10 test graphs.
+        assert main(["dynamic-bench", "--teacher-run", str(teacher_run), "--student-run",
+                     str(student_run), "--num-remove", "5", "--repetitions", "3",
+                     "--max-fraction", "0.7", "--timing-graphs", "2", "--seed", "5",
+                     *base]) == 0
+        bench = [p for p in run_dirs(tmp_path / "runs") if "dynamic-bench" in p.name][0]
+        assert read_manifest(bench, {"graphs_scored": int})["graphs_scored"] == 10
+        got = hashlib.sha256((bench / "perturbation.csv").read_bytes()).hexdigest()
+        assert got == PERTURBATION_SHA256
+        header, *rows = (bench / "latency.csv").read_text().splitlines()
+        assert header == "engine,mean_ms,median_ms,p95_ms,p99_ms,steps"
+        assert {row.split(",")[0]: row.split(",")[-1] for row in rows} == {
+            "incremental_student": "4", "full_student": "4", "full_teacher": "4"}
+
+
+    def test_saved_model_prints_engines_before_run_dir(self, tiny_data, teacher_run,
+                                                       tmp_path, capsys):
+        _preprocess(tiny_data, tmp_path)
+        base = ["--data-dir", str(tiny_data), "--out-dir", str(tmp_path / "runs")]
+        assert main(["distill", "--teacher-run", str(teacher_run), "--hidden", "4",
+                     "--epochs", "2", "--lr-patience", "1", "--student-seeds", "0",
+                     "--save-students", *base]) == 0
+        student_run = run_dirs(tmp_path / "runs")[0]
+        run = ["dynamic-bench", "--teacher-run", str(teacher_run), "--student-run",
+               str(student_run), "--max-fraction", "0.7", "--repetitions", "2", *base]
+        capsys.readouterr()
+        assert main([*run, "--num-remove", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:3]] == [
+            "incremental_student", "full_student", "full_teacher"]
+        assert lines[3].startswith("incremental speedup over full teacher")
+        assert "dynamic-bench" in lines[4] and len(lines) == 5
+        # Every step of a 3-removal trace is warm-up: nothing timed, no speedup line.
+        assert main([*run, "--num-remove", "3"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        bench = Path(line)
+        assert (bench / "latency.csv").read_text().splitlines() == [
+            "engine,mean_ms,median_ms,p95_ms,p99_ms,steps"]
+        assert len((bench / "perturbation.csv").read_text().splitlines()) == 5
 
 
 class TestLatencyOutputs:
@@ -381,6 +438,23 @@ class TestCliContracts:
                 assert warned == []
         first, second = ((run / "metrics.csv").read_bytes() for run in runs)
         assert reports[0] == reports[1] == first + second.split(b"\n", 1)[1]
+
+
+    def test_report_under_its_own_root_skips_earlier_reports(self, tiny_data, tmp_path,
+                                                             capsys):
+        runs = tmp_path / "runs"
+        assert main(["train-teacher", "--dataset", "TINY", "--layers", "1", "--hidden", "4",
+                     "--folds", "2", "--epochs", "2", "--lr-patience", "1",
+                     "--data-dir", str(tiny_data), "--out-dir", str(runs)]) == 0
+        for _ in range(2):
+            capsys.readouterr()
+            assert main(["report", "--runs", str(runs), "--out-dir", str(runs)]) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            assert header.split()[-1] == "n" and row.split()[-1] == "2"
+        reports = [p for p in run_dirs(runs) if "_report_" in p.name]
+        assert len(reports) == 2
+        assert main(["report", "--runs", *map(str, reports), "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[-1] == "4"
 
 
 class TestLoadCaches:
@@ -654,6 +728,29 @@ class TestCliRangeChecks:
                      "--max-fraction", "0.5", "--out-dir", str(out)]) == 1
         assert (f"--num-remove must exceed the 3 untimed warm-up steps with --synthetic, "
                 f"got {num_remove}") in caplog.text
+        assert not out.exists()
+
+    def test_synthetic_writes_the_saved_model_outputs(self, tmp_path, capsys):
+        assert main(["dynamic-bench", "--synthetic", "--num-remove", "5", "--timing-graphs", "2",
+                     "--synthetic-nodes", "20", "--max-fraction", "0.5",
+                     "--out-dir", str(tmp_path / "runs")]) == 0
+        bench = Path(capsys.readouterr().out.splitlines()[-1])
+        manifest = read_manifest(bench, {"dataset": str, "graphs_scored": int})
+        assert manifest["graphs_scored"] == 2 and bench.name.startswith(manifest["dataset"])
+        assert len((bench / "perturbation.csv").read_text().splitlines()) == 7
+        stored = json.loads((bench / "latency.json").read_text())
+        assert {engine: stats["steps"] for engine, stats in stored.items()} == {
+            "incremental_student": 4, "full_student": 4, "full_teacher": 4}
+
+    @pytest.mark.parametrize("missing", ["--teacher-run", "--student-run"])
+    def test_dynamic_bench_missing_run_flag_exits_1(self, tiny_data, teacher_run, tmp_path,
+                                                    caplog, missing):
+        out = tmp_path / "runs"
+        runs = {"--teacher-run": str(teacher_run), "--student-run": str(tmp_path / "student")}
+        given = [x for flag, path in runs.items() if flag != missing for x in (flag, path)]
+        assert main(["dynamic-bench", *given, "--data-dir", str(tiny_data),
+                     "--out-dir", str(out)]) == 1
+        assert f"{missing} is required without --synthetic" in caplog.text
         assert not out.exists()
 
     def test_synthetic_four_removals_timed(self, tmp_path, capsys):

@@ -8,7 +8,6 @@ from graphdistill.dynamic import (
     WARMUP_STEPS,
     IncrementalState,
     LatencyReport,
-    PerturbationTrace,
     _induced_subgraph,
     StudentModel,
     TeacherModel,
@@ -19,7 +18,6 @@ from graphdistill.dynamic import (
     make_trace,
     perturb_and_score,
     shannon_entropy_bits,
-    time_inference,
 )
 from graphdistill.errors import ConfigError, ContractError, IntegrityError
 from graphdistill.models import (
@@ -344,8 +342,9 @@ class TestTraces:
         g = random_connected_graph(50, rng)
         with pytest.raises(ConfigError, match="cap"):
             make_trace(g, 0, num_remove=10, max_fraction=0.05)
-        trace = make_trace(g, 0, num_remove=10, max_fraction=0.5)
-        assert np.unique(trace.removed_nodes).size == 10
+        trace = make_trace(g, 0, num_remove=10, repetitions=3, max_fraction=0.5)
+        assert trace.removals.shape == (3, 10) and trace.removals.dtype == np.int64
+        assert all(np.unique(row).size == 10 for row in trace.removals)
 
     @pytest.mark.parametrize("num_remove", [0, -2])
     def test_removal_count_below_1_rejected(self, num_remove):
@@ -364,7 +363,19 @@ class TestTraces:
         g = random_connected_graph(40, rng)
         a = make_trace(g, 3, num_remove=5, seed=4, max_fraction=0.5)
         b = make_trace(g, 3, num_remove=5, seed=4, max_fraction=0.5)
-        np.testing.assert_array_equal(a.removed_nodes, b.removed_nodes)
+        np.testing.assert_array_equal(a.removals, b.removals)
+
+    def test_repetition_rows_do_not_depend_on_count(self):
+        g = random_connected_graph(40, np.random.default_rng(13))
+        one = make_trace(g, 2, num_remove=4, repetitions=1, seed=6, max_fraction=0.5)
+        four = make_trace(g, 2, num_remove=4, repetitions=4, seed=6, max_fraction=0.5)
+        np.testing.assert_array_equal(four.removals[:1], one.removals)
+        assert len({tuple(row) for row in four.removals}) == 4
+
+    def test_repetitions_below_1_rejected(self):
+        g = random_connected_graph(40, np.random.default_rng(14))
+        with pytest.raises(ConfigError, match="repetitions must be >= 1, got 0"):
+            make_trace(g, 0, num_remove=2, repetitions=0, max_fraction=0.5)
 
 
 class TestEntropy:
@@ -406,6 +417,17 @@ class TestPerturbAndScore:
         metrics = perturb_and_score(g, cache, student, teacher, trace)
         assert metrics.student_error.shape == (4,)
 
+    def test_timing_leaves_scores_unchanged(self):
+        g, cache, student, teacher = self._bundle(seed=15, n=40)
+        trace = make_trace(g, 0, num_remove=WARMUP_STEPS + 2, repetitions=3, seed=4,
+                           max_fraction=0.5)
+        report = LatencyReport()
+        timed = perturb_and_score(g, cache, student, teacher, trace, report)
+        plain = perturb_and_score(g, cache, student, teacher, trace)
+        for name in ("student_error", "student_entropy", "teacher_error", "teacher_entropy"):
+            assert np.array_equal(getattr(timed, name), getattr(plain, name)), name
+        assert {stats["steps"] for stats in report.summary().values()} == {2}
+
 
 class TestTiming:
     def test_report_structure_and_subset_relation(self):
@@ -416,7 +438,8 @@ class TestTiming:
         teacher = make_teacher(g, rng, hidden=16, layers=3)
         trace = make_trace(g, 0, num_remove=WARMUP_STEPS + 6, repetitions=1, seed=3,
                            max_fraction=0.5)
-        report = time_inference([g], [cache], student, teacher, [trace])
+        report = LatencyReport()
+        perturb_and_score(g, cache, student, teacher, trace, report)
         summary = report.summary()
         assert set(summary) == {"incremental_student", "full_student", "full_teacher"}
         for stats in summary.values():

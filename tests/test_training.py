@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from dataclasses import replace
 
@@ -515,6 +516,38 @@ class TestLeanTapeBitEqual:
         assert all(v > 0 for v in lean["curve.path"]) and all(v > 0 for v in lean["curve.cluster"])
         for key in lean:
             assert np.array_equal(lean[key], eager[key]), key
+
+
+class TestTapeFreedBetweenBatches:
+    """No tensor of one batch's tape is alive when the next batch's forward starts,
+    across batches and across epochs."""
+
+    @staticmethod
+    def _counting(forward, live):
+        def wrapped(*args, **kwargs):
+            gc.collect()
+            live.append(sum(isinstance(o, ad.Tensor) and o._op != "leaf"
+                            for o in gc.get_objects()))
+            return forward(*args, **kwargs)
+        return wrapped
+
+    def test_teacher(self, tiny_setup, monkeypatch):
+        dataset, folds, _, run, _, _ = tiny_setup
+        live = []
+        monkeypatch.setitem(training.FORWARD, "gin", self._counting(training.FORWARD["gin"], live))
+        train_teacher(dataset, folds[:1], [GinConfig(num_layers=2, hidden=8)],
+                      replace(run, epochs=2, lr_patience=1))
+        assert len(live) == 4 and len(set(live)) == 1, live
+
+    def test_student(self, tiny_setup, monkeypatch):
+        dataset, folds, caches, run, _, tcaches = tiny_setup
+        live = []
+        monkeypatch.setattr(training, "student_forward",
+                            self._counting(training.student_forward, live))
+        scfg = StudentConfig(kind="ga-mlp", num_layers=2, hidden=8, use_lape=True)
+        distill_student(dataset, folds[:1], caches, tcaches, scfg,
+                        replace(run, epochs=2, lr_patience=1))
+        assert len(live) == 4 and len(set(live)) == 1, live
 
 
 class TestAblation:

@@ -74,6 +74,7 @@ from .structure import (aggregate_blocks, build_struct_caches, load_struct_cache
 from .synth import sparse_social_dataset
 from .training import (
     RunConfig,
+    _accuracy,
     cache_teacher,
     mean_accuracy,
     std_accuracy,
@@ -329,8 +330,7 @@ def cmd_evaluate(args) -> int:
             continue
         ckpt = load_teacher_checkpoint(args.teacher_run, fold.fold_index)
         batch = models.make_batch([dataset.graphs[i] for i in fold.test_ids])
-        out = models.INFER[ckpt.config.kind](batch, ckpt.config, ckpt.params)
-        acc = float((np.argmax(out.logits, axis=1) == batch.labels).mean())
+        acc = _accuracy(models.INFER[ckpt.config.kind], batch, ckpt.config, ckpt.params)
         rows.append((name, f"evaluate-{ckpt.config.kind}", fold.fold_index, args.seed, acc))
         print(f"fold {fold.fold_index}: test accuracy {acc:.4f}")
     run_dir = new_run_dir(args.out_dir, name, "evaluate", args.seed)
@@ -436,9 +436,9 @@ def _write_dynamic_outputs(run_dir, agg, latency) -> dict:
     """Write perturbation.csv, latency.csv and latency.json; return the latency summary."""
     with (run_dir / "perturbation.csv").open("w") as fh:
         fh.write("k,student_error,student_entropy,teacher_error,teacher_entropy\n")
-        for k in range(agg.student_error.size):
-            fh.write(f"{k},{agg.student_error[k]!r},{agg.student_entropy[k]!r},"
-                     f"{agg.teacher_error[k]!r},{agg.teacher_entropy[k]!r}\n")
+        columns = (agg.student_error, agg.student_entropy, agg.teacher_error, agg.teacher_entropy)
+        for k, values in enumerate(zip(*(c.tolist() for c in columns))):
+            fh.write(",".join([str(k), *map(repr, values)]) + "\n")
     summary = latency.summary()
     with (run_dir / "latency.csv").open("w") as fh:
         fh.write("engine,mean_ms,median_ms,p95_ms,p99_ms,steps\n")

@@ -11,32 +11,21 @@ propagation matrix (``models``) and the normalized Laplacian of graphs
 above ``DENSE_LAPE_MAX_NODES`` nodes (shift-invert ``eigsh``); smaller
 graphs fill a dense Laplacian for ``eigh``.
 
-Louvain (``louvain_cluster``) clusters a whole dataset in one call. Graphs
-are independent, so the many small graphs of a dataset run in lockstep:
-each step visits the next node of every graph still sweeping, in that
-graph's own seeded order, and makes all their moves with a fixed handful
-of numpy operations on the disjoint union; after a phase, every graph that
-improved is aggregated at once. A step costs about the same however few
-graphs it visits, so the lockstep batch takes the graphs with 1 to
-``LOCKSTEP_MAX_M2`` stored edge entries up to the size cap where the node
-visits it takes over outweigh ``LOCKSTEP_COST_NODES`` per node of that
-cap; larger graphs, and every graph of a dataset too narrow to pay for a
-step, run one node visit at a time. The two schedules give byte-identical
-partitions and modularities (see ``louvain_cluster``).
+Louvain (``louvain_cluster``) clusters a whole dataset in one call. One
+level driver (``_louvain``) runs a disjoint union of graphs: each level
+moves nodes in every graph still improving, then collapses all that
+improved in one numpy pass. Two move kernels of one signature, chosen by
+graph size, make the moves: ``_lockstep_moves`` steps through the many
+small graphs of a dataset together, one node of each per numpy step, and
+``_sequential_moves`` runs the greedy scan ``_local_moves`` on one graph
+at a time for the rest. Both give byte-identical partitions and
+modularities (see ``louvain_cluster``).
 
 The cache sidecar (``save_struct_caches``, format ``structcache/3``) is
-one ``.npz`` deflated at level 1 (``SIDECAR_DEFLATE_LEVEL``), not zlib's
-default 6, which on 3.1 MB of arrays (405 small graphs) took 144 ms
-against 91 ms for a file only 4% smaller. The float members ``lape`` and
-``agg`` are stored without compression (``SIDECAR_STORED``): eigenvector
-entries deflate only to 95% of their size, and the aggregated block to
-58%, for most of the deflate time. Storing both trades time for bytes
-(seed 421, 2-core x86_64 VM, medians of 15 calls, ranges over runs). On
-the 405-graph ``two_class_structural`` set, save went 46-54 -> 8 ms and
-load 16-20 -> 7 ms for 1,994,080 -> 2,755,092 bytes; on four 2000-node
-sparse graphs, save went 20-26 -> 5 ms and load 7-10 -> 3-4 ms for
-1,085,871 -> 2,129,503 bytes. The loader reads stored and deflated
-members alike, so sidecars that deflate every member still load.
+one uncompressed ``.npz`` written by ``np.savez``: deflate shrank the float
+members little for most of the save time. The loader reads stored and
+deflated members alike, so sidecars written with deflated members (as by
+``np.savez_compressed``) still load.
 
 The sidecar holds a JSON ``meta`` string (format, dataset, seed, num_graphs,
 walk_length) and one packed array per field, each cut into graphs by int64
@@ -77,8 +66,6 @@ STRUCT_CACHE_FORMAT = "structcache/3"
 # graphs, one BLAS thread, 2-core x86_64 VM: 4.9 vs 4.7 ms at 192 nodes,
 # 9.2 vs 4.8 ms at 256), and graphs up to here keep their dense encodings.
 DENSE_LAPE_MAX_NODES = 200
-SIDECAR_DEFLATE_LEVEL = 1
-SIDECAR_STORED = ("lape", "agg")  # members written without compression
 # Louvain in lockstep pays about 65 us per step however few graphs it
 # visits, and a level takes as many steps as its largest graph's sweeps;
 # one graph at a time costs about 2.5 us per node visit. Against one graph
@@ -138,19 +125,9 @@ class StructCache:
     walk_pool: WalkPool
 
 
-def modularity(graph: Graph, cluster_of: np.ndarray) -> float:
-    """Newman modularity of a partition of a simple unweighted graph.
-
-    The one-graph case of ``_modularities``.
-    """
-    n = graph.num_nodes
-    return _modularities(np.array([0, n]), graph.indptr, graph.indices, cluster_of,
-                         [int(cluster_of.max()) + 1 if n else 0])[0]
-
-
 def _modularities(off: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
                   cluster: np.ndarray, widths) -> list[float]:
-    """``modularity`` of every graph of a disjoint union, in one pass.
+    """Newman modularity of every graph of a disjoint union, in one pass.
 
     ``off`` [G+1] cuts the union's nodes into graphs; ``cluster`` holds
     each node's id within its own graph, below that graph's ``widths``
@@ -210,82 +187,12 @@ def _local_moves(adj: list[dict[int, float]], strength: list[float], m2: float,
     return comm, moved_any
 
 
-def _relabel(comm: list[int]) -> tuple[list[int], int]:
-    """Make community ids contiguous, ordered by first occurrence."""
-    mapping: dict[int, int] = {}
-    for c in comm:
-        if c not in mapping:
-            mapping[c] = len(mapping)
-    return [mapping[c] for c in comm], len(mapping)
-
-
-def _aggregate(adj: list[dict[int, float]], self_w: list[float], strength: list[float],
-               comm: list[int], num_comms: int, m2: float) -> tuple[list, list, list, float]:
-    """The collapsed graph (adjacency, self weights, strengths) and the modularity of ``comm``."""
-    new_adj: list[dict[int, float]] = [dict() for _ in range(num_comms)]
-    new_self = [0.0] * num_comms
-    tot = [0.0] * num_comms
-    for i, nbrs in enumerate(adj):
-        ci = comm[i]
-        new_self[ci] += self_w[i]
-        tot[ci] += strength[i]
-        row = new_adj[ci]
-        for j, w in nbrs.items():
-            cj = comm[j]
-            if ci == cj:
-                new_self[ci] += w  # each internal pair visited twice
-            else:
-                row[cj] = row.get(cj, 0.0) + w
-    level = float(np.sum(np.array(new_self) / m2 - (np.array(tot) / m2) ** 2))
-    strength = [s + sum(d.values()) for s, d in zip(new_self, new_adj)]
-    return new_adj, new_self, strength, level
-
-
-def _louvain_one(graph: Graph, seed: int) -> ClusterAssignment:
-    """Louvain on one graph, one node visit at a time.
-
-    The sweeps run on Python lists and floats (IEEE doubles, like float64),
-    so no per-node step touches a numpy scalar. A graph without edges is
-    all singletons and draws nothing from its generator.
-    """
-    n = graph.num_nodes
-    m2 = float(graph.indices.size)
-    if m2 == 0.0:
-        return ClusterAssignment(np.arange(n), n, 0.0, [])
-
-    rng = np.random.default_rng(seed)
-    ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
-    adj = [dict.fromkeys(nbrs[ptr[i]:ptr[i + 1]], 1.0) for i in range(n)]
-    self_w = [0.0] * n
-    strength = graph.degrees.astype(np.float64).tolist()
-    node_to_top = list(range(n))
-    levels: list[float] = []
-
-    while True:
-        comm, improved = _local_moves(adj, strength, m2, rng)
-        if not improved:
-            break
-        comm, num_comms = _relabel(comm)
-        node_to_top = [comm[c] for c in node_to_top]
-        adj, self_w, strength, level = _aggregate(adj, self_w, strength, comm, num_comms, m2)
-        levels.append(level)
-
-    top, num_clusters = _relabel(node_to_top)
-    cluster_of = np.array(top, dtype=np.int64)
-    return ClusterAssignment(
-        cluster_of=cluster_of,
-        num_clusters=num_clusters,
-        modularity=modularity(graph, cluster_of),
-        level_modularity=levels,
-    )
-
-
 def _first_occurrence(labels: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_relabel`` of every block that ``off`` cuts ``labels`` into, in one pass.
+    """Contiguous ids, by first occurrence, in every block ``off`` cuts ``labels`` into.
 
-    Blocks share no label. Returns the ids numbered on from block to block
-    (block b's ids start at the number of ids in blocks before it) and the
-    number of ids in each block.
+    One pass; blocks share no label. Returns the ids numbered on from block
+    to block (block b's ids start at the number of ids in blocks before it)
+    and the number of ids in each block.
     """
     _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
     rank = np.empty_like(first)
@@ -373,10 +280,31 @@ def _lockstep_moves(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
     return comm, improved
 
 
-def _louvain_lockstep(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssignment]:
-    """``_louvain_one`` of every graph at once; every graph needs an edge.
+def _sequential_moves(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+                      strength: np.ndarray, off: np.ndarray, m2: np.ndarray,
+                      rngs: list) -> tuple[np.ndarray, np.ndarray]:
+    """``_local_moves`` of each graph of a weighted disjoint union in turn.
 
-    Each level runs ``_lockstep_moves`` on the disjoint union of the graphs
+    Arguments and result as for ``_lockstep_moves``; each graph's rows are
+    read from its own CSR slice, renumbered from 0.
+    """
+    comm = np.empty(strength.size, dtype=np.int64)
+    improved = np.zeros(off.size - 1, dtype=bool)
+    local = indices - np.repeat(off[:-1], indptr[off[1:]] - indptr[off[:-1]])
+    ptr, nbrs, w, k = indptr.tolist(), local.tolist(), weights.tolist(), strength.tolist()
+    bounds = zip(off[:-1].tolist(), off[1:].tolist())
+    for g, ((lo, hi), m, rng) in enumerate(zip(bounds, m2.tolist(), rngs)):
+        adj = [dict(zip(nbrs[ptr[i]:ptr[i + 1]], w[ptr[i]:ptr[i + 1]])) for i in range(lo, hi)]
+        moved, improved[g] = _local_moves(adj, k[lo:hi], m, rng)
+        comm[lo:hi] = np.add(moved, lo)
+    return comm, improved
+
+
+def _louvain(graphs: list[Graph], seeds: list[int], moves) -> list[ClusterAssignment]:
+    """Louvain on every graph at once, ``moves`` making each level's node moves.
+
+    ``moves`` is ``_lockstep_moves`` or ``_sequential_moves``; every graph
+    needs an edge. Each level runs it on the disjoint union of the graphs
     still improving, then aggregates all of them in one pass. The final
     partitions are scored in one pass too (``_modularities``).
     """
@@ -395,8 +323,8 @@ def _louvain_lockstep(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssi
     cluster = np.empty(strength.size, dtype=np.int64)
     levels: list[list[float]] = [[] for _ in graphs]
     while live.size:
-        comm, improved = _lockstep_moves(indptr, indices, weights, strength, off, m2[live],
-                                         [rngs[g] for g in live.tolist()])
+        comm, improved = moves(indptr, indices, weights, strength, off, m2[live],
+                               [rngs[g] for g in live.tolist()])
         sizes0 = top_off[1:] - top_off[:-1]
         kept0 = np.repeat(improved, sizes0)
         if not kept0.all():  # graphs that moved nothing end on their level's nodes
@@ -427,7 +355,7 @@ def _louvain_lockstep(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssi
         live = live[improved]
         off = _offsets(counts)
         m2_node = np.repeat(m2[live], counts)
-        q = self_w / m2_node - (strength / m2_node) ** 2  # as ``_aggregate`` computes it
+        q = self_w / m2_node - (strength / m2_node) ** 2
         for g, lo, hi in zip(live.tolist(), off[:-1].tolist(), off[1:].tolist()):
             levels[g].append(float(np.sum(q[lo:hi])))
         top, orig = new_id[top[kept0]], orig[kept0]
@@ -448,16 +376,18 @@ def louvain_cluster(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssign
     (``seeds[i]`` for ``graphs[i]``). Nodes without edges always end up in
     singleton clusters.
 
-    Graphs with 1 to ``LOCKSTEP_MAX_M2`` stored edge entries and at most
-    ``cap`` nodes run in lockstep (``_louvain_lockstep``): one numpy step
-    visits the next node of every graph still sweeping, and each level
-    aggregates every graph that improved at once. ``cap`` is the size that
-    maximises the nodes taken over minus ``LOCKSTEP_COST_NODES * cap`` (the
-    steps the largest graph's sweeps take, in node visits); with no
-    positive maximum nothing runs in lockstep. The rest run one node visit
-    at a time (``_louvain_one``). A graph's result does not depend on
-    the schedule or on the other graphs, byte for byte: each graph draws
-    its permutation from its own generator at the start of every sweep;
+    A graph without edges is all singletons, scores 0.0, has no levels and
+    draws nothing from its generator. The others run through one level
+    driver (``_louvain``) with one of two move kernels. Graphs with at most
+    ``LOCKSTEP_MAX_M2`` stored edge entries and at most ``cap`` nodes run
+    in lockstep (``_lockstep_moves``): one numpy step visits the next node
+    of every graph still sweeping. ``cap`` is the size that maximises the
+    nodes taken over minus ``LOCKSTEP_COST_NODES * cap`` (the steps the
+    largest graph's sweeps take, in node visits); with no positive maximum
+    nothing runs in lockstep. The rest run one node visit at a time
+    (``_sequential_moves``). A graph's result does not depend on the
+    kernel or on the other graphs, byte for byte: each graph draws its
+    permutation from its own generator at the start of every sweep;
     integer weights make every ``w`` and ``tot`` sum exact in any order;
     gains use the same expression; each level's modularity is one
     ``np.sum`` over the graph's own communities; communities are relabelled
@@ -473,14 +403,18 @@ def louvain_cluster(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssign
                   if 0 < g.indices.size <= LOCKSTEP_MAX_M2)
     sizes = np.array([n for n, _ in fits], dtype=np.int64)
     saving = np.cumsum(sizes) - LOCKSTEP_COST_NODES * sizes  # per size cap
-    out: list[ClusterAssignment | None] = [None] * len(graphs)
-    if saving.size and saving.max() > 0:
-        small = sorted(i for _, i in fits[:int(np.argmax(saving)) + 1])
-        batch = _louvain_lockstep([graphs[i] for i in small], [seeds[i] for i in small])
-        for i, res in zip(small, batch):
-            out[i] = res
-    return [res if res is not None else _louvain_one(g, s)
-            for res, g, s in zip(out, graphs, seeds)]
+    cap = int(np.argmax(saving)) + 1 if saving.size and saving.max() > 0 else 0
+    small = sorted(i for _, i in fits[:cap])
+    rest = sorted({i for i, g in enumerate(graphs) if g.indices.size} - set(small))
+    out: list[ClusterAssignment | None] = [
+        None if g.indices.size else ClusterAssignment(np.arange(g.num_nodes), g.num_nodes, 0.0, [])
+        for g in graphs]
+    for ids, moves in ((small, _lockstep_moves), (rest, _sequential_moves)):
+        if ids:
+            batch = _louvain([graphs[i] for i in ids], [seeds[i] for i in ids], moves)
+            for i, res in zip(ids, batch):
+                out[i] = res
+    return out
 
 
 def csr_operator(graph, edge_values: np.ndarray | None = None,
@@ -733,16 +667,8 @@ def save_struct_caches(path, caches: list[StructCache], dataset_name: str, seed:
             -1, walk_length + 1),
         wseed=np.array([c.walk_pool.seed for c in caches], dtype=np.int64),
     )
-    # What np.savez_compressed writes, at a lower deflate level, and with
-    # ``SIDECAR_STORED`` stored (see the module docstring).
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED,
-                         compresslevel=SIDECAR_DEFLATE_LEVEL) as zf:
-        for name, arr in arrays.items():
-            member = f"{name}.npy"
-            if name in SIDECAR_STORED:
-                member = zipfile.ZipInfo(member)  # ZIP_STORED, the ZipInfo default
-            with zf.open(member, "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, np.asanyarray(arr), allow_pickle=False)
+    with open(path, "wb") as fh:  # a handle, so that np.savez adds no ".npz" suffix
+        np.savez(fh, **arrays)
 
 
 # Every sidecar field: dtype and number of dimensions.

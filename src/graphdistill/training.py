@@ -134,7 +134,6 @@ class PlateauScheduler:
         self.patience = patience
         self.best = -np.inf
         self.num_bad = 0
-        self.lr_history: list[float] = []
 
     def step(self, metric: float) -> None:
         if metric > self.best:
@@ -145,7 +144,6 @@ class PlateauScheduler:
             if self.num_bad > self.patience:
                 self.optimizer.lr *= self.factor
                 self.num_bad = 0
-        self.lr_history.append(self.optimizer.lr)
 
 
 class _Diverged(NumericError):

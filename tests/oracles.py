@@ -13,6 +13,7 @@ import numpy as np
 from graphdistill import autodiff as ad
 from graphdistill.data import Dataset, Graph
 from graphdistill.errors import FormatError, IntegrityError
+from graphdistill.structure import ClusterAssignment
 
 _SPLIT = re.compile(r"[,\s]+")
 
@@ -140,6 +141,111 @@ def reference_modularity(graph, cluster_of):
     internal = float(np.sum(cluster_of[src] == cluster_of[graph.indices]))
     tot = np.bincount(cluster_of, weights=graph.degrees.astype(np.float64))
     return internal / m2 - float(np.sum((tot / m2) ** 2))
+
+
+def _reference_local_moves(adj, strength, m2, rng):
+    """One Louvain phase: greedy single-node moves until no move improves."""
+    n = len(adj)
+    comm = list(range(n))
+    tot = strength[:]
+    moved_any = False
+    while True:
+        moved = 0
+        for i in rng.permutation(n).tolist():
+            ci = comm[i]
+            k_i = strength[i]
+            w_to = {}
+            for j, w in adj[i].items():
+                cj = comm[j]
+                w_to[cj] = w_to.get(cj, 0.0) + w
+            tot[ci] -= k_i
+            # Scaled gain of joining community c: w(i,c) - k_i * tot_c / m2.
+            best_c = ci
+            best_gain = w_to.get(ci, 0.0) - k_i * tot[ci] / m2
+            for c in sorted(w_to):
+                if c == ci:
+                    continue
+                gain = w_to[c] - k_i * tot[c] / m2
+                if gain > best_gain + 1e-12:
+                    best_gain, best_c = gain, c
+            tot[best_c] += k_i
+            if best_c != ci:
+                comm[i] = best_c
+                moved += 1
+        if moved == 0:
+            break
+        moved_any = True
+    return comm, moved_any
+
+
+def _reference_relabel(comm):
+    """Make community ids contiguous, ordered by first occurrence."""
+    mapping = {}
+    for c in comm:
+        if c not in mapping:
+            mapping[c] = len(mapping)
+    return [mapping[c] for c in comm], len(mapping)
+
+
+def _reference_aggregate(adj, self_w, strength, comm, num_comms, m2):
+    """The collapsed graph (adjacency, self weights, strengths) and the modularity of ``comm``."""
+    new_adj = [dict() for _ in range(num_comms)]
+    new_self = [0.0] * num_comms
+    tot = [0.0] * num_comms
+    for i, nbrs in enumerate(adj):
+        ci = comm[i]
+        new_self[ci] += self_w[i]
+        tot[ci] += strength[i]
+        row = new_adj[ci]
+        for j, w in nbrs.items():
+            cj = comm[j]
+            if ci == cj:
+                new_self[ci] += w  # each internal pair visited twice
+            else:
+                row[cj] = row.get(cj, 0.0) + w
+    level = float(np.sum(np.array(new_self) / m2 - (np.array(tot) / m2) ** 2))
+    strength = [s + sum(d.values()) for s, d in zip(new_self, new_adj)]
+    return new_adj, new_self, strength, level
+
+
+def reference_louvain_one(graph, seed):
+    """Louvain on one graph, one node visit at a time, on Python dicts and lists.
+
+    The sweeps run on Python floats (IEEE doubles, like float64). A graph
+    without edges is all singletons and draws nothing from its generator.
+    The final partition is scored with ``reference_modularity``.
+    """
+    n = graph.num_nodes
+    m2 = float(graph.indices.size)
+    if m2 == 0.0:
+        return ClusterAssignment(np.arange(n), n, 0.0, [])
+
+    rng = np.random.default_rng(seed)
+    ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
+    adj = [dict.fromkeys(nbrs[ptr[i]:ptr[i + 1]], 1.0) for i in range(n)]
+    self_w = [0.0] * n
+    strength = graph.degrees.astype(np.float64).tolist()
+    node_to_top = list(range(n))
+    levels = []
+
+    while True:
+        comm, improved = _reference_local_moves(adj, strength, m2, rng)
+        if not improved:
+            break
+        comm, num_comms = _reference_relabel(comm)
+        node_to_top = [comm[c] for c in node_to_top]
+        adj, self_w, strength, level = _reference_aggregate(adj, self_w, strength, comm,
+                                                            num_comms, m2)
+        levels.append(level)
+
+    top, num_clusters = _reference_relabel(node_to_top)
+    cluster_of = np.array(top, dtype=np.int64)
+    return ClusterAssignment(
+        cluster_of=cluster_of,
+        num_clusters=num_clusters,
+        modularity=reference_modularity(graph, cluster_of),
+        level_modularity=levels,
+    )
 
 
 def best_partition_bruteforce(graph):

@@ -182,9 +182,10 @@ class TestSweepCommands:
         assert not path.exists()
 
 
-# sha256 of the saved-model perturbation.csv below, as written when the scores and
-# the latencies of a trace came from two separate replays of it.
-PERTURBATION_SHA256 = "853c8c5dfe09351918cf6258f64e3df7c684e482a82cbcdca6bf469770eba345"
+# sha256 of the saved-model perturbation.csv below: the numbers written when the
+# scores and the latencies of a trace came from two separate replays of it, each
+# as the repr of a Python float.
+PERTURBATION_SHA256 = "e2fb8cdc36bf5b7aca4a747f0a20af03813f797d05174affd91322b2f8db3119"
 
 
 class TestDynamicBenchPins:
@@ -205,6 +206,11 @@ class TestDynamicBenchPins:
         assert read_manifest(bench, {"graphs_scored": int})["graphs_scored"] == 10
         got = hashlib.sha256((bench / "perturbation.csv").read_bytes()).hexdigest()
         assert got == PERTURBATION_SHA256
+        header, *rows = (bench / "perturbation.csv").read_text().splitlines()
+        assert header == "k,student_error,student_entropy,teacher_error,teacher_entropy"
+        assert rows and all(len(row.split(",")) == 5 for row in rows)
+        for row in rows:
+            [float(field) for field in row.split(",")]  # plain numbers, no numpy reprs
         header, *rows = (bench / "latency.csv").read_text().splitlines()
         assert header == "engine,mean_ms,median_ms,p95_ms,p99_ms,steps"
         assert {row.split(",")[0]: row.split(",")[-1] for row in rows} == {

@@ -28,7 +28,6 @@ from graphdistill.structure import (
     laplacian_pe,
     load_struct_caches,
     louvain_cluster,
-    modularity,
     sample_walks,
     save_struct_caches,
     sparse_laplacian,
@@ -41,6 +40,7 @@ from oracles import (
     dense_ga_aggregate,
     dense_normalized_laplacian,
     random_er_graph,
+    reference_louvain_one,
     reference_modularity,
     reference_sample_walks,
     unpadded,
@@ -60,6 +60,11 @@ KARATE_EDGES = [
     (28, 31), (28, 33), (29, 32), (29, 33), (30, 32), (30, 33), (31, 32),
     (31, 33), (32, 33),
 ]
+
+
+def modularity_of(g, cluster_of):
+    return structure._modularities(np.array([0, g.num_nodes]), g.indptr, g.indices,
+                                   cluster_of, [int(cluster_of.max()) + 1])[0]
 
 
 def same_partition(a, b):
@@ -89,7 +94,7 @@ class TestModularityOracle:
         nxg.add_edges_from(g.edge_pairs().tolist())
         communities = [set(np.flatnonzero(cluster_of == c).tolist())
                        for c in np.unique(cluster_of)]
-        assert modularity(g, cluster_of) == pytest.approx(
+        assert modularity_of(g, cluster_of) == pytest.approx(
             nx.community.modularity(nxg, communities), abs=1e-12)
 
     def test_isolated_nodes_match_networkx(self):
@@ -99,7 +104,7 @@ class TestModularityOracle:
         nxg.add_nodes_from(range(7))
         nxg.add_edges_from(g.edge_pairs().tolist())
         want = nx.community.modularity(nxg, [{0, 1, 6}, {2, 3, 4}, {5}])
-        assert modularity(g, cluster_of) == pytest.approx(want, abs=1e-12)
+        assert modularity_of(g, cluster_of) == pytest.approx(want, abs=1e-12)
 
     def test_dataset_pass_equals_per_graph(self):
         # One pass over a mixed union scores every graph as it scores alone:
@@ -119,7 +124,6 @@ class TestModularityOracle:
         want = [reference_modularity(g, c) for g, c in zip(graphs, clusters)]
         assert all(type(q) is float for q in got)
         assert got == want
-        assert [modularity(g, c) for g, c in zip(graphs, clusters)] == want
 
 
 class TestLouvain:
@@ -153,7 +157,7 @@ class TestLouvain:
         for trial in range(10):
             g = random_er_graph(rng, int(rng.integers(5, 25)), p=0.25)
             res = louvain_cluster([g], [trial])[0]
-            singles = modularity(g, np.arange(g.num_nodes))
+            singles = modularity_of(g, np.arange(g.num_nodes))
             assert res.modularity >= singles - 1e-12
 
     def test_isolated_nodes_are_singletons(self):
@@ -202,7 +206,7 @@ class TestLouvain:
                     continue
                 merged = res.cluster_of.copy()
                 merged[merged == c] = d
-                assert modularity(g, merged) <= base + 1e-12
+                assert modularity_of(g, merged) <= base + 1e-12
 
     def test_contiguous_indices(self):
         g = build_graph(34, KARATE_EDGES)
@@ -266,30 +270,38 @@ def assert_same_clustering(got, want):
 
 
 def spy_lockstep(mp):
-    """Record the graphs of every ``_louvain_lockstep`` batch."""
-    batches, lockstep = [], structure._louvain_lockstep
-    mp.setattr(structure, "_louvain_lockstep",
-               lambda gs, ss: batches.append(list(gs)) or lockstep(gs, ss))
+    """Record the graphs of every ``_louvain`` batch run with ``_lockstep_moves``."""
+    batches, louvain = [], structure._louvain
+
+    def spy(gs, ss, moves):
+        if moves is structure._lockstep_moves:
+            batches.append(list(gs))
+        return louvain(gs, ss, moves)
+
+    mp.setattr(structure, "_louvain", spy)
     return batches
 
 
 class TestLouvainLockstep:
-    """The lockstep schedule must give every graph what the per-graph engine
+    """Both move kernels must give every graph what the per-graph reference
     gives it, bit for bit, whatever else is in the batch."""
 
     @settings(max_examples=50, deadline=None)
     @given(dataset=small_datasets())
     def test_lockstep_equals_per_graph(self, dataset):
         graphs, seeds = dataset
-        with pytest.MonkeyPatch.context() as mp:  # every graph with an edge in lockstep
-            mp.setattr(structure, "LOCKSTEP_COST_NODES", 0)
-            batches = spy_lockstep(mp)
-            got = louvain_cluster(graphs, seeds)
         with_edges = [g for g in graphs if g.indices.size > 0]
-        assert batches == ([with_edges] if with_edges else [])
-        assert len(got) == len(graphs)
-        for g, seed, res in zip(graphs, seeds, got):
-            assert_same_clustering(res, structure._louvain_one(g, seed))
+        want = [reference_louvain_one(g, seed) for g, seed in zip(graphs, seeds)]
+        # Each forced schedule: every graph with an edge in lockstep, then none.
+        for cost, lockstep in ((0, True), (10**6, False)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(structure, "LOCKSTEP_COST_NODES", cost)
+                batches = spy_lockstep(mp)
+                got = louvain_cluster(graphs, seeds)
+            assert batches == ([with_edges] if with_edges and lockstep else [])
+            assert len(got) == len(graphs)
+            for res, ref in zip(got, want):
+                assert_same_clustering(res, ref)
 
     @pytest.mark.parametrize("n,edges,seed", [
         (7, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5),
@@ -303,8 +315,9 @@ class TestLouvainLockstep:
         # changes these partitions: in the choice among candidates (first)
         # and in the choice to leave ``ci`` (second).
         g = build_graph(n, edges)
-        assert_same_clustering(structure._louvain_lockstep([g], [seed])[0],
-                               structure._louvain_one(g, seed))
+        for moves in (structure._lockstep_moves, structure._sequential_moves):
+            assert_same_clustering(structure._louvain([g], [seed], moves)[0],
+                                   reference_louvain_one(g, seed))
 
     @pytest.mark.parametrize("cycles,extra,batched", [
         (30, [], 0),           # 300 nodes do not pay for 36 steps per node of cap 10
@@ -344,6 +357,7 @@ class TestLouvainLockstep:
             assert_same_clustering(part[j], whole[i])
         for g, seed, res in zip(graphs, seeds, whole):
             assert_same_clustering(res, louvain_cluster([g], [seed])[0])
+            assert_same_clustering(res, reference_louvain_one(g, seed))
 
     def test_seed_count_must_match(self, triangle):
         with pytest.raises(ContractError, match="2 graphs and 1 seeds"):
@@ -1049,27 +1063,42 @@ class TestBatchedPreprocess:
                 assert col[pivot] > 0
 
 
+def write_light_deflate_sidecar(path, source):
+    """Copy the sidecar at ``source`` as the earlier writer did: every member
+    deflated at level 1 except ``lape`` and ``agg``, which are stored."""
+    with zipfile.ZipFile(source) as src, zipfile.ZipFile(path, "w") as dst:
+        for name in src.namelist():
+            stored = name in ("lape.npy", "agg.npy")
+            dst.writestr(name, src.read(name), compresslevel=1,
+                         compress_type=zipfile.ZIP_STORED if stored else zipfile.ZIP_DEFLATED)
+
+
 class TestSidecarWriter:
     def test_savez_compressed_sidecar_loads_equal(self, tmp_path):
-        # The same members as np.savez_compressed writes, deflated at a lower
-        # level except ``lape`` and ``agg``, which are stored; a sidecar
-        # written by np.savez_compressed reads back equal.
+        # Every member is stored, with the names and bytes np.savez_compressed
+        # writes; sidecars with deflated members (np.savez_compressed, and the
+        # earlier level-1 writer) read back equal.
         ds = two_class_structural(num_graphs=6, seed=2, min_nodes=5, max_nodes=14)
         caches = build_struct_caches(ds, seed=8, k_pe=3, walk_length=4)
-        light, heavy = tmp_path / "light.npz", tmp_path / "heavy.npz"
-        save_struct_caches(light, caches, ds.name, seed=8)
-        with np.load(light) as data:
+        plain, heavy, light = tmp_path / "plain", tmp_path / "heavy.npz", tmp_path / "light.npz"
+        save_struct_caches(plain, caches, ds.name, seed=8)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]  # no suffix added
+        with np.load(plain) as data:
             np.savez_compressed(heavy, **{k: data[k] for k in data.files})
-        with zipfile.ZipFile(light) as ours, zipfile.ZipFile(heavy) as ref:
+        write_light_deflate_sidecar(light, plain)
+        with zipfile.ZipFile(plain) as ours, zipfile.ZipFile(heavy) as ref:
             assert [i.filename for i in ours.infolist()] == [i.filename for i in ref.infolist()]
-            assert {i.filename: i.compress_type for i in ours.infolist()} == {
-                name: zipfile.ZIP_STORED if name in ("lape.npy", "agg.npy")
-                else zipfile.ZIP_DEFLATED
-                for name in ref.namelist()}
+            assert {i.compress_type for i in ours.infolist()} == {zipfile.ZIP_STORED}
+            assert {i.compress_type for i in ref.infolist()} == {zipfile.ZIP_DEFLATED}
             for name in ref.namelist():
                 assert ours.read(name) == ref.read(name)
-        back_light, meta_light = load_struct_caches(light)
-        back_heavy, meta_heavy = load_struct_caches(heavy)
-        assert meta_light == meta_heavy
-        assert_caches_identical(back_light, caches)
-        assert_caches_identical(back_heavy, back_light)
+        with zipfile.ZipFile(light) as zf:
+            assert {i.filename: i.compress_type for i in zf.infolist()} == {
+                name: zipfile.ZIP_STORED if name in ("lape.npy", "agg.npy")
+                else zipfile.ZIP_DEFLATED for name in zf.namelist()}
+        back, meta = load_struct_caches(plain)
+        assert_caches_identical(back, caches)
+        for other in (heavy, light):
+            back_other, meta_other = load_struct_caches(other)
+            assert meta_other == meta
+            assert_caches_identical(back_other, back)

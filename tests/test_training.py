@@ -48,13 +48,15 @@ class TestPlateauScheduler:
         p = ad.parameter(np.zeros(1))
         opt = Adam({"p": p}, lr=1.0)
         sched = PlateauScheduler(opt, factor=0.6, patience=2)
+        history = []
         for metric in [0.5, 0.5, 0.5, 0.5]:  # no improvement after the first
             sched.step(metric)
+            history.append(opt.lr)
         assert opt.lr == pytest.approx(0.6)
         for metric in [0.4, 0.4, 0.4]:
             sched.step(metric)
+            history.append(opt.lr)
         assert opt.lr == pytest.approx(0.36)
-        history = sched.lr_history
         assert all(b <= a for a, b in zip(history, history[1:]))
 
     def test_improvement_resets_patience(self):

@@ -7,8 +7,10 @@ additively into parents when ``backward`` walks the (implicit) tape in
 reverse topological order, and only into parents that require grad.
 
 Segment sums and the adjoint of ``gather_rows`` are one kernel,
-``scatter_rows``: a product with a 0/1 CSR operator. ``grouped_dots``
-scores each anchor against its own block of rows by dense products alone.
+``scatter_rows``: a product with a 0/1 ``csr.CsrOperator``, scipy's CSR
+kernel without scipy's matrix constructor (``csr`` says why, and which
+O(1) checks it keeps). ``grouped_dots`` scores each anchor against its own
+block of rows by dense products alone.
 
 Importing this module sets two glibc ``malloc`` parameters for the whole
 process: ``M_MMAP_THRESHOLD`` to 32 MiB (glibc's 64-bit maximum) and
@@ -27,8 +29,8 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CsrOperator
 from .errors import ContractError, ShapeError
 
 _M_TRIM_THRESHOLD = -1
@@ -272,12 +274,12 @@ def concat(parts: list[Tensor], dim: int = 0) -> Tensor:
 
 def scatter_rows(num_rows: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Sum ``rows`` into ``num_rows`` output rows grouped by ``idx``, as the
-    product with a 0/1 CSR operator: each segment adds its rows in input order."""
+    product with a 0/1 ``CsrOperator`` (only O(1) checks, no scipy matrix):
+    each segment adds its rows in input order."""
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(idx, minlength=num_rows), out=indptr[1:])
     order = np.argsort(idx, kind="stable")
-    op = sp.csr_array((np.ones(idx.size), order, indptr), shape=(num_rows, idx.size))
-    return op @ rows
+    return CsrOperator(np.ones(idx.size), order, indptr, (num_rows, idx.size)) @ rows
 
 
 def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -324,7 +326,7 @@ def grouped_dots(rows: Tensor, anchors: Tensor) -> Tensor:
 
 
 def propagate(a: Tensor, op) -> Tensor:
-    """``op @ a`` for a symmetric sparse (or dense) n x n operator ``op``.
+    """``op @ a`` for a symmetric n x n ``CsrOperator`` (or dense matrix) ``op``.
 
     Symmetry makes the backward pass the same product, ``op @ g``; the
     caller guarantees it, because checking it would cost as much as the

@@ -6,9 +6,10 @@ that same forward on constant parameters through ``INFER`` and
 ``student_infer``, which take and return plain numpy arrays; constants
 record no tape. ``student_embed_rows`` is the one numpy-only path: the
 per-row work unit of incremental inference. Teacher message passing is one
-product with a symmetric CSR operator of the batch
-(``GraphBatch.adjacency`` for GIN, ``GraphBatch.gcn_operator`` for GCN),
-built on first use.
+product with a symmetric ``csr.CsrOperator`` (``GraphBatch.adjacency`` for
+GIN, ``GraphBatch.gcn_operator`` for GCN; ``csr`` says why it skips scipy's
+constructor and which O(1) checks it keeps). A batch builds its union CSR
+and these operators on first use, so student batches never build them.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .csr import CsrOperator
 from .data import Graph
 from .errors import ConfigError
 from .structure import StructCache, csr_operator, disjoint_union
@@ -94,30 +95,36 @@ class ForwardOutputs:
 class GraphBatch:
     """Disjoint union of graphs with segment indices for pooling.
 
-    The propagation operators are built on first use and kept, so paths
-    that never propagate (the students) never build them.
+    The union's CSR and its propagation operators are built on first use
+    and kept, so paths that never propagate (the students) never build them.
     """
 
     num_nodes: int
     num_graphs: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    graphs: list[Graph]
     features: np.ndarray
     graph_of_node: np.ndarray
     labels: np.ndarray
     node_offsets: np.ndarray
-    degrees: np.ndarray
     cluster_of_node: Optional[np.ndarray] = None
     cluster_offsets: Optional[np.ndarray] = None
     num_clusters: int = 0
 
     @cached_property
-    def adjacency(self) -> sp.csr_array:
+    def _union(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return disjoint_union(self.graphs)
+
+    indptr = property(lambda self: self._union[1])
+    indices = property(lambda self: self._union[2])
+    degrees = property(lambda self: self.indptr[1:] - self.indptr[:-1])
+
+    @cached_property
+    def adjacency(self) -> CsrOperator:
         """Symmetric 0/1 adjacency A of the whole batch (GIN)."""
         return csr_operator(self)
 
     @cached_property
-    def gcn_operator(self) -> sp.csr_array:
+    def gcn_operator(self) -> CsrOperator:
         """D^-1/2 (A + I) D^-1/2 with D the degrees plus one (GCN)."""
         deg_hat = self.degrees + 1.0
         inv_sqrt = 1.0 / np.sqrt(deg_hat)
@@ -127,21 +134,20 @@ class GraphBatch:
 
 def make_batch(graphs: list[Graph], feature_rows: list[np.ndarray] | None = None,
                cluster_ofs: list[np.ndarray] | None = None) -> GraphBatch:
-    """Merge graphs into one block-diagonal graph (``structure.disjoint_union``) with
-    segment bookkeeping; ``feature_rows``, one array per graph, replace their features."""
-    node_offsets, indptr, indices = disjoint_union(graphs)
+    """Stack the node rows of ``graphs`` with segment bookkeeping, leaving the union
+    CSR to first use; ``feature_rows``, one array per graph, replace their features."""
+    sizes = [g.num_nodes for g in graphs]
+    node_offsets = np.cumsum([0] + sizes)
     rows = feature_rows if feature_rows is not None else [g.features for g in graphs]
     features = np.concatenate(rows, axis=0) if rows else np.zeros((0, 0))
     batch = GraphBatch(
         num_nodes=int(node_offsets[-1]),
         num_graphs=len(graphs),
-        indptr=indptr,
-        indices=indices,
+        graphs=graphs,
         features=features,
-        graph_of_node=np.repeat(np.arange(len(graphs)), node_offsets[1:] - node_offsets[:-1]),
+        graph_of_node=np.repeat(np.arange(len(graphs)), sizes),
         labels=np.array([g.label for g in graphs], dtype=np.int64),
         node_offsets=node_offsets,
-        degrees=indptr[1:] - indptr[:-1],
     )
     if cluster_ofs is not None:
         counts = [int(c.max()) + 1 if c.size else 0 for c in cluster_ofs]

@@ -4,12 +4,13 @@ Covers community detection (Louvain), Laplacian positional encodings,
 random-walk pool generation and 1-hop degree-normalized feature
 aggregation, plus a persisted per-dataset cache of all four.
 
-Neighbourhood operators are symmetric ``scipy.sparse`` CSR matrices built
-by ``csr_operator`` straight from a CSR adjacency: the plain adjacency
+Neighbourhood operators are symmetric ``csr.CsrOperator`` matrices (see
+``csr`` for the O(1) checks that replace scipy's constructor) built by
+``csr_operator`` straight from a CSR adjacency: the plain adjacency
 (GA-MLP aggregation here, GIN message passing in ``models``), the GCN
 propagation matrix (``models``) and the normalized Laplacian of graphs
-above ``DENSE_LAPE_MAX_NODES`` nodes (shift-invert ``eigsh``); smaller
-graphs fill a dense Laplacian for ``eigh``.
+above ``DENSE_LAPE_MAX_NODES`` nodes (as a scipy matrix, for shift-invert
+``eigsh``); smaller graphs fill a dense Laplacian for ``eigh``.
 
 Louvain (``louvain_cluster``) clusters a whole dataset in one call. One
 level driver (``_louvain``) runs a disjoint union of graphs: each level
@@ -53,9 +54,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
+from .csr import CsrOperator
 from .data import Dataset, Graph
 from .errors import ContractError, FormatError
 
@@ -418,7 +419,7 @@ def louvain_cluster(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssign
 
 
 def csr_operator(graph, edge_values: np.ndarray | None = None,
-                 self_values: np.ndarray | None = None) -> sp.csr_array:
+                 self_values: np.ndarray | None = None) -> CsrOperator:
     """Symmetric n x n CSR matrix on the adjacency of ``graph``.
 
     ``graph`` is anything with ``num_nodes``, ``indptr`` and ``indices``
@@ -431,7 +432,7 @@ def csr_operator(graph, edge_values: np.ndarray | None = None,
     if edge_values is None:
         edge_values = np.ones(graph.indices.size)
     if self_values is None:
-        return sp.csr_array((edge_values, graph.indices, graph.indptr), shape=(n, n))
+        return CsrOperator(edge_values, graph.indices, graph.indptr, (n, n))
     indptr = graph.indptr + np.arange(n + 1)
     slots = np.arange(graph.indices.size) + np.repeat(np.arange(1, n + 1), graph.degrees)
     indices = np.empty(indptr[-1], dtype=np.int64)
@@ -440,7 +441,7 @@ def csr_operator(graph, edge_values: np.ndarray | None = None,
     values[indptr[:-1]] = self_values
     indices[slots] = graph.indices
     values[slots] = edge_values
-    return sp.csr_array((values, indices, indptr), shape=(n, n))
+    return CsrOperator(values, indices, indptr, (n, n))
 
 
 def _laplacian_edges(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -450,13 +451,13 @@ def _laplacian_edges(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return src, -(inv_sqrt[src] * inv_sqrt[graph.indices])
 
 
-def sparse_laplacian(graph: Graph) -> sp.csr_array:
+def sparse_laplacian(graph: Graph) -> CsrOperator:
     """Symmetric normalized Laplacian; isolated nodes keep a unit diagonal."""
     return csr_operator(graph, _laplacian_edges(graph)[1], np.ones(graph.num_nodes))
 
 
 def dense_laplacian(graph: Graph) -> np.ndarray:
-    """``sparse_laplacian(graph).toarray()``, filled without a sparse matrix."""
+    """``sparse_laplacian(graph)`` as a dense matrix, filled without a sparse one."""
     src, values = _laplacian_edges(graph)
     lap = np.eye(graph.num_nodes)
     lap[src, graph.indices] = values
@@ -488,8 +489,8 @@ def laplacian_pe(graph: Graph, k_pe: int) -> np.ndarray:
         cols = np.linalg.eigh(dense_laplacian(graph))[1][:, 1:avail + 1]
     else:
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-        vals, vecs = eigsh(sparse_laplacian(graph).tocsc(), k=avail + 1, sigma=_EIGSH_SIGMA,
-                           which="LM", v0=v0)
+        vals, vecs = eigsh(sparse_laplacian(graph).to_scipy().tocsc(), k=avail + 1,
+                           sigma=_EIGSH_SIGMA, which="LM", v0=v0)
         cols = vecs[:, np.argsort(vals, kind="stable")[1:]]
     magnitude = np.abs(cols)
     # Near-ties in |entry| resolve to the lowest node index.

@@ -525,7 +525,7 @@ class TestLaplacianPE:
         rng = np.random.default_rng(12)
         for trial in range(6):
             g = random_er_graph(rng, int(rng.integers(2, 30)), p=0.15)  # some isolated
-            np.testing.assert_array_equal(sparse_laplacian(g).toarray(),
+            np.testing.assert_array_equal(sparse_laplacian(g).to_scipy().toarray(),
                                           dense_normalized_laplacian(g))
 
     def test_sign_convention_deterministic(self, path3):
@@ -1046,7 +1046,7 @@ class TestBatchedPreprocess:
         graphs = mixed.graphs + [build_graph(1, []), build_graph(4, [])] + [
             random_er_graph(rng, int(rng.integers(2, 40)), p=0.1) for _ in range(10)]
         for g in graphs:
-            want = sparse_laplacian(g).toarray()
+            want = sparse_laplacian(g).to_scipy().toarray()
             got = dense_laplacian(g)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.flags.c_contiguous and got.tobytes() == want.tobytes()

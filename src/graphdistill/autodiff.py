@@ -352,16 +352,15 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _make(np.asarray(a.values.sum()), "sum", (a,), back)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam optimizer with bias correction over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 8e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 8e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.values) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
@@ -372,14 +371,14 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.values)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)

@@ -692,11 +692,13 @@ def _check_offsets(path: Path, name: str, off: np.ndarray, end: int,
 def _check_layout(path: Path, fields: dict[str, np.ndarray], num_graphs: int,
                   walk_length: int) -> None:
     """Raise ``FormatError`` unless the packed fields describe ``num_graphs`` graphs
-    whose cluster and walk ids stay inside their own graph."""
+    with finite float fields, whose cluster and walk ids stay inside their own graph."""
     for name, (dtype, ndim) in _FIELDS.items():
         arr = fields[name]
         if arr.dtype != dtype or arr.ndim != ndim:
             raise FormatError(f"{path}: field {name!r} is {arr.dtype} with shape {arr.shape}")
+        if arr.dtype == np.float64 and not np.isfinite(arr).all():
+            raise FormatError(f"{path}: field {name!r} holds NaN or infinite values")
     for name in ("modularity", "wseed"):
         if fields[name].size != num_graphs:
             raise FormatError(f"{path}: field {name!r} has {fields[name].size} entries "

@@ -8,6 +8,10 @@ it, and ``distill_student`` is its one-arm case.
 ``_fit`` is the one epoch loop of teachers and students, and the place for
 per-epoch telemetry and for model selection on a validation slice.
 
+``cache_teacher`` packs a fold's frozen teacher outputs into one table of six
+arrays (``TeacherCache``), and each student batch gathers its teacher targets
+from it by graph id and by segment rows.
+
 Evaluation protocol: folds carry train/test only; the best test accuracy
 over epochs is reported per fold, and the plateau scheduler monitors the
 same metric.
@@ -115,13 +119,21 @@ class TeacherCheckpoint:
 
 @dataclass
 class TeacherCache:
-    """Frozen per-graph teacher outputs, evaluated with dropout disabled."""
+    """Frozen teacher outputs of every graph, evaluated with dropout disabled.
+
+    Each field is one array packed over the graphs in dataset order: ``logits``
+    [G, C] and ``graph_embeddings`` [G, H] hold a row per graph, and graph ``i``'s
+    rows of ``node_embeddings`` [N, H] and ``cluster_embeddings`` [K, H] are
+    ``node_offsets[i]:node_offsets[i + 1]`` and ``cluster_offsets[i]:cluster_offsets[i + 1]``.
+    """
 
     fold_index: int
-    logits: list[np.ndarray]
-    node_embeddings: list[np.ndarray]
-    graph_embeddings: list[np.ndarray]
-    cluster_embeddings: list[np.ndarray]
+    logits: np.ndarray
+    graph_embeddings: np.ndarray
+    node_embeddings: np.ndarray
+    cluster_embeddings: np.ndarray
+    node_offsets: np.ndarray
+    cluster_offsets: np.ndarray
 
 
 class PlateauScheduler:
@@ -275,38 +287,41 @@ def train_teacher(dataset: Dataset, folds: list[FoldSplit], grid: list,
     return [best[f.fold_index] for f in folds]
 
 
+def _check_node_counts(dataset: Dataset, struct_caches: list[StructCache]) -> None:
+    for i, (g, c) in enumerate(zip(dataset.graphs, struct_caches)):
+        if c.clusters.cluster_of.size != g.num_nodes:
+            raise IntegrityError(f"graph {i}: cluster assignment does not match node count")
+
+
 def cache_teacher(checkpoint: TeacherCheckpoint, dataset: Dataset,
                   struct_caches: list[StructCache]) -> TeacherCache:
-    """One frozen ForwardOutputs snapshot per graph, via the inference path."""
+    """The packed teacher outputs of every graph, via the inference path."""
     if len(struct_caches) != len(dataset.graphs):
         raise IntegrityError(
             f"{len(struct_caches)} struct caches for {len(dataset.graphs)} graphs"
         )
-    for i, (g, c) in enumerate(zip(dataset.graphs, struct_caches)):
-        if c.clusters.cluster_of.size != g.num_nodes:
-            raise IntegrityError(f"graph {i}: cluster assignment does not match node count")
-    logits, node_emb, graph_emb, cluster_emb = [], [], [], []
-    infer = INFER[checkpoint.config.kind]
-    ids = np.arange(len(dataset.graphs))
-    for chunk in _chunks(ids, 256):
-        graphs = [dataset.graphs[i] for i in chunk]
-        clusters = [struct_caches[i].clusters.cluster_of for i in chunk]
-        batch = make_batch(graphs, cluster_ofs=clusters)
-        out = infer(batch, checkpoint.config, checkpoint.params)
-        for j, i in enumerate(chunk):
-            lo, hi = batch.node_offsets[j], batch.node_offsets[j + 1]
-            clo, chi = batch.cluster_offsets[j], batch.cluster_offsets[j + 1]
-            logits.append(out.logits[j].copy())
-            node_emb.append(out.node_embeddings[lo:hi].copy())
-            graph_emb.append(out.graph_embedding[j].copy())
-            cluster_emb.append(out.cluster_embeddings[clo:chi].copy())
+    _check_node_counts(dataset, struct_caches)
+    outs, node_counts, cluster_counts = [], [[0]], [[0]]
+    for chunk in _chunks(np.arange(len(dataset.graphs)), 256):
+        batch = make_batch([dataset.graphs[i] for i in chunk],
+                           cluster_ofs=[struct_caches[i].clusters.cluster_of for i in chunk])
+        outs.append(INFER[checkpoint.config.kind](batch, checkpoint.config, checkpoint.params))
+        node_counts.append(np.diff(batch.node_offsets))
+        cluster_counts.append(np.diff(batch.cluster_offsets))
+    packed = {name: np.concatenate([getattr(out, name) for out in outs])
+              for name in ("logits", "graph_embedding", "node_embeddings", "cluster_embeddings")}
     return TeacherCache(
-        fold_index=checkpoint.fold_index,
-        logits=logits,
-        node_embeddings=node_emb,
-        graph_embeddings=graph_emb,
-        cluster_embeddings=cluster_emb,
-    )
+        fold_index=checkpoint.fold_index, logits=packed["logits"],
+        graph_embeddings=packed["graph_embedding"], node_embeddings=packed["node_embeddings"],
+        cluster_embeddings=packed["cluster_embeddings"],
+        node_offsets=np.cumsum(np.concatenate(node_counts)),
+        cluster_offsets=np.cumsum(np.concatenate(cluster_counts)))
+
+
+def _segment_rows(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The rows of segments ``ids`` of a packed array, segment by segment in ``ids`` order."""
+    starts, sizes = offsets[ids], offsets[ids + 1] - offsets[ids]
+    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
 def _draw_walks(pool: np.ndarray, rng: np.random.Generator,
@@ -327,13 +342,11 @@ def _student_loss_parts(out, ids, batch, tcache: TeacherCache, epoch_walks: dict
     parts = {"gt": batch_ground_truth(out.logits, batch.labels), "sl": zero,
              "graph": zero, "cluster": zero, "path": zero}
     if weights.soft > 0:
-        teacher_logits = np.stack([tcache.logits[i] for i in ids])
-        parts["sl"] = batch_soft_logits(out.logits, teacher_logits, run.temperature)
+        parts["sl"] = batch_soft_logits(out.logits, tcache.logits[ids], run.temperature)
     if weights.lam > 0:
-        teacher_graph = np.stack([tcache.graph_embeddings[i] for i in ids])
-        parts["graph"] = batch_whole_graph(out.graph_embedding, teacher_graph)
+        parts["graph"] = batch_whole_graph(out.graph_embedding, tcache.graph_embeddings[ids])
     if weights.mu > 0:
-        teacher_clusters = np.concatenate([tcache.cluster_embeddings[i] for i in ids])
+        teacher_clusters = tcache.cluster_embeddings[_segment_rows(tcache.cluster_offsets, ids)]
         parts["cluster"] = batch_inter_cluster(
             out.cluster_embeddings, teacher_clusters, batch.cluster_offsets, batch.num_graphs
         )
@@ -345,7 +358,7 @@ def _student_loss_parts(out, ids, batch, tcache: TeacherCache, epoch_walks: dict
                 rows.append(mat + batch.node_offsets[j])
                 wts.append(np.full(mat.shape[0], 1.0 / (taken * len(ids))))
         if rows:
-            teacher_nodes = np.concatenate([tcache.node_embeddings[i] for i in ids])
+            teacher_nodes = tcache.node_embeddings[_segment_rows(tcache.node_offsets, ids)]
             parts["path"] = batch_path_consistency(
                 out.node_embeddings, teacher_nodes, np.concatenate(rows), np.concatenate(wts)
             )
@@ -401,10 +414,11 @@ def sweep(dataset: Dataset, folds: list[FoldSplit], struct_caches: list[StructCa
         raise ConfigError(f"repeated sweep arm labels {repeated}")
     if len(struct_caches) != len(dataset.graphs):
         raise ConfigError("struct caches missing: preprocess the dataset first")
+    _check_node_counts(dataset, struct_caches)
     for fold in folds:
         if fold.fold_index not in teacher_caches:
             raise ConfigError(f"no teacher cache for fold {fold.fold_index}")
-        teacher_hidden = teacher_caches[fold.fold_index].graph_embeddings[0].size
+        teacher_hidden = teacher_caches[fold.fold_index].graph_embeddings.shape[1]
         if any(w.lam > 0 for _, w in pairs) and teacher_hidden != scfg.hidden:
             raise ConfigError(
                 "whole-graph loss needs matching hidden sizes: "

@@ -13,6 +13,7 @@ import numpy as np
 from graphdistill import autodiff as ad
 from graphdistill.data import Dataset, Graph
 from graphdistill.errors import FormatError, IntegrityError
+from graphdistill.models import INFER, make_batch
 from graphdistill.structure import ClusterAssignment
 
 _SPLIT = re.compile(r"[,\s]+")
@@ -262,6 +263,29 @@ def dense_ga_aggregate(graph, x):
     deg = a.sum(axis=1)
     dinv = np.diag(np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0))
     return a @ dinv @ x
+
+
+def reference_cache_teacher(checkpoint, dataset, struct_caches):
+    """Every graph's frozen teacher outputs cut into arrays of its own: lists of
+    logits [C], node embeddings [n, H], graph embeddings [H] and cluster embeddings
+    [k, H], sliced out of batched inference over chunks of 256 graphs."""
+    logits, node_emb, graph_emb, cluster_emb = [], [], [], []
+    infer = INFER[checkpoint.config.kind]
+    ids = np.arange(len(dataset.graphs))
+    for start in range(0, ids.size, 256):
+        chunk = ids[start:start + 256]
+        graphs = [dataset.graphs[i] for i in chunk]
+        clusters = [struct_caches[i].clusters.cluster_of for i in chunk]
+        batch = make_batch(graphs, cluster_ofs=clusters)
+        out = infer(batch, checkpoint.config, checkpoint.params)
+        for j in range(chunk.size):
+            lo, hi = batch.node_offsets[j], batch.node_offsets[j + 1]
+            clo, chi = batch.cluster_offsets[j], batch.cluster_offsets[j + 1]
+            logits.append(out.logits[j].copy())
+            node_emb.append(out.node_embeddings[lo:hi].copy())
+            graph_emb.append(out.graph_embedding[j].copy())
+            cluster_emb.append(out.cluster_embeddings[clo:chi].copy())
+    return logits, node_emb, graph_emb, cluster_emb
 
 
 def reference_incremental_state(graph, base, removed, aggregate):

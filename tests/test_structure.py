@@ -903,6 +903,14 @@ class TestStructCachePersistence:
         with pytest.raises(FormatError, match=re.escape(str(path)) + f".*'{field}'"):
             load_struct_caches(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["lape", "agg", "modularity", "levels"])
+    def test_non_finite_float_rejected(self, tmp_path, field, value):
+        path = write_small_sidecar(tmp_path, num_graphs=3)
+        rewrite_sidecar(path, lambda arrays: arrays[field].reshape(-1).__setitem__(-1, value))
+        with pytest.raises(FormatError, match=re.escape(str(path)) + f".*'{field}'.*NaN"):
+            load_struct_caches(path)
+
     def test_bad_meta_rejected(self, tmp_path):
         path = write_small_sidecar(tmp_path)
         for bad in ({"num_graphs": -1}, {"num_graphs": "2"}, {"walk_length": None}):

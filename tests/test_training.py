@@ -11,13 +11,15 @@ from graphdistill.cli import _floats, ablation_arms, build_parser, grid_arms
 from graphdistill.data import Dataset, stratified_kfold
 from graphdistill.errors import ConfigError, GraphDistillError, IntegrityError, NumericError
 from graphdistill.losses import DistillWeights
-from graphdistill.models import GcnConfig, GinConfig, StudentConfig, make_batch
+from graphdistill.models import INIT, GcnConfig, GinConfig, StudentConfig, make_batch
 from graphdistill.structure import build_struct_caches, sample_walks
 from graphdistill.synth import two_class_structural
 from graphdistill.training import (
     PlateauScheduler,
     RunConfig,
+    TeacherCheckpoint,
     _draw_walks,
+    _segment_rows,
     cache_teacher,
     distill_student,
     mean_accuracy,
@@ -26,7 +28,7 @@ from graphdistill.training import (
 )
 
 from conftest import build_graph
-from oracles import full_walk_matrix, unpadded
+from oracles import full_walk_matrix, reference_cache_teacher, unpadded
 
 
 @pytest.fixture(scope="module")
@@ -144,10 +146,15 @@ class TestTeacherCache:
         dataset, folds, caches, run, checkpoints, _ = tiny_setup
         ckpt = checkpoints[0]
         cache = cache_teacher(ckpt, dataset, caches)
+        assert cache.logits.shape == (len(dataset.graphs), dataset.num_classes)
+        assert cache.node_embeddings.shape == (cache.node_offsets[-1], ckpt.config.hidden)
+        assert cache.cluster_embeddings.shape[0] == cache.cluster_offsets[-1]
         for i, g in enumerate(dataset.graphs):
-            assert cache.node_embeddings[i].shape == (g.num_nodes, ckpt.config.hidden)
+            lo, hi = cache.node_offsets[i:i + 2]
+            clo, chi = cache.cluster_offsets[i:i + 2]
+            assert cache.node_embeddings[lo:hi].shape == (g.num_nodes, ckpt.config.hidden)
             assert cache.logits[i].shape == (dataset.num_classes,)
-            assert cache.cluster_embeddings[i].shape[0] == caches[i].clusters.num_clusters
+            assert cache.cluster_embeddings[clo:chi].shape[0] == caches[i].clusters.num_clusters
 
     def test_cached_logits_reproduce_train_accuracy(self, tiny_setup):
         dataset, folds, caches, run, checkpoints, _ = tiny_setup
@@ -166,6 +173,51 @@ class TestTeacherCache:
         broken[0].clusters.cluster_of = broken[0].clusters.cluster_of[:-1]
         with pytest.raises(IntegrityError, match="cluster"):
             cache_teacher(checkpoints[0], dataset, broken)
+
+
+class TestPackedTeacherCache:
+    """Each packed field holds, byte for byte, the per-graph arrays that slicing the
+    chunked teacher forward gives (``oracles.reference_cache_teacher``), and the
+    offsets cut it into graphs."""
+
+    @pytest.fixture(scope="class")
+    def many_graphs(self):
+        # More graphs than one 256-graph inference chunk holds.
+        dataset = two_class_structural(num_graphs=300, seed=3, min_nodes=5, max_nodes=8,
+                                       name="many")
+        return dataset, build_struct_caches(dataset, seed=3, k_pe=2, walk_length=2)
+
+    @pytest.mark.parametrize("config", [
+        GinConfig(num_layers=2, hidden=8, eps=0.3),
+        GcnConfig(num_layers=2, hidden=8, readout="attention"),
+    ], ids=["gin", "gcn"])
+    def test_packed_fields_equal_reference_lists(self, many_graphs, config):
+        dataset, caches = many_graphs
+        params = INIT[config.kind](np.random.default_rng(0), dataset.feature_dim, config,
+                                   dataset.num_classes)
+        ckpt = TeacherCheckpoint(fold_index=0, config=config,
+                                 params={k: p.values for k, p in params.items()},
+                                 best_test_accuracy=0.0, epoch_of_best=0, train_accuracy=0.0)
+        cache = cache_teacher(ckpt, dataset, caches)
+        logits, nodes, graphs, clusters = reference_cache_teacher(ckpt, dataset, caches)
+        for got, want in [(cache.logits, np.stack(logits)),
+                          (cache.graph_embeddings, np.stack(graphs)),
+                          (cache.node_embeddings, np.concatenate(nodes)),
+                          (cache.cluster_embeddings, np.concatenate(clusters))]:
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        assert cache.node_offsets.tolist() == np.cumsum(
+            [0] + [g.num_nodes for g in dataset.graphs]).tolist()
+        assert cache.cluster_offsets.tolist() == np.cumsum(
+            [0] + [c.clusters.num_clusters for c in caches]).tolist()
+
+    def test_segment_rows_gather_slices_in_id_order(self):
+        offsets = np.array([0, 3, 3, 4, 8, 10])
+        table = np.arange(20.0).reshape(10, 2)
+        for ids in ([4, 0, 2], [1], [3, 3, 0], [1, 1], list(range(5))):
+            ids = np.array(ids)
+            want = np.concatenate([table[offsets[i]:offsets[i + 1]] for i in ids])
+            assert table[_segment_rows(offsets, ids)].tobytes() == want.tobytes()
 
 
 class TestDistillStudent:
@@ -227,6 +279,16 @@ class TestDistillStudent:
         scfg = StudentConfig(kind="mlp", num_layers=2, hidden=8)
         with pytest.raises(ConfigError, match="preprocess"):
             distill_student(dataset, folds, caches[:-1], tcaches, scfg, run)
+
+    def test_swapped_struct_caches_are_integrity_error(self, tiny_setup):
+        dataset, folds, caches, run, _, tcaches = tiny_setup
+        sizes = [g.num_nodes for g in dataset.graphs]
+        j = next(i for i, n in enumerate(sizes) if n != sizes[0])
+        swapped = list(caches)
+        swapped[0], swapped[j] = caches[j], caches[0]
+        scfg = StudentConfig(kind="mlp", num_layers=2, hidden=8, use_lape=True)
+        with pytest.raises(IntegrityError, match="graph 0: cluster assignment does not match"):
+            distill_student(dataset, folds, swapped, tcaches, scfg, run)
 
     def test_hidden_mismatch_with_graph_loss(self, tiny_setup):
         dataset, folds, caches, run, _, tcaches = tiny_setup
@@ -433,8 +495,8 @@ class TestDivergence:
         dataset, folds, caches, run, _, tcaches = tiny_setup
         fold = folds[0]
         tcache = tcaches[fold.fold_index]
-        logits = [row.copy() for row in tcache.logits]
-        logits[int(fold.train_ids[0])][0] = np.nan
+        logits = tcache.logits.copy()
+        logits[int(fold.train_ids[0]), 0] = np.nan
         bad = {fold.fold_index: replace(tcache, logits=logits)}
         scfg = StudentConfig(kind="mlp", hidden=8)
         with pytest.raises(GraphDistillError, match="non-finite student loss at epoch 0"):

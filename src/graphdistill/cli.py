@@ -475,11 +475,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     """The optimisation flags shared by teacher training and distillation."""
-    p.add_argument("--epochs", type=int, default=350)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=8e-3)
-    p.add_argument("--lr-decay", type=float, default=0.6)
-    p.add_argument("--lr-patience", type=int, default=30)
+    p.add_argument("--epochs", type=int, default=RunConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=RunConfig.batch_size)
+    p.add_argument("--lr", type=float, default=RunConfig.lr)
+    p.add_argument("--lr-decay", type=float, default=RunConfig.lr_decay)
+    p.add_argument("--lr-patience", type=int, default=RunConfig.lr_patience)
 
 
 def _add_student_flags(p: argparse.ArgumentParser) -> None:
@@ -489,14 +489,14 @@ def _add_student_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--readout", choices=["sum", "attention"], default="sum")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--mu", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=1e-4)
-    p.add_argument("--soft", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=float, default=DistillWeights.lam)
+    p.add_argument("--mu", type=float, default=DistillWeights.mu)
+    p.add_argument("--eta", type=float, default=DistillWeights.eta)
+    p.add_argument("--soft", type=float, default=DistillWeights.soft)
     _add_run_flags(p)
-    p.add_argument("--student-seeds", default="0,1,2")
-    p.add_argument("--walks-per-epoch", type=int, default=None)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--student-seeds", default=",".join(map(str, RunConfig.student_seeds)))
+    p.add_argument("--walks-per-epoch", type=int, default=RunConfig.walks_per_epoch)
+    p.add_argument("--temperature", type=float, default=RunConfig.temperature)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:

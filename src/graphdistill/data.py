@@ -426,26 +426,14 @@ def degree_onehot_features(dataset: Dataset, max_deg: int | None = None) -> Data
     """
     if max_deg is None:
         max_deg = max_degree(dataset)
+    if max_deg < 0:
+        raise ConfigError(f"max_deg must be None or >= 0, got {max_deg}")
     graphs = []
     for g in dataset.graphs:
         feat = np.zeros((g.num_nodes, max_deg + 1))
-        idx = np.minimum(g.degrees, max_deg)
-        feat[np.arange(g.num_nodes), idx] = 1.0
-        graphs.append(
-            Graph(
-                num_nodes=g.num_nodes,
-                indptr=g.indptr,
-                indices=g.indices,
-                features=feat,
-                label=g.label,
-            )
-        )
-    return Dataset(
-        graphs=graphs,
-        num_classes=dataset.num_classes,
-        feature_dim=max_deg + 1,
-        name=dataset.name,
-    )
+        feat[np.arange(g.num_nodes), np.minimum(g.degrees, max_deg)] = 1.0
+        graphs.append(Graph(g.num_nodes, g.indptr, g.indices, feat, g.label))
+    return Dataset(graphs, dataset.num_classes, max_deg + 1, dataset.name)
 
 
 def stratified_kfold(dataset: Dataset, k: int, seed: int) -> list[FoldSplit]:
@@ -457,6 +445,8 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> list[FoldSplit]:
     """
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     labels = dataset.labels
     rng = np.random.default_rng(seed)
     fold_members: list[list[int]] = [[] for _ in range(k)]

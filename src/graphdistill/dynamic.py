@@ -26,8 +26,8 @@ import numpy as np
 
 from .data import Graph
 from .errors import ConfigError, ContractError
-from .models import (INFER, SUM, StudentConfig, make_batch, student_embed_rows, student_infer,
-                     student_input)
+from .models import (INFER, SUM, StudentConfig, check_struct_cache, make_batch,
+                     student_embed_rows, student_infer, student_input)
 from .structure import StructCache, ga_mlp_aggregate
 
 
@@ -62,6 +62,8 @@ def make_trace(graph: Graph, graph_id: int, num_remove: int = 10, repetitions: i
     for name, count in (("num_remove", num_remove), ("repetitions", repetitions)):
         if count < 1:
             raise ConfigError(f"{name} must be >= 1, got {count}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     check_max_fraction(max_fraction)
     misfit = removal_misfit(graph.num_nodes, num_remove, max_fraction)
     if misfit is not None:
@@ -135,6 +137,7 @@ def init_incremental_state(graph: Graph, cache: StructCache, config: StudentConf
     """
     if config.readout != SUM:
         raise ContractError("incremental inference requires sum readout")
+    check_struct_cache(graph, cache, config)
     n = graph.num_nodes
     removed = np.asarray(removed, dtype=np.int64)
     if removed.size and (removed.min() < 0 or removed.max() >= n):
@@ -251,12 +254,13 @@ def _induced_subgraph(state: IncrementalState) -> tuple[Graph, np.ndarray]:
     alive = np.flatnonzero(state.present)
     remap = -np.ones(state.graph.num_nodes, dtype=np.int64)
     remap[alive] = np.arange(alive.size)
-    # Neighbour lists are sorted and hold only present nodes, and the id map
-    # is monotone, so they remap to the sorted CSR rows of the subgraph.
-    rows = [state.adj[u] for u in alive.tolist()]
+    # Neighbour lists are sorted and hold only present nodes, absent nodes' lists
+    # are empty, and the id map is monotone, so all lists in node order remap to
+    # the sorted CSR rows of the subgraph.
     indptr = np.zeros(alive.size + 1, dtype=np.int64)
     np.cumsum(state.deg[alive].astype(np.int64), out=indptr[1:])  # deg[u] == len(adj[u])
-    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=indptr[-1])
+    flat = np.fromiter(itertools.chain.from_iterable(state.adj), dtype=np.int64,
+                       count=indptr[-1])
     sub = Graph(alive.size, indptr, remap[flat], state.graph.features[alive], state.graph.label)
     return sub, alive
 

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .csr import CsrOperator
 from .data import Graph
-from .errors import ConfigError
+from .errors import ConfigError, IntegrityError
 from .structure import StructCache, csr_operator, disjoint_union
 
 SUM = "sum"
@@ -263,10 +263,22 @@ def gcn_forward(batch: GraphBatch, config: GcnConfig, params: dict[str, Tensor],
     return _finish(batch, h, config, params)
 
 
+def check_struct_cache(graph: Graph, cache: StructCache | None, config: StudentConfig) -> None:
+    """The cache rows a student reads (``lape``, and ``agg_features`` for GA-MLP) are one
+    per node of ``graph``; a cache of another graph is an ``IntegrityError``."""
+    read = ["lape"] * config.use_lape + ["agg_features"] * (config.kind == "ga-mlp")
+    if read and cache is None:
+        raise ConfigError("student needs a struct cache for ga-mlp inputs or lape")
+    for name in read:
+        rows = len(getattr(cache, name))
+        if rows != graph.num_nodes:
+            raise IntegrityError(f"struct cache {name} has {rows} rows, "
+                                 f"the graph has {graph.num_nodes} nodes")
+
+
 def student_input(graph: Graph, cache: StructCache | None, config: StudentConfig) -> np.ndarray:
     """Assemble the per-node student input: X [, lape] [, aggregated block]."""
-    if (config.kind == "ga-mlp" or config.use_lape) and cache is None:
-        raise ConfigError("student needs a struct cache for ga-mlp inputs or lape")
+    check_struct_cache(graph, cache, config)
     parts = [graph.features]
     if config.use_lape:
         parts.append(cache.lape)

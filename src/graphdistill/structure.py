@@ -615,6 +615,8 @@ def _derived_seed(seed: int, graph_index: int, stream: int) -> int:
 def build_struct_caches(dataset: Dataset, seed: int, k_pe: int = 8,
                         walk_length: int = 8, num_walks: int | None = None) -> list[StructCache]:
     """Preprocess every graph; RNG streams derive from (seed, graph index)."""
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     graphs = dataset.graphs
     lapes = [laplacian_pe(g, k_pe) for g in graphs]
     aggs = aggregate_blocks(graphs, lapes)

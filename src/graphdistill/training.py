@@ -1,5 +1,4 @@
-"""Teacher training, teacher-output caching, student distillation and learning
-rate scheduling.
+"""Teacher training, teacher-output caching and student distillation.
 
 ``sweep`` is the one student runner: distillation, the component ablation
 and the loss-weight grid each train their arms of ``DistillWeights`` through
@@ -13,8 +12,9 @@ arrays (``TeacherCache``), and each student batch gathers its teacher targets
 from it by graph id and by segment rows.
 
 Evaluation protocol: folds carry train/test only; the best test accuracy
-over epochs is reported per fold, and the plateau scheduler monitors the
-same metric.
+over epochs is reported per fold, and the same best-so-far record drives the lr
+plateau: after more than ``lr_patience`` epochs in a row without a new best,
+``_fit`` multiplies the lr by ``lr_decay`` and counts again from zero.
 """
 
 from __future__ import annotations
@@ -87,6 +87,9 @@ class RunConfig:
             raise ConfigError(f"lr_patience must be >= 0, got {self.lr_patience}")
         if not self.student_seeds:
             raise ConfigError("student_seeds must hold at least one seed")
+        for name, seeds in (("seed", (self.seed,)), ("student_seeds", self.student_seeds)):
+            if min(seeds) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {min(seeds)}")
         if len(set(self.student_seeds)) != len(self.student_seeds):
             raise ConfigError(f"student_seeds repeats a seed: {tuple(self.student_seeds)}")
         if not self.lr_patience < self.epochs:
@@ -136,28 +139,6 @@ class TeacherCache:
     cluster_offsets: np.ndarray
 
 
-class PlateauScheduler:
-    """Multiply the optimizer lr by ``factor`` after ``patience`` epochs
-    without improvement of the monitored (maximized) metric."""
-
-    def __init__(self, optimizer: Adam, factor: float = 0.6, patience: int = 30):
-        self.optimizer = optimizer
-        self.factor = factor
-        self.patience = patience
-        self.best = -np.inf
-        self.num_bad = 0
-
-    def step(self, metric: float) -> None:
-        if metric > self.best:
-            self.best = metric
-            self.num_bad = 0
-        else:
-            self.num_bad += 1
-            if self.num_bad > self.patience:
-                self.optimizer.lr *= self.factor
-                self.num_bad = 0
-
-
 class _Diverged(NumericError):
     """A training loss became non-finite."""
 
@@ -185,15 +166,14 @@ def _fit(stage: str, fold: FoldSplit, seed: int, params: dict, run: RunConfig,
     Each epoch shuffles ``fold.train_ids`` into batches; ``epoch_losses()``, called
     before the epoch's first batch, returns ``batch_loss(chunk) -> (loss, parts)``.
     Parts are averaged into ``loss_curves``; ``accuracy(params_view)`` scores the test
-    fold after each epoch for the scheduler and best epoch (params kept when ``keep_best``).
+    fold after each epoch for the lr plateau and best epoch (params kept when ``keep_best``).
     """
     t0 = time.perf_counter()
     params_view = {k: p.values for k, p in params.items()}
     opt = Adam(params, run.lr)
-    sched = PlateauScheduler(opt, run.lr_decay, run.lr_patience)
     curves: dict[str, list[float]] = {}
     test_curve: list[float] = []
-    best_acc, best_epoch, best_params = -1.0, -1, None
+    best_acc, best_epoch, best_params, stale = -1.0, -1, None, 0
 
     for epoch in range(run.epochs):
         sums: dict[str, float] = {}
@@ -214,10 +194,14 @@ def _fit(stage: str, fold: FoldSplit, seed: int, params: dict, run: RunConfig,
         test_acc = accuracy(params_view)
         test_curve.append(test_acc)
         if test_acc > best_acc:
-            best_acc, best_epoch = test_acc, epoch
+            best_acc, best_epoch, stale = test_acc, epoch, 0
             if keep_best:
                 best_params = params_to_arrays(params)
-        sched.step(test_acc)
+        else:
+            stale += 1
+            if stale > run.lr_patience:
+                opt.lr *= run.lr_decay
+                stale = 0
 
     return FoldResult(fold_index=fold.fold_index, seed=seed, best_test_accuracy=best_acc,
                       epoch_of_best=best_epoch, loss_curves=curves, test_curve=test_curve,
@@ -230,12 +214,11 @@ def _fit_teacher(dataset: Dataset, fold: FoldSplit, config, run: RunConfig,
     rng_init, rng_shuffle, rng_dropout = (
         _derived_rng(run.seed, fold.fold_index, grid_index, k) for k in range(3))
     params = INIT[kind](rng_init, dataset.feature_dim, config, dataset.num_classes)
-    dropout_rng = rng_dropout if config.dropout > 0 else None
     test_batch = make_batch([dataset.graphs[i] for i in fold.test_ids])
 
     def batch_loss(chunk):
         batch = make_batch([dataset.graphs[i] for i in chunk])
-        out = FORWARD[kind](batch, config, params, dropout_rng)
+        out = FORWARD[kind](batch, config, params, rng_dropout)
         loss = batch_ground_truth(out.logits, batch.labels)
         return loss, {"gt": loss}
 
@@ -371,7 +354,6 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
                  capture_params: bool = False) -> FoldResult:
     rng_init, rng_shuffle, rng_dropout, rng_walks = (
         _derived_rng(run.seed, seed, fold.fold_index, k) for k in range(4))
-    dropout_rng = rng_dropout if scfg.dropout > 0 else None
 
     params = init_linear_params(rng_init, inputs[0].shape[1], scfg, dataset.num_classes)
     test_batch = make_batch([dataset.graphs[i] for i in fold.test_ids],
@@ -386,7 +368,7 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
             batch = make_batch([dataset.graphs[i] for i in chunk], [inputs[i] for i in chunk],
                                [struct_caches[i].clusters.cluster_of for i in chunk]
                                if weights.mu > 0 else None)
-            out = student_forward(batch, scfg, params, dropout_rng)
+            out = student_forward(batch, scfg, params, rng_dropout)
             parts = _student_loss_parts(out, chunk, batch, tcache, epoch_walks, run, weights)
             loss = total_loss(parts, weights)
             return loss, {**parts, "total": loss}

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import platform
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +124,50 @@ class TestPipeline:
         assert [r[1] for r in rows] == ["grid[lam=0.1;mu=1;eta=0.0001]-mlp"] * 2
         assert read_manifest(grid_run, {"best": str})["best"] == "lam=0.1;mu=1;eta=0.0001"
         assert main(["report", "--runs", str(grid_run), *base]) == 0
+
+
+class TestByteIdentityScope:
+    """The same seed gives byte-identical run directories at one BLAS thread count,
+    and teacher params within a bound, not byte-equality, across thread counts. The
+    thread variables are read when the BLAS library loads, so each run is a fresh
+    interpreter."""
+
+    # Relative Frobenius distance allowed between 1- and 2-thread teacher params
+    # after 6 epochs. Up to 2.2e-12 has been measured on larger sets; this tiny set
+    # has agreed exactly on a 2-core machine, which the test does not require.
+    THREAD_RTOL = 1e-9
+
+    @staticmethod
+    def _train(tiny_data, out, threads: str) -> Path:
+        src = Path(graphdistill.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src),
+               **{var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS")}}
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphdistill.cli", "train-teacher", "--dataset", "TINY",
+             "--layers", "2", "--hidden", "16", "--folds", "2", "--epochs", "6",
+             "--lr-patience", "2", "--data-dir", str(tiny_data), "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        return Path(proc.stdout.strip().splitlines()[-1])
+
+    def test_one_thread_count_is_byte_identical(self, tiny_data, tmp_path):
+        first, second = (self._train(tiny_data, tmp_path / "runs", "1") for _ in range(2))
+        assert first != second  # the timestamped names differ, nothing else
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_thread_counts_agree_within_bound(self, tiny_data, tmp_path):
+        one, two = (self._train(tiny_data, tmp_path / f"runs-{t}", t) for t in ("1", "2"))
+        for fold in (0, 1):
+            a = load_teacher_checkpoint(one, fold).params
+            b = load_teacher_checkpoint(two, fold).params
+            assert a.keys() == b.keys()
+            for key in a:
+                gap = np.linalg.norm(a[key] - b[key])
+                assert gap <= self.THREAD_RTOL * np.linalg.norm(a[key]), (fold, key, gap)
 
 
 def _preprocess(tiny_data, tmp_path):

@@ -230,6 +230,26 @@ class TestBadNodeLists:
             Graph(3, np.array([0, 2, 5, 6]), np.array(indices), np.eye(3), 0)
 
 
+class TestCacheOfAnotherGraph:
+    """A struct cache whose rows are another graph's nodes is an ``IntegrityError``
+    naming both counts, from the student input and from the incremental state."""
+
+    @pytest.mark.parametrize("kind,use_lape", [("mlp", True), ("ga-mlp", False),
+                                               ("ga-mlp", True)])
+    @pytest.mark.parametrize("build", [
+        lambda g, c, cfg, params: student_input(g, c, cfg),
+        lambda g, c, cfg, params: init_incremental_state(g, c, cfg, params, np.array([0])),
+    ], ids=["student_input", "init_incremental_state"])
+    def test_rows_must_match_nodes(self, build, kind, use_lape):
+        rng = np.random.default_rng(21)
+        g, other = random_connected_graph(12, rng), random_connected_graph(15, rng)
+        student = make_student(g, build_struct_cache(g, 0, seed=21, k_pe=4), rng, kind=kind,
+                               use_lape=use_lape)
+        with pytest.raises(IntegrityError, match="has 15 rows, the graph has 12 nodes"):
+            build(g, build_struct_cache(other, 0, seed=21, k_pe=4), student.config,
+                  student.params)
+
+
 class TestIncrementalEqualsFull:
     @pytest.mark.parametrize("kind,use_lape", [("ga-mlp", True), ("mlp", False)])
     @settings(max_examples=3, deadline=None)

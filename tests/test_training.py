@@ -8,14 +8,15 @@ import pytest
 from graphdistill import autodiff as ad, training
 from graphdistill.autodiff import Adam
 from graphdistill.cli import _floats, ablation_arms, build_parser, grid_arms
-from graphdistill.data import Dataset, stratified_kfold
-from graphdistill.errors import ConfigError, GraphDistillError, IntegrityError, NumericError
+from graphdistill.data import Dataset, FoldSplit, degree_onehot_features, stratified_kfold
+from graphdistill.dynamic import make_trace
+from graphdistill.errors import (ConfigError, ContractError, GraphDistillError, IntegrityError,
+                                 NumericError)
 from graphdistill.losses import DistillWeights
 from graphdistill.models import INIT, GcnConfig, GinConfig, StudentConfig, make_batch
 from graphdistill.structure import build_struct_caches, sample_walks
 from graphdistill.synth import two_class_structural
 from graphdistill.training import (
-    PlateauScheduler,
     RunConfig,
     TeacherCheckpoint,
     _draw_walks,
@@ -45,28 +46,48 @@ def tiny_setup():
     return dataset, folds, caches, run, checkpoints, tcaches
 
 
-class TestPlateauScheduler:
-    def test_decay_factor_and_monotonicity(self):
-        p = ad.parameter(np.zeros(1))
-        opt = Adam({"p": p}, lr=1.0)
-        sched = PlateauScheduler(opt, factor=0.6, patience=2)
-        history = []
-        for metric in [0.5, 0.5, 0.5, 0.5]:  # no improvement after the first
-            sched.step(metric)
-            history.append(opt.lr)
-        assert opt.lr == pytest.approx(0.6)
-        for metric in [0.4, 0.4, 0.4]:
-            sched.step(metric)
-            history.append(opt.lr)
-        assert opt.lr == pytest.approx(0.36)
-        assert all(b <= a for a, b in zip(history, history[1:]))
+class TestPlateauInFit:
+    """The lr plateau of ``_fit``, driven by a scripted test accuracy: the lr of
+    each epoch is read at its one ``Adam.step``."""
 
-    def test_improvement_resets_patience(self):
-        opt = Adam({"p": ad.parameter(np.zeros(1))}, lr=1.0)
-        sched = PlateauScheduler(opt, factor=0.5, patience=1)
-        for metric in [0.1, 0.2, 0.3, 0.4]:
-            sched.step(metric)
-        assert opt.lr == 1.0
+    @staticmethod
+    def _epoch_lrs(monkeypatch, accuracies, decay, patience):
+        lrs = []
+
+        class RecordingAdam(Adam):
+            def step(self):
+                lrs.append(self.lr)
+                super().step()
+
+        monkeypatch.setattr(training, "Adam", RecordingAdam)
+        params = {"p": ad.parameter(np.zeros(1))}
+        fold = FoldSplit(0, np.arange(1), np.arange(1, 2))
+        run = RunConfig(epochs=len(accuracies), lr=1.0, lr_decay=decay, lr_patience=patience)
+        scripted = iter(accuracies)
+
+        def batch_loss(chunk):
+            loss = ad.frobenius_sq(params["p"])
+            return loss, {"gt": loss}
+
+        result = training._fit("test", fold, 0, params, run, np.random.default_rng(0),
+                               lambda: batch_loss, lambda view: next(scripted), keep_best=False)
+        assert result.test_curve == list(accuracies)
+        assert result.epoch_of_best == accuracies.index(max(accuracies))
+        return lrs
+
+    def test_decay_after_patience_and_again_after_reset(self, monkeypatch):
+        lrs = self._epoch_lrs(monkeypatch, [0.5] * 4 + [0.4] * 4, decay=0.6, patience=2)
+        assert lrs == pytest.approx([1, 1, 1, 1, 0.6, 0.6, 0.6, 0.36])
+
+    def test_new_best_restarts_the_count(self, monkeypatch):
+        accuracies = [0.5, 0.4, 0.4, 0.6, 0.4, 0.4, 0.4, 0.4]
+        lrs = self._epoch_lrs(monkeypatch, accuracies, decay=0.5, patience=2)
+        assert lrs == [1.0] * 7 + [0.5]
+
+    def test_rising_accuracy_keeps_lr(self, monkeypatch):
+        lrs = self._epoch_lrs(monkeypatch, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], decay=0.5,
+                              patience=1)
+        assert lrs == [1.0] * 6
 
 
 class TestRunConfigValidation:
@@ -103,6 +124,38 @@ class TestRunConfigValidation:
     def test_edge_values_accepted(self):
         RunConfig(epochs=10, lr_patience=1, walks_per_epoch=1, temperature=1e-3, lr=1e-9)
         RunConfig(epochs=10, lr_patience=1, walks_per_epoch=None)
+
+
+class TestNegativeSeedsTyped:
+    """An out-of-range seed or degree cap raises a typed error where it enters the
+    library, before any numpy seed sequence or index sees it."""
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda ds, folds, caches, run, tcaches: train_teacher(
+            ds, folds, [GinConfig(num_layers=2, hidden=8)], replace(run, seed=-1)),
+         ConfigError, "seed must be >= 0, got -1"),
+        (lambda ds, folds, caches, run, tcaches: distill_student(
+            ds, folds, caches, tcaches, StudentConfig(hidden=8),
+            replace(run, student_seeds=(0, -2))),
+         ConfigError, "student_seeds must be >= 0, got -2"),
+        (lambda ds, folds, caches, run, tcaches: sweep(
+            ds, folds, caches, tcaches, StudentConfig(hidden=8), replace(run, seed=-1),
+            {"plain": DistillWeights(lam=0, mu=0, eta=0, soft=0)}),
+         ConfigError, "seed must be >= 0, got -1"),
+        (lambda ds, folds, caches, run, tcaches: build_struct_caches(ds, -1),
+         ContractError, "seed must be >= 0, got -1"),
+        (lambda ds, folds, caches, run, tcaches: stratified_kfold(ds, 2, -1),
+         ConfigError, "seed must be >= 0, got -1"),
+        (lambda ds, folds, caches, run, tcaches: make_trace(ds.graphs[0], 0, 1, 1, seed=-1),
+         ConfigError, "seed must be >= 0, got -1"),
+        (lambda ds, folds, caches, run, tcaches: degree_onehot_features(ds, max_deg=-1),
+         ConfigError, "max_deg must be None or >= 0, got -1"),
+    ], ids=["train_teacher", "distill_student", "sweep", "build_struct_caches",
+            "stratified_kfold", "make_trace", "degree_onehot_features"])
+    def test_typed_error(self, tiny_setup, call, error, match):
+        dataset, folds, caches, run, _, tcaches = tiny_setup
+        with pytest.raises(error, match=match):
+            call(dataset, folds, caches, run, tcaches)
 
 
 class TestTeacherTraining:

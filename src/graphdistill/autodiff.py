@@ -7,10 +7,10 @@ additively into parents when ``backward`` walks the (implicit) tape in
 reverse topological order, and only into parents that require grad.
 
 Segment sums and the adjoint of ``gather_rows`` are one kernel,
-``scatter_rows``: a product with a 0/1 ``csr.CsrOperator``, scipy's CSR
-kernel without scipy's matrix constructor (``csr`` says why, and which
-O(1) checks it keeps). ``grouped_dots`` scores each anchor against its own
-block of rows by dense products alone.
+``scatter_rows``: ``op.T @ rows`` for the 0/1 gather pattern ``op``, a
+``csr.CsrOperator`` (``csr`` says why that needs no sort and checks every
+id). ``sampled_dots`` takes the dot products of the row pairs a CSR pattern
+names; its adjoints are two products with that pattern.
 
 Importing this module sets two glibc ``malloc`` parameters for the whole
 process: ``M_MMAP_THRESHOLD`` to 32 MiB (glibc's 64-bit maximum) and
@@ -207,15 +207,6 @@ def linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, "linear", (h, w, b), back)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.values.shape}")
-
-    def back(g):
-        _accum(a, g.T)
-    return _make(a.values.T.copy(), "transpose", (a,), back)
-
-
 def relu(a: Tensor) -> Tensor:
     # np.maximum is several times faster than np.where; the mask is built
     # only when a gradient is needed.
@@ -272,14 +263,13 @@ def concat(parts: list[Tensor], dim: int = 0) -> Tensor:
     return _make(np.concatenate([p.values for p in parts], axis=dim), "concat", tuple(parts), back)
 
 
-def scatter_rows(num_rows: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Sum ``rows`` into ``num_rows`` output rows grouped by ``idx``, as the
-    product with a 0/1 ``CsrOperator`` (only O(1) checks, no scipy matrix):
-    each segment adds its rows in input order."""
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(idx, minlength=num_rows), out=indptr[1:])
-    order = np.argsort(idx, kind="stable")
-    return CsrOperator(np.ones(idx.size), order, indptr, (num_rows, idx.size)) @ rows
+def scatter_rows(num_rows: int, idx, rows: np.ndarray) -> np.ndarray:
+    """Sum ``rows`` into ``num_rows`` output rows grouped by ``idx``: the transposed
+    product of the gather pattern, which adds each output row's inputs in input
+    order and raises ``ShapeError`` for an id outside [0, num_rows)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    gather = CsrOperator(np.ones(idx.size), idx, np.arange(idx.size + 1), (idx.size, num_rows))
+    return gather.T @ rows
 
 
 def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -288,8 +278,6 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     idx = np.asarray(segment_ids, dtype=np.int64)
     if idx.shape != (a.values.shape[0],):
         raise ShapeError(f"segment_sum: ids shape {idx.shape} for input {a.values.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_segments):
-        raise ShapeError(f"segment index out of range [0, {num_segments})")
 
     def back(g):
         _accum(a, g[idx])
@@ -308,21 +296,35 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return _make(a.values[idx], "gather_rows", (a,), back)
 
 
-def grouped_dots(rows: Tensor, anchors: Tensor) -> Tensor:
-    """``out[w, t] = <rows[w * k + t], anchors[w]>`` with ``k = len(rows) // len(anchors)``:
-    each anchor against its own block of ``k`` consecutive rows."""
-    r, a = rows.values, anchors.values
-    if (r.ndim != 2 or a.ndim != 2 or r.shape[1] != a.shape[1] or a.shape[0] == 0
-            or r.shape[0] % a.shape[0]):
-        raise ShapeError(f"grouped_dots: incompatible shapes {r.shape} and {a.shape}")
-    blocks = r.reshape(a.shape[0], r.shape[0] // a.shape[0], a.shape[1])
+def sampled_dots(x: Tensor, y: Tensor, indptr: np.ndarray, indices: np.ndarray) -> Tensor:
+    """``out[k] = <x[i], y[indices[k]]>`` for each entry ``k`` of row ``i`` of the CSR
+    pattern (``indptr``, ``indices``), shaped like ``indices``. A 2-D ``indices``
+    (one row per row of ``x``) is scored through one gather of ``y``, a 1-D one
+    read from the Gram product ``x @ y.T``. With ``P`` the pattern holding the
+    incoming gradient, the adjoints are ``P @ y`` and ``P.T @ x``; ``x`` may be ``y``."""
+    xv, yv = x.values, y.values
+    idx, ptr = np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)
+    flat, rows = idx.ravel(), len(xv) if xv.ndim else -1
+    if (xv.ndim != 2 or yv.ndim != 2 or xv.shape[1] != yv.shape[1] or ptr.shape != (rows + 1,)
+            or ptr[0] != 0 or ptr[-1] != flat.size or np.count_nonzero(ptr[1:] < ptr[:-1])
+            or idx.ndim != 1 and (idx.ndim != 2 or len(idx) != rows
+                                  or np.count_nonzero(ptr[1:] - ptr[:-1] != idx.shape[1]))):
+        raise ShapeError(f"sampled_dots: pattern {ptr.shape} x {idx.shape} for operands "
+                         f"{xv.shape} and {yv.shape}")
+    if flat.size and (flat.min() < 0 or flat.max() >= len(yv)):
+        raise ShapeError(f"sampled_dots: index out of range [0, {len(yv)})")
+    if idx.ndim == 2:
+        out = (yv.take(flat, axis=0).reshape(*idx.shape, yv.shape[1]) @ xv[:, :, None])[:, :, 0]
+    else:
+        out = (xv @ yv.T).ravel()[np.repeat(np.arange(rows) * len(yv), ptr[1:] - ptr[:-1]) + flat]
 
     def back(g):
-        if rows.requires_grad:
-            _accum(rows, (g[:, :, None] * a[:, None, :]).reshape(r.shape))
-        if anchors.requires_grad:
-            _accum(anchors, np.einsum("wt,wtd->wd", g, blocks))
-    return _make(np.einsum("wtd,wd->wt", blocks, a), "grouped_dots", (rows, anchors), back)
+        p = CsrOperator(np.ravel(g), flat, ptr, (rows, len(yv)))
+        if x.requires_grad:
+            _accum(x, p @ yv)
+        if y.requires_grad:
+            _accum(y, p.T @ xv)
+    return _make(out, "sampled_dots", (x, y), back)
 
 
 def propagate(a: Tensor, op) -> Tensor:

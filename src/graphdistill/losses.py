@@ -44,10 +44,10 @@ class DistillWeights:
                 raise ConfigError(f"weight {name} must be finite and >= 0, got {value}")
 
 
-def kernel_matrix(cluster_reps: Tensor) -> Tensor:
-    """Pairwise cosine similarities between cluster representations."""
+def block_kernel(cluster_reps: Tensor, indptr: np.ndarray, indices: np.ndarray) -> Tensor:
+    """Cosine similarities of cluster representations at the entries of a CSR pattern."""
     normed = ad.l2_normalize(cluster_reps, dim=-1, eps=NORM_EPS)
-    return ad.matmul(normed, ad.transpose(normed))
+    return ad.sampled_dots(normed, normed, indptr, indices)
 
 
 def _weighted_kl(logp_t: np.ndarray, logq: Tensor, row_weights: np.ndarray) -> Tensor:
@@ -101,16 +101,20 @@ def batch_whole_graph(h_student: Tensor, h_teacher: np.ndarray) -> Tensor:
 def batch_inter_cluster(student_clusters: Tensor, teacher_clusters: np.ndarray,
                         cluster_offsets: np.ndarray, num_graphs: int) -> Tensor:
     """Squared Frobenius distance between each graph's student and teacher
-    cluster kernels; clusters of different graphs are never compared."""
+    cluster kernels. Only the entries of each graph's own diagonal block are
+    computed, compared and differentiated."""
     if student_clusters.shape != teacher_clusters.shape:
         raise IntegrityError(
             f"cluster embedding shapes differ: student {student_clusters.shape}, "
             f"teacher {teacher_clusters.shape}"
         )
-    graph_of = np.repeat(np.arange(num_graphs), np.diff(cluster_offsets))
-    mask = (graph_of[:, None] == graph_of[None, :]).astype(np.float64)
-    target = kernel_matrix(ad.constant(teacher_clusters)).values
-    diff = ad.mul(ad.sub(kernel_matrix(student_clusters), ad.constant(target)), ad.constant(mask))
+    # row r of a graph whose clusters run from lo to hi holds the columns lo .. hi - 1
+    lo = np.repeat(cluster_offsets[:-1], np.diff(cluster_offsets))
+    row_sizes = np.repeat(cluster_offsets[1:], np.diff(cluster_offsets)) - lo
+    indptr = np.concatenate([[0], np.cumsum(row_sizes)])
+    indices = np.repeat(lo - indptr[:-1], row_sizes) + np.arange(indptr[-1])
+    target = block_kernel(ad.constant(teacher_clusters), indptr, indices).values
+    diff = ad.sub(block_kernel(student_clusters, indptr, indices), ad.constant(target))
     return ad.mul(ad.frobenius_sq(diff), 1.0 / num_graphs)
 
 
@@ -118,16 +122,16 @@ def _walk_log_probs(H: Tensor, walk_matrix: np.ndarray) -> Tensor:
     """Row-wise log-softmax over walk positions of the scores <H[walk[t]], H[walk[0]]>.
 
     Column 0 is the anchor's own score, columns 1..T the later positions in
-    walk order. Two gathers make every score: the anchors, and all later
-    positions at once, each scored against its walk's anchor by
-    ``grouped_dots``. Value and gradient agree with one gather per position
+    walk order, each scored against its walk's anchor by ``sampled_dots``.
+    Value and gradient agree with one gather per position
     (``tests/oracles.reference_walk_log_probs``) within 1e-12 relative; only
     the summation order of the dot products and adjoints differs.
     """
     anchors = ad.gather_rows(H, walk_matrix[:, 0])
     own = ad.matmul(ad.mul(anchors, anchors), ad.constant(np.ones((H.shape[1], 1))))
-    later = ad.grouped_dots(ad.gather_rows(H, walk_matrix[:, 1:].ravel()), anchors)
-    return ad.log_softmax(ad.concat([own, later], dim=1), dim=1)
+    later = walk_matrix[:, 1:]
+    scores = ad.sampled_dots(anchors, H, np.arange(len(later) + 1) * later.shape[1], later)
+    return ad.log_softmax(ad.concat([own, scores], dim=1), dim=1)
 
 
 def batch_path_consistency(H_student: Tensor, H_teacher: np.ndarray,

@@ -52,6 +52,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse.linalg import eigsh
@@ -592,12 +593,14 @@ def aggregate_blocks(graphs: list[Graph], lapes: list[np.ndarray]) -> list[np.nd
     """``ga_mlp_aggregate`` of concat(X, lape) for every graph, as row views of one array.
 
     One call on the disjoint union (a block-diagonal adjacency); each
-    graph's rows are bit-equal to aggregating that graph alone.
+    graph's rows are bit-equal to aggregating that graph alone. The union is
+    not wrapped in a ``Graph``, which would check every edge again.
     """
     off, indptr, indices = disjoint_union(graphs)
     x = np.concatenate([_packed([g.features for g in graphs], np.float64, 2),
                         _packed(lapes, np.float64, 2)], axis=1)
-    agg = ga_mlp_aggregate(Graph(int(off[-1]), indptr, indices, x, 0), x)
+    agg = ga_mlp_aggregate(SimpleNamespace(num_nodes=int(off[-1]), indptr=indptr,
+                                           indices=indices, degrees=np.diff(indptr)), x)
     off = off.tolist()
     return [agg[lo:hi] for lo, hi in zip(off, off[1:])]
 

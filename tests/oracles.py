@@ -346,6 +346,34 @@ def reference_walk_log_probs(H, walk_matrix):
     return ad.log_softmax(ad.concat(cols, dim=1), dim=1)
 
 
+def reference_inter_cluster(student, teacher, cluster_offsets, num_graphs, eps=1e-8):
+    """The inter-cluster term in its dense masked form, and its gradient in the
+    student, in closed form on plain numpy arrays.
+
+    Both cosine kernels cover every pair of clusters in the batch; a 0/1 mask
+    keeps each graph's diagonal block. With N the unit rows of X (rows of
+    norm below ``eps`` divided by ``eps``), K = N N^T and
+    L = ||(K_s - K_t) * mask||^2 / num_graphs, the gradient is
+    dN = (D + D^T) N_s for D = 2 (K_s - K_t) * mask / num_graphs, and
+    dX = dN / d - X (X . dN) / d^3, with the second term only where the norm
+    exceeds ``eps``.
+    """
+    def unit(x):
+        norm = np.sqrt((x ** 2).sum(axis=1, keepdims=True))
+        return norm, np.maximum(norm, eps), x / np.maximum(norm, eps)
+
+    graph_of = np.repeat(np.arange(num_graphs), np.diff(cluster_offsets))
+    mask = (graph_of[:, None] == graph_of[None, :]).astype(np.float64)
+    norm, denom, n_s = unit(student)
+    n_t = unit(teacher)[2]
+    gap = (n_s @ n_s.T - n_t @ n_t.T) * mask
+    d = 2.0 * gap / num_graphs
+    dn = (d + d.T) @ n_s
+    dot = (dn * student).sum(axis=1, keepdims=True)
+    grad = dn / denom - np.where(norm > eps, student * dot / denom ** 3, 0.0)
+    return float((gap ** 2).sum()) / num_graphs, grad
+
+
 def reference_sample_walks(graph, num_walks, walk_length, seed):
     """The walk matrix of ``sample_walks``, one ``Generator.integers`` call per draw."""
     rng = np.random.default_rng(seed)

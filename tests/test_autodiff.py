@@ -24,10 +24,22 @@ class TestForwardValues:
         out = ad.segment_sum(x, np.array([0, 0, 1]), 2)
         np.testing.assert_array_equal(out.values, [[3.0], [3.0]])
 
-    def test_grouped_dots_definition(self):
-        rows = ad.constant([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [1.0, -1.0]])
-        out = ad.grouped_dots(rows, ad.constant([[3.0, 4.0], [0.5, 2.0]]))
-        np.testing.assert_array_equal(out.values, [[3.0, 4.0], [5.0, -1.5]])
+    def test_sampled_dots_definition(self):
+        x = ad.constant([[3.0, 4.0], [0.5, 2.0]])
+        y = ad.constant([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [1.0, -1.0]])
+        out = ad.sampled_dots(x, y, np.array([0, 3, 4]), np.array([2, 0, 2, 3]))
+        np.testing.assert_array_equal(out.values, [14.0, 3.0, 14.0, -1.5])
+        # 2-D indices: one row per row of x, the same entries in the same order
+        grid = ad.sampled_dots(x, y, np.array([0, 2, 4]), np.array([[0, 1], [2, 3]]))
+        np.testing.assert_array_equal(grid.values, [[3.0, 4.0], [5.0, -1.5]])
+        # x and y one tensor, rows without entries, repeated entries
+        out = ad.sampled_dots(y, y, np.array([0, 0, 2, 2, 3]), np.array([1, 1, 2]))
+        np.testing.assert_array_equal(out.values, [1.0, 1.0, 0.0])
+        # no rows, and rows without entries, in either layout
+        for ptr, idx in ((np.zeros(1), np.zeros((0, 3))), (np.zeros(3), np.zeros((2, 0))),
+                         (np.zeros(3), np.zeros(0))):
+            x = ad.constant(np.ones((len(ptr) - 1, 2)))
+            assert ad.sampled_dots(x, y, ptr, idx).shape == idx.shape
 
     def test_l2_normalize_triangle(self):
         out = ad.l2_normalize(ad.constant([3.0, 4.0]))
@@ -149,11 +161,6 @@ class TestGradcheckEveryOp:
     def test_concat(self):
         _check_op(lambda a, b: ad.frobenius_sq(ad.concat([a, b], dim=1)), [(3, 2), (3, 3)])
 
-    def test_transpose(self):
-        w = np.arange(6.0).reshape(3, 2)
-        _check_op(lambda a: ad.tensor_sum(ad.mul(ad.transpose(a), ad.constant(w))),
-                  [(2, 3)])
-
     def test_segment_sum(self):
         ids = np.array([0, 2, 0, 1, 2])
         _check_op(lambda a: ad.frobenius_sq(ad.segment_sum(a, ids, 3)), [(5, 2)])
@@ -162,18 +169,32 @@ class TestGradcheckEveryOp:
         idx = np.array([2, 0, 1, 0])
         _check_op(lambda a: ad.frobenius_sq(ad.gather_rows(a, idx)), [(3, 2)])
 
-    def test_grouped_dots(self):
-        rows, anchors = np.arange(18.0).reshape(6, 3) / 7.0, np.array([[1.0, -2.0, 0.5]] * 2)
-        _check_op(lambda r, a: ad.frobenius_sq(ad.grouped_dots(r, a)), [(6, 3), (2, 3)])
-        _check_op(lambda r: ad.frobenius_sq(ad.grouped_dots(r, ad.constant(anchors))), [(6, 3)])
-        _check_op(lambda a: ad.frobenius_sq(ad.grouped_dots(ad.constant(rows), a)), [(2, 3)])
+    # rows of 3, 0, 1 and 2 entries, unsorted and repeated columns
+    PATTERN = (np.array([0, 3, 3, 4, 6]), np.array([4, 0, 4, 2, 5, 1]))
 
-    def test_grouped_dots_of_rows_gathered_from_one_tensor(self):
-        # the path term's shape: anchors and later positions from one table,
-        # with repeats and the anchor itself among its own block
-        later, first = np.array([1, 2, 0, 3, 3, 1]), np.array([0, 3])
-        _check_op(lambda h: ad.frobenius_sq(ad.grouped_dots(ad.gather_rows(h, later),
-                                                            ad.gather_rows(h, first))),
+    def test_sampled_dots(self):
+        ptr, idx = self.PATTERN
+        x, y = np.arange(12.0).reshape(4, 3) / 7.0, np.array([[1.0, -2.0, 0.5]] * 6)
+        _check_op(lambda a, b: ad.frobenius_sq(ad.sampled_dots(a, b, ptr, idx)), [(4, 3), (6, 3)])
+        _check_op(lambda a: ad.frobenius_sq(ad.sampled_dots(a, ad.constant(y), ptr, idx)),
+                  [(4, 3)])
+        _check_op(lambda b: ad.frobenius_sq(ad.sampled_dots(ad.constant(x), b, ptr, idx)),
+                  [(6, 3)])
+        grid = np.array([[4, 0, 4], [2, 5, 1]])
+        _check_op(lambda a, b: ad.frobenius_sq(ad.sampled_dots(a, b, np.array([0, 3, 6]), grid)),
+                  [(2, 3), (6, 3)])
+
+    def test_sampled_dots_of_one_tensor(self):
+        # x is y: both adjoints land in one tensor, diagonal entries included
+        ptr, idx = np.array([0, 2, 3, 5, 6, 6, 6]), np.array([0, 3, 1, 2, 5, 4])
+        _check_op(lambda h: ad.frobenius_sq(ad.sampled_dots(h, h, ptr, idx)), [(6, 3)])
+
+    def test_sampled_dots_of_rows_gathered_from_one_tensor(self):
+        # the path term's shape: anchors gathered from the table they are scored
+        # against, with repeats and the anchor itself among its own positions
+        later, first = np.array([[1, 2, 0], [3, 3, 1]]), np.array([0, 3])
+        _check_op(lambda h: ad.frobenius_sq(ad.sampled_dots(ad.gather_rows(h, first), h,
+                                                            np.array([0, 3, 6]), later)),
                   [(4, 3)])
 
     def test_sum_mean(self):
@@ -207,20 +228,24 @@ class TestLeanTape:
         if "b" in expected:
             np.testing.assert_array_equal(b.grad, expected["b"])
 
-    @pytest.mark.parametrize("constant_side", ["rows", "anchors"])
-    def test_grouped_dots_no_adjoint_for_constant_operand(self, constant_side, monkeypatch):
+    @pytest.mark.parametrize("constant_side", ["x", "y"])
+    def test_sampled_dots_no_adjoint_for_constant_operand(self, constant_side, monkeypatch):
         rng = np.random.default_rng(1)
-        rows, anchors = rng.normal(size=(6, 3)), rng.normal(size=(2, 3))
-        r = ad.constant(rows) if constant_side == "rows" else ad.parameter(rows)
-        a = ad.constant(anchors) if constant_side == "anchors" else ad.parameter(anchors)
+        xv, yv = rng.normal(size=(2, 3)), rng.normal(size=(6, 3))
+        x = ad.constant(xv) if constant_side == "x" else ad.parameter(xv)
+        y = ad.constant(yv) if constant_side == "y" else ad.parameter(yv)
         targets = []
         accum = ad._accum
         monkeypatch.setattr(ad, "_accum", lambda t, g: (targets.append(t), accum(t, g)))
-        ad.backward(ad.tensor_sum(ad.grouped_dots(r, a)))
-        const, param = (r, a) if constant_side == "rows" else (a, r)
+        # each row of x against 3 rows of y; row 5 of y is in no row's pattern
+        ptr, idx = np.array([0, 3, 6]), np.array([0, 1, 2, 3, 4, 0])
+        ad.backward(ad.tensor_sum(ad.sampled_dots(x, y, ptr, idx)))
+        const, param = (x, y) if constant_side == "x" else (y, x)
         assert const.grad is None and all(t is not const for t in targets)
-        expected = (np.repeat(anchors, 3, axis=0) if param is r
-                    else rows.reshape(2, 3, 3).sum(axis=1))
+        if param is y:
+            expected = np.array([xv[0] + xv[1], xv[0], xv[0], xv[1], xv[1], 0 * xv[0]])
+        else:
+            expected = np.array([yv[:3].sum(axis=0), yv[3] + yv[4] + yv[0]])
         np.testing.assert_allclose(param.grad, expected, rtol=1e-15)
 
     def test_shared_gradient_is_never_written(self):
@@ -269,12 +294,22 @@ class TestShapeAndNumericErrors:
         with pytest.raises(ShapeError):
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
 
-    @pytest.mark.parametrize("rows, anchors", [((5, 3), (2, 3)), ((4, 3), (2, 2)),
-                                               ((4, 3), (0, 3)), ((0, 3), (0, 3)),
-                                               ((6,), (2, 3))])
-    def test_grouped_dots_bad_shapes(self, rows, anchors):
-        with pytest.raises(ShapeError, match="grouped_dots"):
-            ad.grouped_dots(ad.constant(np.ones(rows)), ad.constant(np.ones(anchors)))
+    @pytest.mark.parametrize("x, y, indptr, indices", [
+        ((2, 3), (4, 2), [0, 1, 2], [0, 1]),         # widths differ
+        ((2, 3), (4, 3), [0, 1], [0, 1]),            # indptr one short
+        ((2, 3), (4, 3), [0, 1, 3], [0, 1]),         # indptr ends past the entries
+        ((2, 3), (4, 3), [0, 2, 1], [0, 1]),         # indptr decreases
+        ((2, 3), (4, 3), [1, 1, 2], [0, 1]),         # indptr starts above 0
+        ((6,), (4, 3), [0, 1, 2], [0, 1]),           # x not a matrix
+        ((2, 3), (4, 3), [0, 1, 2], [[0], [1], [2]]),  # 2-D indices, rows != len(x)
+        ((2, 3), (4, 3), [0, 1, 4], [[0, 1], [2, 3]]),  # 2-D indices, uneven indptr
+        ((2, 3), (4, 3), [0, 1, 2], np.zeros((1, 1, 2))),  # 3-D indices
+    ], ids=["width", "indptr-short", "indptr-long", "indptr-decreasing", "indptr-start",
+            "x-vector", "grid-rows", "grid-indptr", "indices-3d"])
+    def test_sampled_dots_bad_shapes(self, x, y, indptr, indices):
+        with pytest.raises(ShapeError, match="sampled_dots"):
+            ad.sampled_dots(ad.constant(np.ones(x)), ad.constant(np.ones(y)),
+                            np.array(indptr), np.array(indices, dtype=np.int64))
 
     def test_segment_index_out_of_range(self):
         with pytest.raises(ShapeError):
@@ -352,6 +387,20 @@ class TestScatterRows:
                                     elements=st.floats(-1e12, 1e12, allow_subnormal=False)))
         got = ad.scatter_rows(num_rows, idx, rows)
         assert got.tobytes() == scatter_loop(num_rows, idx, rows).tobytes()
+
+    @pytest.mark.parametrize("bad", [3, 5, -1], ids=["rows", "past-rows", "negative"])
+    def test_bad_ids_raise_shape_error(self, bad):
+        rows = np.ones((2, 4))
+        with pytest.raises(ShapeError):
+            ad.scatter_rows(3, [0, bad], rows)
+        with pytest.raises(ShapeError):
+            ad.segment_sum(ad.constant(rows), np.array([bad, 0]), 3)
+        # the ids ``gather_rows`` checks are those its adjoint scatters by
+        with pytest.raises(ShapeError):
+            ad.gather_rows(ad.parameter(np.ones((3, 4))), np.array([0, bad]))
+        with pytest.raises(ShapeError, match="sampled_dots"):
+            ad.sampled_dots(ad.constant(rows), ad.constant(np.ones((3, 4))),
+                            np.array([0, 1, 2]), np.array([bad, 0]))
 
     def test_segment_sum_and_gather_adjoint_use_it(self):
         rng = np.random.default_rng(3)
@@ -470,5 +519,6 @@ class TestTensorBasics:
         c = ad.constant(np.ones((2, 3)))
         out = ad.relu(ad.linear(c, ad.constant(np.ones((3, 2))), ad.constant(np.ones(2))))
         assert out._parents == () and out._backward is None
-        dots = ad.grouped_dots(ad.constant(np.ones((4, 3))), c)
+        dots = ad.sampled_dots(c, ad.constant(np.ones((4, 3))), np.array([0, 2, 4]),
+                               np.array([[0, 1], [2, 3]]))
         assert dots.shape == (2, 2) and dots._parents == () and dots._backward is None

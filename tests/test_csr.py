@@ -1,6 +1,7 @@
-"""``csr.CsrOperator``: byte-equal to scipy's ``csr_array`` product, a typed
-error for every malformed structure, and no scipy sparse matrix on the
-training and inference paths."""
+"""``csr.CsrOperator``: ``op @ x`` and ``op.T @ x`` byte-equal to scipy's
+``csr_array`` products, a typed error for every malformed structure and for
+every id the transposed product would write outside its output, and no scipy
+sparse matrix on the training and inference paths."""
 
 import types
 
@@ -60,6 +61,10 @@ class TestOperatorOracle:
         from scipy.sparse._sparsetools import csr_matvecs
         assert csr.csr_matvecs is csr_matvecs
 
+    def test_private_kernel_is_scipy_csc_matvecs(self):
+        from scipy.sparse._sparsetools import csc_matvecs
+        assert csr.csc_matvecs is csc_matvecs
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_byte_equal_to_scipy_product(self, data):
@@ -71,11 +76,24 @@ class TestOperatorOracle:
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_transposed_byte_equal_to_scipy_product(self, data):
+        values, indices, indptr, shape = data.draw(operators())
+        x = data.draw(dense_inputs(shape[0]))
+        got = CsrOperator(values, indices, indptr, shape).T @ x
+        want = sp.csr_array((values, indices, indptr), shape=shape).T @ x
+        assert got.shape == want.shape == (shape[1], x.shape[1])
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     def test_no_entries(self, index_dtype):
         op = CsrOperator(np.zeros(0), np.zeros(0, index_dtype), np.zeros(4, index_dtype), (3, 5))
         out = op @ np.ones((5, 2))
         assert out.shape == (3, 2) and out.tobytes() == np.zeros((3, 2)).tobytes()
+        out = op.T @ np.ones((3, 2))
+        assert out.shape == (5, 2) and out.tobytes() == np.zeros((5, 2)).tobytes()
 
     def test_to_scipy_is_the_same_matrix(self):
         indptr = np.array([0, 2, 2, 3])
@@ -84,6 +102,19 @@ class TestOperatorOracle:
         assert isinstance(mat, sp.csr_array) and mat.shape == (3, 3)
         np.testing.assert_array_equal(mat.toarray(), op @ np.eye(3))
         np.testing.assert_array_equal(mat.toarray(), [[1.5, 0, -2.0], [0, 0, 0], [0, 4.0, 0]])
+
+    def test_transpose_is_a_view_on_the_same_arrays(self):
+        op = CsrOperator(np.array([1.5, -2.0, 4.0]), np.array([0, 3, 1]),
+                         np.array([0, 2, 2, 3]), (3, 4))
+        t = op.T
+        assert t.shape == (4, 3) and t.T.shape == (3, 4)
+        assert t.data is op.data and t.indices is op.indices and t.indptr is op.indptr
+        dense = op @ np.eye(4)
+        np.testing.assert_array_equal(t @ np.eye(3), dense.T)
+        np.testing.assert_array_equal(t.T @ np.eye(4), dense)
+        mat = t.to_scipy()
+        assert isinstance(mat, sp.csr_array) and mat.shape == (4, 3)
+        np.testing.assert_array_equal(mat.toarray(), dense.T)
 
 
 def _good():
@@ -123,6 +154,26 @@ class TestMalformed:
     def test_input_rejected(self, x):
         with pytest.raises(ShapeError):
             CsrOperator(**_good()) @ x
+
+    @pytest.mark.parametrize("x", [np.ones((3, 4)), np.ones((1, 4)), np.ones(2)],
+                             ids=["too many rows", "too few rows", "1-D"])
+    def test_transposed_input_rejected(self, x):
+        with pytest.raises(ShapeError, match="CSC operator"):
+            CsrOperator(**_good()).T @ x
+
+    @pytest.mark.parametrize("change", [
+        {"indices": np.array([1, 0, 3])}, {"indices": np.array([1, -1, 2])},
+        {"indices": np.array([1, 0, 2, 7]), "data": np.ones(4), "indptr": np.array([0, 4, 3])},
+    ], ids=["index past cols", "negative index", "indptr decreases"])
+    def test_transposed_product_never_writes_outside(self, change):
+        # ``op @ x`` only reads by index; ``op.T @ x`` writes by it, so it checks
+        with pytest.raises(ShapeError, match=r"outside \[0, 3\)"):
+            CsrOperator(**{**_good(), **change}).T @ np.ones((2, 4))
+
+    def test_transposed_product_ignores_slack_entries(self):
+        # entries past ``indptr[-1]`` are never read, so their ids are not checked
+        op = CsrOperator(np.ones(4), np.array([1, 0, 2, -5]), np.array([0, 1, 3]), (2, 3))
+        np.testing.assert_array_equal(op.T @ np.array([[1.0], [2.0]]), [[2.0], [1.0], [2.0]])
 
 
 # --- no scipy sparse matrix and no union CSR where none is needed ---------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from graphdistill import autodiff as ad, losses
 from graphdistill.errors import ConfigError, IntegrityError
@@ -11,7 +11,7 @@ from graphdistill.losses import (
     batch_path_consistency,
     batch_soft_logits,
     batch_whole_graph,
-    kernel_matrix,
+    block_kernel,
     total_loss,
 )
 from graphdistill.models import INFER, GinConfig, init_gin_params, make_batch, params_to_arrays
@@ -26,6 +26,7 @@ from oracles import (
     kl_divergence,
     mmd_poly_sq,
     path_kl_oracle,
+    reference_inter_cluster,
     reference_walk_log_probs,
     softmax_np,
 )
@@ -47,6 +48,13 @@ def inter_cluster(student, teacher, sizes):
     """Inter-cluster loss of a batch whose graphs own ``sizes`` clusters each."""
     return value(batch_inter_cluster(ad.constant(student), teacher, offsets_of(sizes),
                                      len(sizes)))
+
+
+def kernel_matrix(reps):
+    """The full cosine kernel of one graph's clusters, read through ``block_kernel``."""
+    n = len(reps)
+    entries = block_kernel(ad.constant(reps), np.arange(n + 1) * n, np.tile(np.arange(n), n))
+    return entries.values.reshape(n, n)
 
 
 def path_loss(h_teacher, h_student, walks):
@@ -136,21 +144,21 @@ class TestWholeGraph:
 
 class TestKernelMatrix:
     def test_identical_rows(self):
-        k = kernel_matrix(ad.constant([[1.0, 2.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(k.values, np.ones((2, 2)), atol=1e-7)
+        k = kernel_matrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(k, np.ones((2, 2)), atol=1e-7)
 
     def test_orthogonal_rows_identity(self):
-        k = kernel_matrix(ad.constant([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(k.values, np.eye(2), atol=1e-7)
+        k = kernel_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        np.testing.assert_allclose(k, np.eye(2), atol=1e-7)
 
     def test_cosine_closed_form(self):
-        k = kernel_matrix(ad.constant([[1.0, 0.0], [1.0, 1.0]]))
-        assert k.values[0, 1] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-7)
+        k = kernel_matrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        assert k[0, 1] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-7)
 
     def test_bounds_and_symmetry(self):
         rng = np.random.default_rng(1)
         reps = rng.normal(size=(6, 4))
-        k = kernel_matrix(ad.constant(reps)).values
+        k = kernel_matrix(reps)
         assert np.all(k <= 1.0 + 1e-12) and np.all(k >= -1.0 - 1e-12)
         np.testing.assert_allclose(k, k.T, atol=1e-12)
         np.testing.assert_allclose(np.diag(k), np.ones(6), atol=1e-7)
@@ -313,27 +321,54 @@ def walk_batches(draw):
     return lo, np.array(rows, dtype=np.int64), np.array(weights)
 
 
+def path_term_results(H_s, H_t, walks, weights):
+    """Value and gradient of ``batch_path_consistency`` and of the same KL over
+    ``oracles.reference_walk_log_probs``, and the scales that bound their gaps.
+
+    Both forms sum the same terms in another order, so each gap is bounded by
+    the summed magnitudes, not by the result, which can cancel. The value
+    sums ``w * p * (log p - log q)`` over walks and positions; its scale is the
+    sum of ``w * p * (|log p| + |log q|)``. A score ``<H[v], H[a]>`` of anchor
+    ``a`` and position ``v`` has adjoint ``w * (q - p)``; each score adds at
+    most ``w * (p + q) * |H[a]|`` to the gradient of ``H[v]`` and
+    ``w * (p + q) * |H[v]|`` to that of ``H[a]``, and the gradient scale sums
+    these contributions entry by entry.
+    """
+    logp_t = reference_walk_log_probs(ad.constant(H_t), walks).values
+    results = []
+    for loss_of in (
+        lambda H: batch_path_consistency(H, H_t, walks, weights),
+        lambda H: losses._weighted_kl(logp_t, reference_walk_log_probs(H, walks), weights),
+    ):
+        H = ad.parameter(H_s)
+        loss = loss_of(H)
+        ad.backward(loss)
+        results.append((float(loss.values), H.grad))
+    logq = reference_walk_log_probs(ad.constant(H_s), walks).values
+    p, q = np.exp(logp_t), np.exp(logq)
+    value_scale = float((weights[:, None] * p * (np.abs(logp_t) + np.abs(logq))).sum())
+    adjoint = (weights[:, None] * (p + q)).ravel()
+    anchors = np.repeat(walks[:, 0], walks.shape[1])
+    grad_scale = np.zeros_like(H_s)
+    np.add.at(grad_scale, walks.ravel(), adjoint[:, None] * np.abs(H_s[anchors]))
+    np.add.at(grad_scale, anchors, adjoint[:, None] * np.abs(H_s[walks.ravel()]))
+    return results, value_scale, grad_scale
+
+
+def assert_gaps_within_1e_12(results, value_scale, grad_scale):
+    (value, grad), (ref_value, ref_grad) = results
+    assert abs(value - ref_value) <= 1e-12 * value_scale
+    assert np.all(np.abs(grad - ref_grad) <= 1e-12 * grad_scale)
+
+
 class TestPathTermAgainstPerPositionForm:
     """``batch_path_consistency`` against the same KL over the one-gather-per-
     position scores of ``oracles.reference_walk_log_probs``."""
 
-    @staticmethod
-    def assert_within_1e_12(H_s, H_t, walks, weights):
-        logp_t = reference_walk_log_probs(ad.constant(H_t), walks).values
-        results = []
-        for loss_of in (
-            lambda H: batch_path_consistency(H, H_t, walks, weights),
-            lambda H: losses._weighted_kl(logp_t, reference_walk_log_probs(H, walks), weights),
-        ):
-            H = ad.parameter(H_s)
-            loss = loss_of(H)
-            ad.backward(loss)
-            results.append((float(loss.values), H.grad))
-        (value, grad), (ref_value, ref_grad) = results
-        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
-        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
-        return grad
-
+    # Two draws whose value or largest gradient entry nearly cancels: a bound
+    # of 1e-12 times the result failed on both.
+    @example(batch=(3, np.array([[0, 0, 0, 1]]), np.ones(1)), seed=856)
+    @example(batch=(3, np.array([[0, 0, 2]]), np.ones(1)), seed=856)
     @given(batch=walk_batches(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_value_and_gradient(self, batch, seed):
@@ -341,13 +376,49 @@ class TestPathTermAgainstPerPositionForm:
         assume((walks != walks[:, :1]).any())  # some walk leaves its anchor
         rng = np.random.default_rng(seed)
         H_t, H_s = rng.normal(size=(num_nodes, 4)), rng.normal(size=(num_nodes, 4))
-        self.assert_within_1e_12(H_s, H_t, walks, weights)
+        assert_gaps_within_1e_12(*path_term_results(H_s, H_t, walks, weights))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bound_catches_a_1e_9_relative_error(self, seed):
+        rng = np.random.default_rng(seed)
+        H_t, H_s = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        walks = rng.integers(0, 6, size=(4, 5))
+        results, value_scale, grad_scale = path_term_results(H_s, H_t, walks, np.full(4, 0.25))
+        assert_gaps_within_1e_12(results, value_scale, grad_scale)
+        (value, grad), ref = results
+        for wrong in ((value * (1 + 1e-9), grad), (value, grad * (1 + 1e-9))):
+            with pytest.raises(AssertionError):
+                assert_gaps_within_1e_12([wrong, ref], value_scale, grad_scale)
 
     def test_single_walk_of_two_positions(self):
         rng = np.random.default_rng(15)
         H_t, H_s = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        grad = self.assert_within_1e_12(H_s, H_t, np.array([[2, 0]]), np.ones(1))
-        assert not grad[1].any()  # node 1 is on no walk
+        results = path_term_results(H_s, H_t, np.array([[2, 0]]), np.ones(1))
+        assert_gaps_within_1e_12(*results)
+        assert not results[0][0][1][1].any()  # node 1 is on no walk
+
+
+class TestInterClusterAgainstDenseForm:
+    """``batch_inter_cluster``, which scores only each graph's diagonal block,
+    against ``oracles.reference_inter_cluster``: the dense kernels of the whole
+    batch under a block mask, with a closed-form gradient."""
+
+    def test_value_and_gradient_within_1e_12(self):
+        rng = np.random.default_rng(16)
+        fixed = [[5], [2], [3, 1, 4], [1, 6], [7, 7, 2, 1, 3]]  # one-graph batches first
+        drawn = [[int(k) for k in rng.integers(2, 9, size=int(rng.integers(1, 6)))]
+                 for _ in range(30)]
+        for sizes in fixed + drawn:
+            offsets = offsets_of(sizes)
+            width = int(rng.integers(2, 7))
+            student = rng.normal(size=(offsets[-1], width))
+            teacher = rng.normal(size=(offsets[-1], width))
+            want, want_grad = reference_inter_cluster(student, teacher, offsets, len(sizes))
+            s = ad.parameter(student)
+            loss = batch_inter_cluster(s, teacher, offsets, len(sizes))
+            ad.backward(loss)
+            assert want > 0 and abs(float(loss.values) - want) <= 1e-12 * want
+            assert np.abs(s.grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
 
 class TestDistillWeights:

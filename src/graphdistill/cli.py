@@ -19,9 +19,12 @@ models; both sources write perturbation.csv, latency.csv and latency.json.
 
 ``preprocess`` writes ``<name>.structcache.npz`` next to the TU files; the
 other commands read it back. A sidecar of an older format
-(``structcache/1`` or ``/2``), one whose graph or node counts do not match
-the dataset, or one whose cluster or walk ids point outside their graph, is
-invalid input (exit 1): run ``graphdistill preprocess`` again.
+(``structcache/1`` or ``/2``), one that ``structure.check_struct_caches`` finds
+unfit for the dataset (graph count, or rows per node), or one whose cluster or
+walk ids point outside their graph, is invalid input (exit 1): run
+``graphdistill preprocess`` again. So is a checkpoint whose config does not
+match its parameters, a ``metrics.csv`` that is not UTF-8 or holds an accuracy
+outside [0, 1], and a preprocess size numpy cannot allocate.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ from .dynamic import (
     perturb_and_score,
     removal_misfit,
 )
-from .errors import ArtifactMissingError, ConfigError, FormatError, GraphDistillError
+from .errors import (ArtifactMissingError, ConfigError, FormatError, GraphDistillError,
+                     IntegrityError)
 from .losses import DistillWeights
-from .models import GcnConfig, GinConfig, StudentConfig, init_linear_params, params_to_arrays
+from .models import GcnConfig, GinConfig, StudentConfig, init_params, params_to_arrays
 from .runio import (
     environment_differences,
     fold_results_rows,
@@ -69,8 +73,8 @@ from .runio import (
     write_manifest,
     write_metrics_csv,
 )
-from .structure import (aggregate_blocks, build_struct_caches, load_struct_caches,
-                        save_struct_caches)
+from .structure import (aggregate_blocks, build_struct_caches, check_struct_caches,
+                        load_struct_caches, save_struct_caches)
 from .synth import sparse_social_dataset
 from .training import (
     RunConfig,
@@ -135,20 +139,17 @@ def load_prepared_dataset(data_dir, name: str):
 
 
 def _load_caches(dataset_dir: Path, dataset):
-    """The dataset's struct caches; a sidecar built for other graphs (node counts, or
-    edges and features, through the recomputed aggregated block) is a ``FormatError``."""
+    """The dataset's struct caches; a sidecar built for other graphs (``check_struct_caches``,
+    or other edges and features, through the recomputed aggregated block) is a ``FormatError``."""
     sidecar = _sidecar_path(dataset_dir, dataset.name)
     if not sidecar.is_file():
         raise ArtifactMissingError(sidecar)
     caches, meta = load_struct_caches(sidecar)
-    if len(caches) != len(dataset.graphs):
-        raise FormatError(f"{sidecar}: holds {len(caches)} graphs, dataset {dataset.name} "
-                          f"has {len(dataset.graphs)}; re-run `graphdistill preprocess`")
-    for i, (cache, graph) in enumerate(zip(caches, dataset.graphs)):
-        if cache.clusters.cluster_of.size != graph.num_nodes:
-            raise FormatError(f"{sidecar}: graph {i} has {cache.clusters.cluster_of.size} "
-                              f"nodes, dataset {dataset.name} has {graph.num_nodes}; "
-                              f"re-run `graphdistill preprocess`")
+    try:
+        check_struct_caches(dataset.graphs, caches)
+    except IntegrityError as exc:
+        raise FormatError(f"{sidecar}: {exc} in dataset {dataset.name}; "
+                          f"re-run `graphdistill preprocess`") from None
     aggs = aggregate_blocks(dataset.graphs, [c.lape for c in caches])
     for i, (cache, agg) in enumerate(zip(caches, aggs)):
         if (agg.shape != cache.agg_features.shape
@@ -398,10 +399,10 @@ def _dynamic_synthetic(args):
     caches = build_struct_caches(dataset, args.seed)
     rng = np.random.default_rng(args.seed)
     t_cfg = GinConfig(num_layers=5, hidden=64)
-    t_params = params_to_arrays(models.init_gin_params(rng, dataset.feature_dim, t_cfg, 2))
+    t_params = params_to_arrays(init_params(rng, dataset.feature_dim, t_cfg, 2))
     s_cfg = StudentConfig(kind="ga-mlp", num_layers=3, hidden=64)
     in_dim = models.student_input(dataset.graphs[0], caches[0], s_cfg).shape[1]
-    s_params = params_to_arrays(init_linear_params(rng, in_dim, s_cfg, 2))
+    s_params = params_to_arrays(init_params(rng, in_dim, s_cfg, 2))
     traces = [make_trace(g, i, args.num_remove, 1, args.seed, args.max_fraction)
               for i, g in enumerate(dataset.graphs)]
     return (dataset.name, dataset.graphs, caches, StudentModel(s_cfg, s_params),

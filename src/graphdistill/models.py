@@ -10,6 +10,9 @@ product with a symmetric ``csr.CsrOperator`` (``GraphBatch.adjacency`` for
 GIN, ``GraphBatch.gcn_operator`` for GCN; ``csr`` says why it skips scipy's
 constructor and which O(1) checks it keeps). A batch builds its union CSR
 and these operators on first use, so student batches never build them.
+
+``param_shapes`` is the single parameter layout of every model: ``init_params``
+draws it, and checkpoint loading (``runio``) compares saved parameters with it.
 """
 
 from __future__ import annotations
@@ -24,21 +27,24 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .csr import CsrOperator
 from .data import Graph
-from .errors import ConfigError, IntegrityError
-from .structure import StructCache, csr_operator, disjoint_union
+from .errors import ConfigError
+from .structure import (ClusterAssignment, StructCache, check_struct_caches, csr_operator,
+                        disjoint_union)
 
 SUM = "sum"
 ATTENTION = "attention"
 
 
 def _check_layers(config) -> None:
-    """Shared range checks of every model config: layers and width >= 1, 0 <= dropout < 1."""
+    """Shared checks of every model config: layers, width, dropout and readout."""
     if config.num_layers < 1:
         raise ConfigError(f"num_layers must be >= 1, got {config.num_layers}")
     if config.hidden < 1:
         raise ConfigError(f"hidden must be >= 1, got {config.hidden}")
     if not 0.0 <= config.dropout < 1.0:
         raise ConfigError(f"dropout must be in [0, 1), got {config.dropout}")
+    if config.readout not in (SUM, ATTENTION):
+        raise ConfigError(f"unknown readout {config.readout!r}")
 
 
 @dataclass
@@ -52,6 +58,8 @@ class GinConfig:
 
     def __post_init__(self):
         _check_layers(self)
+        if not np.isfinite(self.eps):
+            raise ConfigError(f"eps must be finite, got {self.eps}")
 
 
 @dataclass
@@ -133,9 +141,10 @@ class GraphBatch:
 
 
 def make_batch(graphs: list[Graph], feature_rows: list[np.ndarray] | None = None,
-               cluster_ofs: list[np.ndarray] | None = None) -> GraphBatch:
+               clusters: list[ClusterAssignment] | None = None) -> GraphBatch:
     """Stack the node rows of ``graphs`` with segment bookkeeping, leaving the union
-    CSR to first use; ``feature_rows``, one array per graph, replace their features."""
+    CSR to first use; ``feature_rows``, one array per graph, replace their features,
+    and ``clusters``, one assignment per graph, number the batch's clusters."""
     sizes = [g.num_nodes for g in graphs]
     node_offsets = np.cumsum([0] + sizes)
     rows = feature_rows if feature_rows is not None else [g.features for g in graphs]
@@ -149,75 +158,58 @@ def make_batch(graphs: list[Graph], feature_rows: list[np.ndarray] | None = None
         labels=np.array([g.label for g in graphs], dtype=np.int64),
         node_offsets=node_offsets,
     )
-    if cluster_ofs is not None:
-        counts = [int(c.max()) + 1 if c.size else 0 for c in cluster_ofs]
-        cluster_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    if clusters is not None:
+        cluster_offsets = np.cumsum([0] + [c.num_clusters for c in clusters])
         batch.cluster_of_node = np.concatenate(
-            [c + off for c, off in zip(cluster_ofs, cluster_offsets[:-1])]
+            [c.cluster_of + off for c, off in zip(clusters, cluster_offsets[:-1])]
         )
         batch.cluster_offsets = cluster_offsets
         batch.num_clusters = int(cluster_offsets[-1])
     return batch
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def _init_pool(params: dict, rng, hidden: int, readout: str) -> None:
-    if readout == ATTENTION:
-        params["pool.w"] = ad.parameter(_glorot(rng, hidden, 1))
-        params["pool.b"] = ad.parameter(np.zeros(1))
-    elif readout != SUM:
-        raise ConfigError(f"unknown readout {readout!r}")
-
-
-def init_gin_params(rng: np.random.Generator, in_dim: int, config: GinConfig,
-                    num_classes: int) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
-    dim = in_dim
+def param_shapes(config, in_dim: int, num_classes: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in initialisation order: per layer a GIN
+    update (``w1``, ``b1``, ``w2``, ``b2``) or one linear map (``w``, ``b``), then the
+    head, then the gate (``pool.w``, ``pool.b``) of attention readout."""
+    shapes, dim, h = {}, in_dim, config.hidden
+    parts = ("1", "2") if config.kind == "gin" else ("",)
     for layer in range(config.num_layers):
-        params[f"layer{layer}.w1"] = ad.parameter(_glorot(rng, dim, config.hidden))
-        params[f"layer{layer}.b1"] = ad.parameter(np.zeros(config.hidden))
-        params[f"layer{layer}.w2"] = ad.parameter(_glorot(rng, config.hidden, config.hidden))
-        params[f"layer{layer}.b2"] = ad.parameter(np.zeros(config.hidden))
-        dim = config.hidden
-    params["head.w"] = ad.parameter(_glorot(rng, config.hidden, num_classes))
-    params["head.b"] = ad.parameter(np.zeros(num_classes))
-    _init_pool(params, rng, config.hidden, config.readout)
+        for part in parts:
+            shapes[f"layer{layer}.w{part}"], shapes[f"layer{layer}.b{part}"] = (dim, h), (h,)
+            dim = h
+    shapes["head.w"], shapes["head.b"] = (h, num_classes), (num_classes,)
+    if config.readout == ATTENTION:
+        shapes["pool.w"], shapes["pool.b"] = (h, 1), (1,)
+    return shapes
+
+
+def init_params(rng: np.random.Generator, in_dim: int, config,
+                num_classes: int) -> dict[str, Tensor]:
+    """Glorot-uniform matrices and zero biases, drawn in ``param_shapes`` order."""
+    params = {}
+    for name, shape in param_shapes(config, in_dim, num_classes).items():
+        limit = np.sqrt(6.0 / sum(shape))
+        params[name] = ad.parameter(rng.uniform(-limit, limit, size=shape) if len(shape) == 2
+                                    else np.zeros(shape))
     return params
 
 
-def init_linear_params(rng: np.random.Generator, in_dim: int, config: GcnConfig | StudentConfig,
-                       num_classes: int) -> dict[str, Tensor]:
-    """GCN and student parameters: one linear map per layer, then the head."""
-    params: dict[str, Tensor] = {}
-    dim = in_dim
-    for layer in range(config.num_layers):
-        params[f"layer{layer}.w"] = ad.parameter(_glorot(rng, dim, config.hidden))
-        params[f"layer{layer}.b"] = ad.parameter(np.zeros(config.hidden))
-        dim = config.hidden
-    params["head.w"] = ad.parameter(_glorot(rng, config.hidden, num_classes))
-    params["head.b"] = ad.parameter(np.zeros(num_classes))
-    _init_pool(params, rng, config.hidden, config.readout)
-    return params
+init_gin_params = init_linear_params = init_params
 
 
 def readout(H: Tensor, segment_ids: np.ndarray, num_segments: int, mode: str,
             params: dict[str, Tensor]) -> Tensor:
     """Permutation-invariant pooling of node embeddings per segment.
 
-    Attention mode gates each node by sigmoid(w.h + b) before summing; the
-    gate parameters are shared between graph-level and cluster-level calls.
+    Any mode but ``SUM`` is attention (configs admit no other): each node is gated
+    by sigmoid(w.h + b) before summing, with one gate for graph and cluster calls.
     """
     if mode == SUM:
         return ad.segment_sum(H, segment_ids, num_segments)
-    if mode == ATTENTION:
-        gate = ad.sigmoid(ad.linear(H, params["pool.w"], params["pool.b"]))
-        tiled = ad.matmul(gate, ad.constant(np.ones((1, H.shape[1]))))
-        return ad.segment_sum(ad.mul(tiled, H), segment_ids, num_segments)
-    raise ConfigError(f"unknown readout {mode!r}")
+    gate = ad.sigmoid(ad.linear(H, params["pool.w"], params["pool.b"]))
+    tiled = ad.matmul(gate, ad.constant(np.ones((1, H.shape[1]))))
+    return ad.segment_sum(ad.mul(tiled, H), segment_ids, num_segments)
 
 
 def _dropout(h: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
@@ -264,16 +256,12 @@ def gcn_forward(batch: GraphBatch, config: GcnConfig, params: dict[str, Tensor],
 
 
 def check_struct_cache(graph: Graph, cache: StructCache | None, config: StudentConfig) -> None:
-    """The cache rows a student reads (``lape``, and ``agg_features`` for GA-MLP) are one
-    per node of ``graph``; a cache of another graph is an ``IntegrityError``."""
-    read = ["lape"] * config.use_lape + ["agg_features"] * (config.kind == "ga-mlp")
-    if read and cache is None:
+    """``check_struct_caches`` of one graph; a student that reads ``lape`` or the
+    GA-MLP block without a cache is a ``ConfigError``."""
+    if cache is not None:
+        check_struct_caches([graph], [cache])
+    elif config.use_lape or config.kind == "ga-mlp":
         raise ConfigError("student needs a struct cache for ga-mlp inputs or lape")
-    for name in read:
-        rows = len(getattr(cache, name))
-        if rows != graph.num_nodes:
-            raise IntegrityError(f"struct cache {name} has {rows} rows, "
-                                 f"the graph has {graph.num_nodes} nodes")
 
 
 def student_input(graph: Graph, cache: StructCache | None, config: StudentConfig) -> np.ndarray:
@@ -330,5 +318,5 @@ def _inference(forward):
 
 FORWARD = {"gin": gin_forward, "gcn": gcn_forward}
 INFER = {"gin": _inference(gin_forward), "gcn": _inference(gcn_forward)}
-INIT = {"gin": init_gin_params, "gcn": init_linear_params}
+INIT = {"gin": init_params, "gcn": init_params}
 student_infer = _inference(student_forward)

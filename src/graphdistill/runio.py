@@ -11,6 +11,8 @@ columns dataset,method,fold,seed,accuracy; floats are serialized with
 from __future__ import annotations
 
 import dataclasses
+import io
+import itertools
 import json
 import os
 import platform
@@ -23,7 +25,7 @@ import scipy
 from . import __version__
 from .checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from .errors import ArtifactMissingError, ConfigError, ContractError, FormatError
-from .models import GcnConfig, GinConfig, StudentConfig
+from .models import GcnConfig, GinConfig, StudentConfig, param_shapes
 from .structure import STRUCT_CACHE_FORMAT
 from .training import FoldResult, TeacherCheckpoint
 
@@ -115,11 +117,18 @@ def write_metrics_csv(path, rows: list[tuple]) -> None:
 
 
 def read_metrics_csv(path) -> list[tuple]:
+    """The rows of ``write_metrics_csv``; text that is not UTF-8, a malformed row or
+    an accuracy outside [0, 1] (NaN and inf included) is a ``FormatError`` naming
+    ``path``, or ``path:line``."""
     path = Path(path)
     if not path.is_file():
         raise ArtifactMissingError(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
     rows = []
-    with path.open() as fh:
+    with io.StringIO(text) as fh:
         header = fh.readline().strip()
         if header != METRICS_HEADER:
             raise FormatError(f"{path}: unexpected header {header!r}")
@@ -130,6 +139,8 @@ def read_metrics_csv(path) -> list[tuple]:
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: expected {METRICS_HEADER}, "
                                   f"got {line.strip()!r}") from exc
+            if not 0.0 <= rows[-1][4] <= 1.0:
+                raise FormatError(f"{path}:{lineno}: accuracy {acc} is not in [0, 1]")
     return rows
 
 
@@ -188,6 +199,35 @@ def config_from_dict(d: dict, source):
         raise FormatError(f"{source}: {exc}") from None
 
 
+def _describe(entry) -> str:
+    return "missing" if entry is None else f"{entry[0]!r} {entry[1]}"
+
+
+def _load_params(stem: Path, config) -> dict[str, np.ndarray]:
+    """The parameters in ``<stem>.ckpt``, if they are ``param_shapes(config, in_dim,
+    num_classes)`` name for name and shape for shape, with ``in_dim`` the rows of the
+    first parameter and ``num_classes`` (at least 1) the length of ``head.b``.
+    Otherwise a ``FormatError`` names the file and the first parameter that differs.
+    Only shapes are compared, so a config of any size allocates nothing here: the
+    table is cut to ``len(params) + 1`` layers, which changes it only past the
+    point where the saved parameters run out."""
+    path = stem.with_suffix(".ckpt")
+    params = load_checkpoint(path)
+    got = [(name, value.shape) for name, value in params.items()]
+    in_dim = got[0][1][0] if got and got[0][1] else 0
+    head = params.get("head.b")
+    num_classes = head.shape[0] if head is not None and head.ndim == 1 else 0
+    cut = dataclasses.replace(config, num_layers=min(config.num_layers, len(got) + 1))
+    want = param_shapes(cut, in_dim, num_classes).items()
+    for i, (have, expected) in enumerate(itertools.zip_longest(got, want)):
+        if have != expected:
+            raise FormatError(f"{path}: parameter {i} is {_describe(have)}, the config in "
+                              f"{stem.name}.json expects {_describe(expected)}")
+    if num_classes < 1:
+        raise FormatError(f"{path}: 'head.b' holds no class")
+    return params
+
+
 def save_teacher_checkpoint(run_dir, ckpt: TeacherCheckpoint) -> None:
     stem = Path(run_dir) / f"teacher_fold{ckpt.fold_index}"
     save_checkpoint(stem.with_suffix(".ckpt"), ckpt.params)
@@ -207,11 +247,11 @@ def load_teacher_checkpoint(run_dir, fold_index: int) -> TeacherCheckpoint:
     meta = read_json_object(path, {"fold_index": int, "config": dict,
                                    "best_test_accuracy": (int, float), "epoch_of_best": int,
                                    "train_accuracy": (int, float)})
-    params = load_checkpoint(stem.with_suffix(".ckpt"))
+    config = config_from_dict(meta["config"], path)
     return TeacherCheckpoint(
         fold_index=meta["fold_index"],
-        config=config_from_dict(meta["config"], path),
-        params=params,
+        config=config,
+        params=_load_params(stem, config),
         best_test_accuracy=meta["best_test_accuracy"],
         epoch_of_best=meta["epoch_of_best"],
         train_accuracy=meta["train_accuracy"],
@@ -230,7 +270,7 @@ def load_student_checkpoint(run_dir, fold_index: int, seed: int):
     stem = Path(run_dir) / f"student_fold{fold_index}_seed{seed}"
     path = stem.with_suffix(".json")
     config = config_from_dict(read_json_object(path, {"config": dict})["config"], path)
-    return config, load_checkpoint(stem.with_suffix(".ckpt"))
+    return config, _load_params(stem, config)
 
 
 def _written_by_report(run_dir: Path) -> bool:

@@ -22,6 +22,9 @@ small graphs of a dataset together, one node of each per numpy step, and
 at a time for the rest. Both give byte-identical partitions and
 modularities (see ``louvain_cluster``).
 
+``check_struct_caches`` owns the fit of caches to a dataset: every consumer of
+caches calls it, and a misfit is an ``IntegrityError``.
+
 The cache sidecar (``save_struct_caches``, format ``structcache/3``) is
 one uncompressed ``.npz`` written by ``np.savez``: deflate shrank the float
 members little for most of the save time. The loader reads stored and
@@ -59,7 +62,7 @@ from scipy.sparse.linalg import eigsh
 
 from .csr import CsrOperator
 from .data import Dataset, Graph
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, IntegrityError
 
 STRUCT_CACHE_FORMAT = "structcache/3"
 
@@ -125,6 +128,20 @@ class StructCache:
     lape: np.ndarray
     agg_features: np.ndarray
     walk_pool: WalkPool
+
+
+def check_struct_caches(graphs: list[Graph], caches: list[StructCache]) -> None:
+    """The one check that ``caches`` fit ``graphs``: one cache per graph, and one
+    cluster id, one ``lape`` row and one ``agg_features`` row per node. A mismatch
+    is an ``IntegrityError`` naming the counts, or the first bad graph and field."""
+    if len(caches) != len(graphs):
+        raise IntegrityError(f"{len(caches)} struct caches for {len(graphs)} graphs")
+    for i, (g, c) in enumerate(zip(graphs, caches)):
+        for name, rows in (("clusters.cluster_of", c.clusters.cluster_of), ("lape", c.lape),
+                           ("agg_features", c.agg_features)):
+            if len(rows) != g.num_nodes:
+                raise IntegrityError(f"graph {i}: struct cache field {name!r} has {len(rows)} "
+                                     f"rows, the graph has {g.num_nodes} nodes")
 
 
 def _modularities(off: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
@@ -482,7 +499,10 @@ def laplacian_pe(graph: Graph, k_pe: int) -> np.ndarray:
     if k_pe < 1:
         raise ContractError(f"k_pe must be >= 1, got {k_pe}")
     n = graph.num_nodes
-    out = np.zeros((n, k_pe))
+    try:  # a size beyond numpy's index range or the memory is invalid input
+        out = np.zeros((n, k_pe))
+    except (ValueError, MemoryError) as exc:
+        raise ContractError(f"k_pe {k_pe} is too large for {n} nodes: {exc}") from None
     if n <= 1:
         return out
     avail = min(k_pe, n - 1)
@@ -551,8 +571,13 @@ def sample_walks(graph: Graph, num_walks: int, walk_length: int, seed: int) -> W
     if num_walks and n < 1:
         raise ContractError("sample_walks needs a node to start from, the graph has none")
     bitgen = np.random.PCG64(seed)
-    # Without rejections, which are rare, a walk takes at most walk_length + 1 halves.
-    halves = _halves(bitgen, (num_walks * (walk_length + 1) + 1) // 2)
+    try:  # a pool beyond numpy's index range or the memory fails here, before any draw
+        matrix = np.empty((num_walks, walk_length + 1), dtype=np.int64)
+        # Without rejections, which are rare, a walk takes at most walk_length + 1 halves.
+        halves = _halves(bitgen, (matrix.size + 1) // 2)
+    except (ValueError, MemoryError) as exc:
+        raise ContractError(f"a pool of {num_walks} walks of length {walk_length} is too "
+                            f"large: {exc}") from None
     pos = 0
     ptr, nbrs = graph.indptr.tolist(), graph.indices.tolist()
     walks = []
@@ -567,7 +592,7 @@ def sample_walks(graph: Graph, num_walks: int, walk_length: int, seed: int) -> W
             cur = nbrs[lo + step]
             seq.append(cur)
         walks.append(seq + [-1] * (walk_length + 1 - len(seq)))
-    matrix = np.array(walks, dtype=np.int64).reshape(num_walks, walk_length + 1)
+    matrix = np.array(walks, dtype=np.int64).reshape(matrix.shape)
     return WalkPool(walks=matrix, walk_length=walk_length, seed=seed)
 
 
@@ -734,11 +759,15 @@ def _check_layout(path: Path, fields: dict[str, np.ndarray], num_graphs: int,
                           "or -1 outside the tail of a singleton walk")
 
 
+# What reading a member of a damaged archive raises.
+_MEMBER_ERRORS = (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error)
+
+
 def _read_fields(path: Path, data) -> tuple[dict[str, np.ndarray], dict]:
     """The meta dict and every field of an open ``structcache/3`` archive."""
     try:
         meta = json.loads(str(data["meta"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, *_MEMBER_ERRORS) as exc:
         raise FormatError(f"{path}: not a struct cache: {exc}") from exc
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != STRUCT_CACHE_FORMAT:
@@ -753,7 +782,7 @@ def _read_fields(path: Path, data) -> tuple[dict[str, np.ndarray], dict]:
             raise FormatError(f"{path}: struct cache has no field {name!r}")
         try:
             fields[name] = data[name]
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        except _MEMBER_ERRORS as exc:
             raise FormatError(f"{path}: cannot read field {name!r}: {exc}") from exc
     return fields, meta
 

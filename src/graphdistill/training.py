@@ -9,7 +9,9 @@ per-epoch telemetry and for model selection on a validation slice.
 
 ``cache_teacher`` packs a fold's frozen teacher outputs into one table of six
 arrays (``TeacherCache``), and each student batch gathers its teacher targets
-from it by graph id and by segment rows.
+from it by graph id and by segment rows. Its offsets come from the node counts
+and ``ClusterAssignment.num_clusters``. Both it and ``sweep`` take the fit of
+struct caches to the dataset from ``structure.check_struct_caches``.
 
 Evaluation protocol: folds carry train/test only; the best test accuracy
 over epochs is reported per fold, and the same best-so-far record drives the lr
@@ -29,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam
 from .data import Dataset, FoldSplit
-from .errors import ConfigError, IntegrityError, NumericError
+from .errors import ConfigError, NumericError
 from .losses import (
     DistillWeights,
     batch_ground_truth,
@@ -45,14 +47,14 @@ from .models import (
     INIT,
     GraphBatch,
     StudentConfig,
-    init_linear_params,
+    init_params,
     make_batch,
     params_to_arrays,
     student_forward,
     student_infer,
     student_input,
 )
-from .structure import StructCache
+from .structure import StructCache, check_struct_caches
 
 log = logging.getLogger("graphdistill")
 
@@ -270,35 +272,23 @@ def train_teacher(dataset: Dataset, folds: list[FoldSplit], grid: list,
     return [best[f.fold_index] for f in folds]
 
 
-def _check_node_counts(dataset: Dataset, struct_caches: list[StructCache]) -> None:
-    for i, (g, c) in enumerate(zip(dataset.graphs, struct_caches)):
-        if c.clusters.cluster_of.size != g.num_nodes:
-            raise IntegrityError(f"graph {i}: cluster assignment does not match node count")
-
-
 def cache_teacher(checkpoint: TeacherCheckpoint, dataset: Dataset,
                   struct_caches: list[StructCache]) -> TeacherCache:
     """The packed teacher outputs of every graph, via the inference path."""
-    if len(struct_caches) != len(dataset.graphs):
-        raise IntegrityError(
-            f"{len(struct_caches)} struct caches for {len(dataset.graphs)} graphs"
-        )
-    _check_node_counts(dataset, struct_caches)
-    outs, node_counts, cluster_counts = [], [[0]], [[0]]
+    check_struct_caches(dataset.graphs, struct_caches)
+    outs = []
     for chunk in _chunks(np.arange(len(dataset.graphs)), 256):
         batch = make_batch([dataset.graphs[i] for i in chunk],
-                           cluster_ofs=[struct_caches[i].clusters.cluster_of for i in chunk])
+                           clusters=[struct_caches[i].clusters for i in chunk])
         outs.append(INFER[checkpoint.config.kind](batch, checkpoint.config, checkpoint.params))
-        node_counts.append(np.diff(batch.node_offsets))
-        cluster_counts.append(np.diff(batch.cluster_offsets))
     packed = {name: np.concatenate([getattr(out, name) for out in outs])
               for name in ("logits", "graph_embedding", "node_embeddings", "cluster_embeddings")}
     return TeacherCache(
         fold_index=checkpoint.fold_index, logits=packed["logits"],
         graph_embeddings=packed["graph_embedding"], node_embeddings=packed["node_embeddings"],
         cluster_embeddings=packed["cluster_embeddings"],
-        node_offsets=np.cumsum(np.concatenate(node_counts)),
-        cluster_offsets=np.cumsum(np.concatenate(cluster_counts)))
+        node_offsets=np.cumsum([0] + [g.num_nodes for g in dataset.graphs]),
+        cluster_offsets=np.cumsum([0] + [c.clusters.num_clusters for c in struct_caches]))
 
 
 def _segment_rows(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -355,7 +345,7 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
     rng_init, rng_shuffle, rng_dropout, rng_walks = (
         _derived_rng(run.seed, seed, fold.fold_index, k) for k in range(4))
 
-    params = init_linear_params(rng_init, inputs[0].shape[1], scfg, dataset.num_classes)
+    params = init_params(rng_init, inputs[0].shape[1], scfg, dataset.num_classes)
     test_batch = make_batch([dataset.graphs[i] for i in fold.test_ids],
                             [inputs[i] for i in fold.test_ids])
 
@@ -366,7 +356,7 @@ def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCa
                        for gid in (fold.train_ids if weights.eta > 0 else ())}
         def batch_loss(chunk):
             batch = make_batch([dataset.graphs[i] for i in chunk], [inputs[i] for i in chunk],
-                               [struct_caches[i].clusters.cluster_of for i in chunk]
+                               [struct_caches[i].clusters for i in chunk]
                                if weights.mu > 0 else None)
             out = student_forward(batch, scfg, params, rng_dropout)
             parts = _student_loss_parts(out, chunk, batch, tcache, epoch_walks, run, weights)
@@ -394,9 +384,7 @@ def sweep(dataset: Dataset, folds: list[FoldSplit], struct_caches: list[StructCa
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ConfigError(f"repeated sweep arm labels {repeated}")
-    if len(struct_caches) != len(dataset.graphs):
-        raise ConfigError("struct caches missing: preprocess the dataset first")
-    _check_node_counts(dataset, struct_caches)
+    check_struct_caches(dataset.graphs, struct_caches)
     for fold in folds:
         if fold.fold_index not in teacher_caches:
             raise ConfigError(f"no teacher cache for fold {fold.fold_index}")

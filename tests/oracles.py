@@ -275,8 +275,8 @@ def reference_cache_teacher(checkpoint, dataset, struct_caches):
     for start in range(0, ids.size, 256):
         chunk = ids[start:start + 256]
         graphs = [dataset.graphs[i] for i in chunk]
-        clusters = [struct_caches[i].clusters.cluster_of for i in chunk]
-        batch = make_batch(graphs, cluster_ofs=clusters)
+        clusters = [struct_caches[i].clusters for i in chunk]
+        batch = make_batch(graphs, clusters=clusters)
         out = infer(batch, checkpoint.config, checkpoint.params)
         for j in range(chunk.size):
             lo, hi = batch.node_offsets[j], batch.node_offsets[j + 1]

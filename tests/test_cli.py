@@ -18,7 +18,8 @@ from graphdistill.cli import _load_caches, _write_dynamic_outputs, main
 from graphdistill.dynamic import LatencyReport, PerturbationMetrics
 from graphdistill.data import Dataset, Graph, save_tudataset
 from graphdistill.errors import ContractError, FormatError
-from graphdistill.models import StudentConfig
+from graphdistill.checkpoint import load_checkpoint, save_checkpoint
+from graphdistill.models import GinConfig, StudentConfig, init_params, params_to_arrays
 from graphdistill.structure import build_struct_caches, save_struct_caches
 from graphdistill.runio import (
     load_student_checkpoint,
@@ -26,9 +27,11 @@ from graphdistill.runio import (
     read_manifest,
     read_metrics_csv,
     save_student_checkpoint,
+    save_teacher_checkpoint,
     write_metrics_csv,
 )
 from graphdistill.synth import two_class_structural
+from graphdistill.training import TeacherCheckpoint
 
 
 @pytest.fixture(scope="module")
@@ -402,7 +405,7 @@ class TestCliContracts:
         assert main(["distill", "--teacher-run", str(teacher_run), "--epochs", "2",
                      "--lr-patience", "1", *base]) == 1
         sidecar = data / "TINY" / "TINY.structcache.npz"
-        assert f"{sidecar}: graph 0 has" in caplog.text
+        assert f"{sidecar}: graph 0: struct cache field 'clusters.cluster_of' has" in caplog.text
         assert "graphdistill preprocess" in caplog.text
 
     @pytest.mark.parametrize("flag,value", [("--temperature", "0"), ("--walks-per-epoch", "-1")])
@@ -527,7 +530,7 @@ class TestLoadCaches:
         ds = self.write(tmp_path, 3, seed=0)
         ds.graphs.pop()
         with pytest.raises(FormatError, match=re.escape(str(tmp_path / "T.structcache.npz"))
-                           + ": holds 3 graphs, dataset T has 2"):
+                           + ": 3 struct caches for 2 graphs in dataset T"):
             _load_caches(tmp_path, ds)
 
     def test_first_node_count_mismatch_named(self, tmp_path):
@@ -537,7 +540,8 @@ class TestLoadCaches:
                                         np.ones((g.num_nodes + 1, g.features.shape[1])),
                                         g.label)
         with pytest.raises(FormatError, match=re.escape(str(tmp_path / "T.structcache.npz"))
-                           + f": graph 1 has {g.num_nodes} nodes"):
+                           + f": graph 1: struct cache field 'clusters.cluster_of' "
+                           f"has {g.num_nodes} rows, the graph has {g.num_nodes + 1} nodes"):
             _load_caches(tmp_path, ds)
 
 
@@ -673,9 +677,11 @@ class TestRunDirErrors:
         assert len(read_metrics_csv(teacher_run / "metrics.csv")) == 2
 
     def test_student_meta_checked(self, tmp_path):
-        save_student_checkpoint(tmp_path, StudentConfig(kind="ga-mlp"), {"w": np.ones(2)}, 0, 0)
+        config = StudentConfig(kind="ga-mlp", num_layers=1, hidden=2)
+        saved = params_to_arrays(init_params(np.random.default_rng(0), 3, config, 2))
+        save_student_checkpoint(tmp_path, config, saved, 0, 0)
         cfg, params = load_student_checkpoint(tmp_path, 0, 0)
-        assert cfg == StudentConfig(kind="ga-mlp") and list(params) == ["w"]
+        assert cfg == config and list(params) == list(saved)
         meta = tmp_path / "student_fold0_seed0.json"
         for corrupt, message in ((_set_config("hidden", "64"), "'hidden' has type str"),
                                  (_without("config"), "missing key 'config'")):
@@ -940,3 +946,128 @@ class TestCliRangeChecks:
             load_teacher_checkpoint(run, 0)
         assert main(["evaluate", "--teacher-run", str(run), "--data-dir", str(tiny_data),
                      "--out-dir", str(tmp_path / "runs")]) == 1
+
+
+class TestPreprocessSizesNumpyCannotHold:
+    """Sizes beyond numpy's index range (10**20) or the 47-bit address space (2**50)
+    exit 1 and write nothing; both fail before any memory is touched."""
+
+    @pytest.mark.parametrize("flag,value", [("--walk-length", 10**20), ("--k-pe", 10**20),
+                                            ("--num-walks", 2**50), ("--k-pe", 2**50)])
+    def test_exits_1(self, tmp_path, caplog, flag, value):
+        data = tmp_path / "data"
+        save_tudataset(data / "TINY", two_class_structural(num_graphs=4, seed=0, min_nodes=8,
+                                                           max_nodes=10, name="TINY"))
+        out = tmp_path / "runs"
+        assert main(["preprocess", "--dataset", "TINY", flag, str(value), "--data-dir",
+                     str(data), "--out-dir", str(out)]) == 1
+        assert str(value) in caplog.text and "is too large" in caplog.text
+        assert not (data / "TINY" / "TINY.structcache.npz").exists()
+        assert not out.exists()
+
+
+def _save_checkpoint(run_dir, role):
+    """A GIN-3 teacher or an MLP-3 student of width 8 on 3 input columns and 2 classes."""
+    if role == "teacher":
+        config = GinConfig(num_layers=3, hidden=8)
+        params = params_to_arrays(init_params(np.random.default_rng(0), 3, config, 2))
+        save_teacher_checkpoint(run_dir, TeacherCheckpoint(0, config, params, 0.5, 1, 0.5))
+        return run_dir / "teacher_fold0", lambda: load_teacher_checkpoint(run_dir, 0)
+    config = StudentConfig(num_layers=3, hidden=8)
+    params = params_to_arrays(init_params(np.random.default_rng(0), 3, config, 2))
+    save_student_checkpoint(run_dir, config, params, 0, 0)
+    return run_dir / "student_fold0_seed0", lambda: load_student_checkpoint(run_dir, 0, 0)
+
+
+class TestCheckpointLayout:
+    """A checkpoint whose config does not match its parameters is a ``FormatError``
+    naming the .ckpt file and the first parameter that differs."""
+
+    # (config key, value) -> the first difference, for the teacher and for the student
+    CASES = {
+        ("num_layers", 5): ("12 is 'head.w' (8, 2), the config in {json} expects 'layer3.w1' "
+                            "(8, 8)",
+                            "6 is 'head.w' (8, 2), the config in {json} expects 'layer3.w' "
+                            "(8, 8)"),
+        # a table of 10**12 layers is never built
+        ("num_layers", 10**12): ("12 is 'head.w' (8, 2), the config in {json} expects "
+                                 "'layer3.w1' (8, 8)",
+                                 "6 is 'head.w' (8, 2), the config in {json} expects "
+                                 "'layer3.w' (8, 8)"),
+        ("readout", "attention"): ("14 is missing, the config in {json} expects 'pool.w' (8, 1)",
+                                   "8 is missing, the config in {json} expects 'pool.w' (8, 1)"),
+        ("num_layers", 1): ("4 is 'layer1.w1' (8, 8), the config in {json} expects 'head.w' "
+                            "(8, 2)",
+                            "2 is 'layer1.w' (8, 8), the config in {json} expects 'head.w' "
+                            "(8, 2)"),
+        ("hidden", 10**6): ("0 is 'layer0.w1' (3, 8), the config in {json} expects 'layer0.w1' "
+                            "(3, 1000000)",
+                            "0 is 'layer0.w' (3, 8), the config in {json} expects 'layer0.w' "
+                            "(3, 1000000)"),
+    }
+
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    @pytest.mark.parametrize("key,value", list(CASES))
+    def test_config_unlike_parameters(self, tmp_path, role, key, value):
+        stem, load = _save_checkpoint(tmp_path, role)
+        _edit_json(_set_config(key, value))(stem.with_suffix(".json"))
+        message = self.CASES[key, value][role == "student"].format(json=f"{stem.name}.json")
+        with pytest.raises(FormatError, match=re.escape(f"{stem}.ckpt: parameter {message}")):
+            load()
+
+    @pytest.mark.parametrize("role,message", [
+        ("teacher", "eps must be finite, got inf"),
+        ("student", "unknown mlp config key 'eps'"),
+    ])
+    def test_infinite_eps(self, tmp_path, role, message):
+        stem, load = _save_checkpoint(tmp_path, role)
+        _edit_json(_set_config("eps", float("inf")))(stem.with_suffix(".json"))
+        assert "Infinity" in stem.with_suffix(".json").read_text()
+        with pytest.raises(FormatError, match=re.escape(f"{stem}.json: {message}")):
+            load()
+
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_no_class(self, tmp_path, role):
+        stem, load = _save_checkpoint(tmp_path, role)
+        params = load_checkpoint(stem.with_suffix(".ckpt"))
+        params["head.w"], params["head.b"] = params["head.w"][:, :0], params["head.b"][:0]
+        save_checkpoint(stem.with_suffix(".ckpt"), params)
+        with pytest.raises(FormatError, match=re.escape(f"{stem}.ckpt: 'head.b' holds no class")):
+            load()
+
+    @pytest.mark.parametrize("key,value", [("num_layers", 3), ("readout", "attention"),
+                                           ("hidden", 10**6), ("eps", float("inf"))])
+    def test_evaluate_exits_1(self, tiny_data, teacher_run, tmp_path, caplog, key, value):
+        run = tmp_path / "run"
+        shutil.copytree(teacher_run, run)
+        _edit_json(_set_config(key, value))(run / "teacher_fold0.json")
+        assert main(["evaluate", "--teacher-run", str(run), "--data-dir", str(tiny_data),
+                     "--out-dir", str(tmp_path / "runs")]) == 1
+        assert str(run / "teacher_fold0") in caplog.text
+
+
+class TestMetricsCsvValues:
+    """``report`` reads only UTF-8 rows whose accuracy lies in [0, 1]."""
+
+    @pytest.mark.parametrize("acc", ["nan", "1e999", "inf", "-0.25", "1.5"])
+    def test_accuracy_outside_unit_interval(self, tmp_path, caplog, acc):
+        path = tmp_path / "metrics.csv"
+        path.write_text(f"dataset,method,fold,seed,accuracy\nT,m,0,0,0.5\nT,m,1,0,{acc}\n")
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{path}:3: accuracy {acc} is not in [0, 1]")):
+            read_metrics_csv(path)
+        assert main(["report", "--runs", str(path), "--out-dir", str(tmp_path / "runs")]) == 1
+        assert f"{path}:3: accuracy {acc}" in caplog.text
+
+    def test_not_utf8(self, tmp_path, caplog):
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(b"dataset,method,fold,seed,accuracy\nT,m\xff,0,0,0.5\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: not UTF-8 text")):
+            read_metrics_csv(path)
+        assert main(["report", "--runs", str(path), "--out-dir", str(tmp_path / "runs")]) == 1
+        assert f"{path}: not UTF-8 text" in caplog.text
+
+    def test_bounds_are_valid(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, [("T", "m", 0, 0, 0.0), ("T", "m", 1, 0, 1.0)])
+        assert [row[-1] for row in read_metrics_csv(path)] == [0.0, 1.0]

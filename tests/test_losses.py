@@ -544,7 +544,7 @@ class TestStudentEqualToTeacher:
     def test_every_term_is_exactly_zero(self):
         ds = two_class_structural(num_graphs=4, seed=5, name="eq")
         caches = build_struct_caches(ds, seed=0, k_pe=2, walk_length=4)
-        batch = make_batch(ds.graphs, cluster_ofs=[c.clusters.cluster_of for c in caches])
+        batch = make_batch(ds.graphs, clusters=[c.clusters for c in caches])
         assert batch.num_graphs == 4 and batch.cluster_offsets[-1] > 4
         cfg = GinConfig(num_layers=2, hidden=8)
         params = params_to_arrays(init_gin_params(np.random.default_rng(0), ds.feature_dim,

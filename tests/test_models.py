@@ -4,6 +4,7 @@ import pytest
 from graphdistill import autodiff as ad
 from graphdistill.data import Graph
 from graphdistill.errors import ConfigError, ShapeError
+from graphdistill.structure import ClusterAssignment
 from graphdistill.models import (
     INFER,
     GcnConfig,
@@ -13,7 +14,9 @@ from graphdistill.models import (
     gin_forward,
     init_gin_params,
     init_linear_params,
+    init_params,
     make_batch,
+    param_shapes,
     params_to_arrays,
     readout,
     student_forward,
@@ -47,6 +50,48 @@ class TestConfigRanges:
     def test_edge_values_accepted(self, cls):
         config = cls(num_layers=1, hidden=1, dropout=0.999)
         assert (config.num_layers, config.hidden, config.dropout) == (1, 1, 0.999)
+
+    @pytest.mark.parametrize("cls", [GinConfig, GcnConfig, StudentConfig])
+    def test_unknown_readout_rejected(self, cls):
+        with pytest.raises(ConfigError, match="unknown readout 'mean'"):
+            cls(readout="mean")
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+    def test_gin_eps_must_be_finite(self, eps):
+        with pytest.raises(ConfigError, match="eps must be finite"):
+            GinConfig(eps=eps)
+
+
+class TestParamShapes:
+    """``param_shapes`` is the one layout: ``init_params`` draws exactly its names and
+    shapes, in its order, Glorot-uniform matrices from one generator and zero biases."""
+
+    @pytest.mark.parametrize("config", [
+        GinConfig(num_layers=2, hidden=5, readout="attention"), GinConfig(num_layers=1, hidden=3),
+        GcnConfig(num_layers=3, hidden=4), StudentConfig(kind="ga-mlp", num_layers=2, hidden=6,
+                                                         readout="attention"),
+    ], ids=["gin-attention", "gin", "gcn", "ga-mlp-attention"])
+    def test_init_draws_the_table_in_order(self, config):
+        table = param_shapes(config, 3, 4)
+        params = init_params(np.random.default_rng(9), 3, config, 4)
+        assert [(k, p.values.shape) for k, p in params.items()] == list(table.items())
+        rng = np.random.default_rng(9)
+        for name, shape in table.items():
+            if len(shape) == 2:
+                limit = np.sqrt(6.0 / sum(shape))
+                want = rng.uniform(-limit, limit, size=shape)
+            else:
+                want = np.zeros(shape)
+            assert params[name].values.tobytes() == want.tobytes(), name
+
+    def test_layouts(self):
+        assert list(param_shapes(GinConfig(num_layers=1, hidden=2), 3, 4).items()) == [
+            ("layer0.w1", (3, 2)), ("layer0.b1", (2,)), ("layer0.w2", (2, 2)),
+            ("layer0.b2", (2,)), ("head.w", (2, 4)), ("head.b", (4,))]
+        assert list(param_shapes(StudentConfig(num_layers=2, hidden=2, readout="attention"),
+                                 3, 4).items()) == [
+            ("layer0.w", (3, 2)), ("layer0.b", (2,)), ("layer1.w", (2, 2)), ("layer1.b", (2,)),
+            ("head.w", (2, 4)), ("head.b", (4,)), ("pool.w", (2, 1)), ("pool.b", (1,))]
 
 
 def identity_gin_params(dim):
@@ -165,7 +210,7 @@ class TestStudentForward:
         rows = student_input(k2, cache, cfg)
         assert rows.shape == (2, 12)  # (1 feat + 5 pe) doubled by aggregation
         params = init_linear_params(rng, rows.shape[1], cfg, 2)
-        out = student_forward(make_batch([k2], [rows], [cache.clusters.cluster_of]), cfg, params)
+        out = student_forward(make_batch([k2], [rows], [cache.clusters]), cfg, params)
         assert np.all(np.isfinite(out.logits.values))
 
     def test_missing_cache_is_config_error(self, k2):
@@ -225,7 +270,7 @@ class TestReadout:
         cache = build_struct_cache(g, 0, seed=0)
         cfg = GinConfig(num_layers=2, hidden=6, readout="sum")
         params = init_gin_params(rng, 3, cfg, 2)
-        batch = make_batch([g], cluster_ofs=[cache.clusters.cluster_of])
+        batch = make_batch([g], clusters=[cache.clusters])
         out = gin_forward(batch, cfg, params)
         np.testing.assert_allclose(
             out.cluster_embeddings.values.sum(axis=0),
@@ -244,9 +289,19 @@ def assert_outputs_byte_equal(fast, slow):
 
 
 def clustered_batch(graphs, seed, rows=None):
-    clusters = [build_struct_cache(g, i, seed).clusters.cluster_of
-                for i, g in enumerate(graphs)]
+    clusters = [build_struct_cache(g, i, seed).clusters for i, g in enumerate(graphs)]
     return make_batch(graphs, rows, clusters)
+
+
+class TestMakeBatch:
+    def test_cluster_offsets_count_num_clusters(self, path3, k2):
+        # Cluster ids 0..max need not use up an assignment's count: its
+        # ``num_clusters`` sets the batch's cluster offsets.
+        clusters = [ClusterAssignment(np.array([0, 0, 1]), 3, 0.0, []),
+                    ClusterAssignment(np.array([1, 0]), 2, 0.0, [])]
+        batch = make_batch([path3, k2], clusters=clusters)
+        assert batch.cluster_offsets.tolist() == [0, 3, 5] and batch.num_clusters == 5
+        assert batch.cluster_of_node.tolist() == [0, 0, 1, 4, 3]
 
 
 class TestInferenceTwins:
@@ -277,7 +332,7 @@ class TestInferenceTwins:
         rng = np.random.default_rng(12)
         graphs = [random_er_graph(rng, n, p=0.3, feature_dim=3) for n in (10, 7)]
         caches = [build_struct_cache(g, i, seed=1) for i, g in enumerate(graphs)]
-        clusters = [c.clusters.cluster_of for c in caches]
+        clusters = [c.clusters for c in caches]
         for kind in ("mlp", "ga-mlp"):
             for readout_mode in ("sum", "attention"):
                 cfg = StudentConfig(kind=kind, use_lape=True, num_layers=3, hidden=8,
@@ -332,7 +387,7 @@ class TestModelGradients:
         cfg = StudentConfig(kind="ga-mlp", use_lape=True, num_layers=3, hidden=4)
         rows = student_input(g, cache, cfg)
         params = init_linear_params(rng, rows.shape[1], cfg, 2)
-        batch = make_batch([g], [rows], [cache.clusters.cluster_of])
+        batch = make_batch([g], [rows], [cache.clusters])
 
         def loss():
             out = student_forward(batch, cfg, params)

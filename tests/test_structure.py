@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import re
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from graphdistill.data import Dataset, Graph
-from graphdistill.errors import ContractError, FormatError
+from graphdistill.errors import ContractError, FormatError, IntegrityError
 from graphdistill import structure
 from graphdistill.structure import (
     DENSE_LAPE_MAX_NODES,
@@ -22,6 +23,7 @@ from graphdistill.structure import (
     StructCache,
     WalkPool,
     build_struct_caches,
+    check_struct_caches,
     default_num_walks,
     dense_laplacian,
     ga_mlp_aggregate,
@@ -657,6 +659,60 @@ class TestBoundedDraw:
             assert x == int(rng.integers(r))
 
 
+class TestSizesNumpyCannotHold:
+    """Pool and encoding sizes beyond numpy's index range (10**20) or the 47-bit
+    address space (2**50) are ``ContractError``s; both fail before any memory is
+    touched."""
+
+    @pytest.mark.parametrize("num_walks,walk_length", [(1, 10**20), (0, 10**20), (2**50, 8),
+                                                       (2**50, 2**50)])
+    def test_walk_pool(self, path3, num_walks, walk_length):
+        with pytest.raises(ContractError, match=f"a pool of {num_walks} walks of length "
+                                                f"{walk_length} is too large"):
+            sample_walks(path3, num_walks, walk_length, seed=0)
+
+    @pytest.mark.parametrize("k_pe", [10**20, 2**50])
+    def test_laplacian_pe(self, path3, k_pe):
+        with pytest.raises(ContractError, match=f"k_pe {k_pe} is too large for 3 nodes"):
+            laplacian_pe(path3, k_pe)
+
+
+class TestCheckStructCaches:
+    """The one fit of caches to graphs: one cache per graph, and one cluster id, one
+    ``lape`` row and one ``agg_features`` row per node; the first bad graph and field
+    are named."""
+
+    @pytest.fixture
+    def fitted(self):
+        ds = two_class_structural(num_graphs=3, seed=0, min_nodes=5, max_nodes=8)
+        return ds.graphs, build_struct_caches(ds, seed=0, k_pe=2, walk_length=2)
+
+    def test_fitting_caches_pass(self, fitted):
+        check_struct_caches(*fitted)
+
+    @pytest.mark.parametrize("cut", [lambda c: c[:2], lambda c: c + c[:1]])
+    def test_count(self, fitted, cut):
+        graphs, caches = fitted
+        with pytest.raises(IntegrityError, match=f"^{len(cut(caches))} struct caches for 3 "
+                                                 f"graphs$"):
+            check_struct_caches(graphs, cut(caches))
+
+    @pytest.mark.parametrize("field", ["clusters.cluster_of", "lape", "agg_features"])
+    def test_first_bad_graph_and_field(self, fitted, field):
+        graphs, caches = fitted
+        caches = list(caches)
+        for i in (1, 2):  # graph 1 is named, not graph 2
+            caches[i] = copy.deepcopy(caches[i])
+            owner = caches[i].clusters if field == "clusters.cluster_of" else caches[i]
+            name = field.split(".")[-1]
+            setattr(owner, name, getattr(owner, name)[:-1])
+        n = graphs[1].num_nodes
+        with pytest.raises(IntegrityError, match=re.escape(
+                f"graph 1: struct cache field {field!r} has {n - 1} rows, the graph has {n} "
+                f"nodes")):
+            check_struct_caches(graphs, caches)
+
+
 class TestWalks:
     def test_p2_forced_alternation(self, k2):
         pool = sample_walks(k2, 50, 3, seed=0)
@@ -822,6 +878,28 @@ class TestStructCachePersistence:
             assert len(a.walk_pool.walks) == len(b.walk_pool.walks)
             for wa, wb in zip(a.walk_pool.walks, b.walk_pool.walks):
                 np.testing.assert_array_equal(wa, wb)
+
+    @pytest.mark.parametrize("damage", ["inserted-bytes", "crc"])
+    def test_damaged_meta_member_is_format_error(self, tmp_path, damage):
+        # Bytes inserted mid-file shift every member, so the first one, meta, has no
+        # local header where the central directory puts it (BadZipFile on open). A
+        # space of meta's .npy header padding turned into a tab still parses, and
+        # fails only the member's CRC-32 (BadZipFile on read).
+        path = write_small_sidecar(tmp_path)
+        data = bytearray(path.read_bytes())
+        if damage == "inserted-bytes":
+            data[len(data) // 2:len(data) // 2] = b"\xff\xfe"
+        else:
+            with zipfile.ZipFile(path) as archive:
+                info = archive.getinfo("meta.npy")
+            name_len, extra_len = np.frombuffer(data[info.header_offset + 26:][:4], "<u2")
+            npy = info.header_offset + 30 + int(name_len) + int(extra_len)
+            pad = npy + 10 + int(np.frombuffer(data[npy + 8:npy + 10], "<u2")[0]) - 2
+            assert data[pad] == ord(" ")
+            data[pad] = ord("\t")
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: not a struct cache")):
+            load_struct_caches(path)
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "cache.npz"

@@ -327,11 +327,24 @@ class TestDistillStudent:
             np.testing.assert_allclose(ra.loss_curves["cluster"], rb.loss_curves["cluster"],
                                        atol=1e-12)
 
-    def test_missing_caches_config_error(self, tiny_setup):
+    def test_missing_caches_integrity_error(self, tiny_setup):
         dataset, folds, caches, run, _, tcaches = tiny_setup
         scfg = StudentConfig(kind="mlp", num_layers=2, hidden=8)
-        with pytest.raises(ConfigError, match="preprocess"):
+        with pytest.raises(IntegrityError, match=f"{len(caches) - 1} struct caches for "
+                                                 f"{len(caches)} graphs"):
             distill_student(dataset, folds, caches[:-1], tcaches, scfg, run)
+
+    @pytest.mark.parametrize("wrong", [lambda c: c[:-1], lambda c: c + c[:2]],
+                             ids=["too-few", "too-many"])
+    def test_cache_count_is_one_check(self, tiny_setup, wrong):
+        dataset, folds, caches, run, checkpoints, tcaches = tiny_setup
+        bad = wrong(caches)
+        message = f"{len(bad)} struct caches for {len(caches)} graphs"
+        scfg = StudentConfig(kind="mlp", num_layers=2, hidden=8)
+        with pytest.raises(IntegrityError, match=message):
+            cache_teacher(checkpoints[0], dataset, bad)
+        with pytest.raises(IntegrityError, match=message):
+            sweep(dataset, folds, bad, tcaches, scfg, run, {"run": run.weights})
 
     def test_swapped_struct_caches_are_integrity_error(self, tiny_setup):
         dataset, folds, caches, run, _, tcaches = tiny_setup
@@ -340,7 +353,8 @@ class TestDistillStudent:
         swapped = list(caches)
         swapped[0], swapped[j] = caches[j], caches[0]
         scfg = StudentConfig(kind="mlp", num_layers=2, hidden=8, use_lape=True)
-        with pytest.raises(IntegrityError, match="graph 0: cluster assignment does not match"):
+        with pytest.raises(IntegrityError,
+                           match="graph 0: struct cache field 'clusters.cluster_of' has"):
             distill_student(dataset, folds, swapped, tcaches, scfg, run)
 
     def test_hidden_mismatch_with_graph_loss(self, tiny_setup):

@@ -15,7 +15,9 @@ manifests record both, and ``report`` warns when its runs' environments differ.
 ``grid[lam=<l>;mu=<m>;eta=<e>]-<student>``; a point named twice is invalid input.
 
 ``dynamic-bench`` runs saved (``--teacher-run``, ``--student-run``) or ``--synthetic``
-models; both sources write perturbation.csv, latency.csv and latency.json.
+models; both sources write perturbation.csv, latency.csv and latency.json, which
+also holds the largest gap between incremental and full student logits. A gap
+above ``dynamic.INCREMENTAL_GAP_BOUND`` is an ``IntegrityError`` (exit 1).
 
 ``preprocess`` writes ``<name>.structcache.npz`` next to the TU files; the
 other commands read it back. A sidecar of an older format

@@ -13,6 +13,9 @@ forward from scratch on the present-node subgraph: the lists, remapped.
 
 ``perturb_and_score`` replays each removal of a trace once: every step scores
 both engines, and the first repetition can time the insert and both full forwards.
+That repetition also checks the incremental student logits against its full
+forward, outside the timing windows: a relative gap above
+``INCREMENTAL_GAP_BOUND`` is an ``IntegrityError``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .data import Graph
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, IntegrityError
 from .models import (INFER, SUM, StudentConfig, check_struct_cache, make_batch,
                      student_embed_rows, student_infer, student_input)
 from .structure import StructCache, ga_mlp_aggregate
@@ -316,21 +319,34 @@ class PerturbationMetrics:
 
 @dataclass
 class LatencyReport:
-    """Per-insertion-step wall-clock in ms; the summary adds p95 and p99 tails."""
+    """Per-insertion-step wall-clock in ms; the summary adds p95 and p99 tails.
+
+    ``max_gap`` is the largest relative gap ``max|s - full| / max(1, max|full|)``
+    between incremental student logits ``s`` and a full forward seen so far; the
+    summary reports it with the incremental engine.
+    """
 
     samples: dict[str, list[float]] = field(default_factory=dict)
+    max_gap: float = 0.0
 
     def add(self, engine: str, seconds: float) -> None:
         self.samples.setdefault(engine, []).append(seconds * 1e3)
 
     def summary(self) -> dict[str, dict[str, float]]:
-        return {engine: {"mean_ms": float(np.mean(xs)), "median_ms": float(np.median(xs)),
-                         **{f"p{q}_ms": float(np.percentile(xs, q)) for q in (95, 99)},
-                         "steps": len(xs)} for engine, xs in self.samples.items()}
+        out = {engine: {"mean_ms": float(np.mean(xs)), "median_ms": float(np.median(xs)),
+                        **{f"p{q}_ms": float(np.percentile(xs, q)) for q in (95, 99)},
+                        "steps": len(xs)} for engine, xs in self.samples.items()}
+        if "incremental_student" in out:
+            out["incremental_student"]["max_gap_to_full"] = self.max_gap
+        return out
 
 
 # Insertion steps of each timed trace that ``perturb_and_score`` does not time.
 WARMUP_STEPS = 3
+
+# The largest relative gap between incremental and full student logits that
+# ``perturb_and_score`` accepts; ``tests/test_dynamic.py`` holds the same bound.
+INCREMENTAL_GAP_BOUND = 1e-9
 
 
 def perturb_and_score(graph: Graph, cache: StructCache, student: StudentModel,
@@ -345,6 +361,9 @@ def perturb_and_score(graph: Graph, cache: StructCache, student: StudentModel,
     three windows: the insert, and input rows + ``make_batch`` + forward for each
     full engine. Extraction is outside every window, so the full engines' times
     are lower bounds and the incremental speedup is measured conservatively.
+    After the windows, each step of that repetition compares the incremental
+    logits with the full student forward; ``latency.max_gap`` keeps the largest
+    gap, and a gap above ``INCREMENTAL_GAP_BOUND`` raises ``IntegrityError``.
     """
     num_classes = student.params["head.b"].size
     batch = make_batch([graph], [student_input(graph, cache, student.config)])
@@ -367,7 +386,7 @@ def perturb_and_score(graph: Graph, cache: StructCache, student: StudentModel,
             sub, alive = _induced_subgraph(state)
             t2 = time.perf_counter()
             if timed:
-                _student_logits(state, sub, alive)
+                full = _student_logits(state, sub, alive)
             t3 = time.perf_counter()
             t_logits = _teacher_logits(teacher, sub)
             t4 = time.perf_counter()
@@ -375,6 +394,13 @@ def perturb_and_score(graph: Graph, cache: StructCache, student: StudentModel,
                 latency.add("incremental_student", t1 - t0)
                 latency.add("full_student", t3 - t2)
                 latency.add("full_teacher", t4 - t3)
+            if timed:
+                gap = float(np.abs(s_logits - full).max() / max(1.0, np.abs(full).max()))
+                latency.max_gap = max(latency.max_gap, gap)
+                if not gap <= INCREMENTAL_GAP_BOUND:
+                    raise IntegrityError(
+                        f"incremental student logits after {k} insertions are {gap:.3g} "
+                        f"of scale from a full forward (bound {INCREMENTAL_GAP_BOUND:g})")
             se, sh = _score(s_logits, orig_student, num_classes)
             te, th = _score(t_logits, orig_teacher, num_classes)
             sums[:, k] += (se, sh, te, th)

@@ -6,9 +6,17 @@ removing a term never changes the value of the others; a one-graph batch
 gives the per-graph value.
 
 Teacher-side quantities enter every loss as plain numpy arrays, so no
-gradient ever flows into the teacher. Each teacher target is computed by
-the same autodiff ops and helpers as the student side, on constants, so a
-student equal to its teacher scores exactly 0 on every term.
+gradient ever flows into the teacher. The teacher is frozen, so the targets
+of the two structural terms over fixed walks and clusters are fold
+constants: ``path_targets`` (per-walk log-probabilities) and
+``cluster_targets`` (each graph's cluster-kernel entries) build them, once
+per fold in training, and ``batch_path_consistency`` and
+``batch_inter_cluster`` take them as they are and run no teacher-side op.
+Each target is computed by the same autodiff ops and helpers as the student
+side, on constants, so a student equal to its teacher scores exactly 0 on
+every term when its targets are built from the same arrangement of rows
+(the same walk matrix and the same batch of clusters); targets built over
+another arrangement may differ from those in their last bits.
 """
 
 from __future__ import annotations
@@ -98,23 +106,34 @@ def batch_whole_graph(h_student: Tensor, h_teacher: np.ndarray) -> Tensor:
     return ad.mul(sq, 1.0 / target.shape[0])
 
 
-def batch_inter_cluster(student_clusters: Tensor, teacher_clusters: np.ndarray,
-                        cluster_offsets: np.ndarray, num_graphs: int) -> Tensor:
-    """Squared Frobenius distance between each graph's student and teacher
-    cluster kernels. Only the entries of each graph's own diagonal block are
-    computed, compared and differentiated."""
-    if student_clusters.shape != teacher_clusters.shape:
-        raise IntegrityError(
-            f"cluster embedding shapes differ: student {student_clusters.shape}, "
-            f"teacher {teacher_clusters.shape}"
-        )
-    # row r of a graph whose clusters run from lo to hi holds the columns lo .. hi - 1
+def _block_pattern(cluster_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR pattern of each graph's diagonal block of the cluster kernel, row-major:
+    row r of a graph whose clusters run from lo to hi holds the columns lo .. hi - 1."""
     lo = np.repeat(cluster_offsets[:-1], np.diff(cluster_offsets))
     row_sizes = np.repeat(cluster_offsets[1:], np.diff(cluster_offsets)) - lo
     indptr = np.concatenate([[0], np.cumsum(row_sizes)])
-    indices = np.repeat(lo - indptr[:-1], row_sizes) + np.arange(indptr[-1])
-    target = block_kernel(ad.constant(teacher_clusters), indptr, indices).values
-    diff = ad.sub(block_kernel(student_clusters, indptr, indices), ad.constant(target))
+    return indptr, np.repeat(lo - indptr[:-1], row_sizes) + np.arange(indptr[-1])
+
+
+def cluster_targets(teacher_clusters: np.ndarray, cluster_offsets: np.ndarray) -> np.ndarray:
+    """The teacher's cluster-kernel entries that ``batch_inter_cluster`` compares: each
+    graph's diagonal block, row-major, graph by graph."""
+    return block_kernel(ad.constant(teacher_clusters), *_block_pattern(cluster_offsets)).values
+
+
+def batch_inter_cluster(student_clusters: Tensor, teacher_kernel: np.ndarray,
+                        cluster_offsets: np.ndarray, num_graphs: int) -> Tensor:
+    """Squared Frobenius distance between each graph's student cluster kernel and
+    its teacher kernel (``cluster_targets``). Only the entries of each graph's own
+    diagonal block are computed, compared and differentiated."""
+    indptr, indices = _block_pattern(cluster_offsets)
+    if student_clusters.shape[0] != cluster_offsets[-1] or teacher_kernel.shape != indices.shape:
+        raise IntegrityError(
+            f"cluster inputs differ: {student_clusters.shape[0]} student clusters and "
+            f"{teacher_kernel.shape} teacher kernel entries for {cluster_offsets[-1]} "
+            f"clusters with {indices.size} block entries"
+        )
+    diff = ad.sub(block_kernel(student_clusters, indptr, indices), ad.constant(teacher_kernel))
     return ad.mul(ad.frobenius_sq(diff), 1.0 / num_graphs)
 
 
@@ -134,10 +153,17 @@ def _walk_log_probs(H: Tensor, walk_matrix: np.ndarray) -> Tensor:
     return ad.log_softmax(ad.concat([own, scores], dim=1), dim=1)
 
 
-def batch_path_consistency(H_student: Tensor, H_teacher: np.ndarray,
+def path_targets(H_teacher: np.ndarray, walk_matrix: np.ndarray) -> np.ndarray:
+    """The teacher's per-walk log-probabilities that ``batch_path_consistency`` compares,
+    one row per row of ``walk_matrix`` (full-length walks over rows of ``H_teacher``)."""
+    return _walk_log_probs(ad.constant(H_teacher), walk_matrix).values
+
+
+def batch_path_consistency(H_student: Tensor, teacher_log_probs: np.ndarray,
                            walk_matrix: np.ndarray, walk_weights: np.ndarray) -> Tensor:
     """Weighted sum of per-walk KLs over full-length walks (global node ids).
 
+    ``teacher_log_probs`` holds each walk's teacher target (``path_targets``).
     ``walk_weights`` carries the per-graph averaging: 1 / (walks-in-graph *
     graphs-in-batch) for each row of ``walk_matrix``. Each walk's scores are
     laid out as in ``_walk_log_probs`` (the anchor's own score, then the
@@ -146,5 +172,7 @@ def batch_path_consistency(H_student: Tensor, H_teacher: np.ndarray,
     """
     if walk_matrix.size == 0:
         return ad.constant(np.asarray(0.0))
-    logp_t = _walk_log_probs(ad.constant(H_teacher), walk_matrix).values
-    return _weighted_kl(logp_t, _walk_log_probs(H_student, walk_matrix), walk_weights)
+    if teacher_log_probs.shape != walk_matrix.shape:
+        raise IntegrityError(f"teacher walk targets {teacher_log_probs.shape} do not match "
+                             f"walk matrix {walk_matrix.shape}")
+    return _weighted_kl(teacher_log_probs, _walk_log_probs(H_student, walk_matrix), walk_weights)

@@ -8,10 +8,18 @@ it, and ``distill_student`` is its one-arm case.
 per-epoch telemetry and for model selection on a validation slice.
 
 ``cache_teacher`` packs a fold's frozen teacher outputs into one table of six
-arrays (``TeacherCache``), and each student batch gathers its teacher targets
-from it by graph id and by segment rows. Its offsets come from the node counts
-and ``ClusterAssignment.num_clusters``. Both it and ``sweep`` take the fit of
+arrays (``TeacherCache``). Its offsets come from the node counts and
+``ClusterAssignment.num_clusters``. Both it and ``sweep`` take the fit of
 struct caches to the dataset from ``structure.check_struct_caches``.
+
+The teacher is frozen, so a student fit builds its fold's fixed distillation
+inputs once, before the first epoch (``FoldTargets``): the walk pools of the
+train graphs packed into one table with the teacher's per-walk
+log-probabilities, and each train graph's teacher cluster-kernel entries,
+each only when its weight is non-zero. An epoch draws its walks as rows of
+that table (``EpochWalks``), and a student batch gathers its walk rows,
+weights and teacher targets by offsets (``_segment_rows``), so it runs no
+teacher-side op.
 
 Evaluation protocol: folds carry train/test only; the best test accuracy
 over epochs is reported per fold, and the same best-so-far record drives the lr
@@ -39,6 +47,8 @@ from .losses import (
     batch_path_consistency,
     batch_soft_logits,
     batch_whole_graph,
+    cluster_targets,
+    path_targets,
     total_loss,
 )
 from .models import (
@@ -141,6 +151,43 @@ class TeacherCache:
     cluster_offsets: np.ndarray
 
 
+@dataclass
+class FoldTargets:
+    """A fold's fixed distillation inputs, built once from its train graphs.
+
+    Train graph ``j`` is ``fold.train_ids[j]``, and ``position[i]`` is graph ``i``'s
+    ``j`` (-1 outside the train ids). Train graph ``j``'s walk pool is rows
+    ``pool_offsets[j]:pool_offsets[j + 1]`` of the pools packed in that order;
+    ``full_row`` maps each packed pool row to its row of ``walks`` (the full-length
+    rows, local node ids) and ``log_probs`` (their teacher targets, ``path_targets``),
+    and a singleton row to -1. Its teacher cluster-kernel entries (``cluster_targets``)
+    are ``kernels[kernel_offsets[j]:kernel_offsets[j + 1]]``. The walk fields are None
+    when the path weight ``eta`` is 0, the kernel fields when ``mu`` is 0.
+    """
+
+    position: np.ndarray
+    pool_offsets: np.ndarray | None = None
+    full_row: np.ndarray | None = None
+    walks: np.ndarray | None = None
+    log_probs: np.ndarray | None = None
+    kernels: np.ndarray | None = None
+    kernel_offsets: np.ndarray | None = None
+
+
+@dataclass
+class EpochWalks:
+    """One epoch's draw from the walk table of a ``FoldTargets``, per train graph.
+
+    Train graph ``j``'s drawn full-length rows of ``FoldTargets.walks`` are
+    ``rows[offsets[j]:offsets[j + 1]]``, and ``taken[j]`` counts the pool rows
+    it drew, singletons included.
+    """
+
+    rows: np.ndarray
+    offsets: np.ndarray
+    taken: np.ndarray
+
+
 class _Diverged(NumericError):
     """A training loss became non-finite."""
 
@@ -240,12 +287,29 @@ def _teacher_task(dataset, fold, config, run, grid_index):
         return fold.fold_index, grid_index, str(exc)
 
 
-def _parallel_map(fn, tasks, jobs: int):
-    """``fn(*task)`` for every task, in a process pool when ``jobs`` > 1."""
+_shared: tuple = ()
+
+
+def _share(*shared) -> None:
+    """Pool initializer: keep the arguments that every task shares in this worker."""
+    global _shared
+    _shared = shared
+
+
+def _shared_call(fn, task):
+    return fn(*_shared, *task)
+
+
+def _parallel_map(fn, shared: tuple, tasks, jobs: int):
+    """``fn(*shared, *task)`` for every task, in a process pool when ``jobs`` > 1.
+
+    The pool's initializer hands ``shared`` to each worker once, so a task
+    carries only its own arguments.
+    """
     if jobs <= 1:
-        return [fn(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+        return [fn(*shared, *t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_share, initargs=shared) as pool:
+        return list(pool.map(_shared_call, [fn] * len(tasks), tasks))
 
 
 def train_teacher(dataset: Dataset, folds: list[FoldSplit], grid: list,
@@ -255,10 +319,10 @@ def train_teacher(dataset: Dataset, folds: list[FoldSplit], grid: list,
     A diverged grid point is skipped. A fold that lost some of its points logs
     one warning naming them and their epochs; one that lost all is a ``ConfigError``.
     """
-    tasks = [(dataset, fold, cfg, run, gi) for fold in folds for gi, cfg in enumerate(grid)]
+    tasks = [(fold, cfg, run, gi) for fold in folds for gi, cfg in enumerate(grid)]
     best: dict[int, TeacherCheckpoint] = {}
     diverged: dict[int, list[str]] = {}
-    for fi, gi, ckpt in _parallel_map(_teacher_task, tasks, jobs):
+    for fi, gi, ckpt in _parallel_map(_teacher_task, (dataset,), tasks, jobs):
         if isinstance(ckpt, str):
             diverged.setdefault(fi, []).append(f"grid point {gi}: {ckpt}")
         elif fi not in best or ckpt.best_test_accuracy > best[fi].best_test_accuracy:
@@ -297,69 +361,105 @@ def _segment_rows(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
-def _draw_walks(pool: np.ndarray, rng: np.random.Generator,
-                limit: int | None) -> tuple[np.ndarray, int]:
-    """Up to ``limit`` rows of a walk matrix in random order, and how many were drawn.
+def _fold_targets(fold: FoldSplit, struct_caches: list[StructCache], tcache: TeacherCache,
+                  weights: DistillWeights) -> FoldTargets:
+    """The fixed distillation inputs of ``fold``'s train graphs that ``weights`` read."""
+    ids = fold.train_ids
+    targets = FoldTargets(position=np.full(len(struct_caches), -1))
+    targets.position[ids] = np.arange(ids.size)
+    if weights.eta > 0:
+        pools = [struct_caches[i].walk_pool.walks for i in ids]
+        packed = np.concatenate(pools)
+        full = packed[:, -1] >= 0
+        targets.pool_offsets = np.cumsum([0] + [len(pool) for pool in pools])
+        targets.full_row = np.where(full, np.cumsum(full) - 1, -1)
+        targets.walks = packed[full]
+        graph_of = np.repeat(ids, np.diff(targets.pool_offsets))[full]
+        targets.log_probs = path_targets(
+            tcache.node_embeddings, targets.walks + tcache.node_offsets[graph_of][:, None])
+    if weights.mu > 0:
+        offsets = tcache.cluster_offsets
+        sizes = np.diff(offsets)
+        targets.kernel_offsets = np.cumsum(np.concatenate([[0], sizes[ids] ** 2]))
+        # Chunks of graphs: ``block_kernel`` reads its entries from a Gram product.
+        targets.kernels = np.concatenate([
+            cluster_targets(tcache.cluster_embeddings[_segment_rows(offsets, chunk)],
+                            np.cumsum(np.concatenate([[0], sizes[chunk]])))
+            for chunk in _chunks(ids, 32)])
+    return targets
 
-    Singleton rows (last entry -1) are dropped after the draw: they count in
-    the number drawn, which the path-term weights divide by, but add no term.
+
+def _draw_walks(targets: FoldTargets, rng: np.random.Generator,
+                limit: int | None) -> EpochWalks:
+    """Up to ``limit`` rows of each train graph's walk pool, in random order.
+
+    One ``rng.permutation`` per graph, in ``fold.train_ids`` order. Singleton
+    rows (last entry -1) are dropped after the draw: they count in ``taken``,
+    which the path-term weights divide by, but add no term.
     """
-    take = len(pool) if limit is None else min(limit, len(pool))
-    rows = pool[rng.permutation(len(pool))[:take]]
-    return rows[rows[:, -1] >= 0], take
+    drawn = [rng.permutation(n)[:limit] for n in np.diff(targets.pool_offsets).tolist()]
+    taken = np.array([len(rows) for rows in drawn])
+    rows = targets.full_row[np.concatenate(drawn) + np.repeat(targets.pool_offsets[:-1], taken)]
+    kept = np.concatenate([[0], np.cumsum(rows >= 0)])
+    return EpochWalks(rows=rows[rows >= 0], offsets=kept[np.cumsum(np.concatenate([[0], taken]))],
+                      taken=taken)
 
 
-def _student_loss_parts(out, ids, batch, tcache: TeacherCache, epoch_walks: dict,
-                        run: RunConfig, weights: DistillWeights) -> dict:
+def _batch_walks(targets: FoldTargets, epoch: EpochWalks, pos: np.ndarray,
+                 node_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The teacher log-probabilities, walk rows (batch node ids) and weights of the
+    train graphs at positions ``pos``, graph by graph, for ``batch_path_consistency``."""
+    counts = epoch.offsets[pos + 1] - epoch.offsets[pos]
+    rows = epoch.rows[_segment_rows(epoch.offsets, pos)]
+    walks = targets.walks[rows] + np.repeat(node_offsets[:-1], counts)[:, None]
+    weights = 1.0 / (np.repeat(epoch.taken[pos], counts) * len(pos))
+    return targets.log_probs[rows], walks, weights
+
+
+def _student_loss_parts(out, ids, batch, tcache: TeacherCache, targets: FoldTargets,
+                        epoch: EpochWalks | None, run: RunConfig,
+                        weights: DistillWeights) -> dict:
     zero = ad.constant(np.asarray(0.0))
     parts = {"gt": batch_ground_truth(out.logits, batch.labels), "sl": zero,
              "graph": zero, "cluster": zero, "path": zero}
+    pos = targets.position[ids]
     if weights.soft > 0:
         parts["sl"] = batch_soft_logits(out.logits, tcache.logits[ids], run.temperature)
     if weights.lam > 0:
         parts["graph"] = batch_whole_graph(out.graph_embedding, tcache.graph_embeddings[ids])
     if weights.mu > 0:
-        teacher_clusters = tcache.cluster_embeddings[_segment_rows(tcache.cluster_offsets, ids)]
         parts["cluster"] = batch_inter_cluster(
-            out.cluster_embeddings, teacher_clusters, batch.cluster_offsets, batch.num_graphs
-        )
+            out.cluster_embeddings, targets.kernels[_segment_rows(targets.kernel_offsets, pos)],
+            batch.cluster_offsets, batch.num_graphs)
     if weights.eta > 0:
-        rows, wts = [], []
-        for j, gid in enumerate(ids):
-            mat, taken = epoch_walks[gid]
-            if mat.shape[0]:
-                rows.append(mat + batch.node_offsets[j])
-                wts.append(np.full(mat.shape[0], 1.0 / (taken * len(ids))))
-        if rows:
-            teacher_nodes = tcache.node_embeddings[_segment_rows(tcache.node_offsets, ids)]
-            parts["path"] = batch_path_consistency(
-                out.node_embeddings, teacher_nodes, np.concatenate(rows), np.concatenate(wts)
-            )
+        parts["path"] = batch_path_consistency(
+            out.node_embeddings, *_batch_walks(targets, epoch, pos, batch.node_offsets))
     return parts
 
 
-def _fit_student(dataset: Dataset, fold: FoldSplit, struct_caches: list[StructCache],
-                 inputs: list[np.ndarray], tcache: TeacherCache, scfg: StudentConfig,
-                 run: RunConfig, weights: DistillWeights, seed: int,
+def _fit_student(dataset: Dataset, struct_caches: list[StructCache], inputs: list[np.ndarray],
+                 teacher_caches: dict[int, TeacherCache], fold: FoldSplit,
+                 scfg: StudentConfig, run: RunConfig, weights: DistillWeights, seed: int,
                  capture_params: bool = False) -> FoldResult:
     rng_init, rng_shuffle, rng_dropout, rng_walks = (
         _derived_rng(run.seed, seed, fold.fold_index, k) for k in range(4))
 
+    tcache = teacher_caches[fold.fold_index]
+    targets = _fold_targets(fold, struct_caches, tcache, weights)
     params = init_params(rng_init, inputs[0].shape[1], scfg, dataset.num_classes)
     test_batch = make_batch([dataset.graphs[i] for i in fold.test_ids],
                             [inputs[i] for i in fold.test_ids])
 
     def epoch_losses():
         # Drawn before the first batch, in ``fold.train_ids`` order.
-        epoch_walks = {gid: _draw_walks(struct_caches[gid].walk_pool.walks, rng_walks,
-                                        run.walks_per_epoch)
-                       for gid in (fold.train_ids if weights.eta > 0 else ())}
+        epoch = _draw_walks(targets, rng_walks, run.walks_per_epoch) if weights.eta > 0 else None
+
         def batch_loss(chunk):
             batch = make_batch([dataset.graphs[i] for i in chunk], [inputs[i] for i in chunk],
                                [struct_caches[i].clusters for i in chunk]
                                if weights.mu > 0 else None)
             out = student_forward(batch, scfg, params, rng_dropout)
-            parts = _student_loss_parts(out, chunk, batch, tcache, epoch_walks, run, weights)
+            parts = _student_loss_parts(out, chunk, batch, tcache, targets, epoch, run, weights)
             loss = total_loss(parts, weights)
             return loss, {**parts, "total": loss}
         return batch_loss
@@ -377,7 +477,9 @@ def sweep(dataset: Dataset, folds: list[FoldSplit], struct_caches: list[StructCa
     ``arms`` maps a label to its ``DistillWeights``, as a dict or as (label,
     weights) pairs; a repeated label is a ``ConfigError``. Every graph's student
     input is built once, and every (arm, fold, seed) task goes to one
-    ``_parallel_map``. Returns each arm's results in input order, fold-major.
+    ``_parallel_map``, which sends the dataset, struct caches, student inputs and
+    teacher caches to each worker once. Returns each arm's results in input
+    order, fold-major.
     """
     pairs = list(arms.items() if isinstance(arms, dict) else arms)
     labels = [label for label, _ in pairs]
@@ -395,10 +497,11 @@ def sweep(dataset: Dataset, folds: list[FoldSplit], struct_caches: list[StructCa
                 f"teacher {teacher_hidden}, student {scfg.hidden}"
             )
     inputs = [student_input(g, c, scfg) for g, c in zip(dataset.graphs, struct_caches)]
-    tasks = [(dataset, fold, struct_caches, inputs, teacher_caches[fold.fold_index], scfg,
-              run, weights, seed, capture_params)
+    shared = (dataset, struct_caches, inputs,
+              {fold.fold_index: teacher_caches[fold.fold_index] for fold in folds})
+    tasks = [(fold, scfg, run, weights, seed, capture_params)
              for _, weights in pairs for fold in folds for seed in run.student_seeds]
-    results = _parallel_map(_fit_student, tasks, jobs)
+    results = _parallel_map(_fit_student, shared, tasks, jobs)
     per_arm = len(folds) * len(run.student_seeds)
     return {label: results[i * per_arm:(i + 1) * per_arm] for i, label in enumerate(labels)}
 

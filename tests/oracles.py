@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive (dense matrices, brute-force
 enumeration, finite differences) and shares no code with the package paths
-it checks.
+it checks, apart from what a docstring names.
 """
 
 import re
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from graphdistill import autodiff as ad
+from graphdistill import autodiff as ad, losses
 from graphdistill.data import Dataset, Graph
 from graphdistill.errors import FormatError, IntegrityError
 from graphdistill.models import INFER, make_batch
@@ -413,6 +413,45 @@ def full_walk_matrix(walks, walk_length):
             row += 1
     matrix = np.stack(full) if full else np.zeros((0, length), dtype=np.int64)
     return matrix, row_of
+
+
+def reference_draw_walks(pool, rng, limit):
+    """One graph's epoch draw from its padded walk pool, as training drew it per
+    graph before its walk table: up to ``limit`` rows in ``rng.permutation``
+    order, singleton rows (last entry -1) dropped after the draw, and how many
+    rows were drawn."""
+    take = len(pool) if limit is None else min(limit, len(pool))
+    rows = pool[rng.permutation(len(pool))[:take]]
+    return rows[rows[:, -1] >= 0], take
+
+
+def reference_batch_targets(tcache, drawn, ids, batch):
+    """The teacher targets of one student batch, computed on that batch alone, as
+    training computed them before its fold tables: each graph's drawn walks offset
+    into batch node ids in a loop, their weights, and the teacher's walk
+    log-probabilities and cluster-kernel entries over the batch's own teacher rows.
+
+    ``drawn`` maps each graph id to ``reference_draw_walks``' output. Only the
+    arrangement is independent here: the targets come from the same
+    ``losses.path_targets`` and ``losses.cluster_targets`` the fold tables use.
+    """
+    rows, weights = [], []
+    for j, gid in enumerate(ids):
+        mat, taken = drawn[gid]
+        if mat.shape[0]:
+            rows.append(mat + batch.node_offsets[j])
+            weights.append(np.full(mat.shape[0], 1.0 / (taken * len(ids))))
+    width = drawn[ids[0]][0].shape[1]
+    walks = np.concatenate(rows) if rows else np.zeros((0, width), dtype=np.int64)
+    weights = np.concatenate(weights) if rows else np.zeros(0)
+    nodes = np.concatenate([
+        tcache.node_embeddings[tcache.node_offsets[i]:tcache.node_offsets[i + 1]] for i in ids])
+    clusters = np.concatenate([
+        tcache.cluster_embeddings[tcache.cluster_offsets[i]:tcache.cluster_offsets[i + 1]]
+        for i in ids])
+    log_probs = losses.path_targets(nodes, walks) if len(walks) else np.zeros(walks.shape)
+    return (log_probs, walks, weights,
+            losses.cluster_targets(clusters, batch.cluster_offsets))
 
 
 def mmd_poly_sq(h_a, h_b):

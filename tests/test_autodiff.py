@@ -81,6 +81,18 @@ class TestForwardValues:
         with np.errstate(invalid="ignore"):
             assert np.isnan(ad.relu(ad.constant([np.nan])).values[0])
 
+    def test_relu_backward_bits_match_a_bool_mask_product(self):
+        # Every pair of input and incoming gradient from -0.0, 0.0, signed
+        # finite values, the smallest subnormal, NaN and both infinities.
+        vals = np.array([-0.0, 0.0, -1.5, 2.0, 5e-324, np.nan, np.inf, -np.inf])
+        a, g = np.repeat(vals, vals.size), np.tile(vals, vals.size)
+        x = ad.parameter(a)
+        with np.errstate(invalid="ignore"):
+            ad.backward(ad.tensor_sum(ad.mul(ad.relu(x), ad.constant(g))))
+            want = g * (a > 0)
+        assert x.grad.dtype == np.float64
+        assert x.grad.tobytes() == want.tobytes()
+
     def test_unsorted_segments(self):
         x = ad.constant(np.arange(8.0).reshape(4, 2))
         out = ad.segment_sum(x, np.array([1, 0, 1, 0]), 2)

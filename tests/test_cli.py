@@ -13,7 +13,7 @@ import pytest
 import scipy
 
 import graphdistill
-from graphdistill import cli
+from graphdistill import cli, dynamic
 from graphdistill.cli import _load_caches, _write_dynamic_outputs, main
 from graphdistill.dynamic import LatencyReport, PerturbationMetrics
 from graphdistill.data import Dataset, Graph, save_tudataset
@@ -291,6 +291,36 @@ class TestDynamicBenchPins:
         assert (bench / "latency.csv").read_text().splitlines() == [
             "engine,mean_ms,median_ms,p95_ms,p99_ms,steps"]
         assert len((bench / "perturbation.csv").read_text().splitlines()) == 5
+
+
+class TestDynamicBenchSelfCheck:
+    """The timed repetition compares incremental and full student logits outside
+    its timing windows, writes the largest gap and refuses one above 1e-9."""
+
+    ARGS = ["dynamic-bench", "--synthetic", "--num-remove", "5", "--timing-graphs", "2",
+            "--synthetic-nodes", "20", "--max-fraction", "0.5"]
+
+    def test_gap_is_written(self, tmp_path, capsys):
+        assert main([*self.ARGS, "--out-dir", str(tmp_path / "runs")]) == 0
+        bench = Path(capsys.readouterr().out.splitlines()[-1])
+        stored = json.loads((bench / "latency.json").read_text())
+        assert 0.0 <= stored["incremental_student"]["max_gap_to_full"] <= 1e-9
+
+    def test_corrupt_incremental_row_exits_1(self, tmp_path, caplog, monkeypatch):
+        real = dynamic.incremental_insert
+        corrupted = []
+
+        def insert_then_corrupt(state, node, nbrs):
+            real(state, node, nbrs)
+            if not corrupted:  # one row of the incremental state, once
+                corrupted.append(node)
+                state.emb[node] += 1e-3
+                state.pooled += 1e-3
+            return state.logits()
+        monkeypatch.setattr(dynamic, "incremental_insert", insert_then_corrupt)
+        assert main([*self.ARGS, "--out-dir", str(tmp_path / "runs")]) == 1
+        assert corrupted
+        assert "incremental student logits after 1 insertions" in caplog.text
 
 
 class TestLatencyOutputs:

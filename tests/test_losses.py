@@ -12,6 +12,8 @@ from graphdistill.losses import (
     batch_soft_logits,
     batch_whole_graph,
     block_kernel,
+    cluster_targets,
+    path_targets,
     total_loss,
 )
 from graphdistill.models import INFER, GinConfig, init_gin_params, make_batch, params_to_arrays
@@ -46,8 +48,9 @@ def offsets_of(sizes):
 
 def inter_cluster(student, teacher, sizes):
     """Inter-cluster loss of a batch whose graphs own ``sizes`` clusters each."""
-    return value(batch_inter_cluster(ad.constant(student), teacher, offsets_of(sizes),
-                                     len(sizes)))
+    offsets = offsets_of(sizes)
+    return value(batch_inter_cluster(ad.constant(student), cluster_targets(teacher, offsets),
+                                     offsets, len(sizes)))
 
 
 def kernel_matrix(reps):
@@ -61,7 +64,8 @@ def path_loss(h_teacher, h_student, walks):
     """Path loss of one graph whose walk pool is ``walks`` (equal lengths)."""
     walks = np.asarray(walks, dtype=np.int64)
     weights = np.full(walks.shape[0], 1.0 / max(walks.shape[0], 1))
-    return value(batch_path_consistency(ad.constant(h_student), h_teacher, walks, weights))
+    return value(batch_path_consistency(ad.constant(h_student), path_targets(h_teacher, walks),
+                                        walks, weights))
 
 
 class TestGroundTruth:
@@ -187,8 +191,9 @@ class TestInterCluster:
 
     def test_shape_mismatch_is_integrity_error(self):
         with pytest.raises(IntegrityError, match="cluster"):
-            batch_inter_cluster(ad.constant(np.ones((2, 4))), np.ones((3, 4)),
-                                offsets_of([2]), 1)
+            batch_inter_cluster(ad.constant(np.ones((2, 4))), np.ones(3), offsets_of([2]), 1)
+        with pytest.raises(IntegrityError, match="cluster"):
+            batch_inter_cluster(ad.constant(np.ones((3, 4))), np.ones(4), offsets_of([2]), 1)
 
     def test_matches_mmd_on_normalized_rows(self):
         rng = np.random.default_rng(4)
@@ -272,9 +277,15 @@ class TestPathConsistency:
             path_kl_oracle(H_t, H_s, list(walks)), abs=1e-10)
 
     def test_empty_pool_zero(self):
-        loss = batch_path_consistency(ad.constant(np.ones((2, 2))), np.ones((2, 2)),
+        loss = batch_path_consistency(ad.constant(np.ones((2, 2))), np.zeros((0, 5)),
                                       np.zeros((0, 5), dtype=np.int64), np.zeros(0))
         assert value(loss) == 0.0
+
+    def test_target_shape_mismatch_is_integrity_error(self):
+        walks = np.array([[0, 1, 0]])
+        with pytest.raises(IntegrityError, match="teacher walk targets"):
+            batch_path_consistency(ad.constant(np.ones((2, 2))), np.zeros((1, 2)), walks,
+                                   np.ones(1))
 
     def test_singleton_walks_contribute_zero(self):
         # A walk that ended early on an isolated start is dropped from the
@@ -285,7 +296,8 @@ class TestPathConsistency:
         matrix, row_of = full_walk_matrix(mixed, walk_length=2)
         np.testing.assert_array_equal(matrix, [[0, 1, 0]])
         np.testing.assert_array_equal(row_of, [-1, 0])
-        half = batch_path_consistency(ad.constant(H_s), H_t, matrix, np.full(1, 1 / 2))
+        half = batch_path_consistency(ad.constant(H_s), path_targets(H_t, matrix), matrix,
+                                      np.full(1, 1 / 2))
         full = path_loss(H_t, H_s, matrix)
         assert value(half) == pytest.approx(full / 2, rel=1e-12)
         assert value(half) == pytest.approx(path_kl_oracle(H_t, H_s, mixed), rel=1e-12)
@@ -298,7 +310,8 @@ class TestPathConsistency:
         H_s = rng.normal(size=(8, 4))
         walks = np.array([[0, 1, 2, 3], [1, 0, 1, 0], [4, 5, 6, 7]])
         weights = np.array([0.25, 0.25, 0.5])
-        batched = batch_path_consistency(ad.constant(H_s), H_t, walks, weights)
+        batched = batch_path_consistency(ad.constant(H_s), path_targets(H_t, walks), walks,
+                                         weights)
         per_graph = (path_kl_oracle(H_t, H_s, list(walks[:2]))
                      + path_kl_oracle(H_t, H_s, list(walks[2:]))) / 2
         assert value(batched) == pytest.approx(per_graph, abs=1e-12)
@@ -337,7 +350,7 @@ def path_term_results(H_s, H_t, walks, weights):
     logp_t = reference_walk_log_probs(ad.constant(H_t), walks).values
     results = []
     for loss_of in (
-        lambda H: batch_path_consistency(H, H_t, walks, weights),
+        lambda H: batch_path_consistency(H, path_targets(H_t, walks), walks, weights),
         lambda H: losses._weighted_kl(logp_t, reference_walk_log_probs(H, walks), weights),
     ):
         H = ad.parameter(H_s)
@@ -415,7 +428,7 @@ class TestInterClusterAgainstDenseForm:
             teacher = rng.normal(size=(offsets[-1], width))
             want, want_grad = reference_inter_cluster(student, teacher, offsets, len(sizes))
             s = ad.parameter(student)
-            loss = batch_inter_cluster(s, teacher, offsets, len(sizes))
+            loss = batch_inter_cluster(s, cluster_targets(teacher, offsets), offsets, len(sizes))
             ad.backward(loss)
             assert want > 0 and abs(float(loss.values) - want) <= 1e-12 * want
             assert np.abs(s.grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
@@ -499,8 +512,10 @@ class TestLossGradients:
             "sl": ((2, 3), lambda p: batch_soft_logits(p, logits_t)),
             "sl-hot": ((2, 3), lambda p: batch_soft_logits(p, logits_t, temperature=2.0)),
             "graph": ((2, 4), lambda p: batch_whole_graph(p, h_t)),
-            "cluster": ((5, 4), lambda p: batch_inter_cluster(p, reps_t, offsets, 2)),
-            "path": ((6, 4), lambda p: batch_path_consistency(p, nodes_t, walks, weights)),
+            "cluster": ((5, 4), lambda p: batch_inter_cluster(
+                p, cluster_targets(reps_t, offsets), offsets, 2)),
+            "path": ((6, 4), lambda p: batch_path_consistency(
+                p, path_targets(nodes_t, walks), walks, weights)),
         }
         for name, (shape, fn) in cases.items():
             p = ad.parameter(rng.normal(size=shape))
@@ -563,8 +578,10 @@ class TestStudentEqualToTeacher:
                                            temperature)) == 0.0
         assert value(batch_whole_graph(ad.constant(out.graph_embedding),
                                        out.graph_embedding)) == 0.0
-        assert value(batch_inter_cluster(ad.constant(out.cluster_embeddings),
-                                         out.cluster_embeddings, batch.cluster_offsets,
-                                         batch.num_graphs)) == 0.0
-        assert value(batch_path_consistency(ad.constant(out.node_embeddings),
-                                            out.node_embeddings, walks, weights)) == 0.0
+        # Targets built from the same batch of clusters and the same walk matrix.
+        kernel = cluster_targets(out.cluster_embeddings, batch.cluster_offsets)
+        assert value(batch_inter_cluster(ad.constant(out.cluster_embeddings), kernel,
+                                         batch.cluster_offsets, batch.num_graphs)) == 0.0
+        log_probs = path_targets(out.node_embeddings, walks)
+        assert value(batch_path_consistency(ad.constant(out.node_embeddings), log_probs,
+                                            walks, weights)) == 0.0

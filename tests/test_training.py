@@ -1,9 +1,12 @@
 import gc
 import hashlib
+import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphdistill import autodiff as ad, training
 from graphdistill.autodiff import Adam
@@ -29,7 +32,8 @@ from graphdistill.training import (
 )
 
 from conftest import build_graph
-from oracles import full_walk_matrix, reference_cache_teacher, unpadded
+from oracles import (full_walk_matrix, reference_batch_targets, reference_cache_teacher,
+                     reference_draw_walks, unpadded)
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +379,9 @@ class TestDistillStudent:
 # (2 of its 96 walks start on an isolated node); one list entry per fold.
 # The last bits depend on the summation order of the walk scores and their
 # adjoints in ``losses._walk_log_probs``, and of the cluster-kernel entries and
-# their adjoints in ``losses.batch_inter_cluster``.
+# their adjoints in ``losses.batch_inter_cluster``, and on the arrangement of
+# rows the teacher targets are computed over: once per fold, over all train
+# graphs (``training._fold_targets``).
 PINNED_LOSS_CURVES = {
     None: [
         {
@@ -383,7 +389,7 @@ PINNED_LOSS_CURVES = {
             "sl": [0.10693418396165008, 0.23250897201163076],
             "graph": [1.0735917224788383, 1.1803795366266416],
             "cluster": [0.49285586199250253, 0.3210462385032094],
-            "path": [0.7386634773087671, 0.7956899052554733],
+            "path": [0.738663477308767, 0.7956899052554733],
             "total": [1.4054494537359592, 1.1538694168557369],
         },
         {
@@ -401,7 +407,7 @@ PINNED_LOSS_CURVES = {
             "sl": [0.10693418397017812, 0.2325089935639283],
             "graph": [1.0735917224639824, 1.1803792830255877],
             "cluster": [0.4928558619019263, 0.32104649120860745],
-            "path": [0.7536606103328123, 0.8949222106934676],
+            "path": [0.7536606103328122, 0.8949222106934676],
             "total": [1.4054509534091801, 1.1538793011085002],
         },
         {
@@ -528,15 +534,31 @@ class TestPinnedFits:
                 for r in results] == PINNED_STUDENTS[walks_per_epoch]
 
 
+def fold_targets_of(pools, weights=DistillWeights(), seed=0):
+    """``training._fold_targets`` over one train graph per walk pool, with random
+    teacher node embeddings (8 rows per graph)."""
+    caches = [SimpleNamespace(walk_pool=SimpleNamespace(walks=pool)) for pool in pools]
+    tcache = SimpleNamespace(node_embeddings=np.random.default_rng(seed).normal(
+        size=(8 * len(pools), 4)), node_offsets=8 * np.arange(len(pools) + 1))
+    fold = FoldSplit(0, np.arange(len(pools)), np.zeros(0, dtype=np.int64))
+    return training._fold_targets(fold, caches, tcache, replace(weights, mu=0.0))
+
+
 class TestWalkDraw:
-    """An epoch's draw from the padded pool matrix equals the pick through the
-    stacked full-walk matrix and its pool-index map (``oracles.full_walk_matrix``)."""
+    """An epoch's draw from the packed walk table equals the pick through the
+    stacked full-walk matrix and its pool-index map (``oracles.full_walk_matrix``),
+    and, over many graphs, the per-graph draw from each padded pool
+    (``oracles.reference_draw_walks``), bit for bit."""
 
     @staticmethod
     def assert_same_draw(pool, walk_length, limit, seed):
         full, row_of = full_walk_matrix(unpadded(pool), walk_length)
-        got, take = _draw_walks(pool, np.random.default_rng(seed), limit)
-        assert take == (len(pool) if limit is None else min(limit, len(pool)))
+        targets = fold_targets_of([pool])
+        epoch = _draw_walks(targets, np.random.default_rng(seed), limit)
+        got = targets.walks[epoch.rows]
+        take = len(pool) if limit is None else min(limit, len(pool))
+        assert epoch.taken.tolist() == [take]
+        assert epoch.offsets.tolist() == [0, len(epoch.rows)]
         rows = row_of[np.random.default_rng(seed).permutation(len(pool))[:take]]
         want = full[rows[rows >= 0]]
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
@@ -555,6 +577,95 @@ class TestWalkDraw:
         self.assert_same_draw(np.zeros((0, 4), dtype=np.int64), 3, limit, 0)
         self.assert_same_draw(sample_walks(build_graph(2, []), 6, 3, seed=0).walks, 3,
                               limit, 0)
+
+    @pytest.mark.parametrize("limit", [None, 1, 2, 50])
+    def test_table_draw_equals_per_graph_draws(self, limit):
+        g = build_graph(7, [(0, 1), (1, 2), (2, 0), (4, 5)])  # 3 and 6 are isolated
+        pools = [sample_walks(g, 20, 3, seed=4).walks, np.zeros((0, 4), dtype=np.int64),
+                 sample_walks(build_graph(2, []), 6, 3, seed=0).walks,
+                 sample_walks(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 9, 3,
+                              seed=1).walks]
+        targets = fold_targets_of(pools)
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):  # two epochs from one stream
+                epoch = _draw_walks(targets, rng, limit)
+                for j, pool in enumerate(pools):
+                    want, take = reference_draw_walks(pool, ref_rng, limit)
+                    got = targets.walks[epoch.rows[epoch.offsets[j]:epoch.offsets[j + 1]]]
+                    assert epoch.taken[j] == take
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
+                assert epoch.offsets[-1] == len(epoch.rows)
+            assert rng.random() == ref_rng.random()  # the same stream was consumed
+
+    def test_singleton_rows_get_no_target(self):
+        g = build_graph(7, [(0, 1), (1, 2), (2, 0), (4, 5)])
+        pools = [sample_walks(g, 20, 3, seed=4).walks, sample_walks(g, 5, 3, seed=2).walks]
+        targets = fold_targets_of(pools)
+        packed = np.concatenate(pools)
+        full = packed[:, -1] >= 0
+        assert (targets.full_row[~full] == -1).all()
+        assert targets.full_row[full].tolist() == list(range(full.sum()))
+        assert targets.walks.tobytes() == packed[full].tobytes()
+        assert targets.log_probs.shape == targets.walks.shape
+
+
+class TestFoldTargets:
+    """The teacher targets a batch gathers from its fold's tables against the same
+    targets computed on that batch alone (``oracles.reference_batch_targets``)."""
+
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_gathered_targets_match_per_batch_recomputation(self, tiny_setup, data):
+        dataset, folds, caches, _, _, tcaches = tiny_setup
+        fold = folds[data.draw(st.integers(0, len(folds) - 1), label="fold")]
+        tcache = tcaches[fold.fold_index]
+        limit = data.draw(st.sampled_from([None, 1, 2, 50]), label="walks_per_epoch")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        order = data.draw(st.permutations(fold.train_ids.tolist()), label="order")
+        ids = np.array(order[:data.draw(st.integers(1, len(order)), label="size")])
+
+        targets = training._fold_targets(fold, caches, tcache, DistillWeights())
+        epoch = _draw_walks(targets, np.random.default_rng(seed), limit)
+        rng = np.random.default_rng(seed)
+        drawn = {gid: reference_draw_walks(caches[gid].walk_pool.walks, rng, limit)
+                 for gid in fold.train_ids}
+        batch = make_batch([dataset.graphs[i] for i in ids],
+                           clusters=[caches[i].clusters for i in ids])
+        pos = targets.position[ids]
+        got = (*training._batch_walks(targets, epoch, pos, batch.node_offsets),
+               targets.kernels[_segment_rows(targets.kernel_offsets, pos)])
+        want = reference_batch_targets(tcache, drawn, ids, batch)
+        log_probs, walks, weights, kernel = got
+        ref_lp, ref_walks, ref_weights, ref_kernel = want
+        assert walks.tobytes() == ref_walks.tobytes() and walks.shape == ref_walks.shape
+        assert weights.tobytes() == ref_weights.tobytes()
+        for value, ref in ((log_probs, ref_lp), (kernel, ref_kernel)):
+            assert value.shape == ref.shape
+            assert np.abs(value - ref).max(initial=0.0) <= 1e-12 * max(
+                1.0, np.abs(ref).max(initial=0.0))
+
+    @pytest.mark.parametrize("zero", ["eta", "mu"])
+    def test_zero_weight_builds_no_table(self, tiny_setup, monkeypatch, zero):
+        dataset, folds, caches, run, _, tcaches = tiny_setup
+        weights = replace(DistillWeights(), **{zero: 0.0})
+        targets = training._fold_targets(folds[0], caches, tcaches[folds[0].fold_index],
+                                         weights)
+        walk_fields = (targets.pool_offsets, targets.full_row, targets.walks, targets.log_probs)
+        kernel_fields = (targets.kernels, targets.kernel_offsets)
+        unbuilt, built = (walk_fields, kernel_fields) if zero == "eta" else (kernel_fields,
+                                                                            walk_fields)
+        assert all(f is None for f in unbuilt) and all(f is not None for f in built)
+
+        def refuse(*args):
+            raise AssertionError(f"a {zero} = 0 fit built a {zero} table")
+        monkeypatch.setattr(training, "path_targets" if zero == "eta" else "cluster_targets",
+                            refuse)
+        scfg = StudentConfig(kind="ga-mlp", num_layers=2, hidden=8, use_lape=True)
+        distill_student(dataset, folds, caches, tcaches, scfg,
+                        replace(run, weights=weights, epochs=1, lr_patience=0))
 
 
 class TestDivergence:
@@ -759,6 +870,26 @@ class TestSweep:
 
 
 class TestParallelJobs:
+    def test_tasks_carry_no_shared_data(self, tiny_setup, monkeypatch):
+        dataset, folds, caches, run, _, tcaches = tiny_setup
+        run = replace(run, epochs=1, lr_patience=0)
+        calls, real = [], training._parallel_map
+
+        def recording(fn, shared, tasks, jobs):
+            calls.append((shared, tasks))
+            return real(fn, shared, tasks, jobs)
+        monkeypatch.setattr(training, "_parallel_map", recording)
+        train_teacher(dataset, folds, [GinConfig(num_layers=2, hidden=8)], run)
+        distill_student(dataset, folds, caches, tcaches,
+                        StudentConfig(kind="mlp", num_layers=2, hidden=8), run)
+        assert len(calls) == 2
+        dataset_bytes = len(pickle.dumps(dataset))
+        for shared, tasks in calls:
+            assert shared[0] is dataset
+            for task in tasks:
+                assert not any(isinstance(x, (Dataset, list, dict)) for x in task)
+                assert len(pickle.dumps(task)) < dataset_bytes / 4
+
     def test_jobs_two_matches_serial(self, tiny_setup):
         dataset, folds, caches, run, _, tcaches = tiny_setup
         scfg = StudentConfig(kind="mlp", num_layers=2, hidden=8)

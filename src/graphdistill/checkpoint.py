@@ -11,12 +11,17 @@ Byte layout (all integers little-endian):
                   values, little-endian, row-major, no padding
 
 Readers must reject unknown magic or version, a file cut anywhere, and
-bytes after the last parameter.
+bytes after the last parameter. The header's shapes are checked against
+the bytes left in the file before any parameter is read, so a header that
+declares huge parameters allocates nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -39,11 +44,15 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
             fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
+def _left(fh) -> int:
+    """Bytes of the open file after the current position."""
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, size: int, path: Path, what: str) -> bytes:
-    buf = fh.read(size)
-    if len(buf) != size:
+    if size > _left(fh):  # checked first: a read of ``size`` bytes allocates them
         raise FormatError(f"{path}: truncated {what}")
-    return buf
+    return fh.read(size)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
@@ -68,11 +77,21 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError,
                 TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed header ({exc})") from exc
+        sizes = [8 * math.prod(shape) for _, shape in entries]  # Python ints: no overflow
+        declared, left = sum(sizes), _left(fh)
+        if declared > left:
+            cut = next(name for (name, _), end in zip(entries, itertools.accumulate(sizes))
+                       if end > left)
+            raise FormatError(f"{path}: truncated data for {cut}: the header declares "
+                              f"{declared} bytes of parameters, {left} follow it")
+        if declared < left:
+            raise FormatError(f"{path}: trailing bytes after the last parameter: the header "
+                              f"declares {declared} bytes of parameters, {left} follow it")
         params = {}
-        for name, shape in entries:
-            count = int(np.prod(shape)) if shape else 1
-            buf = _read_exact(fh, count * 8, path, f"data for {name}")
-            params[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after the last parameter")
+        for (name, shape), size in zip(entries, sizes):
+            values = np.frombuffer(fh.read(size), dtype="<f8").astype(np.float64)
+            try:  # an empty shape may still name dimensions numpy cannot hold
+                params[name] = values.reshape(shape)
+            except ValueError as exc:
+                raise FormatError(f"{path}: parameter {name!r} has shape {shape}: {exc}") from None
     return params

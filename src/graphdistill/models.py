@@ -195,9 +195,6 @@ def init_params(rng: np.random.Generator, in_dim: int, config,
     return params
 
 
-init_gin_params = init_linear_params = init_params
-
-
 def readout(H: Tensor, segment_ids: np.ndarray, num_segments: int, mode: str,
             params: dict[str, Tensor]) -> Tensor:
     """Permutation-invariant pooling of node embeddings per segment.
@@ -318,5 +315,4 @@ def _inference(forward):
 
 FORWARD = {"gin": gin_forward, "gcn": gcn_forward}
 INFER = {"gin": _inference(gin_forward), "gcn": _inference(gcn_forward)}
-INIT = {"gin": init_params, "gcn": init_params}
 student_infer = _inference(student_forward)

@@ -14,13 +14,15 @@ above ``DENSE_LAPE_MAX_NODES`` nodes (as a scipy matrix, for shift-invert
 
 Louvain (``louvain_cluster``) clusters a whole dataset in one call. One
 level driver (``_louvain``) runs a disjoint union of graphs: each level
-moves nodes in every graph still improving, then collapses all that
-improved in one numpy pass. Two move kernels of one signature, chosen by
-graph size, make the moves: ``_lockstep_moves`` steps through the many
-small graphs of a dataset together, one node of each per numpy step, and
-``_sequential_moves`` runs the greedy scan ``_local_moves`` on one graph
-at a time for the rest. Both give byte-identical partitions and
-modularities (see ``louvain_cluster``).
+moves nodes in every graph still improving, then collapses and scores all
+that improved in one numpy pass; a graph's modularity is its last level's.
+Two move kernels of one signature, chosen by graph size, make the moves:
+``_lockstep_moves`` steps through the many small graphs of a dataset
+together, one node of each per numpy step, and ``_sequential_moves`` runs
+the greedy scan ``_local_moves`` on one graph at a time for the rest.
+Weights are integers, so both rank moves by the same exact integer gain
+and give byte-identical partitions and modularities (see
+``louvain_cluster``).
 
 ``check_struct_caches`` owns the fit of caches to a dataset: every consumer of
 caches calls it, and a misfit is an ``IntegrityError``.
@@ -84,9 +86,6 @@ DENSE_LAPE_MAX_NODES = 200
 # that is positive. The crossover at 48 graphs of 34.5 nodes on average
 # and 45 at most puts it near 1656 / 45 = 37.
 LOCKSTEP_COST_NODES = 36
-# The tie-break is exact up to this many stored edge entries (see
-# ``_lockstep_moves``).
-LOCKSTEP_MAX_M2 = 2000
 # Shift just below the spectrum [0, 2] of the normalized Laplacian, so that
 # L - sigma*I stays nonsingular and the eigenvalues nearest it are the smallest.
 _EIGSH_SIGMA = -1e-3
@@ -144,35 +143,14 @@ def check_struct_caches(graphs: list[Graph], caches: list[StructCache]) -> None:
                                      f"rows, the graph has {g.num_nodes} nodes")
 
 
-def _modularities(off: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
-                  cluster: np.ndarray, widths) -> list[float]:
-    """Newman modularity of every graph of a disjoint union, in one pass.
-
-    ``off`` [G+1] cuts the union's nodes into graphs; ``cluster`` holds
-    each node's id within its own graph, below that graph's ``widths``
-    entry. A graph without edges scores 0.0. Each graph's community term is
-    one ``np.sum`` over its own ``widths`` entries, and every other sum
-    counts integers, so a graph scores the same alone or in any union.
-    """
-    sizes = off[1:] - off[:-1]
-    deg = indptr[1:] - indptr[:-1]
-    edges = indptr[off[1:]] - indptr[off[:-1]]
-    label_off = _offsets(widths)
-    label = cluster + np.repeat(label_off[:-1], sizes)
-    same = np.repeat(label, deg) == label[indices]
-    internal = np.bincount(np.repeat(np.arange(sizes.size), edges), weights=same,
-                           minlength=sizes.size)
-    tot = np.bincount(label, weights=deg.astype(np.float64), minlength=int(label_off[-1]))
-    m2 = edges.astype(np.float64)
-    q = (tot / np.repeat(np.maximum(m2, 1.0), widths)) ** 2  # edgeless graphs score 0.0
-    return [i / m - float(np.sum(q[lo:hi])) if m else 0.0
-            for i, m, lo, hi in zip(internal.tolist(), m2.tolist(),
-                                    label_off[:-1].tolist(), label_off[1:].tolist())]
-
-
-def _local_moves(adj: list[dict[int, float]], strength: list[float], m2: float,
+def _local_moves(adj: list[dict[int, int]], strength: list[int], m2: int,
                  rng: np.random.Generator) -> tuple[list[int], bool]:
-    """One Louvain phase: greedy single-node moves until no move improves."""
+    """One Louvain phase: greedy single-node moves until no move improves.
+
+    A visited node i joins the neighbouring community c of greatest gain
+    ``m2 * w(i, c) - k_i * tot_c`` (its modularity gain times m2**2 / 2, an
+    exact integer), the lowest such id, when that gain beats staying's.
+    """
     n = len(adj)
     comm = list(range(n))
     tot = strength[:]
@@ -182,19 +160,18 @@ def _local_moves(adj: list[dict[int, float]], strength: list[float], m2: float,
         for i in rng.permutation(n).tolist():
             ci = comm[i]
             k_i = strength[i]
-            w_to: dict[int, float] = {}
+            w_to: dict[int, int] = {}
             for j, w in adj[i].items():
                 cj = comm[j]
-                w_to[cj] = w_to.get(cj, 0.0) + w
+                w_to[cj] = w_to.get(cj, 0) + w
             tot[ci] -= k_i
-            # Scaled gain of joining community c: w(i,c) - k_i * tot_c / m2.
             best_c = ci
-            best_gain = w_to.get(ci, 0.0) - k_i * tot[ci] / m2
+            best_gain = m2 * w_to.get(ci, 0) - k_i * tot[ci]
             for c in sorted(w_to):
                 if c == ci:
                     continue
-                gain = w_to[c] - k_i * tot[c] / m2
-                if gain > best_gain + 1e-12:
+                gain = m2 * w_to[c] - k_i * tot[c]
+                if gain > best_gain:
                     best_gain, best_c = gain, c
             tot[best_c] += k_i
             if best_c != ci:
@@ -230,22 +207,21 @@ def _lockstep_moves(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
     all their moves together; graphs never share a community, so the moves
     touch disjoint entries. Returns each node's community (a node of its
     own block) and which graphs moved any node.
+
+    A move is the closed form of the scan in ``_local_moves``, on the same
+    int64 gains: stay unless the best candidate's gain is strictly greater
+    than staying's, else join the lowest id among the best. ``weights``,
+    ``strength`` and ``m2`` are int64, so every sum is exact in any order.
     """
-    # A move is the closed form of the tie scan in ``_local_moves``: stay
-    # unless the best candidate beats ``ci`` by more than 1e-12, else join
-    # the lowest id within 1e-12 of the best. It gives the scan's answer
-    # while m2 <= LOCKSTEP_MAX_M2. Weights are integers, so w, k and tot are
-    # exact, and gains w - k*tot/m2 that differ mathematically differ by at
-    # least 1/m2. Computed as ``w - (k * tot) / m2``, a gain is off by at
-    # most u*(k*tot/m2 + |gain|) (u = 2**-53). For two equal gains, with
-    # the rounding of ``gain + 1e-12``, that adds up to at most 1.5*u*m2
-    # (k*tot <= m2**2/4, and two communities share at most k of a node's
-    # weight): 3.4e-13 < 1e-12 at m2 = 2000.
+    # Every product and gain here is at most m2**2 in size: int64 holds them
+    # up to m2 = 3e9 stored entries, more than a graph whose int64 indices
+    # fit in memory.
+    no_gain = np.iinfo(np.int64).min
     n, num = strength.size, off.size - 1
     deg = indptr[1:] - indptr[:-1]
     comm = np.arange(n)
     tot = strength.copy()
-    acc = np.zeros(n)  # w(i, c) of the visited nodes, zero between steps
+    acc = np.zeros(n, dtype=np.int64)  # w(i, c) of the visited nodes, zero between steps
     perm = np.empty(n, dtype=np.int64)
     bounds = list(zip(off[:-1].tolist(), off[1:].tolist()))
     for (lo, hi), rng in zip(bounds, rngs):
@@ -268,15 +244,15 @@ def _lockstep_moves(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
         own = np.repeat(np.arange(act.size), d)
         k = strength[nodes]
         tot[ci] -= k
-        g_own = w_own - (k * tot[ci]) / m2a
-        gain = acc[cj] - (k[own] * tot[cj]) / m2a[own]
-        acc[cj] = 0.0
-        gain[cj == ci[own]] = -np.inf
-        best = np.full(act.size, -np.inf)
+        g_own = m2a * w_own - k * tot[ci]
+        gain = m2a[own] * acc[cj] - k[own] * tot[cj]
+        acc[cj] = 0
+        gain[cj == ci[own]] = no_gain
+        best = np.full(act.size, no_gain)
         np.maximum.at(best, own, gain)
         target = np.full(act.size, n)
-        np.minimum.at(target, own, np.where(gain >= best[own] - 1e-12, cj, n))
-        move = best > g_own + 1e-12
+        np.minimum.at(target, own, np.where(gain == best[own], cj, n))
+        move = best > g_own
         new = np.where(move, target, ci)
         tot[new] += k
         comm[nodes] = new
@@ -324,15 +300,22 @@ def _louvain(graphs: list[Graph], seeds: list[int], moves) -> list[ClusterAssign
 
     ``moves`` is ``_lockstep_moves`` or ``_sequential_moves``; every graph
     needs an edge. Each level runs it on the disjoint union of the graphs
-    still improving, then aggregates all of them in one pass. The final
-    partitions are scored in one pass too (``_modularities``).
+    still improving, then aggregates and scores all of them in one pass.
+    Weights, strengths and m2 stay int64 (``np.bincount`` sums them as
+    float64, exact below 2**53); self weights and the level scores are
+    float64.
+
+    A graph's modularity is that of its last level, and every graph has
+    one: the first non-isolated node visited sees only singleton
+    communities, and gains ``m2 - k_i * k_j > 0`` from some neighbour j,
+    because ``k_i * k_j >= m2`` for every neighbour would mean
+    ``sum_{j in N(i)} k_j >= m2 > sum_{j in N(i)} k_j``.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
-    off0, indptr0, indices0 = disjoint_union(graphs)
-    indptr, indices = indptr0, indices0
-    m2 = np.array([g.indices.size for g in graphs], dtype=np.float64)
-    weights = np.ones(indices.size)
-    strength = (indptr[1:] - indptr[:-1]).astype(np.float64)
+    off0, indptr, indices = disjoint_union(graphs)
+    m2 = np.array([g.indices.size for g in graphs], dtype=np.int64)
+    weights = np.ones(indices.size, dtype=np.int64)
+    strength = indptr[1:] - indptr[:-1]
     self_w = np.zeros(strength.size)
     off = off0
     live = np.arange(len(graphs))      # graphs still improving, in order
@@ -366,9 +349,9 @@ def _louvain(graphs: list[Graph], seeds: list[int], moves) -> list[ClusterAssign
         inside = s == t
         self_w = (np.bincount(ids, weights=self_w[kept], minlength=num_comms)
                   + np.bincount(s[inside], weights=w[inside], minlength=num_comms))
-        strength = np.bincount(ids, weights=strength[kept], minlength=num_comms)
+        strength = np.bincount(ids, weights=strength[kept], minlength=num_comms).astype(np.int64)
         key, pos = np.unique(s[~inside] * num_comms + t[~inside], return_inverse=True)
-        weights = np.bincount(pos, weights=w[~inside], minlength=key.size)
+        weights = np.bincount(pos, weights=w[~inside], minlength=key.size).astype(np.int64)
         indices = key % num_comms
         indptr = _offsets(np.bincount(key // num_comms, minlength=num_comms))
         live = live[improved]
@@ -380,11 +363,10 @@ def _louvain(graphs: list[Graph], seeds: list[int], moves) -> list[ClusterAssign
         top, orig = new_id[top[kept0]], orig[kept0]
         top_off = _offsets(sizes0[improved])
     widths = np.maximum.reduceat(cluster, off0[:-1]) + 1
-    qs = _modularities(off0, indptr0, indices0, cluster, widths)
-    return [ClusterAssignment(cluster_of=cluster[lo:hi], num_clusters=w, modularity=q,
-                              level_modularity=level_q)
-            for lo, hi, w, q, level_q in zip(off0[:-1].tolist(), off0[1:].tolist(),
-                                             widths.tolist(), qs, levels)]
+    return [ClusterAssignment(cluster_of=cluster[lo:hi], num_clusters=w,
+                              modularity=level_q[-1], level_modularity=level_q)
+            for lo, hi, w, level_q in zip(off0[:-1].tolist(), off0[1:].tolist(),
+                                          widths.tolist(), levels)]
 
 
 def louvain_cluster(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssignment]:
@@ -397,8 +379,8 @@ def louvain_cluster(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssign
 
     A graph without edges is all singletons, scores 0.0, has no levels and
     draws nothing from its generator. The others run through one level
-    driver (``_louvain``) with one of two move kernels. Graphs with at most
-    ``LOCKSTEP_MAX_M2`` stored edge entries and at most ``cap`` nodes run
+    driver (``_louvain``) with one of two move kernels, and score the
+    modularity of their last level. Graphs with at most ``cap`` nodes run
     in lockstep (``_lockstep_moves``): one numpy step visits the next node
     of every graph still sweeping. ``cap`` is the size that maximises the
     nodes taken over minus ``LOCKSTEP_COST_NODES * cap`` (the steps the
@@ -406,20 +388,19 @@ def louvain_cluster(graphs: list[Graph], seeds: list[int]) -> list[ClusterAssign
     nothing runs in lockstep. The rest run one node visit at a time
     (``_sequential_moves``). A graph's result does not depend on the
     kernel or on the other graphs, byte for byte: each graph draws its
-    permutation from its own generator at the start of every sweep;
-    integer weights make every ``w`` and ``tot`` sum exact in any order;
-    gains use the same expression; each level's modularity is one
-    ``np.sum`` over the graph's own communities; communities are relabelled
-    by first occurrence; and the 1e-12 tie scan has an exact closed form
-    while m2 <= ``LOCKSTEP_MAX_M2`` (see ``_lockstep_moves``).
+    permutation from its own generator at the start of every sweep; both
+    kernels apply one rule to exact integer gains ``m2 * w(i, c) - k_i *
+    tot_c`` (stay unless the best gain is strictly greater than staying's,
+    ties to the lowest community id); each level's modularity is one
+    ``np.sum`` over the graph's own communities; and communities are
+    relabelled by first occurrence.
     """
     if len(graphs) != len(seeds):
         raise ContractError(f"louvain_cluster got {len(graphs)} graphs and {len(seeds)} seeds")
     for i, g in enumerate(graphs):
         if g.num_nodes < 1:
             raise ContractError(f"louvain_cluster needs at least one node, graph {i} has none")
-    fits = sorted((g.num_nodes, i) for i, g in enumerate(graphs)
-                  if 0 < g.indices.size <= LOCKSTEP_MAX_M2)
+    fits = sorted((g.num_nodes, i) for i, g in enumerate(graphs) if g.indices.size)
     sizes = np.array([n for n, _ in fits], dtype=np.int64)
     saving = np.cumsum(sizes) - LOCKSTEP_COST_NODES * sizes  # per size cap
     cap = int(np.argmax(saving)) + 1 if saving.size and saving.max() > 0 else 0
@@ -759,8 +740,9 @@ def _check_layout(path: Path, fields: dict[str, np.ndarray], num_graphs: int,
                           "or -1 outside the tail of a singleton walk")
 
 
-# What reading a member of a damaged archive raises.
-_MEMBER_ERRORS = (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error)
+# What reading a member of a damaged archive raises; a member header that
+# declares more values than memory holds raises MemoryError.
+_MEMBER_ERRORS = (OSError, EOFError, ValueError, MemoryError, zipfile.BadZipFile, zlib.error)
 
 
 def _read_fields(path: Path, data) -> tuple[dict[str, np.ndarray], dict]:

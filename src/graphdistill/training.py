@@ -54,7 +54,6 @@ from .losses import (
 from .models import (
     FORWARD,
     INFER,
-    INIT,
     GraphBatch,
     StudentConfig,
     init_params,
@@ -262,7 +261,7 @@ def _fit_teacher(dataset: Dataset, fold: FoldSplit, config, run: RunConfig,
     kind = config.kind
     rng_init, rng_shuffle, rng_dropout = (
         _derived_rng(run.seed, fold.fold_index, grid_index, k) for k in range(3))
-    params = INIT[kind](rng_init, dataset.feature_dim, config, dataset.num_classes)
+    params = init_params(rng_init, dataset.feature_dim, config, dataset.num_classes)
     test_batch = make_batch([dataset.graphs[i] for i in fold.test_ids])
 
     def batch_loss(chunk):

@@ -1,3 +1,8 @@
+import io
+import json
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -28,6 +33,35 @@ def build_struct_cache(graph, graph_index, seed, k_pe=8, walk_length=8, num_walk
     count = default_num_walks(graph.num_nodes) if num_walks is None else num_walks
     pool = sample_walks(graph, count, walk_length, _derived_seed(seed, graph_index, 1))
     return StructCache(clusters=clusters, lape=lape, agg_features=agg, walk_pool=pool)
+
+
+def declare_checkpoint_shape(path, shape):
+    """Rewrite the ``.ckpt`` header at ``path`` so that its first parameter
+    declares ``shape``; the parameter bytes stay as they were."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    header["params"][0]["shape"] = list(shape)
+    forged = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(forged)) + forged + raw[12 + hlen:])
+
+
+def declare_member_shape(path, member, shape):
+    """Rewrite the ``.npy`` header of ``member`` in the ``.npz`` at ``path`` so
+    that it declares ``shape``; the member's data bytes stay as they were."""
+    with zipfile.ZipFile(path) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    raw = io.BytesIO(members[f"{member}.npy"])
+    np.lib.format.read_magic(raw)
+    _, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
+    forged = io.BytesIO()
+    np.lib.format.write_array_header_1_0(forged, {
+        "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": fortran,
+        "shape": tuple(shape)})
+    members[f"{member}.npy"] = forged.getvalue() + raw.read()
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
 
 
 @pytest.fixture

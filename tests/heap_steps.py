@@ -14,7 +14,7 @@ import numpy as np
 from graphdistill import autodiff as ad
 from graphdistill.data import Graph
 from graphdistill.losses import batch_ground_truth
-from graphdistill.models import INFER, GcnConfig, gcn_forward, init_linear_params, make_batch
+from graphdistill.models import INFER, GcnConfig, gcn_forward, init_params, make_batch
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 GLIBC_DEFAULT = 128 * 1024
@@ -57,7 +57,7 @@ class Trainer:
     def __init__(self, dropout=0.0):
         self.batch = _batch()
         self.config = GcnConfig(num_layers=3, hidden=64, dropout=dropout)
-        self.params = init_linear_params(np.random.default_rng(1), 16, self.config, 2)
+        self.params = init_params(np.random.default_rng(1), 16, self.config, 2)
         self.opt = ad.Adam(self.params, 1e-2)
         self.rng = np.random.default_rng(2) if dropout > 0 else None
 

@@ -214,7 +214,7 @@ def reference_louvain_one(graph, seed):
 
     The sweeps run on Python floats (IEEE doubles, like float64). A graph
     without edges is all singletons and draws nothing from its generator.
-    The final partition is scored with ``reference_modularity``.
+    A graph with an edge scores its last level's modularity.
     """
     n = graph.num_nodes
     m2 = float(graph.indices.size)
@@ -244,7 +244,7 @@ def reference_louvain_one(graph, seed):
     return ClusterAssignment(
         cluster_of=cluster_of,
         num_clusters=num_clusters,
-        modularity=reference_modularity(graph, cluster_of),
+        modularity=levels[-1],
         level_modularity=levels,
     )
 

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from graphdistill.errors import (
     ShapeError,
 )
 
+from conftest import declare_checkpoint_shape
 from oracles import assert_grads_close, autodiff_grads, finite_difference_grads, softmax_np
 
 
@@ -483,6 +485,15 @@ class TestCheckpoint:
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[10**6, 10**6], [2**62], [2**62, 0]],
+                             ids=["10**12", "2**62", "2**62-by-0"])
+    def test_huge_declared_shape_rejected(self, tmp_path, shape):
+        # the declared bytes are compared with the file's before any read
+        path, _ = self._saved(tmp_path)
+        declare_checkpoint_shape(path, shape)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: ")):
             load_checkpoint(path)
 
 

@@ -33,6 +33,8 @@ from graphdistill.runio import (
 from graphdistill.synth import two_class_structural
 from graphdistill.training import TeacherCheckpoint
 
+from conftest import declare_checkpoint_shape, declare_member_shape
+
 
 @pytest.fixture(scope="module")
 def tiny_data(tmp_path_factory):
@@ -1074,6 +1076,56 @@ class TestCheckpointLayout:
         assert main(["evaluate", "--teacher-run", str(run), "--data-dir", str(tiny_data),
                      "--out-dir", str(tmp_path / "runs")]) == 1
         assert str(run / "teacher_fold0") in caplog.text
+
+
+class TestForgedArtifacts:
+    """``distill`` on a prepared dataset and a teacher run, one artifact forged.
+    Each ends in exit code 1 and a ``FormatError`` naming the forged file."""
+
+    @pytest.fixture
+    def prepared(self, tiny_data, teacher_run, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "teacher"
+        shutil.copytree(tiny_data / "TINY", data / "TINY")
+        shutil.copytree(teacher_run, run)
+        assert main(["preprocess", "--dataset", "TINY", "--k-pe", "2", "--data-dir", str(data),
+                     "--out-dir", str(tmp_path / "prep")]) == 0
+        return data, run, data / "TINY" / "TINY.structcache.npz"
+
+    @staticmethod
+    def _distill(tmp_path, data, run):
+        return main(["distill", "--teacher-run", str(run), "--epochs", "1", "--lr-patience",
+                     "0", "--student-seeds", "0", "--hidden", "4", "--data-dir", str(data),
+                     "--out-dir", str(tmp_path / "runs")])
+
+    def test_unforged_artifacts_run(self, prepared, tmp_path):
+        assert self._distill(tmp_path, *prepared[:2]) == 0
+
+    @pytest.mark.parametrize("shape", [[10**6, 10**6], [2**62]], ids=["10**12", "2**62"])
+    def test_checkpoint_declaring_huge_parameters(self, prepared, tmp_path, caplog, shape):
+        data, run, _ = prepared
+        ckpt = run / "teacher_fold0.ckpt"
+        declare_checkpoint_shape(ckpt, shape)
+        assert self._distill(tmp_path, data, run) == 1
+        assert f"{ckpt}: truncated data for layer0.w1" in caplog.text
+
+    @pytest.mark.parametrize("member", ["modularity", "lape", "meta"])
+    def test_sidecar_member_declaring_a_huge_array(self, prepared, tmp_path, caplog, member):
+        data, run, sidecar = prepared
+        declare_member_shape(sidecar, member, (10**12,))
+        assert self._distill(tmp_path, data, run) == 1
+        assert f"{sidecar}: " in caplog.text and "Unable to allocate" in caplog.text
+
+    def test_aggregated_block_one_ulp_off(self, prepared, tmp_path, caplog):
+        # the load recomputes the block with the same kernel, so it must match bit for bit
+        data, run, sidecar = prepared
+        with np.load(sidecar) as archive:
+            arrays = dict(archive)
+        arrays["agg"][3, 0] = np.nextafter(arrays["agg"][3, 0], np.inf)
+        with open(sidecar, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert self._distill(tmp_path, data, run) == 1
+        assert f"{sidecar}: graph " in caplog.text
+        assert "re-run `graphdistill preprocess`" in caplog.text
 
 
 class TestMetricsCsvValues:

@@ -3,7 +3,9 @@
 Each example runs one command on a copy of a tiny prepared dataset, sidecar,
 teacher run and student run, with one thing broken: a numeric flag or
 ``--config`` key set to an edge value, or one artifact the command reads cut
-short, given a flipped byte or given bytes that are not UTF-8. Whatever it
+short, given a flipped byte, given bytes that are not UTF-8 or, for a
+checkpoint or the sidecar, given a header that declares 10**12 entries
+(the checkpoint's first parameter, or one sidecar member). Whatever it
 is, ``main`` returns 0, 1 or 3, or exits 2 for a usage error on the command
 line; nothing raises.
 
@@ -17,15 +19,18 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
+import zipfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from graphdistill.cli import main
 from graphdistill.data import save_tudataset
 from graphdistill.synth import two_class_structural
+
+from conftest import declare_checkpoint_shape, declare_member_shape
 
 FLOAT_VALUES = (0, -1, 1.5, float("nan"), float("inf"), float("-inf"), 1e308, True, None, "x")
 COUNT_VALUES = (0, -1, 1.5, "x", True, None)
@@ -110,7 +115,8 @@ def examples(draw):
     edit = config = corruption = None
     if kind == "artifact":
         name = draw(st.sampled_from(artifacts + ("config.json",)))
-        how = draw(st.sampled_from(["cut", "flip", "utf8"]))
+        huge = ["huge"] if name.endswith((".ckpt", ".npz")) else []
+        how = draw(st.sampled_from(["cut", "flip", "utf8"] + huge))
         corruption = (name, how, draw(st.floats(0.0, 1.0)), draw(st.integers(1, 255)))
         config = {"seed": 0}
     else:
@@ -124,6 +130,15 @@ def examples(draw):
 
 
 def _corrupt(path: Path, how: str, at: float, byte: int) -> None:
+    if how == "huge":
+        if path.suffix == ".ckpt":
+            declare_checkpoint_shape(path, [10**12])
+        else:
+            with zipfile.ZipFile(path) as archive:
+                members = sorted(archive.namelist())
+            member = members[min(int(at * len(members)), len(members) - 1)]
+            declare_member_shape(path, member.removesuffix(".npy"), (10**12,))
+        return
     data = path.read_bytes()
     pos = min(int(at * len(data)), max(len(data) - 1, 0))
     if how == "cut":
@@ -140,6 +155,8 @@ def _corrupt(path: Path, how: str, at: float, byte: int) -> None:
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(example=examples())
+@example(example=("distill", None, {"seed": 0}, (TEACHER[1], "huge", 0.0, 1)))
+@example(example=("dynamic-bench", None, {"seed": 0}, (SIDECAR, "huge", 0.5, 1)))
 def test_every_input_ends_in_an_exit_code(pristine, example):
     command, edit, config, corruption = example
     argv, _, _, _ = COMMANDS[command]

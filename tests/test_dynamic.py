@@ -23,8 +23,7 @@ from graphdistill.errors import ConfigError, ContractError, IntegrityError
 from graphdistill.models import (
     GinConfig,
     StudentConfig,
-    init_gin_params,
-    init_linear_params,
+    init_params,
     student_input,
 )
 from graphdistill.data import Graph
@@ -36,13 +35,13 @@ from oracles import random_connected_graph, random_er_graph, reference_increment
 def make_student(graph, cache, rng, kind="ga-mlp", use_lape=True, hidden=8):
     cfg = StudentConfig(kind=kind, num_layers=3, hidden=hidden, use_lape=use_lape)
     rows = student_input(graph, cache, cfg)
-    params = init_linear_params(rng, rows.shape[1], cfg, 2)
+    params = init_params(rng, rows.shape[1], cfg, 2)
     return StudentModel(cfg, {k: p.values for k, p in params.items()})
 
 
 def make_teacher(graph, rng, hidden=8, layers=3):
     cfg = GinConfig(num_layers=layers, hidden=hidden)
-    params = init_gin_params(rng, graph.features.shape[1], cfg, 2)
+    params = init_params(rng, graph.features.shape[1], cfg, 2)
     return TeacherModel(cfg, {k: p.values for k, p in params.items()})
 
 
@@ -123,7 +122,7 @@ class TestIncrementalState:
         cache = build_struct_cache(g, 0, seed=7)
         cfg = StudentConfig(kind="ga-mlp", readout="attention", hidden=8)
         rows = student_input(g, cache, cfg)
-        params = init_linear_params(rng, rows.shape[1], cfg, 2)
+        params = init_params(rng, rows.shape[1], cfg, 2)
         with pytest.raises(ContractError, match="sum readout"):
             init_incremental_state(g, cache, cfg, {k: p.values for k, p in params.items()},
                                    np.array([0]))

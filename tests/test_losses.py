@@ -16,7 +16,7 @@ from graphdistill.losses import (
     path_targets,
     total_loss,
 )
-from graphdistill.models import INFER, GinConfig, init_gin_params, make_batch, params_to_arrays
+from graphdistill.models import INFER, GinConfig, init_params, make_batch, params_to_arrays
 from graphdistill.structure import build_struct_caches
 from graphdistill.synth import two_class_structural
 
@@ -562,7 +562,7 @@ class TestStudentEqualToTeacher:
         batch = make_batch(ds.graphs, clusters=[c.clusters for c in caches])
         assert batch.num_graphs == 4 and batch.cluster_offsets[-1] > 4
         cfg = GinConfig(num_layers=2, hidden=8)
-        params = params_to_arrays(init_gin_params(np.random.default_rng(0), ds.feature_dim,
+        params = params_to_arrays(init_params(np.random.default_rng(0), ds.feature_dim,
                                                   cfg, ds.num_classes))
         out = INFER["gin"](batch, cfg, params)
         rows, weights = [], []

@@ -12,8 +12,6 @@ from graphdistill.models import (
     StudentConfig,
     gcn_forward,
     gin_forward,
-    init_gin_params,
-    init_linear_params,
     init_params,
     make_batch,
     param_shapes,
@@ -134,7 +132,7 @@ class TestGinForward:
         for trial in range(5):
             g = random_er_graph(rng, 20, p=0.2, feature_dim=4)
             cfg = GinConfig(num_layers=2, hidden=8, readout=readout_mode)
-            params = init_gin_params(rng, 4, cfg, 3)
+            params = init_params(rng, 4, cfg, 3)
             base = gin_forward(make_batch([g]), cfg, params).logits.values
             perm = rng.permutation(20)
             permuted = permute_graph(g, perm)
@@ -145,7 +143,7 @@ class TestGinForward:
         rng = np.random.default_rng(1)
         g = random_er_graph(rng, 12, p=0.3, feature_dim=3)
         cfg = GinConfig(num_layers=2, hidden=6)
-        params = init_gin_params(rng, 3, cfg, 2)
+        params = init_params(rng, 3, cfg, 2)
         base = gin_forward(make_batch([g]), cfg, params).node_embeddings.values
         perm = rng.permutation(12)
         permuted = permute_graph(g, perm)
@@ -166,7 +164,7 @@ class TestGcnForward:
         g = build_graph(2, [(0, 1)], np.array([[1.0, 2.0], [1.0, 2.0]]))
         rng = np.random.default_rng(2)
         cfg = GcnConfig(num_layers=2, hidden=5)
-        params = init_linear_params(rng, 2, cfg, 2)
+        params = init_params(rng, 2, cfg, 2)
         out = gcn_forward(make_batch([g]), cfg, params)
         np.testing.assert_allclose(out.node_embeddings.values[0],
                                    out.node_embeddings.values[1], atol=1e-12)
@@ -175,7 +173,7 @@ class TestGcnForward:
         rng = np.random.default_rng(3)
         g = random_er_graph(rng, 18, p=0.25, feature_dim=3)
         cfg = GcnConfig(num_layers=3, hidden=8)
-        params = init_linear_params(rng, 3, cfg, 2)
+        params = init_params(rng, 3, cfg, 2)
         base = gcn_forward(make_batch([g]), cfg, params).logits.values
         perm = rng.permutation(18)
         again = gcn_forward(make_batch([permute_graph(g, perm)]), cfg, params).logits.values
@@ -192,7 +190,7 @@ class TestStudentForward:
         g1 = build_graph(6, [(0, 1), (2, 3)], feats)
         g2 = build_graph(6, [(0, 1), (2, 3), (4, 5), (0, 5)], feats)
         cfg = StudentConfig(kind="mlp", num_layers=3, hidden=8)
-        params = init_linear_params(rng, 3, cfg, 2)
+        params = init_params(rng, 3, cfg, 2)
         out1 = student_forward(make_batch([g1]), cfg, params)
         out2 = student_forward(make_batch([g2]), cfg, params)
         np.testing.assert_array_equal(out1.logits.values, out2.logits.values)
@@ -209,7 +207,7 @@ class TestStudentForward:
         rng = np.random.default_rng(5)
         rows = student_input(k2, cache, cfg)
         assert rows.shape == (2, 12)  # (1 feat + 5 pe) doubled by aggregation
-        params = init_linear_params(rng, rows.shape[1], cfg, 2)
+        params = init_params(rng, rows.shape[1], cfg, 2)
         out = student_forward(make_batch([k2], [rows], [cache.clusters]), cfg, params)
         assert np.all(np.isfinite(out.logits.values))
 
@@ -222,7 +220,7 @@ class TestStudentForward:
         cfg = StudentConfig(kind="ga-mlp", use_lape=True, dropout=0.5)
         rng = np.random.default_rng(6)
         rows = student_input(path3, cache, cfg)
-        params = init_linear_params(rng, rows.shape[1], cfg, 2)
+        params = init_params(rng, rows.shape[1], cfg, 2)
         batch = make_batch([path3], [rows])
         # no train rng given -> dropout disabled -> deterministic
         a = student_forward(batch, cfg, params).logits.values
@@ -233,7 +231,7 @@ class TestStudentForward:
         cache = self._cache(path3)
         cfg = StudentConfig(kind="mlp", dropout=0.5)
         rng = np.random.default_rng(7)
-        params = init_linear_params(rng, 1, cfg, 2)
+        params = init_params(rng, 1, cfg, 2)
         rng1, rng2 = np.random.default_rng(1), np.random.default_rng(2)
         batch = make_batch([path3])
         a = student_forward(batch, cfg, params, train_rng=rng1).logits.values
@@ -269,7 +267,7 @@ class TestReadout:
         g = random_er_graph(rng, 15, p=0.3, feature_dim=3)
         cache = build_struct_cache(g, 0, seed=0)
         cfg = GinConfig(num_layers=2, hidden=6, readout="sum")
-        params = init_gin_params(rng, 3, cfg, 2)
+        params = init_params(rng, 3, cfg, 2)
         batch = make_batch([g], clusters=[cache.clusters])
         out = gin_forward(batch, cfg, params)
         np.testing.assert_allclose(
@@ -312,7 +310,7 @@ class TestInferenceTwins:
         for eps, readout_mode in [(0.0, "sum"), (0.0, "attention"), (0.3, "sum"),
                                   (0.3, "attention")]:
             cfg = GinConfig(num_layers=3, hidden=8, eps=eps, readout=readout_mode)
-            params = init_gin_params(rng, 3, cfg, 2)
+            params = init_params(rng, 3, cfg, 2)
             slow = gin_forward(batch, cfg, params)
             fast = INFER["gin"](batch, cfg, params_to_arrays(params))
             assert_outputs_byte_equal(fast, slow)
@@ -323,7 +321,7 @@ class TestInferenceTwins:
         batch = clustered_batch(graphs, 11)
         for readout_mode in ("sum", "attention"):
             cfg = GcnConfig(num_layers=2, hidden=8, readout=readout_mode)
-            params = init_linear_params(rng, 3, cfg, 2)
+            params = init_params(rng, 3, cfg, 2)
             slow = gcn_forward(batch, cfg, params)
             fast = INFER["gcn"](batch, cfg, params_to_arrays(params))
             assert_outputs_byte_equal(fast, slow)
@@ -338,7 +336,7 @@ class TestInferenceTwins:
                 cfg = StudentConfig(kind=kind, use_lape=True, num_layers=3, hidden=8,
                                     readout=readout_mode)
                 rows = [student_input(g, c, cfg) for g, c in zip(graphs, caches)]
-                params = init_linear_params(rng, rows[0].shape[1], cfg, 2)
+                params = init_params(rng, rows[0].shape[1], cfg, 2)
                 batch = make_batch(graphs, rows, clusters)
                 slow = student_forward(batch, cfg, params)
                 fast = student_infer(batch, cfg, params_to_arrays(params))
@@ -349,7 +347,7 @@ class TestInferenceTwins:
         g = random_er_graph(rng, 6, p=0.3, feature_dim=3)
         cfg = GinConfig(num_layers=1, hidden=4)
         out = INFER["gin"](make_batch([g]), cfg,
-                           params_to_arrays(init_gin_params(rng, 3, cfg, 2)))
+                           params_to_arrays(init_params(rng, 3, cfg, 2)))
         assert out.cluster_embeddings is None
 
 
@@ -358,7 +356,7 @@ class TestModelGradients:
         rng = np.random.default_rng(13)
         g = random_er_graph(rng, 8, p=0.4, feature_dim=3)
         cfg = GinConfig(num_layers=2, hidden=4)
-        params = init_gin_params(rng, 3, cfg, 2)
+        params = init_params(rng, 3, cfg, 2)
 
         def loss():
             out = gin_forward(make_batch([g]), cfg, params)
@@ -371,7 +369,7 @@ class TestModelGradients:
         rng = np.random.default_rng(14)
         g = random_er_graph(rng, 8, p=0.4, feature_dim=3)
         cfg = GcnConfig(num_layers=2, hidden=4, readout="attention")
-        params = init_linear_params(rng, 3, cfg, 2)
+        params = init_params(rng, 3, cfg, 2)
 
         def loss():
             out = gcn_forward(make_batch([g]), cfg, params)
@@ -386,7 +384,7 @@ class TestModelGradients:
         cache = build_struct_cache(g, 0, seed=2)
         cfg = StudentConfig(kind="ga-mlp", use_lape=True, num_layers=3, hidden=4)
         rows = student_input(g, cache, cfg)
-        params = init_linear_params(rng, rows.shape[1], cfg, 2)
+        params = init_params(rng, rows.shape[1], cfg, 2)
         batch = make_batch([g], [rows], [cache.clusters])
 
         def loss():
@@ -457,7 +455,7 @@ class TestPropagationOracle:
     def test_gin_matches_dense(self, graphs, eps, readout_mode):
         rng = np.random.default_rng(21)
         cfg = GinConfig(num_layers=3, hidden=6, eps=eps, readout=readout_mode)
-        params = init_gin_params(rng, 3, cfg, 2)
+        params = init_params(rng, 3, cfg, 2)
         p = params_to_arrays(params)
         h_ref, logits_ref = dense_gin_logits(graphs, cfg, p)
         batch = make_batch(graphs)
@@ -472,7 +470,7 @@ class TestPropagationOracle:
     def test_gcn_matches_dense(self, graphs, readout_mode):
         rng = np.random.default_rng(22)
         cfg = GcnConfig(num_layers=3, hidden=6, readout=readout_mode)
-        params = init_linear_params(rng, 3, cfg, 2)
+        params = init_params(rng, 3, cfg, 2)
         p = params_to_arrays(params)
         h_ref, logits_ref = dense_gcn_logits(graphs, cfg, p)
         batch = make_batch(graphs)

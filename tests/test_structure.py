@@ -18,7 +18,6 @@ from graphdistill import structure
 from graphdistill.structure import (
     DENSE_LAPE_MAX_NODES,
     LOCKSTEP_COST_NODES,
-    LOCKSTEP_MAX_M2,
     ClusterAssignment,
     StructCache,
     WalkPool,
@@ -36,7 +35,7 @@ from graphdistill.structure import (
 )
 from graphdistill.synth import preferential_attachment_edges, two_class_structural
 
-from conftest import build_graph, build_struct_cache
+from conftest import build_graph, build_struct_cache, declare_member_shape
 from oracles import (
     best_partition_bruteforce,
     dense_ga_aggregate,
@@ -62,11 +61,6 @@ KARATE_EDGES = [
     (28, 31), (28, 33), (29, 32), (29, 33), (30, 32), (30, 33), (31, 32),
     (31, 33), (32, 33),
 ]
-
-
-def modularity_of(g, cluster_of):
-    return structure._modularities(np.array([0, g.num_nodes]), g.indptr, g.indices,
-                                   cluster_of, [int(cluster_of.max()) + 1])[0]
 
 
 def same_partition(a, b):
@@ -96,7 +90,7 @@ class TestModularityOracle:
         nxg.add_edges_from(g.edge_pairs().tolist())
         communities = [set(np.flatnonzero(cluster_of == c).tolist())
                        for c in np.unique(cluster_of)]
-        assert modularity_of(g, cluster_of) == pytest.approx(
+        assert reference_modularity(g, cluster_of) == pytest.approx(
             nx.community.modularity(nxg, communities), abs=1e-12)
 
     def test_isolated_nodes_match_networkx(self):
@@ -106,26 +100,27 @@ class TestModularityOracle:
         nxg.add_nodes_from(range(7))
         nxg.add_edges_from(g.edge_pairs().tolist())
         want = nx.community.modularity(nxg, [{0, 1, 6}, {2, 3, 4}, {5}])
-        assert modularity_of(g, cluster_of) == pytest.approx(want, abs=1e-12)
+        assert reference_modularity(g, cluster_of) == pytest.approx(want, abs=1e-12)
 
-    def test_dataset_pass_equals_per_graph(self):
-        # One pass over a mixed union scores every graph as it scores alone:
-        # edgeless and one-node graphs, unused and repeated labels, and the
-        # contiguous partitions Louvain makes.
+    def test_last_level_is_the_partition_modularity(self):
+        # Over a mixed dataset (edgeless and one-node graphs among them), in
+        # either kernel, every graph with an edge reports its last level's
+        # modularity, and that is its final partition's, scored alone.
         rng = np.random.default_rng(5)
         graphs = ([shaped_graph(kind, int(rng.integers(2, 14)), rng)
                    for kind in GRAPH_KINDS for _ in range(3)]
                   + two_class_structural(num_graphs=12, seed=5).graphs)
-        clusters = [rng.integers(0, int(rng.integers(1, g.num_nodes + 3)), size=g.num_nodes)
-                    for g in graphs]
-        clusters += [c.cluster_of for c in louvain_cluster(graphs, list(range(len(graphs))))]
-        graphs = graphs + graphs
-        off, indptr, indices = structure.disjoint_union(graphs)
-        got = structure._modularities(off, indptr, indices, np.concatenate(clusters),
-                                      [int(c.max()) + 1 for c in clusters])
-        want = [reference_modularity(g, c) for g, c in zip(graphs, clusters)]
-        assert all(type(q) is float for q in got)
-        assert got == want
+        for cost in (0, 10**6):  # every graph with an edge in lockstep, then none
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(structure, "LOCKSTEP_COST_NODES", cost)
+                got = louvain_cluster(graphs, list(range(len(graphs))))
+            for g, res in zip(graphs, got):
+                assert type(res.modularity) is float
+                if g.indices.size == 0:
+                    assert res.modularity == 0.0 and res.level_modularity == []
+                    continue
+                assert res.modularity == res.level_modularity[-1]
+                assert abs(res.modularity - reference_modularity(g, res.cluster_of)) <= 1e-15
 
 
 class TestLouvain:
@@ -159,7 +154,7 @@ class TestLouvain:
         for trial in range(10):
             g = random_er_graph(rng, int(rng.integers(5, 25)), p=0.25)
             res = louvain_cluster([g], [trial])[0]
-            singles = modularity_of(g, np.arange(g.num_nodes))
+            singles = reference_modularity(g, np.arange(g.num_nodes))
             assert res.modularity >= singles - 1e-12
 
     def test_isolated_nodes_are_singletons(self):
@@ -208,7 +203,7 @@ class TestLouvain:
                     continue
                 merged = res.cluster_of.copy()
                 merged[merged == c] = d
-                assert modularity_of(g, merged) <= base + 1e-12
+                assert reference_modularity(g, merged) <= base + 1e-12
 
     def test_contiguous_indices(self):
         g = build_graph(34, KARATE_EDGES)
@@ -219,11 +214,14 @@ class TestLouvain:
 # Small graph shapes for the lockstep tests; most tie heavily between moves.
 GRAPH_KINDS = ("random", "edgeless", "one-node", "complete", "star", "cycle", "circulant",
                "grid", "clique-isolated", "m2-bound")
+# Stored edge entries of an "m2-bound" graph: dense enough that float gains
+# w - k*tot/m2 would need a rounding argument to break ties like exact ones.
+M2_BOUND = 2000
 
 
 def shaped_graph(kind, n, rng):
     """A graph of ``kind``; ``n`` nodes except for "one-node" and "m2-bound",
-    whose edges fill exactly ``LOCKSTEP_MAX_M2`` stored entries."""
+    whose edges fill exactly ``M2_BOUND`` stored entries."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if kind == "one-node":
         return build_graph(1, [])
@@ -232,7 +230,7 @@ def shaped_graph(kind, n, rng):
             return build_graph(46, [(u, v) for u in range(45) for v in range(u + 1, 45)]
                                + [(45, v) for v in range(10)])
         all_pairs = [(u, v) for u in range(60) for v in range(u + 1, 60)]
-        picked = rng.choice(len(all_pairs), size=LOCKSTEP_MAX_M2 // 2, replace=False)
+        picked = rng.choice(len(all_pairs), size=M2_BOUND // 2, replace=False)
         return build_graph(60, [all_pairs[i] for i in picked])
     if kind == "random":
         p_edge = rng.uniform(0.1, 0.8)
@@ -311,11 +309,11 @@ class TestLouvainLockstep:
         (8, [(0, 1), (0, 3), (0, 7), (1, 2), (1, 3), (1, 6), (2, 3), (3, 4), (5, 7), (6, 7)],
          324),
     ], ids=["candidates-tie", "candidate-ties-own"])
-    def test_float_near_ties_resolve_like_the_scan(self, n, edges, seed):
-        # Gains here tie mathematically but not in float (like 0.7 as 1 - 0.3
-        # and as 2 - 1.3). Dropping the 1e-12 slack from the closed form
-        # changes these partitions: in the choice among candidates (first)
-        # and in the choice to leave ``ci`` (second).
+    def test_exact_ties_resolve_like_the_scan(self, n, edges, seed):
+        # Gains here tie exactly, though as floats w - k*tot/m2 they would
+        # not (like 0.7 as 1 - 0.3 and as 2 - 1.3): among candidates (first)
+        # and between a candidate and staying in ``ci`` (second). Both
+        # kernels must break them as the reference scan does.
         g = build_graph(n, edges)
         for moves in (structure._lockstep_moves, structure._sequential_moves):
             assert_same_clustering(structure._louvain([g], [seed], moves)[0],
@@ -327,7 +325,7 @@ class TestLouvainLockstep:
         (40, [300], 40),       # a 300-node cycle would cost more steps than it saves
         (40, [12] * 2, 40),    # two slightly larger graphs would not pay for their steps
         (40, [12] * 7, 47),    # seven do
-        (40, ["K47", "edgeless"], 40),  # past LOCKSTEP_MAX_M2, and without edges
+        (40, ["K47", "edgeless"], 40),  # past the cap, and without edges
     ])
     def test_lockstep_batch_selection(self, cycles, extra, batched):
         assert LOCKSTEP_COST_NODES == 36  # the counts above assume it
@@ -345,7 +343,7 @@ class TestLouvainLockstep:
         graphs = (two_class_structural(num_graphs=75, seed=12).graphs
                   + [shaped_graph(kind, 11, rng) for kind in GRAPH_KINDS]
                   + [build_graph(240, preferential_attachment_edges(240, rng, 48)),
-                     shaped_graph("complete", 47, rng)])  # over LOCKSTEP_MAX_M2
+                     shaped_graph("complete", 47, rng)])
         seeds = [structure._derived_seed(12, i, 0) for i in range(len(graphs))]
         subset = rng.permutation(len(graphs))[:70]
         with pytest.MonkeyPatch.context() as mp:
@@ -360,6 +358,25 @@ class TestLouvainLockstep:
         for g, seed, res in zip(graphs, seeds, whole):
             assert_same_clustering(res, louvain_cluster([g], [seed])[0])
             assert_same_clustering(res, reference_louvain_one(g, seed))
+
+    @pytest.mark.parametrize("graph", [
+        shaped_graph("complete", 47, None),  # 2,162 stored entries
+        shaped_graph("complete", 70, None),  # 4,830
+        build_graph(300, preferential_attachment_edges(300, np.random.default_rng(3), 900)),  # 2,358
+    ], ids=["K47", "K70", "pa300"])
+    def test_dense_graphs_equal_in_both_kernels(self, graph):
+        # Graphs of more than 2,000 stored entries run in lockstep once the
+        # size cap admits them, and match the sequential kernel byte for byte.
+        assert graph.indices.size > M2_BOUND
+        got = {}
+        for cost in (0, 10**6):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(structure, "LOCKSTEP_COST_NODES", cost)
+                batches = spy_lockstep(mp)
+                got[cost] = louvain_cluster([graph], [17])[0]
+            assert batches == ([[graph]] if cost == 0 else [])
+        assert_same_clustering(got[0], got[10**6])
+        assert_same_clustering(got[0], reference_louvain_one(graph, 17))
 
     def test_seed_count_must_match(self, triangle):
         with pytest.raises(ContractError, match="2 graphs and 1 seeds"):
@@ -398,14 +415,14 @@ def sha256_of(*arrays):
 # order, the tie-break or the float arithmetic shows here.
 GOLDEN = {
     "pa2000": dict(
-        num_clusters=39, modularity=0.810352931200839,
+        num_clusters=39, modularity=0.8103529312008391,
         levels=[0.5159544384288229, 0.7019589758898082, 0.7812088578661283,
                 0.8094554820935012, 0.8103529312008391],
         cluster_sha256="9304afc28f5b09dbc6990cd7b7718b1628d8435fc181f7efdfd62040280a8a8e",
         walks_sha256="806fbbdc42da112c09aae205a12938df15461e2a4cf4a11ff9b396ffdce49b4c",
     ),
     "structural0": dict(
-        num_clusters=6, modularity=0.4263941398865785,
+        num_clusters=6, modularity=0.4263941398865784,
         levels=[0.3604678638941399, 0.4263941398865784],
         cluster_of=[0, 1, 2, 0, 2, 0, 0, 2, 1, 2, 2, 2, 0, 1, 1, 0, 0, 2, 1, 0, 3, 3, 3, 1,
                     4, 4, 4, 5, 5, 5, 3, 1, 1, 5, 3, 4, 5, 5, 5, 1, 3],
@@ -429,7 +446,7 @@ GOLDEN = {
                [26, 23, 26, 6, 26, 6, 26], [4, 10, 33, 0, 16, 25, 7]],
     ),
     "structural2": dict(
-        num_clusters=5, modularity=0.37303087586641465,
+        num_clusters=5, modularity=0.3730308758664146,
         levels=[0.3520268851081706, 0.3730308758664146],
         cluster_of=[0, 1, 2, 2, 0, 0, 2, 0, 2, 0, 1, 0, 0, 2, 0, 3, 3, 2, 3, 4, 3, 4, 3, 4,
                     1, 4, 3, 4, 4, 3, 0],
@@ -441,7 +458,7 @@ GOLDEN = {
                [14, 4, 12, 0, 7, 9, 5], [4, 20, 15, 12, 9, 5, 10]],
     ),
     "disconnected": dict(
-        num_clusters=5, modularity=0.6428571428571429,
+        num_clusters=5, modularity=0.6428571428571428,
         levels=[0.5127551020408163, 0.6428571428571428],
         cluster_of=[0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 4],
         walks=[[6, 7, 8, 7, 6, 5, 6], [9, 12, 11, 10, 12, 11, 12], [13],
@@ -929,6 +946,16 @@ class TestStructCachePersistence:
             np.savez(path, **arrays)
             with pytest.raises(FormatError, match=re.escape(str(path))):
                 load_struct_caches(path)
+
+    @pytest.mark.parametrize("member,message", [
+        ("modularity", "cannot read field 'modularity'"), ("lape", "cannot read field 'lape'"),
+        ("meta", "not a struct cache")], ids=["modularity", "lape", "meta"])
+    def test_member_declaring_a_huge_array_rejected(self, tmp_path, member, message):
+        # 10**12 values: numpy fails to allocate them before reading any
+        path = write_small_sidecar(tmp_path)
+        declare_member_shape(path, member, (10**12,))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            load_struct_caches(path)
 
     @pytest.mark.parametrize("field", ["cluster", "walks"])
     def test_missing_field_rejected(self, tmp_path, field):

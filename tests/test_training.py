@@ -16,7 +16,7 @@ from graphdistill.dynamic import make_trace
 from graphdistill.errors import (ConfigError, ContractError, GraphDistillError, IntegrityError,
                                  NumericError)
 from graphdistill.losses import DistillWeights
-from graphdistill.models import INIT, GcnConfig, GinConfig, StudentConfig, make_batch
+from graphdistill.models import GcnConfig, GinConfig, StudentConfig, init_params, make_batch
 from graphdistill.structure import build_struct_caches, sample_walks
 from graphdistill.synth import two_class_structural
 from graphdistill.training import (
@@ -250,8 +250,8 @@ class TestPackedTeacherCache:
     ], ids=["gin", "gcn"])
     def test_packed_fields_equal_reference_lists(self, many_graphs, config):
         dataset, caches = many_graphs
-        params = INIT[config.kind](np.random.default_rng(0), dataset.feature_dim, config,
-                                   dataset.num_classes)
+        params = init_params(np.random.default_rng(0), dataset.feature_dim, config,
+                             dataset.num_classes)
         ckpt = TeacherCheckpoint(fold_index=0, config=config,
                                  params={k: p.values for k, p in params.items()},
                                  best_test_accuracy=0.0, epoch_of_best=0, train_accuracy=0.0)
